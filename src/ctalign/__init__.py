@@ -22,7 +22,6 @@ from .core import (
     FanGeometry,
     ProjectionStack,
     Sinogram,
-    effective_detector_axis,
     unit_disk_half_width,
     wrap_angle,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "align_yang",
     "cone_line_integral",
     "cone_project",
-    "effective_detector_axis",
     "fan_line_integral",
     "fan_project",
     "inner_h",

@@ -84,15 +84,16 @@ def _emit_report(pairs, report_path):
         Path(report_path).write_text(text, encoding="ascii")
 
 
+def _given(args, cfg, keys):
+    """{key: value} for each of keys that a flag or the config file set; the
+    config dataclasses supply every default."""
+    values = {key: _resolve(args, cfg, key, None) for key in keys}
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _fan_config(args, cfg, method_tag):
-    return FanAlignConfig(
-        method=method_tag,
-        K=int(_resolve(args, cfg, "K", 10)),
-        max_iter=int(_resolve(args, cfg, "max_iter", 20)),
-        tol_h=float(_resolve(args, cfg, "tol_h", 0.01)),
-        upsample=int(_resolve(args, cfg, "upsample", 20)),
-        beta_index=int(_resolve(args, cfg, "beta_index", 0)),
-    )
+    keys = ("K", "max_iter", "tol_h", "upsample", "beta_index")
+    return FanAlignConfig(method=method_tag, **_given(args, cfg, keys))
 
 
 def cmd_simulate(args):
@@ -193,16 +194,11 @@ def cmd_align(args):
         inner_cli = str(_resolve(args, cfg, "inner_method", "2dr")).lower()
         if inner_cli not in _INNER_METHODS:
             raise ConfigError(f"unknown inner method {inner_cli!r}")
-        vp_cfg = VPConfig(
-            inner_method=_INNER_METHODS[inner_cli],
-            eta0=_resolve_angle(args, cfg, "eta0", 0.0),
-            delta_eta=float(_resolve(args, cfg, "delta_eta", 0.001)),
-            gamma0=float(_resolve(args, cfg, "gamma0", 1.0)),
-            armijo_c=float(_resolve(args, cfg, "armijo_c", 1e-4)),
-            max_outer=int(_resolve(args, cfg, "max_outer", 20)),
-            tol_eta=float(_resolve(args, cfg, "tol_eta", 1e-4)),
-            inner=_fan_config(args, cfg, "2DR"),
-        )
+        vp_keys = _given(args, cfg, ("delta_eta", "gamma0", "armijo_c", "max_outer", "tol_eta"))
+        eta0 = _resolve_angle(args, cfg, "eta0", None)
+        if eta0 is not None:
+            vp_keys["eta0"] = eta0
+        vp_cfg = VPConfig(inner_method=_INNER_METHODS[inner_cli], inner=_fan_config(args, cfg, "2DR"), **vp_keys)
         start = time.perf_counter()
         result = variable_projection(data, vp_cfg)
         seconds = time.perf_counter() - start

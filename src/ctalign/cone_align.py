@@ -10,10 +10,12 @@ tilted detector axis:
 
 At the true misalignment both agree (the fan symmetry condition along the
 true horizontal axis), so L(h, eta) = |Lambda - Pi|^2 is minimized there.
-The inner variable h is eliminated by a fan-type shift solve at fixed eta
-(2DR or median-of-K fixed point on the tilted pair); the reduced loss
-L(h(eta), eta) is descended in eta with finite-difference gradients and
-Armijo backtracking (contraction 1/2).
+Pi_h_eta is the fan symmetry map (fan_align.reflect) read through the
+tilted detector axis, so the fan estimators are the eta = 0, v = 0 case.
+The inner variable h is eliminated by the fan 2DR or median-of-K fixed-point
+solve on the tilted pair at fixed eta; the reduced loss L(h(eta), eta) is
+descended in eta with finite-difference gradients and Armijo backtracking
+(step halved on each rejection).
 """
 
 import math
@@ -22,8 +24,8 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .core import AlignmentResult, Sinogram
-from .fan_align import FanAlignConfig, fixed_point_shift, fp_start_indices, symmetry_mse
-from .registration import AmbiguousShiftError, sample_detector, xcorr_shift_s_2d
+from .fan_align import FanAlignConfig, median_fixed_point, reflect, symmetry_mse
+from .registration import sample_detector, xcorr_shift_s_2d
 
 ETA_BOUND = math.radians(45.0)  # far beyond any physical detector mounting error
 
@@ -36,8 +38,8 @@ class VPConfig:
 
     inner_method selects the shift solver on the tilted fan pair; eta0 is
     the starting angle (radians); delta_eta the finite-difference step;
-    gamma0/armijo_c/contraction control the backtracking line search
-    (contraction is fixed at 1/2); max_outer/tol_eta bound the descent.
+    gamma0/armijo_c control the backtracking line search, which halves the
+    step on each rejection; max_outer/tol_eta bound the descent.
     inner carries the fan-solver configuration.
     """
 
@@ -46,7 +48,6 @@ class VPConfig:
     delta_eta: float = 0.001
     gamma0: float = 1.0
     armijo_c: float = 1e-4
-    contraction: float = 0.5
     max_outer: int = 20
     tol_eta: float = 1e-4
     max_backtrack: int = 30
@@ -59,8 +60,6 @@ class VPConfig:
             raise ValueError("delta_eta must be positive")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
-        if self.contraction != 0.5:
-            raise ValueError("contraction factor is fixed at 1/2")
         if self.max_outer < 1 or self.max_backtrack < 1:
             raise ValueError("iteration caps must be at least 1")
         if not self.tol_eta > 0:
@@ -69,15 +68,20 @@ class VPConfig:
             raise ValueError("eta0 outside the search domain")
 
 
+def _tilted(stack, eta):
+    """Sampler of the stack along the detector axis tilted by eta:
+    (x, b) -> g(x cos(eta), -x sin(eta), b)."""
+    cose, sine = math.cos(eta), math.sin(eta)
+    return lambda x, b: sample_detector(stack, x * cose, -x * sine, b)
+
+
 def lambda_eta(stack, h, eta):
     """Stack resampled along the tilted horizontal axis: (q_i, b_j) grid array
     of g(q cos(eta), -q sin(eta), b).  Free of h in this parameterization
     (the argument is accepted for signature symmetry with pi_h_eta).
     """
     geom = stack.geometry
-    q = geom.u_axis()[None, :]
-    beta = geom.beta_axis()[:, None]
-    return sample_detector(stack, q * math.cos(eta), -q * math.sin(eta), beta)
+    return _tilted(stack, eta)(geom.u_axis()[None, :], geom.beta_axis()[:, None])
 
 
 def pi_h_eta(stack, h, eta):
@@ -86,70 +90,40 @@ def pi_h_eta(stack, h, eta):
     b + pi + 2*atan((q - h)/r)).
     """
     geom = stack.geometry
-    h_u = geom.px_to_u(h)
-    q = geom.u_axis()[None, :]
-    beta = geom.beta_axis()[:, None]
-    x = -q + 2.0 * h_u
-    angle = beta + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
-    return sample_detector(stack, x * math.cos(eta), -x * math.sin(eta), angle)
+    return reflect(geom.central_fan(), _tilted(stack, eta), h, geom.beta_axis()[:, None])
 
 
-def loss_L(stack, h, eta):
-    """Sum of squared differences of the two tilted resamplings at (h, eta)."""
-    lam = lambda_eta(stack, h, eta)
+def loss_L(stack, h, eta, lam=None):
+    """Sum of squared differences of the two tilted resamplings at (h, eta).
+
+    lam, if given, is lambda_eta(stack, h, eta), which is free of h.
+    """
+    if lam is None:
+        lam = lambda_eta(stack, h, eta)
     pi = pi_h_eta(stack, h, eta)
     return float(np.sum((lam - pi) ** 2))
 
 
-def _cone_pi_factory(stack, eta, beta_index):
-    geom = stack.geometry
-    q = geom.u_axis()
-    beta0 = beta_index * geom.beta_step
-    cose, sine = math.cos(eta), math.sin(eta)
-
-    def make_pi(h_px):
-        h_u = geom.px_to_u(h_px)
-        x = -q + 2.0 * h_u
-        angle = beta0 + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
-        return sample_detector(stack, x * cose, -x * sine, angle)
-
-    return make_pi
-
-
-def inner_h(stack, eta, cfg=VPConfig()):
+def inner_h(stack, eta, cfg=VPConfig(), lam=None):
     """Shift (pixels) minimizing the tilted-pair mismatch at fixed eta.
 
-    2DR correlates lambda_eta against pi_h_eta at h = 0 (their q-shift is
-    2h); fp_k runs the fixed-point iteration on K single tilted views and
-    takes the median.
+    The fan estimate on the tilted pair (lambda_eta, pi_h_eta): 2DR
+    correlates lambda_eta against pi_h_eta at h = 0 (their q-shift is 2h);
+    fp_k takes the median of K fixed-point runs started at rows of
+    lambda_eta.  lam, if given, is lambda_eta(stack, 0.0, eta).
     """
-    geom = stack.geometry
+    if lam is None:
+        lam = lambda_eta(stack, 0.0, eta)
     if cfg.inner_method == "2dr":
-        a = lambda_eta(stack, 0.0, eta)
-        b = pi_h_eta(stack, 0.0, eta)
-        return 0.5 * xcorr_shift_s_2d(a, b, cfg.inner.upsample)
-    q = geom.u_axis()
-    estimates = []
-    for idx in fp_start_indices(geom.n_beta, cfg.inner.K):
-        lam = sample_detector(stack, q * math.cos(eta), -q * math.sin(eta), idx * geom.beta_step)
-        make_pi = _cone_pi_factory(stack, eta, idx)
-        try:
-            h_j, _, _, _ = fixed_point_shift(
-                lam, make_pi, cfg.inner.upsample, cfg.inner.tol_h, cfg.inner.max_iter
-            )
-        except AmbiguousShiftError:
-            continue
-        estimates.append(h_j)
-    if not estimates:
-        raise AmbiguousShiftError("every fixed-point start failed")
-    ordered = sorted(estimates)
-    return ordered[(len(ordered) - 1) // 2]
+        return 0.5 * xcorr_shift_s_2d(lam, pi_h_eta(stack, 0.0, eta), cfg.inner.upsample)
+    return median_fixed_point(lam, stack.geometry.central_fan(), _tilted(stack, eta), cfg.inner)[0]
 
 
 def _reduced_loss(stack, eta, cfg, cache):
     if eta not in cache:
-        h = inner_h(stack, eta, cfg)
-        cache[eta] = (h, loss_L(stack, h, eta))
+        lam = lambda_eta(stack, 0.0, eta)
+        h = inner_h(stack, eta, cfg, lam)
+        cache[eta] = (h, loss_L(stack, h, eta, lam))
     return cache[eta]
 
 
@@ -213,7 +187,7 @@ def variable_projection(stack, cfg=VPConfig()):
             if loss_new <= current - cfg.armijo_c * gamma * grad * grad:
                 accepted = True
                 break
-            gamma *= cfg.contraction
+            gamma *= 0.5
         if not accepted:
             break
         if depth > 10:

@@ -90,10 +90,6 @@ class FanGeometry:
             raise ValueError("need at least 2 samples per axis")
 
     @property
-    def beta_range(self):
-        return (0.0, TWO_PI)
-
-    @property
     def pixel_size(self):
         """Effective detector pixel, in s units."""
         return 2.0 * self.s_max / (self.n_s - 1)
@@ -113,11 +109,6 @@ class FanGeometry:
 
     def s_to_px(self, h_s):
         return h_s / self.pixel_size
-
-
-def effective_detector_axis(geom):
-    """The n_s uniform s-coordinates, symmetric about 0 (s[i] == -s[n-1-i])."""
-    return geom.s_axis()
 
 
 @dataclass(frozen=True)
@@ -145,10 +136,6 @@ class ConeGeometry:
             raise ValueError("v_max must be positive and finite")
         if self.n_u < 2 or self.n_v < 2 or self.n_beta < 2:
             raise ValueError("need at least 2 samples per axis")
-
-    @property
-    def beta_range(self):
-        return (0.0, TWO_PI)
 
     @property
     def pixel_size(self):

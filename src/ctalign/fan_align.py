@@ -11,7 +11,9 @@ estimator recovers h as half of a cross-correlation shift:
 * FP:   fixed-point iteration on a single view, h_{k+1} = h_k + shift/2.
 * FP_K: median of K FP runs started at views spread uniformly over beta.
 
-All h values are in effective detector pixels.
+The symmetry map is written once, in reflect(); cone_align reads the same
+map through its tilted detector axis.  All h values are in effective
+detector pixels.
 """
 
 import math
@@ -55,6 +57,20 @@ class FanAlignConfig:
             raise ValueError("beta_index must be non-negative")
 
 
+def reflect(geom, sample, h_px, beta, s=None):
+    """The symmetry map at candidate shift h (pixels), read through a sampler.
+
+    Returns sample(-s + 2h, beta + pi + 2*atan((s - h)/r)) on the detector
+    axis s of geom (pass s to reuse an axis across calls).  sample(x, b) reads
+    the data at detector coordinate x and view angle b; beta is a view angle
+    or a column of them.
+    """
+    if s is None:
+        s = geom.s_axis()
+    h_s = geom.px_to_s(h_px)
+    return sample(-s + 2.0 * h_s, beta + math.pi + 2.0 * np.arctan((s - h_s) / geom.source_radius))
+
+
 def reflected_resampling(sino, h_px=0.0):
     """The sinogram resampled through the symmetry map at candidate shift h.
 
@@ -63,12 +79,7 @@ def reflected_resampling(sino, h_px=0.0):
     correlate against).  Bilinear sampling, periodic in beta.
     """
     geom = sino.geometry
-    h_s = geom.px_to_s(h_px)
-    s = geom.s_axis()[None, :]
-    beta = geom.beta_axis()[:, None]
-    return sample_periodic(
-        sino, -s + 2.0 * h_s, beta + math.pi + 2.0 * np.arctan((s - h_s) / geom.source_radius)
-    )
+    return reflect(geom, lambda s, b: sample_periodic(sino, s, b), h_px, geom.beta_axis()[:, None])
 
 
 def profile_p(sino):
@@ -172,18 +183,12 @@ def fixed_point_shift(lam, make_pi, upsample, tol_h, max_iter):
     return h, iterations, history, converged
 
 
-def _fan_pi_factory(sino, beta_index):
-    geom = sino.geometry
-    s = geom.s_axis()
-    beta0 = beta_index * geom.beta_step
-
-    def make_pi(h_px):
-        h_s = geom.px_to_s(h_px)
-        return sample_periodic(
-            sino, -s + 2.0 * h_s, beta0 + math.pi + 2.0 * np.arctan((s - h_s) / geom.source_radius)
-        )
-
-    return make_pi
+def _fixed_point_at(lam, geom, sample, idx, cfg, s):
+    """fixed_point_shift on view idx: lam[idx] against its reflection at b_idx."""
+    beta0 = idx * geom.beta_step
+    return fixed_point_shift(
+        lam[idx], lambda h: reflect(geom, sample, h, beta0, s), cfg.upsample, cfg.tol_h, cfg.max_iter
+    )
 
 
 def align_fp(sino, cfg=FanAlignConfig()):
@@ -194,12 +199,11 @@ def align_fp(sino, cfg=FanAlignConfig()):
     2*atan((s_i - h_k)/r)) and advances h by half the measured shift.
     Non-convergence within max_iter is flagged on the result, not fatal.
     """
-    if not 0 <= cfg.beta_index < sino.geometry.n_beta:
+    geom = sino.geometry
+    if not 0 <= cfg.beta_index < geom.n_beta:
         raise ValueError("beta_index outside the view range")
-    lam = sino.values[cfg.beta_index]
-    make_pi = _fan_pi_factory(sino, cfg.beta_index)
-    h, iterations, history, converged = fixed_point_shift(
-        lam, make_pi, cfg.upsample, cfg.tol_h, cfg.max_iter
+    h, iterations, history, converged = _fixed_point_at(
+        sino.values, geom, lambda s, b: sample_periodic(sino, s, b), cfg.beta_index, cfg, geom.s_axis()
     )
     trace = [(k + 1, hk, 0.0, symmetry_mse(sino, hk)) for k, hk in enumerate(history)]
     return _result(sino, h, "FP", iterations, trace, converged, mse=trace[-1][3])
@@ -210,38 +214,46 @@ def fp_start_indices(n_beta, K):
     return [int(round(j * n_beta / K)) % n_beta for j in range(K)]
 
 
-def align_fp_k(sino, cfg=FanAlignConfig()):
-    """Median of K fixed-point runs started at views spread uniformly in beta.
+def median_fixed_point(lam, geom, sample, cfg):
+    """Median of cfg.K fixed-point runs started at views spread uniformly in beta.
 
-    A run that fails outright (zero correlation on a defective view) is
-    excluded from the median; if every run fails the error propagates.  For
-    even counts the lower-middle order statistic is taken, avoiding an
-    average of two modes.  iterations reports the largest per-run count.
+    lam holds the reference views, one row per view of geom; sample(x, b)
+    reads the data the reflections are taken from.  A run that fails outright
+    (zero correlation on a defective view) is excluded from the median; if
+    every run fails the error propagates.  For even counts the lower-middle
+    order statistic is taken, avoiding an average of two modes.  Returns
+    (h, runs) with runs the (start number, h_j, iterations, converged) of
+    each run that returned.
     """
-    n_beta = sino.geometry.n_beta
-    if cfg.K > n_beta:
-        raise ValueError("K cannot exceed the number of views")
-    estimates = []
-    trace = []
-    iterations = 0
-    all_converged = True
-    for j, idx in enumerate(fp_start_indices(n_beta, cfg.K)):
-        lam = sino.values[idx]
-        make_pi = _fan_pi_factory(sino, idx)
+    s = geom.s_axis()
+    runs = []
+    for j, idx in enumerate(fp_start_indices(geom.n_beta, cfg.K)):
         try:
-            h_j, iters, _, conv = fixed_point_shift(lam, make_pi, cfg.upsample, cfg.tol_h, cfg.max_iter)
+            h_j, iters, _, conv = _fixed_point_at(lam, geom, sample, idx, cfg, s)
         except AmbiguousShiftError:
             continue
-        estimates.append(h_j)
-        trace.append((j, h_j, 0.0, symmetry_mse(sino, h_j)))
-        iterations = max(iterations, iters)
-        all_converged = all_converged and conv
-    if not estimates:
+        runs.append((j, h_j, iters, conv))
+    if not runs:
         raise AmbiguousShiftError("every fixed-point start failed")
-    ordered = sorted(estimates)
-    h = ordered[(len(ordered) - 1) // 2]
+    ordered = sorted(h_j for _, h_j, _, _ in runs)
+    return ordered[(len(ordered) - 1) // 2], runs
+
+
+def align_fp_k(sino, cfg=FanAlignConfig()):
+    """FP_K: the median of K fixed-point runs (see median_fixed_point).
+
+    iterations reports the largest per-run count; the trace holds each run's
+    estimate and its symmetry MSE.
+    """
+    geom = sino.geometry
+    if cfg.K > geom.n_beta:
+        raise ValueError("K cannot exceed the number of views")
+    h, runs = median_fixed_point(sino.values, geom, lambda s, b: sample_periodic(sino, s, b), cfg)
+    trace = [(j, h_j, 0.0, symmetry_mse(sino, h_j)) for j, h_j, _, _ in runs]
+    iterations = max(iters for _, _, iters, _ in runs)
+    converged = all(conv for _, _, _, conv in runs)
     mse = next(m for _, hj, _, m in trace if hj == h)
-    return _result(sino, h, "FP_K", iterations, trace, all_converged, mse=mse)
+    return _result(sino, h, "FP_K", iterations, trace, converged, mse=mse)
 
 
 _ESTIMATORS = {

@@ -62,7 +62,8 @@ def xcorr_shift_1d(a, b, upsample=20):
 
     Computed in the frequency domain and refined to 1/upsample of a sample
     by zero-padding the correlation spectrum.  Sign: a(i) ~= b(i - d) gives
-    +d; the result lies in (-N/2, N/2].
+    +d; the result lies in (-N/2, N/2].  Swapping the inputs negates the
+    result exactly (modulo N at the N/2 boundary).
 
     Raises AmbiguousShiftError when the correlation is identically zero
     (e.g. an all-zero input).
@@ -71,7 +72,16 @@ def xcorr_shift_1d(a, b, upsample=20):
     if a.ndim != 1 or a.shape[0] < 2:
         raise ValueError("inputs must be 1D with at least 2 samples")
     n = a.shape[0]
-    corr = np.fft.irfft(np.fft.rfft(a) * np.conj(np.fft.rfft(b)), n=n)
+    if a.tobytes() > b.tobytes():
+        # Correlate in one canonical order: rounding can tip a tied peak
+        # (true shift halfway between samples) differently in the two orders.
+        d = 0.0 - _shift_1d(b, a, upsample)  # 0.0 - x: no -0.0 for a zero shift
+        return n / 2 if 2 * d == -n else d
+    return _shift_1d(a, b, upsample)
+
+
+def _shift_1d(a, b, upsample):
+    corr = np.fft.irfft(np.fft.rfft(a) * np.conj(np.fft.rfft(b)), n=a.shape[0])
     if not np.any(corr):
         raise AmbiguousShiftError("zero cross-correlation")
     fine = _spectral_upsample(corr, upsample) if upsample > 1 else corr

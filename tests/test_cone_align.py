@@ -16,16 +16,19 @@ from ctalign import (
     align_fp_k,
     cone_line_integral,
     cone_project,
+    fan_project,
     inner_h,
     lambda_eta,
     loss_L,
+    make_disk_phantom,
     make_sphere_phantom,
     pi_h_eta,
     reduced_gradient,
+    reflected_resampling,
     unit_disk_half_width,
     variable_projection,
 )
-from conftest import ETA_TRUE, H_TRUE, SOURCE_RADIUS, cone_geometry
+from conftest import ETA_TRUE, H_TRUE, SOURCE_RADIUS, cone_geometry, fan_geometry
 
 INNER = ["2dr", "fp_k"]
 
@@ -246,7 +249,6 @@ class TestVPConfigValidation:
             {"delta_eta": 0.0},
             {"armijo_c": 0.0},
             {"armijo_c": 1.0},
-            {"contraction": 0.4},
             {"max_outer": 0},
             {"tol_eta": 0.0},
             {"eta0": math.radians(60.0)},
@@ -255,3 +257,30 @@ class TestVPConfigValidation:
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             VPConfig(**kwargs)
+
+
+class TestFanIsEtaZeroCone:
+    """A stack of identical rows is its fan sinogram at every v, so at
+    eta = 0 the tilted pair and the inner solves reduce to the fan ones bit
+    for bit."""
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def pair(self, request):
+        sino = fan_project(make_disk_phantom(request.param, n_disks=30), fan_geometry(64), h=2.37)
+        fan = sino.geometry
+        geom = ConeGeometry(fan.source_radius, fan.n_s, 5, fan.s_max, fan.s_max, fan.n_beta)
+        stack = ProjectionStack(geom, np.repeat(sino.values[:, None, :], 5, axis=1))
+        return sino, stack
+
+    def test_lambda_is_the_sinogram(self, pair):
+        sino, stack = pair
+        assert np.array_equal(lambda_eta(stack, 0.0, 0.0), sino.values)
+
+    def test_pi_is_the_reflected_resampling(self, pair):
+        sino, stack = pair
+        assert np.array_equal(pi_h_eta(stack, 1.5, 0.0), reflected_resampling(sino, 1.5))
+
+    @pytest.mark.parametrize("method, fan_aligner", [("2dr", align_2dr), ("fp_k", align_fp_k)])
+    def test_inner_solve_is_the_fan_estimate(self, pair, method, fan_aligner):
+        sino, stack = pair
+        assert inner_h(stack, 0.0, VPConfig(inner_method=method)) == fan_aligner(sino).h

@@ -12,7 +12,6 @@ from ctalign import (
     FanGeometry,
     ProjectionStack,
     Sinogram,
-    effective_detector_axis,
     unit_disk_half_width,
     wrap_angle,
 )
@@ -59,16 +58,16 @@ class TestWrapAngle:
 class TestDetectorAxis:
     def test_three_samples(self):
         geom = FanGeometry(2.0, 3, 1.0, 4)
-        assert np.array_equal(effective_detector_axis(geom), [-1.0, 0.0, 1.0])
+        assert np.array_equal(geom.s_axis(), [-1.0, 0.0, 1.0])
 
     def test_four_samples(self):
         geom = FanGeometry(2.0, 4, 1.0, 4)
-        assert np.allclose(effective_detector_axis(geom), [-1.0, -1 / 3, 1 / 3, 1.0])
+        assert np.allclose(geom.s_axis(), [-1.0, -1 / 3, 1 / 3, 1.0])
 
     @pytest.mark.parametrize("n", [4, 5, 33, 256])
     def test_exact_antisymmetry(self, n):
         """s_i == -s_{n-1-i} bitwise, the property Yang's reversal relies on."""
-        axis = effective_detector_axis(FanGeometry(2.0, n, 1.1547, 8))
+        axis = FanGeometry(2.0, n, 1.1547, 8).s_axis()
         assert np.array_equal(axis, -axis[::-1])
 
     def test_unit_disk_half_width_r2(self):
@@ -79,7 +78,7 @@ class TestDetectorAxis:
             unit_disk_half_width(1.0)
 
     def test_axis_is_read_only(self):
-        axis = effective_detector_axis(FanGeometry(2.0, 8, 1.0, 8))
+        axis = FanGeometry(2.0, 8, 1.0, 8).s_axis()
         with pytest.raises(ValueError):
             axis[0] = 99.0
 

@@ -139,13 +139,15 @@ class TestFixedPoint:
 
     def test_self_consistency_at_estimate(self, ref_sino):
         """At the returned h the update map moves by less than tol_h."""
-        from ctalign import xcorr_shift_1d
-        from ctalign.fan_align import _fan_pi_factory
+        from ctalign import sample_periodic, xcorr_shift_1d
+        from ctalign.fan_align import reflect
 
         cfg = FanAlignConfig()
         result = align_fp(ref_sino, cfg)
         lam = ref_sino.values[0]
-        pi = _fan_pi_factory(ref_sino, cfg.beta_index)(result.h)
+        geom = ref_sino.geometry
+        sample = lambda s, b: sample_periodic(ref_sino, s, b)
+        pi = reflect(geom, sample, result.h, cfg.beta_index * geom.beta_step)
         assert abs(0.5 * xcorr_shift_1d(lam, pi, cfg.upsample)) < cfg.tol_h
 
     def test_iteration_budget_respected(self, ref_sino):
