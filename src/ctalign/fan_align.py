@@ -110,9 +110,7 @@ def symmetry_mse(sino, h):
     return float(np.sum((g - ghat) ** 2)) / den
 
 
-def _result(sino, h, method, iterations, trace, converged=True, mse=None):
-    if mse is None:
-        mse = symmetry_mse(sino, h)
+def _result(h, method, iterations, trace, converged, mse):
     return AlignmentResult(
         h=float(h),
         eta=0.0,
@@ -126,7 +124,7 @@ def _result(sino, h, method, iterations, trace, converged=True, mse=None):
 
 def _single_shot(sino, h, method):
     mse = symmetry_mse(sino, h)
-    return _result(sino, h, method, 0, [(0, float(h), 0.0, mse)], mse=mse)
+    return _result(h, method, 0, [(0, float(h), 0.0, mse)], True, mse)
 
 
 def align_yang(sino, cfg=FanAlignConfig()):
@@ -198,6 +196,8 @@ def align_fp(sino, cfg=FanAlignConfig()):
     correlates it against Pi_k(s_i) = g(-s_i + 2h_k, b_0 + pi +
     2*atan((s_i - h_k)/r)) and advances h by half the measured shift.
     Non-convergence within max_iter is flagged on the result, not fatal.
+    The trace holds each h_k and its symmetry MSE, computed once per
+    distinct h_k (a converged run repeats its last value).
     """
     geom = sino.geometry
     if not 0 <= cfg.beta_index < geom.n_beta:
@@ -205,8 +205,9 @@ def align_fp(sino, cfg=FanAlignConfig()):
     h, iterations, history, converged = _fixed_point_at(
         sino.values, geom, lambda s, b: sample_periodic(sino, s, b), cfg.beta_index, cfg, geom.s_axis()
     )
-    trace = [(k + 1, hk, 0.0, symmetry_mse(sino, hk)) for k, hk in enumerate(history)]
-    return _result(sino, h, "FP", iterations, trace, converged, mse=trace[-1][3])
+    losses = {hk: symmetry_mse(sino, hk) for hk in set(history)}
+    trace = [(k + 1, hk, 0.0, losses[hk]) for k, hk in enumerate(history)]
+    return _result(h, "FP", iterations, trace, converged, losses[h])
 
 
 def fp_start_indices(n_beta, K):
@@ -243,17 +244,18 @@ def align_fp_k(sino, cfg=FanAlignConfig()):
     """FP_K: the median of K fixed-point runs (see median_fixed_point).
 
     iterations reports the largest per-run count; the trace holds each run's
-    estimate and its symmetry MSE.
+    estimate and its symmetry MSE, computed once per distinct estimate (runs
+    from different starts usually land on the same sub-pixel value).
     """
     geom = sino.geometry
     if cfg.K > geom.n_beta:
         raise ValueError("K cannot exceed the number of views")
     h, runs = median_fixed_point(sino.values, geom, lambda s, b: sample_periodic(sino, s, b), cfg)
-    trace = [(j, h_j, 0.0, symmetry_mse(sino, h_j)) for j, h_j, _, _ in runs]
+    losses = {h_j: symmetry_mse(sino, h_j) for h_j in {h_j for _, h_j, _, _ in runs}}
+    trace = [(j, h_j, 0.0, losses[h_j]) for j, h_j, _, _ in runs]
     iterations = max(iters for _, _, iters, _ in runs)
     converged = all(conv for _, _, _, conv in runs)
-    mse = next(m for _, hj, _, m in trace if hj == h)
-    return _result(sino, h, "FP_K", iterations, trace, converged, mse=mse)
+    return _result(h, "FP_K", iterations, trace, converged, losses[h])
 
 
 _ESTIMATORS = {

@@ -5,11 +5,15 @@ correlation is used throughout, matching the 2*pi-periodicity of sinograms in
 beta; on the detector axis projections vanish near the edges in well-posed
 acquisitions, so the circular/linear distinction is immaterial there.  Shifts
 larger than half the signal length wrap and are outside the validity range.
+
+The samplers build interpolation weights per axis, on each coordinate's own
+shape (a detector row against a column of angles costs n + m, not n*m), and
+gather corner values from the flattened data, bitwise as full-grid formulas.
 """
 
 import numpy as np
 
-from .core import wrap_angle
+from .core import TWO_PI, wrap_angle
 
 
 class AmbiguousShiftError(ValueError):
@@ -109,9 +113,11 @@ def xcorr_shift_s_2d(a, b, upsample=20):
 _SNAP = 1e-9  # index units; collapses float dirt on exact grid queries
 
 
-def _axis_weights(coord, origin, step, n):
-    """Linear interpolation indices/weights with zero fill outside the grid."""
-    x = (np.asarray(coord, dtype=float) - origin) / step
+def _axis_weights(coord, origin, step, n, stride):
+    """Linear interpolation on one axis with zero fill outside the grid:
+    the (flat offset, off-grid mask) of the lower and upper neighbours, and
+    the upper neighbour's weight.  stride is the axis's flat-index stride."""
+    x = (coord - origin) / step
     i0 = np.floor(x).astype(int)
     w = x - i0
     # snap to the grid so stored values are reproduced bit-exactly
@@ -121,24 +127,53 @@ def _axis_weights(coord, origin, step, n):
     i0 = np.where(hit_hi, i0 + 1, i0)
     w = np.where(hit_hi, 0.0, w)
     i1 = i0 + 1
-    valid0 = (i0 >= 0) & (i0 <= n - 1)
-    valid1 = (i1 >= 0) & (i1 <= n - 1)
-    return np.clip(i0, 0, n - 1), np.clip(i1, 0, n - 1), w, valid0, valid1
+    off0 = (i0 < 0) | (i0 > n - 1)
+    off1 = (i1 < 0) | (i1 > n - 1)
+    return (np.clip(i0, 0, n - 1, out=i0) * stride, off0), (np.clip(i1, 0, n - 1, out=i1) * stride, off1), w
 
 
-def _beta_weights(beta, step, n):
-    """Periodic linear interpolation indices/weights on the view axis."""
-    x = np.asarray(wrap_angle(beta), dtype=float) / step
-    j0 = np.floor(x).astype(int)
-    t = x - j0
-    hit_lo = t < _SNAP
+def _beta_weights(beta, n, stride):
+    """Periodic linear interpolation on a view axis of n views spaced 2*pi/n
+    apart: flat offsets of the two neighbouring views, and the weight."""
+    t = wrap_angle(beta)
+    t /= TWO_PI / n
+    j0 = np.floor(t)
+    t -= j0
     hit_hi = t > 1.0 - _SNAP
-    t = np.where(hit_lo, 0.0, t)
-    j0 = np.where(hit_hi, j0 + 1, j0)
-    t = np.where(hit_hi, 0.0, t)
-    j0 = np.remainder(j0, n)
-    j1 = np.remainder(j0 + 1, n)
+    np.copyto(t, 0.0, where=(t < _SNAP) | hit_hi)
+    j0 = j0.astype(int)
+    j0 += hit_hi
+    # the wrapped angle is below 2*pi, so j0 <= n: one subtraction is the modulo
+    np.subtract(j0, n, out=j0, where=j0 >= n)
+    j1 = j0 + 1
+    np.subtract(j1, n, out=j1, where=j1 >= n)
+    j0 *= stride
+    j1 *= stride
     return j0, j1, t
+
+
+def _coordinates(*coords):
+    """The coordinates as float arrays of at least one dimension (in-place
+    arithmetic needs arrays, not scalars) and their broadcast shape."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    return np.atleast_1d(*coords), np.broadcast_shapes(*(c.shape for c in coords))
+
+
+def _gather(flat, row, corner):
+    """flat[row + offset] for a corner (offset, off-grid mask), zero where
+    the corner is off the grid; a fresh array."""
+    offset, off = corner
+    v = flat.take(row + offset, mode="clip")  # in range: skip the bounds check
+    np.copyto(v, 0.0, where=off)
+    return v
+
+
+def _lerp(v0, v1, w):
+    """(1 - w) * v0 + w * v1, computed in place in v0 and v1."""
+    v0 *= 1.0 - w
+    v1 *= w
+    v0 += v1
+    return v0
 
 
 def sample_periodic(sino, s, beta):
@@ -146,46 +181,40 @@ def sample_periodic(sino, s, beta):
     linear and 2*pi-periodic in beta.  Accepts scalars or broadcastable
     arrays; grid-point queries reproduce stored values bit-exactly.
     """
-    s, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float))
+    (s, beta), shape = _coordinates(s, beta)
+    if 0 in shape:
+        return np.zeros(shape)  # an empty query reads, and checks, no point
     if not np.all(np.isfinite(s)):
         raise ValueError("s coordinates must be finite")
     geom = sino.geometry
-    g = sino.values
-    i0, i1, w, ok0, ok1 = _axis_weights(s, -geom.s_max, geom.pixel_size, geom.n_s)
-    j0, j1, t = _beta_weights(beta, geom.beta_step, geom.n_beta)
-    v00 = np.where(ok0, g[j0, i0], 0.0)
-    v01 = np.where(ok1, g[j0, i1], 0.0)
-    v10 = np.where(ok0, g[j1, i0], 0.0)
-    v11 = np.where(ok1, g[j1, i1], 0.0)
-    out = (1.0 - t) * ((1.0 - w) * v00 + w * v01) + t * ((1.0 - w) * v10 + w * v11)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    flat = sino.values.ravel()
+    s0, s1, w = _axis_weights(s, -geom.s_max, geom.pixel_size, geom.n_s, 1)
+    j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_s)
+    lo = _lerp(_gather(flat, j0, s0), _gather(flat, j0, s1), w)
+    hi = _lerp(_gather(flat, j1, s0), _gather(flat, j1, s1), w)
+    out = _lerp(lo, hi, t)
+    return float(out[0]) if shape == () else out
 
 
 def sample_detector(stack, u, v, beta):
     """Trilinear projection-stack lookup: linear with zero fill in u and v,
     linear and periodic in beta.  Scalar or broadcastable array coordinates.
     """
-    u, v, beta = np.broadcast_arrays(
-        np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.asarray(beta, dtype=float)
-    )
+    (u, v, beta), shape = _coordinates(u, v, beta)
+    if 0 in shape:
+        return np.zeros(shape)
     if not np.all(np.isfinite(u)) or not np.all(np.isfinite(v)):
         raise ValueError("detector coordinates must be finite")
     geom = stack.geometry
-    g = stack.values
-    iu0, iu1, wu, oku0, oku1 = _axis_weights(u, -geom.u_max, geom.pixel_size, geom.n_u)
-    iv0, iv1, wv, okv0, okv1 = _axis_weights(v, -geom.v_max, geom.pixel_size_v, geom.n_v)
-    j0, j1, t = _beta_weights(beta, geom.beta_step, geom.n_beta)
+    flat = stack.values.ravel()
+    u0, u1, wu = _axis_weights(u, -geom.u_max, geom.pixel_size, geom.n_u, 1)
+    v0, v1, wv = _axis_weights(v, -geom.v_max, geom.pixel_size_v, geom.n_v, geom.n_u)
+    j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_v * geom.n_u)
+    corners = [(iv + iu, offv | offu) for iv, offv in (v0, v1) for iu, offu in (u0, u1)]
 
     def plane(j):
-        v00 = np.where(okv0 & oku0, g[j, iv0, iu0], 0.0)
-        v01 = np.where(okv0 & oku1, g[j, iv0, iu1], 0.0)
-        v10 = np.where(okv1 & oku0, g[j, iv1, iu0], 0.0)
-        v11 = np.where(okv1 & oku1, g[j, iv1, iu1], 0.0)
-        return (1.0 - wv) * ((1.0 - wu) * v00 + wu * v01) + wv * ((1.0 - wu) * v10 + wu * v11)
+        c00, c01, c10, c11 = (_gather(flat, j, corner) for corner in corners)
+        return _lerp(_lerp(c00, c01, wu), _lerp(c10, c11, wu), wv)
 
-    out = (1.0 - t) * plane(j0) + t * plane(j1)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _lerp(plane(j0), plane(j1), t)
+    return float(out[0]) if shape == () else out

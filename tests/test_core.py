@@ -48,6 +48,25 @@ class TestWrapAngle:
         assert 0.0 <= w < TWO_PI
         assert wrap_angle(w) == w
 
+    def test_bitwise_remainder_reference(self):
+        # the reference is np.remainder with the 2*pi round-up mapped to 0
+        rng = np.random.default_rng(5)
+        turns = np.arange(-50, 51) * TWO_PI
+        beta = np.concatenate(
+            [
+                rng.uniform(-100.0, 100.0, 10_000),
+                rng.uniform(-1e-15, 1e-15, 1_000),
+                turns,
+                np.nextafter(turns, np.inf),
+                np.nextafter(turns, -np.inf),
+                [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+            ]
+        )
+        reference = np.remainder(beta, TWO_PI)
+        reference[reference >= TWO_PI] = 0.0
+        assert wrap_angle(beta).tobytes() == reference.tobytes()
+        assert wrap_angle(-0.0) == 0.0 and math.copysign(1.0, wrap_angle(-0.0)) == 1.0
+
     @given(st.floats(min_value=-100.0, max_value=100.0))
     def test_congruent_modulo_two_pi(self, beta):
         w = wrap_angle(beta)

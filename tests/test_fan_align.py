@@ -27,6 +27,7 @@ from ctalign import (
     sample_periodic,
     symmetry_mse,
 )
+from ctalign import fan_align
 from ctalign.fan_align import fp_start_indices
 from conftest import H_TRUE, fan_geometry
 
@@ -192,6 +193,28 @@ class TestFixedPointMultiStart:
         sino = Sinogram(ref_geom, np.zeros((ref_geom.n_beta, ref_geom.n_s)))
         with pytest.raises(AmbiguousShiftError):
             align_fp_k(sino, FanAlignConfig(K=4))
+
+
+class TestTraceLosses:
+    @pytest.mark.parametrize("aligner", [align_fp, align_fp_k])
+    def test_trace_losses_are_symmetry_mse(self, aligner, ref_sino):
+        result = aligner(ref_sino, FanAlignConfig())
+        for _, h, _, loss in result.trace:
+            assert loss == symmetry_mse(ref_sino, h)
+        assert result.mse == symmetry_mse(ref_sino, result.h)
+
+    def test_fp_k_resamples_once_per_distinct_shift(self, ref_sino, monkeypatch):
+        shifts = []
+
+        def counting(sino, h):
+            shifts.append(h)
+            return symmetry_mse(sino, h)
+
+        monkeypatch.setattr(fan_align, "symmetry_mse", counting)
+        result = align_fp_k(ref_sino, FanAlignConfig())
+        distinct = {h for _, h, _, _ in result.trace}
+        assert sorted(shifts) == sorted(distinct)
+        assert len(distinct) < len(result.trace)  # the runs do repeat a shift here
 
 
 class TestSymmetryMse:

@@ -148,6 +148,26 @@ class TestXcorrS2D:
             xcorr_shift_s_2d(np.ones(8), np.ones(8))
 
 
+def assert_matches_broadcast_copies(sample, data, *coords):
+    """sample on the coordinates as given equals, bit for bit, sample on
+    broadcast copies of them, and returns a fresh writable array of the
+    broadcast shape (a float for 0-d queries)."""
+    got = sample(data, *coords)
+    copies = [c.copy() for c in np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))]
+    want = sample(data, *copies)
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    if shape == ():
+        assert type(got) is float and type(want) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return
+    assert got.shape == shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable
+    for array in (data.values, *coords, *copies):
+        assert not np.shares_memory(got, array)
+
+
 @pytest.fixture
 def small_sino():
     geom = FanGeometry(2.0, 9, 1.0, 12)
@@ -194,6 +214,31 @@ class TestSamplePeriodic:
         with pytest.raises(ValueError):
             sample_periodic(small_sino, math.nan, 0.0)
 
+    def test_non_finite_angle_rejected(self, small_sino):
+        with pytest.raises(ValueError):
+            sample_periodic(small_sino, 0.0, math.nan)
+
+    @pytest.mark.parametrize(
+        "case", ["grid", "grid-full-beta", "off-detector-wrapped", "reflected", "negative-angles", "scalar", "scalar-s"]
+    )
+    def test_unbroadcast_matches_broadcast_copies(self, small_sino, case):
+        geom = small_sino.geometry
+        s = geom.s_axis()[None, :]
+        beta = geom.beta_axis()[:, None]
+        coords = {
+            "grid": (s, beta),
+            "grid-full-beta": (s, beta + 2 * math.pi + 0.0 * s),
+            "off-detector-wrapped": (
+                np.linspace(-1.6, 1.6, geom.n_s)[None, :],
+                np.linspace(-7.0, 14.0, geom.n_beta)[:, None],
+            ),
+            "reflected": (-s + 0.3, beta + math.pi + 2.0 * np.arctan((s - 0.15) / geom.source_radius)),
+            "negative-angles": (s[0], -beta - 0.05 * s),
+            "scalar": (0.3, -0.2),
+            "scalar-s": (-0.25, np.array([[-1.0], [0.0], [7.0]])),
+        }[case]
+        assert_matches_broadcast_copies(sample_periodic, small_sino, *coords)
+
 
 class TestSampleDetector:
     @pytest.fixture
@@ -211,6 +256,30 @@ class TestSampleDetector:
 
     def test_v_outside_is_zero(self, small_stack):
         assert sample_detector(small_stack, 0.0, 2.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("u, v, beta", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan)])
+    def test_non_finite_rejected(self, small_stack, u, v, beta):
+        with pytest.raises(ValueError):
+            sample_detector(small_stack, u, v, beta)
+
+    @pytest.mark.parametrize("case", ["grid", "off-detector-wrapped", "tilted", "scalar", "scalar-uv"])
+    def test_unbroadcast_matches_broadcast_copies(self, small_stack, case):
+        geom = small_stack.geometry
+        u = geom.u_axis()[None, :]
+        beta = geom.beta_axis()[:, None]
+        eta = 0.3
+        coords = {
+            "grid": (u, geom.v_axis()[[0, 1, 2, 3, 4, 0, 1]][None, :], beta - 2 * math.pi),
+            "off-detector-wrapped": (
+                np.linspace(-1.5, 1.5, geom.n_u)[None, :],
+                np.linspace(-1.2, 1.2, geom.n_u)[None, :],
+                np.linspace(-7.0, 14.0, geom.n_beta)[:, None],
+            ),
+            "tilted": (u * math.cos(eta), -u * math.sin(eta), beta + 0.1),
+            "scalar": (0.2, -0.1, 7.0),
+            "scalar-uv": (0.2, -0.1, np.array([[-1.0], [0.0], [7.0]])),
+        }[case]
+        assert_matches_broadcast_copies(sample_detector, small_stack, *coords)
 
     def test_cell_center_is_corner_mean(self):
         geom = ConeGeometry(2.0, 2, 2, 1.0, 1.0, 2)
