@@ -11,7 +11,10 @@ tilted detector axis:
 At the true misalignment both agree (the fan symmetry condition along the
 true horizontal axis), so L(h, eta) = |Lambda - Pi|^2 is minimized there.
 Pi_h_eta is the fan symmetry map (fan_align.reflect) read through the
-tilted detector axis, so the fan estimators are the eta = 0, v = 0 case.
+tilted detector axis, so the fan estimators are the eta = 0, v = 0 case:
+the stack is read along the reflected tilted path on the stored views, and
+each column is then shifted along the view axis.  Lambda_eta is that read
+on the unreflected path, with no shift.
 The inner variable h is eliminated by the fan 2DR or median-of-K fixed-point
 solve on the tilted pair at fixed eta; the reduced loss L(h(eta), eta) is
 descended in eta with finite-difference gradients and Armijo backtracking
@@ -89,8 +92,7 @@ def pi_h_eta(stack, h, eta):
     (q_i, b_j) grid array of g((-q + 2h)cos(eta), (q - 2h)sin(eta),
     b + pi + 2*atan((q - h)/r)).
     """
-    geom = stack.geometry
-    return reflect(geom.central_fan(), _tilted(stack, eta), h, geom.beta_axis()[:, None])
+    return reflect(stack.geometry.central_fan(), _tilted(stack, eta), h)
 
 
 def loss_L(stack, h, eta, lam=None):

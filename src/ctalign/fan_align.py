@@ -12,8 +12,11 @@ estimator recovers h as half of a cross-correlation shift:
 * FP_K: median of K FP runs started at views spread uniformly over beta.
 
 The symmetry map is written once, in reflect(); cone_align reads the same
-map through its tilted detector axis.  All h values are in effective
-detector pixels.
+map through its tilted detector axis.  On every view at once the map is a
+read along the reflected detector path on the stored views plus a shift of
+each detector column along the view axis, since its angle offset
+pi + 2*atan((s - h)/r) depends on the column only.  All h values are in
+effective detector pixels.
 """
 
 import math
@@ -22,7 +25,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .core import FAN_METHODS, AlignmentResult
-from .registration import AmbiguousShiftError, sample_periodic, xcorr_shift_1d, xcorr_shift_s_2d
+from .registration import AmbiguousShiftError, sample_periodic, shift_views, xcorr_shift_1d, xcorr_shift_s_2d
 
 
 @dataclass(frozen=True)
@@ -57,18 +60,26 @@ class FanAlignConfig:
             raise ValueError("beta_index must be non-negative")
 
 
-def reflect(geom, sample, h_px, beta, s=None):
+def reflect(geom, sample, h_px, beta=None, s=None):
     """The symmetry map at candidate shift h (pixels), read through a sampler.
 
     Returns sample(-s + 2h, beta + pi + 2*atan((s - h)/r)) on the detector
     axis s of geom (pass s to reuse an axis across calls).  sample(x, b) reads
     the data at detector coordinate x and view angle b; beta is a view angle
-    or a column of them.
+    or an array of them.  beta=None takes every view b_j of geom and returns
+    the (n_beta, n_s) array: the data is read along the reflected detector
+    path on the stored views, where no beta interpolation is needed, and each
+    column is then shifted along the view axis by its angle offset
+    pi + 2*atan((s_i - h)/r) (registration.shift_views).
     """
     if s is None:
         s = geom.s_axis()
     h_s = geom.px_to_s(h_px)
-    return sample(-s + 2.0 * h_s, beta + math.pi + 2.0 * np.arctan((s - h_s) / geom.source_radius))
+    x = -s + 2.0 * h_s
+    offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
+    if beta is None:
+        return shift_views(sample(x, geom.beta_axis()[:, None]), math.pi + offset)
+    return sample(x, beta + math.pi + offset)
 
 
 def reflected_resampling(sino, h_px=0.0):
@@ -78,8 +89,7 @@ def reflected_resampling(sino, h_px=0.0):
     with h in pixels (h = 0 gives the reflection the LY/2DR estimators
     correlate against).  Bilinear sampling, periodic in beta.
     """
-    geom = sino.geometry
-    return reflect(geom, lambda s, b: sample_periodic(sino, s, b), h_px, geom.beta_axis()[:, None])
+    return reflect(sino.geometry, lambda s, b: sample_periodic(sino, s, b), h_px)
 
 
 def profile_p(sino):
@@ -102,12 +112,13 @@ def symmetry_mse(sino, h):
     candidate shift h (pixels).  Zero only for perfectly consistent data;
     minimized near the true shift.
     """
-    g = sino.values
-    den = float(np.sum(g * g))
+    g = sino.values.ravel()
+    den = float(np.dot(g, g))
     if den == 0.0:
         raise ValueError("symmetry_mse undefined for an all-zero sinogram")
-    ghat = reflected_resampling(sino, h)
-    return float(np.sum((g - ghat) ** 2)) / den
+    residual = reflected_resampling(sino, h).ravel()  # a fresh array: work in place
+    residual -= g
+    return float(np.dot(residual, residual)) / den
 
 
 def _result(h, method, iterations, trace, converged, mse):

@@ -115,6 +115,13 @@ def _parse_header(text):
     return entries
 
 
+def _decode_header(header_bytes):
+    try:
+        return header_bytes.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise HeaderFormatError(f"header is not ASCII text: {exc}") from None
+
+
 def _header_int(entries, key):
     try:
         return int(entries[key])
@@ -150,11 +157,7 @@ def read_sinogram(path):
         header_bytes, payload = blob[:sep + 1], blob[sep + 2:]
     else:
         header_bytes, payload = blob, b""
-    try:
-        text = header_bytes.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise HeaderFormatError(f"header is not ASCII text: {exc}") from None
-    entries = _parse_header(text)
+    entries = _parse_header(_decode_header(header_bytes))
     if _header_int(entries, "format_version") != FORMAT_VERSION:
         raise HeaderFormatError(f"unsupported format_version {entries['format_version']}")
     dtype = entries.get("value_dtype", "")
@@ -207,14 +210,18 @@ def read_sinogram(path):
 
 
 def header_metadata(path):
-    """Parsed header entries of a data file, without loading the payload."""
-    blob = Path(path).read_bytes()
-    sep = blob.find(b"\n\n")
-    header_bytes = blob[: sep + 1] if sep >= 0 else blob
-    try:
-        return _parse_header(header_bytes.decode("ascii"))
-    except UnicodeDecodeError as exc:
-        raise HeaderFormatError(f"header is not ASCII text: {exc}") from None
+    """Parsed header entries of a data file, without loading the payload:
+    the file is read up to the blank line that ends the header."""
+    head = bytearray()
+    with open(path, "rb") as f:
+        while chunk := f.read(4096):
+            start = max(len(head) - 1, 0)  # a separator may straddle two chunks
+            head += chunk
+            sep = head.find(b"\n\n", start)
+            if sep >= 0:
+                del head[sep + 1 :]
+                break
+    return _parse_header(_decode_header(head))
 
 
 def write_truth(path, kind, h_px, eta_rad, alpha, seed, features, source_radius):

@@ -9,6 +9,10 @@ larger than half the signal length wrap and are outside the validity range.
 The samplers build interpolation weights per axis, on each coordinate's own
 shape (a detector row against a column of angles costs n + m, not n*m), and
 gather corner values from the flattened data, bitwise as full-grid formulas.
+A query whose view angles all fall on stored views reads one view plane, not
+two.  shift_views moves each column of a full view grid along the periodic
+view axis with one interpolation weight per column: the fan symmetry map on
+every view is a read on the stored views plus that shift.
 """
 
 import numpy as np
@@ -102,7 +106,7 @@ def xcorr_shift_s_2d(a, b, upsample=20):
     a, b, upsample = _check_pair(a, b, upsample)
     if a.ndim != 2 or min(a.shape) < 2:
         raise ValueError("inputs must be 2D with at least 2 samples per axis")
-    corr = np.fft.ifft2(np.fft.fft2(a) * np.conj(np.fft.fft2(b))).real
+    corr = np.fft.irfft2(np.fft.rfft2(a) * np.conj(np.fft.rfft2(b)), s=a.shape)
     if not np.any(corr):
         raise AmbiguousShiftError("zero cross-correlation")
     row = corr[np.unravel_index(np.argmax(corr), corr.shape)[0]]
@@ -179,7 +183,8 @@ def _lerp(v0, v1, w):
 def sample_periodic(sino, s, beta):
     """Bilinear sinogram lookup: linear in s (zero outside the detector),
     linear and 2*pi-periodic in beta.  Accepts scalars or broadcastable
-    arrays; grid-point queries reproduce stored values bit-exactly.
+    arrays; grid-point queries reproduce stored values bit-exactly.  When
+    every angle is on a stored view the upper view plane is not read.
     """
     (s, beta), shape = _coordinates(s, beta)
     if 0 in shape:
@@ -190,9 +195,9 @@ def sample_periodic(sino, s, beta):
     flat = sino.values.ravel()
     s0, s1, w = _axis_weights(s, -geom.s_max, geom.pixel_size, geom.n_s, 1)
     j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_s)
-    lo = _lerp(_gather(flat, j0, s0), _gather(flat, j0, s1), w)
-    hi = _lerp(_gather(flat, j1, s0), _gather(flat, j1, s1), w)
-    out = _lerp(lo, hi, t)
+    out = _lerp(_gather(flat, j0, s0), _gather(flat, j0, s1), w)
+    if t.any():
+        out = _lerp(out, _lerp(_gather(flat, j1, s0), _gather(flat, j1, s1), w), t)
     return float(out[0]) if shape == () else out
 
 
@@ -216,5 +221,33 @@ def sample_detector(stack, u, v, beta):
         c00, c01, c10, c11 = (_gather(flat, j, corner) for corner in corners)
         return _lerp(_lerp(c00, c01, wu), _lerp(c10, c11, wu), wv)
 
-    out = _lerp(plane(j0), plane(j1), t)
+    out = plane(j0)
+    if t.any():
+        out = _lerp(out, plane(j1), t)
     return float(out[0]) if shape == () else out
+
+
+_VIEW_BLOCK = 32  # views per pass of shift_views: its indices and gathers stay in cache
+
+
+def shift_views(values, offset):
+    """Each column of a view-major array read at its own view-angle offset.
+
+    values[j, i] holds column i at view angle b_j = 2*pi*j/n (n views on
+    the first axis); returns out[j, i] = values_i(b_j + offset_i), linear and
+    2*pi-periodic in the view angle.  Each column needs one (view index,
+    weight) pair, snapped to the grid as in the samplers, so an offset of
+    whole views moves stored values bit-exactly.  A fresh array.
+    """
+    n, m = values.shape
+    k, _, f = _beta_weights(offset, n, m)
+    k += np.arange(m)
+    flat = values.ravel()
+    out = np.empty((n, m))
+    for j in range(0, n, _VIEW_BLOCK):
+        # flat index of view j + k_i of column i; mode="wrap" is the view modulo
+        idx = np.arange(j * m, min(j + _VIEW_BLOCK, n) * m, m)[:, None] + k
+        lo = flat.take(idx, mode="wrap")
+        idx += m
+        out[j : j + _VIEW_BLOCK] = _lerp(lo, flat.take(idx, mode="wrap"), f)
+    return out

@@ -1,4 +1,4 @@
-"""Shared simulation fixtures.
+"""Shared simulation fixtures, and reference samplers.
 
 The reference fan protocol is 256 detector samples x 256 views, source
 radius 2, detector half-width tangent to the unit disk, a seeded 30-void
@@ -20,6 +20,7 @@ from ctalign import (
     make_sphere_phantom,
     unit_disk_half_width,
 )
+from ctalign.registration import _axis_weights, _beta_weights, _coordinates, _gather, _lerp
 
 SOURCE_RADIUS = 2.0
 H_TRUE = 10.0
@@ -61,3 +62,35 @@ def ref_stack():
     """Misaligned reference stack: h = 10 px, eta = 1 degree, 128^3."""
     phantom = make_sphere_phantom(1, n_spheres=20)
     return cone_project(phantom, cone_geometry(128), h=H_TRUE, eta=ETA_TRUE)
+
+
+def two_plane_periodic(sino, s, beta):
+    """sample_periodic with both view planes always read and blended: the
+    reference for its skip of the upper plane when every view weight is 0."""
+    (s, beta), shape = _coordinates(s, beta)
+    geom = sino.geometry
+    flat = sino.values.ravel()
+    s0, s1, w = _axis_weights(s, -geom.s_max, geom.pixel_size, geom.n_s, 1)
+    j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_s)
+    lo = _lerp(_gather(flat, j0, s0), _gather(flat, j0, s1), w)
+    hi = _lerp(_gather(flat, j1, s0), _gather(flat, j1, s1), w)
+    out = _lerp(lo, hi, t)
+    return float(out[0]) if shape == () else out
+
+
+def two_plane_detector(stack, u, v, beta):
+    """sample_detector with both view planes always read and blended."""
+    (u, v, beta), shape = _coordinates(u, v, beta)
+    geom = stack.geometry
+    flat = stack.values.ravel()
+    u0, u1, wu = _axis_weights(u, -geom.u_max, geom.pixel_size, geom.n_u, 1)
+    v0, v1, wv = _axis_weights(v, -geom.v_max, geom.pixel_size_v, geom.n_v, geom.n_u)
+    j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_v * geom.n_u)
+    corners = [(iv + iu, offv | offu) for iv, offv in (v0, v1) for iu, offu in (u0, u1)]
+
+    def plane(j):
+        c00, c01, c10, c11 = (_gather(flat, j, corner) for corner in corners)
+        return _lerp(_lerp(c00, c01, wu), _lerp(c10, c11, wu), wv)
+
+    out = _lerp(plane(j0), plane(j1), t)
+    return float(out[0]) if shape == () else out

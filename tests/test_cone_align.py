@@ -25,10 +25,11 @@ from ctalign import (
     pi_h_eta,
     reduced_gradient,
     reflected_resampling,
+    sample_detector,
     unit_disk_half_width,
     variable_projection,
 )
-from conftest import ETA_TRUE, H_TRUE, SOURCE_RADIUS, cone_geometry, fan_geometry
+from conftest import ETA_TRUE, H_TRUE, SOURCE_RADIUS, cone_geometry, fan_geometry, two_plane_detector
 
 INNER = ["2dr", "fp_k"]
 
@@ -100,6 +101,38 @@ class TestPiHEta:
         pi = pi_h_eta(stack, 1.5, 0.05)
         # the angular term varies with beta but samples identical planes
         assert np.allclose(pi, pi[:1, :], atol=1e-12)
+
+
+class TestViewShiftPath:
+    """pi_h_eta reads the tilted detector path on the stored views and then
+    shifts each column along beta; it agrees with the full-grid formula, and
+    lambda_eta is that read with no shift."""
+
+    @pytest.fixture(scope="class", params=[5, 7, 64, 256])
+    def stack(self, request):
+        half = unit_disk_half_width(SOURCE_RADIUS)
+        geom = ConeGeometry(SOURCE_RADIUS, 33, 9, half, 0.8 * half, request.param)
+        rng = np.random.default_rng(request.param)
+        return ProjectionStack(geom, rng.uniform(0.5, 2.0, size=(request.param, 9, 33)))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.02])
+    @pytest.mark.parametrize("h", [0.0, 2.37, -2.37, 0.6 * 33])
+    def test_pi_matches_full_grid_formula(self, stack, h, eta):
+        geom = stack.geometry
+        q = geom.u_axis()
+        h_u = geom.px_to_u(h)
+        x = -q + 2.0 * h_u
+        beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
+        want = sample_detector(stack, x * math.cos(eta), -x * math.sin(eta), beta)
+        got = pi_h_eta(stack, h, eta)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(stack.values))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.02])
+    def test_lambda_is_the_two_plane_read(self, stack, eta):
+        geom = stack.geometry
+        q = geom.u_axis()
+        want = two_plane_detector(stack, q * math.cos(eta), -q * math.sin(eta), geom.beta_axis()[:, None])
+        assert np.array_equal(lambda_eta(stack, 0.0, eta), want)
 
 
 class TestLossL:

@@ -26,10 +26,11 @@ from ctalign import (
     reflected_resampling,
     sample_periodic,
     symmetry_mse,
+    unit_disk_half_width,
 )
 from ctalign import fan_align
 from ctalign.fan_align import fp_start_indices
-from conftest import H_TRUE, fan_geometry
+from conftest import H_TRUE, SOURCE_RADIUS, fan_geometry
 
 ALL_ALIGNERS = [align_yang, align_ly, align_2dr, align_fp, align_fp_k]
 
@@ -125,6 +126,46 @@ class TestReflectedResampling:
         w2d = reflected_resampling(ref_sino, H_TRUE)
         rel = np.linalg.norm(w2d - ref_sino.values) / np.linalg.norm(ref_sino.values)
         assert rel <= 1e-2
+
+
+def reflection_at_view_angles(sino, h):
+    """reflected_resampling by the full-grid formula: the sampler at the
+    2-D array of reflected view angles."""
+    geom = sino.geometry
+    s = geom.s_axis()
+    h_s = geom.px_to_s(h)
+    beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((s - h_s) / geom.source_radius)
+    return sample_periodic(sino, -s + 2.0 * h_s, beta)
+
+
+def on_column_shift(geom):
+    """A nonzero shift (px) equal to a detector sample s_i, whose reflected
+    column then has a view offset of exactly pi."""
+    for s_i in geom.s_axis()[::-1]:
+        h = geom.s_to_px(s_i)
+        if s_i != 0.0 and geom.px_to_s(h) == s_i:
+            return h
+    raise AssertionError("no detector sample survives the pixel round trip")
+
+
+class TestViewShiftPath:
+    """The all-views reflection reads the stored views and then shifts each
+    column along beta; it agrees with the full-grid formula."""
+
+    N_S = 33
+
+    @pytest.fixture(scope="class", params=[5, 7, 64, 256])
+    def sino(self, request):
+        geom = FanGeometry(SOURCE_RADIUS, self.N_S, unit_disk_half_width(SOURCE_RADIUS), request.param)
+        return fan_project(make_disk_phantom(1, n_disks=30), geom, h=2.37)
+
+    @pytest.mark.parametrize("h", [0.0, 2.37, -2.37, 0.6 * N_S, "on-column"])
+    def test_matches_full_grid_formula(self, sino, h):
+        if h == "on-column":
+            h = on_column_shift(sino.geometry)
+        got = reflected_resampling(sino, h)
+        want = reflection_at_view_angles(sino, h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(sino.values))
 
 
 class TestFixedPoint:

@@ -1,6 +1,7 @@
 """File format round trips, config parsing, and the command-line surface
 (exit codes, reports, determinism)."""
 
+import io
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from ctalign.io_cli import (
     read_truth,
     write_truth,
 )
+from ctalign import io_cli
 from conftest import SOURCE_RADIUS
 
 
@@ -84,6 +86,39 @@ class TestSinogramFiles:
         path = tmp_path / "fan.sino"
         write_sinogram(path, small_sino(), pixel_size_mm=0.127)
         assert float(header_metadata(path)["pixel_size_mm"]) == 0.127
+
+    @pytest.mark.parametrize("layout", ["inline", "inline-long-header", "sidecar", "header-only"])
+    def test_header_metadata_matches_whole_file_parse(self, tmp_path, layout):
+        """The entries equal those parsed from the whole file read at once,
+        also when the blank line falls on a read-chunk boundary."""
+        path = tmp_path / "fan.sino"
+        write_sinogram(path, small_sino(), sidecar=layout == "sidecar", pixel_size_mm=0.127)
+        if layout == "inline-long-header":
+            header, payload = path.read_bytes().split(b"\n\n", 1)
+            path.write_bytes(header + b"\ncomment: " + b"x" * (4095 - len(header) - 10) + b"\n\n" + payload)
+        elif layout == "header-only":
+            path.write_bytes(path.read_bytes().split(b"\n\n", 1)[0] + b"\n")
+        blob = path.read_bytes()
+        sep = blob.find(b"\n\n")
+        want = io_cli._parse_header((blob[: sep + 1] if sep >= 0 else blob).decode("ascii"))
+        assert header_metadata(path) == want
+        assert want["pixel_size_mm"] == "0.127"
+
+    def test_header_metadata_leaves_payload_unread(self, tmp_path, monkeypatch):
+        path = tmp_path / "fan.sino"
+        geom = FanGeometry(SOURCE_RADIUS, 64, 1.0, 64)
+        write_sinogram(path, Sinogram(geom, np.ones((64, 64))))
+        read = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append(len(data))
+                return data
+
+        monkeypatch.setattr(io_cli, "open", lambda name, mode: CountingFile(name, mode[0]), raising=False)
+        assert header_metadata(path)["n_s"] == "64"
+        assert 0 < sum(read) < path.stat().st_size // 2
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "fan.sino"

@@ -17,6 +17,8 @@ from ctalign import (
     xcorr_shift_1d,
     xcorr_shift_s_2d,
 )
+from ctalign.registration import _peak_shift, _spectral_upsample, shift_views
+from conftest import two_plane_detector, two_plane_periodic
 
 
 def bump(n, center, width):
@@ -147,6 +149,24 @@ class TestXcorrS2D:
         with pytest.raises(ValueError):
             xcorr_shift_s_2d(np.ones(8), np.ones(8))
 
+    @pytest.mark.parametrize("shape", [(32, 48), (33, 48), (32, 47), (31, 45)])
+    @pytest.mark.parametrize("ds", [3.0, -7.0, 4.5, -2.5])
+    def test_real_fft_matches_complex_formula(self, shape, ds):
+        """The real-FFT correlation finds the peak of the complex formula."""
+
+        def complex_formula(a, b, upsample):
+            corr = np.fft.ifft2(np.fft.fft2(a) * np.conj(np.fft.fft2(b))).real
+            row = corr[np.unravel_index(np.argmax(corr), corr.shape)[0]]
+            return _peak_shift(_spectral_upsample(row, upsample), upsample)
+
+        rng = np.random.default_rng(int(4 * ds) % 97 + shape[0] + shape[1])
+        for _ in range(3):
+            b = rng.normal(size=shape)
+            a = np.roll(delay(b, ds), 5, axis=0) + 0.1 * rng.normal(size=shape)
+            got = xcorr_shift_s_2d(a, b, upsample=20)
+            assert got == complex_formula(a, b, 20)
+            assert got == pytest.approx(ds, abs=0.05)
+
 
 def assert_matches_broadcast_copies(sample, data, *coords):
     """sample on the coordinates as given equals, bit for bit, sample on
@@ -240,6 +260,23 @@ class TestSamplePeriodic:
         assert_matches_broadcast_copies(sample_periodic, small_sino, *coords)
 
 
+    @pytest.mark.parametrize("case", ["grid", "grid-wrapped", "near-grid", "reflected", "scalar"])
+    def test_single_plane_matches_two_planes(self, small_sino, case):
+        """Skipping the upper view plane when every view weight is zero
+        changes no value (at most the sign of a zero)."""
+        geom = small_sino.geometry
+        s = geom.s_axis()[None, :]
+        beta = geom.beta_axis()[:, None]
+        coords = {
+            "grid": (-s + 0.3, beta),
+            "grid-wrapped": (np.linspace(-1.6, 1.6, 2 * geom.n_s), beta - 4 * math.pi),
+            "near-grid": (s, beta + 1e-12),
+            "reflected": (-s + 0.3, beta + math.pi + 2.0 * np.arctan((s - 0.15) / geom.source_radius)),
+            "scalar": (0.3, 2 * geom.beta_step),
+        }[case]
+        assert np.array_equal(sample_periodic(small_sino, *coords), two_plane_periodic(small_sino, *coords))
+
+
 class TestSampleDetector:
     @pytest.fixture
     def small_stack(self):
@@ -281,9 +318,55 @@ class TestSampleDetector:
         }[case]
         assert_matches_broadcast_copies(sample_detector, small_stack, *coords)
 
+    @pytest.mark.parametrize("case", ["grid", "tilted-on-views", "near-grid", "off-view", "scalar"])
+    def test_single_plane_matches_two_planes(self, small_stack, case):
+        geom = small_stack.geometry
+        u = geom.u_axis()[None, :]
+        beta = geom.beta_axis()[:, None]
+        eta = 0.3
+        coords = {
+            "grid": (u, geom.v_axis()[[0, 1, 2, 3, 4, 0, 1]][None, :], beta),
+            "tilted-on-views": (u * math.cos(eta), -u * math.sin(eta), beta + 2 * math.pi),
+            "near-grid": (u, 0.0 * u, beta - 1e-12),
+            "off-view": (u * math.cos(eta), -u * math.sin(eta), beta + 0.1),
+            "scalar": (0.2, -0.1, geom.beta_step),
+        }[case]
+        assert np.array_equal(sample_detector(small_stack, *coords), two_plane_detector(small_stack, *coords))
+
     def test_cell_center_is_corner_mean(self):
         geom = ConeGeometry(2.0, 2, 2, 1.0, 1.0, 2)
         rng = np.random.default_rng(3)
         stack = ProjectionStack(geom, rng.uniform(size=(2, 2, 2)))
         got = sample_detector(stack, 0.0, 0.0, 0.5 * geom.beta_step)
         assert got == pytest.approx(stack.values.mean(), rel=1e-12)
+
+
+class TestShiftViews:
+    @pytest.fixture
+    def values(self):
+        return np.random.default_rng(5).uniform(0.5, 2.0, size=(12, 9))
+
+    def test_whole_view_offsets_roll_bit_exactly(self, values):
+        step = 2 * math.pi / 12
+        k = np.arange(9) - 4  # negative offsets wrap too
+        out = shift_views(values, k * step)
+        for i in range(9):
+            assert np.array_equal(out[:, i], np.roll(values[:, i], -k[i]))
+
+    def test_half_view_offset_is_neighbour_mean(self, values):
+        out = shift_views(values, np.full(9, 11.5 * 2 * math.pi / 12))
+        expected = 0.5 * (values[np.arange(12) - 1] + values)  # view j + 11.5 is between j - 1 and j
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_beta", [5, 7, 64, 256])
+    def test_matches_sampler_at_shifted_angles(self, n_beta):
+        geom = FanGeometry(2.0, 33, 1.0, n_beta)
+        sino = Sinogram(geom, np.random.default_rng(n_beta).uniform(0.5, 2.0, size=(n_beta, 33)))
+        offset = math.pi + 2.0 * np.arctan((geom.s_axis() - 0.1) / geom.source_radius)
+        want = sample_periodic(sino, geom.s_axis(), geom.beta_axis()[:, None] + offset)
+        np.testing.assert_allclose(shift_views(sino.values, offset), want, rtol=0, atol=1e-12 * 2.0)
+
+    def test_fresh_array(self, values):
+        out = shift_views(values, np.zeros(9))
+        assert np.array_equal(out, values)
+        assert not np.shares_memory(out, values)
