@@ -50,6 +50,7 @@ from .registration import (
     sample_detector,
     sample_periodic,
     xcorr_shift_1d,
+    xcorr_shift_rows,
     xcorr_shift_s_2d,
 )
 from .simulate import (
@@ -112,5 +113,6 @@ __all__ = [
     "wrap_angle",
     "write_sinogram",
     "xcorr_shift_1d",
+    "xcorr_shift_rows",
     "xcorr_shift_s_2d",
 ]

@@ -9,7 +9,9 @@ estimator recovers h as half of a cross-correlation shift:
 * LY:   p against the reflected profile w (linear interpolation in beta).
 * 2DR:  the full sinogram against its reflected resampling, 2D correlation.
 * FP:   fixed-point iteration on a single view, h_{k+1} = h_k + shift/2.
-* FP_K: median of K FP runs started at views spread uniformly over beta.
+* FP_K: median of K FP runs started at views spread uniformly over beta,
+        advanced in lockstep: each iteration reflects every active run in
+        one sampler call and correlates them in one batched call.
 
 The symmetry map is written once, in reflect(); cone_align reads the same
 map through its tilted detector axis.  On every view at once the map is a
@@ -25,7 +27,14 @@ import numpy as np
 from dataclasses import dataclass
 
 from .core import FAN_METHODS, AlignmentResult
-from .registration import AmbiguousShiftError, sample_periodic, shift_views, xcorr_shift_1d, xcorr_shift_s_2d
+from .registration import (
+    AmbiguousShiftError,
+    sample_periodic,
+    shift_views,
+    xcorr_shift_1d,
+    xcorr_shift_rows,
+    xcorr_shift_s_2d,
+)
 
 
 @dataclass(frozen=True)
@@ -167,37 +176,51 @@ def align_2dr(sino, cfg=FanAlignConfig()):
     return _single_shot(sino, h, "2DR")
 
 
+def _fixed_point_runs(lam, reflect_rows, upsample, tol_h, max_iter):
+    """Fixed-point runs h_{k+1} = h_k + shift(lam_j, pi_j(h_k)) / 2, one per
+    row lam_j of lam, advanced in lockstep from h_0 = 0.
+
+    reflect_rows(h, rows) returns the symmetry-reflected views pi_j(h_j) of
+    the runs j in the index array rows, one row each.  Every iteration
+    reflects the active runs in that one call and correlates them in one
+    xcorr_shift_rows call.  A run stops when its update drops below tol_h
+    (converged) or after max_iter updates, and fails when its correlation is
+    identically zero.  Returns, per run, (h, iterations, history, converged)
+    with history the successive h_k (pixels), or None for a failed run: each
+    run's values are those of running it alone.
+    """
+    h = np.zeros(lam.shape[0])
+    histories = [[] for _ in h]
+    runs = [None] * len(h)
+    active = np.arange(len(h))
+    for k in range(1, max_iter + 1):
+        h_old = h[active]
+        h_new = h_old + 0.5 * xcorr_shift_rows(lam[active], reflect_rows(h_old, active), upsample)
+        done = np.abs(h_new - h_old) < tol_h
+        h[active] = h_new
+        for j, h_j, conv in zip(active.tolist(), h_new.tolist(), done.tolist()):
+            if not math.isnan(h_j):  # NaN: zero correlation, the run fails
+                histories[j].append(h_j)
+                if conv or k == max_iter:
+                    runs[j] = (h_j, k, histories[j], conv)
+        active = active[~np.isnan(h_new) & ~done]
+        if not active.size:
+            break
+    return runs
+
+
 def fixed_point_shift(lam, make_pi, upsample, tol_h, max_iter):
-    """Generic fixed-point driver h_{k+1} = h_k + shift(lam, pi(h_k)) / 2.
+    """One fixed-point run on a single view: _fixed_point_runs on one row.
 
     lam is the reference view; make_pi(h_px) produces the symmetry-reflected
-    view at candidate shift h.  Returns (h, iterations, history, converged)
-    with history the list of successive h_k (pixels).  Convergence when the
-    update magnitude drops below tol_h.
+    view at candidate shift h.  Returns (h, iterations, history, converged);
+    raises AmbiguousShiftError when the correlation is identically zero.
     """
-    h = 0.0
-    history = []
-    converged = False
-    iterations = 0
-    for k in range(1, max_iter + 1):
-        step = 0.5 * xcorr_shift_1d(lam, make_pi(h), upsample)
-        h_new = h + step
-        history.append(h_new)
-        iterations = k
-        if abs(h_new - h) < tol_h:
-            h = h_new
-            converged = True
-            break
-        h = h_new
-    return h, iterations, history, converged
-
-
-def _fixed_point_at(lam, geom, sample, idx, cfg, s):
-    """fixed_point_shift on view idx: lam[idx] against its reflection at b_idx."""
-    beta0 = idx * geom.beta_step
-    return fixed_point_shift(
-        lam[idx], lambda h: reflect(geom, sample, h, beta0, s), cfg.upsample, cfg.tol_h, cfg.max_iter
-    )
+    reflect_row = lambda h, _: make_pi(float(h[0]))[None]
+    (run,) = _fixed_point_runs(np.asarray(lam)[None], reflect_row, upsample, tol_h, max_iter)
+    if run is None:
+        raise AmbiguousShiftError("zero cross-correlation")
+    return run
 
 
 def align_fp(sino, cfg=FanAlignConfig()):
@@ -213,8 +236,14 @@ def align_fp(sino, cfg=FanAlignConfig()):
     geom = sino.geometry
     if not 0 <= cfg.beta_index < geom.n_beta:
         raise ValueError("beta_index outside the view range")
-    h, iterations, history, converged = _fixed_point_at(
-        sino.values, geom, lambda s, b: sample_periodic(sino, s, b), cfg.beta_index, cfg, geom.s_axis()
+    sample = lambda s, b: sample_periodic(sino, s, b)
+    s, beta0 = geom.s_axis(), cfg.beta_index * geom.beta_step
+    h, iterations, history, converged = fixed_point_shift(
+        sino.values[cfg.beta_index],
+        lambda h: reflect(geom, sample, h, beta0, s),
+        cfg.upsample,
+        cfg.tol_h,
+        cfg.max_iter,
     )
     losses = {hk: symmetry_mse(sino, hk) for hk in set(history)}
     trace = [(k + 1, hk, 0.0, losses[hk]) for k, hk in enumerate(history)]
@@ -230,21 +259,30 @@ def median_fixed_point(lam, geom, sample, cfg):
     """Median of cfg.K fixed-point runs started at views spread uniformly in beta.
 
     lam holds the reference views, one row per view of geom; sample(x, b)
-    reads the data the reflections are taken from.  A run that fails outright
-    (zero correlation on a defective view) is excluded from the median; if
-    every run fails the error propagates.  For even counts the lower-middle
-    order statistic is taken, avoiding an average of two modes.  Returns
-    (h, runs) with runs the (start number, h_j, iterations, converged) of
-    each run that returned.
+    reads the data the reflections are taken from.  The K runs advance in
+    lockstep (_fixed_point_runs): each iteration reflects every active start
+    in one sampler call, reflect(geom, sample, h[:, None], beta0[:, None]),
+    and correlates them in one batched call, with the values of K separate
+    runs.  A run that fails outright (zero correlation on a defective view) is
+    excluded from the median; if every run fails the error propagates.  For
+    even counts the lower-middle order statistic is taken, avoiding an
+    average of two modes.  Returns (h, runs) with runs the (start number,
+    h_j, iterations, converged) of each run that returned.  K may not exceed
+    the number of views: the starts would repeat.
     """
+    if cfg.K > geom.n_beta:
+        raise ValueError("K cannot exceed the number of views")
     s = geom.s_axis()
-    runs = []
-    for j, idx in enumerate(fp_start_indices(geom.n_beta, cfg.K)):
-        try:
-            h_j, iters, _, conv = _fixed_point_at(lam, geom, sample, idx, cfg, s)
-        except AmbiguousShiftError:
-            continue
-        runs.append((j, h_j, iters, conv))
+    starts = np.array(fp_start_indices(geom.n_beta, cfg.K))
+    beta0 = starts * geom.beta_step
+    results = _fixed_point_runs(
+        lam[starts],
+        lambda h, rows: reflect(geom, sample, h[:, None], beta0[rows, None], s),
+        cfg.upsample,
+        cfg.tol_h,
+        cfg.max_iter,
+    )
+    runs = [(j, run[0], run[1], run[3]) for j, run in enumerate(results) if run is not None]
     if not runs:
         raise AmbiguousShiftError("every fixed-point start failed")
     ordered = sorted(h_j for _, h_j, _, _ in runs)
@@ -259,8 +297,6 @@ def align_fp_k(sino, cfg=FanAlignConfig()):
     from different starts usually land on the same sub-pixel value).
     """
     geom = sino.geometry
-    if cfg.K > geom.n_beta:
-        raise ValueError("K cannot exceed the number of views")
     h, runs = median_fixed_point(sino.values, geom, lambda s, b: sample_periodic(sino, s, b), cfg)
     losses = {h_j: symmetry_mse(sino, h_j) for h_j in {h_j for _, h_j, _, _ in runs}}
     trace = [(j, h_j, 0.0, losses[h_j]) for j, h_j, _, _ in runs]

@@ -5,6 +5,9 @@ correlation is used throughout, matching the 2*pi-periodicity of sinograms in
 beta; on the detector axis projections vanish near the edges in well-posed
 acquisitions, so the circular/linear distinction is immaterial there.  Shifts
 larger than half the signal length wrap and are outside the validity range.
+xcorr_shift_rows registers K row pairs with one batched FFT per step and
+marks rows whose correlation is identically zero; xcorr_shift_1d is its
+one-row case.
 
 The samplers build interpolation weights per axis, on each coordinate's own
 shape (a detector row against a column of angles costs n + m, not n*m), and
@@ -44,11 +47,11 @@ def _spectral_upsample(c, upsample):
 
 
 def _peak_shift(fine, upsample):
-    """Argmax index of the upsampled correlation, unwrapped to (-N/2, N/2]."""
+    """Argmax index along the last axis of the upsampled correlation,
+    unwrapped to (-N/2, N/2]: one shift per row."""
     m = fine.shape[-1]
-    peak = int(np.argmax(fine))
-    if 2 * peak > m:
-        peak -= m
+    peak = np.argmax(fine, axis=-1)
+    peak = np.where(2 * peak > m, peak - m, peak)
     # integer unwrap first, single division after: keeps antisymmetry exact
     return peak / upsample
 
@@ -71,29 +74,45 @@ def xcorr_shift_1d(a, b, upsample=20):
     Computed in the frequency domain and refined to 1/upsample of a sample
     by zero-padding the correlation spectrum.  Sign: a(i) ~= b(i - d) gives
     +d; the result lies in (-N/2, N/2].  Swapping the inputs negates the
-    result exactly (modulo N at the N/2 boundary).
+    result exactly (modulo N at the N/2 boundary).  The one-row case of
+    xcorr_shift_rows.
 
     Raises AmbiguousShiftError when the correlation is identically zero
     (e.g. an all-zero input).
     """
-    a, b, upsample = _check_pair(a, b, upsample)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape[0] < 2:
         raise ValueError("inputs must be 1D with at least 2 samples")
-    n = a.shape[0]
-    if a.tobytes() > b.tobytes():
-        # Correlate in one canonical order: rounding can tip a tied peak
-        # (true shift halfway between samples) differently in the two orders.
-        d = 0.0 - _shift_1d(b, a, upsample)  # 0.0 - x: no -0.0 for a zero shift
-        return n / 2 if 2 * d == -n else d
-    return _shift_1d(a, b, upsample)
-
-
-def _shift_1d(a, b, upsample):
-    corr = np.fft.irfft(np.fft.rfft(a) * np.conj(np.fft.rfft(b)), n=a.shape[0])
-    if not np.any(corr):
+    d = xcorr_shift_rows(a[None], b[None], upsample)[0]
+    if np.isnan(d):
         raise AmbiguousShiftError("zero cross-correlation")
+    return float(d)
+
+
+def xcorr_shift_rows(a, b, upsample=20):
+    """xcorr_shift_1d(a[i], b[i]) for every row pair of two (K, n) arrays,
+    with one batched FFT per step.
+
+    Returns the K shifts; NaN marks a row whose correlation is identically
+    zero (where xcorr_shift_1d raises AmbiguousShiftError), and leaves the
+    other rows as they are.  Each row keeps its own canonical input order and
+    N/2 rule, so row i equals xcorr_shift_1d(a[i], b[i]) bit for bit.
+    """
+    a, b, upsample = _check_pair(a, b, upsample)
+    if a.ndim != 2 or a.shape[1] < 2:
+        raise ValueError("inputs must be 2D (rows, samples) with at least 2 samples")
+    n = a.shape[1]
+    # Correlate each pair in one canonical order: rounding can tip a tied peak
+    # (true shift halfway between samples) differently in the two orders.
+    swap = np.array([x.tobytes() > y.tobytes() for x, y in zip(a, b)], dtype=bool)
+    first, second = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+    corr = np.fft.irfft(np.fft.rfft(first) * np.conj(np.fft.rfft(second)), n=n)
     fine = _spectral_upsample(corr, upsample) if upsample > 1 else corr
-    return _peak_shift(fine, upsample)
+    d = _peak_shift(fine, upsample)
+    d[swap] = 0.0 - d[swap]  # 0.0 - x: no -0.0 for a zero shift
+    d[2 * d == -n] = n / 2
+    d[~corr.any(axis=1)] = np.nan
+    return d
 
 
 def xcorr_shift_s_2d(a, b, upsample=20):
@@ -111,7 +130,7 @@ def xcorr_shift_s_2d(a, b, upsample=20):
         raise AmbiguousShiftError("zero cross-correlation")
     row = corr[np.unravel_index(np.argmax(corr), corr.shape)[0]]
     fine = _spectral_upsample(row, upsample) if upsample > 1 else row
-    return _peak_shift(fine, upsample)
+    return float(_peak_shift(fine, upsample))
 
 
 _SNAP = 1e-9  # index units; collapses float dirt on exact grid queries

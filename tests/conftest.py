@@ -1,4 +1,5 @@
-"""Shared simulation fixtures, and reference samplers.
+"""Shared simulation fixtures, reference samplers and a reference
+sequential median-of-K fixed-point solve.
 
 The reference fan protocol is 256 detector samples x 256 views, source
 radius 2, detector half-width tangent to the unit disk, a seeded 30-void
@@ -20,7 +21,16 @@ from ctalign import (
     make_sphere_phantom,
     unit_disk_half_width,
 )
-from ctalign.registration import _axis_weights, _beta_weights, _coordinates, _gather, _lerp
+from ctalign.fan_align import fp_start_indices, reflect
+from ctalign.registration import (
+    AmbiguousShiftError,
+    _axis_weights,
+    _beta_weights,
+    _coordinates,
+    _gather,
+    _lerp,
+    xcorr_shift_1d,
+)
 
 SOURCE_RADIUS = 2.0
 H_TRUE = 10.0
@@ -94,3 +104,41 @@ def two_plane_detector(stack, u, v, beta):
 
     out = _lerp(plane(j0), plane(j1), t)
     return float(out[0]) if shape == () else out
+
+
+def sequential_median_fixed_point(lam, geom, sample, cfg):
+    """median_fixed_point with its K runs one after another, each a scalar
+    fixed-point loop on one view: the reference for the lockstep runs."""
+    s = geom.s_axis()
+    runs = []
+    for j, idx in enumerate(fp_start_indices(geom.n_beta, cfg.K)):
+        beta0 = idx * geom.beta_step
+        h = 0.0
+        try:
+            for k in range(1, cfg.max_iter + 1):
+                h_new = h + 0.5 * xcorr_shift_1d(lam[idx], reflect(geom, sample, h, beta0, s), cfg.upsample)
+                converged = abs(h_new - h) < cfg.tol_h
+                h = h_new
+                if converged:
+                    break
+        except AmbiguousShiftError:
+            continue
+        runs.append((j, h, k, converged))
+    if not runs:
+        raise AmbiguousShiftError("every fixed-point start failed")
+    ordered = sorted(h_j for _, h_j, _, _ in runs)
+    return ordered[(len(ordered) - 1) // 2], runs
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the positional
+    arguments of each call; returns the list of records."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

@@ -29,7 +29,17 @@ from ctalign import (
     unit_disk_half_width,
     variable_projection,
 )
-from conftest import ETA_TRUE, H_TRUE, SOURCE_RADIUS, cone_geometry, fan_geometry, two_plane_detector
+from ctalign import cone_align, fan_align
+from conftest import (
+    ETA_TRUE,
+    H_TRUE,
+    SOURCE_RADIUS,
+    cone_geometry,
+    count_calls,
+    fan_geometry,
+    sequential_median_fixed_point,
+    two_plane_detector,
+)
 
 INNER = ["2dr", "fp_k"]
 
@@ -171,6 +181,49 @@ class TestInnerH:
     def test_recovers_shift_at_true_angle(self, method, ref_stack):
         h = inner_h(ref_stack, ETA_TRUE, VPConfig(inner_method=method))
         assert h == pytest.approx(H_TRUE, abs=0.15)
+
+
+@pytest.fixture(scope="module")
+def small_stack():
+    """32^3 stack, h = 2.5 px, eta = 1 degree."""
+    return cone_project(make_sphere_phantom(1, n_spheres=20), cone_geometry(32), h=2.5, eta=ETA_TRUE)
+
+
+def tilted_pair(stack, eta):
+    """The median_fixed_point inputs of the fp_k inner solve at eta."""
+    return lambda_eta(stack, 0.0, eta), stack.geometry.central_fan(), cone_align._tilted(stack, eta)
+
+
+class TestInnerFixedPoint:
+    """The fp_k inner solve is the lockstep median_fixed_point on the tilted
+    pair: the same runs as one after another, one reflection per iteration."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.02])
+    def test_equals_sequential_runs(self, small_stack, eta):
+        args = tilted_pair(small_stack, eta)
+        cfg = FanAlignConfig()
+        lockstep = fan_align.median_fixed_point(*args, cfg)
+        assert repr(lockstep) == repr(sequential_median_fixed_point(*args, cfg))
+        assert inner_h(small_stack, eta, VPConfig(inner_method="fp_k", inner=cfg)) == lockstep[0]
+
+    def test_k_exceeding_view_count_rejected(self, small_stack):
+        cfg = VPConfig(inner_method="fp_k", inner=FanAlignConfig(K=small_stack.geometry.n_beta + 1))
+        with pytest.raises(ValueError):
+            inner_h(small_stack, 0.0, cfg)
+        with pytest.raises(ValueError):
+            variable_projection(small_stack, cfg)
+
+    def test_one_reflection_and_one_correlation_per_iteration(self, small_stack, monkeypatch):
+        eta = 0.02
+        args = tilted_pair(small_stack, eta)
+        cfg = VPConfig(inner_method="fp_k")
+        _, runs = fan_align.median_fixed_point(*args, cfg.inner)
+        iterations = [iters for _, _, iters, _ in runs]
+        assert max(iterations) < sum(iterations)
+        reads = count_calls(monkeypatch, cone_align, "sample_detector")
+        correlations = count_calls(monkeypatch, fan_align, "xcorr_shift_rows")
+        inner_h(small_stack, eta, cfg, args[0])
+        assert len(reads) == len(correlations) == max(iterations)
 
 
 class TestReducedGradient:

@@ -29,8 +29,9 @@ from ctalign import (
     unit_disk_half_width,
 )
 from ctalign import fan_align
-from ctalign.fan_align import fp_start_indices
-from conftest import H_TRUE, SOURCE_RADIUS, fan_geometry
+from ctalign.fan_align import fp_start_indices, median_fixed_point
+from ctalign.simulate import InstabilityModel
+from conftest import H_TRUE, SOURCE_RADIUS, count_calls, fan_geometry, sequential_median_fixed_point
 
 ALL_ALIGNERS = [align_yang, align_ly, align_2dr, align_fp, align_fp_k]
 
@@ -234,6 +235,59 @@ class TestFixedPointMultiStart:
         sino = Sinogram(ref_geom, np.zeros((ref_geom.n_beta, ref_geom.n_s)))
         with pytest.raises(AmbiguousShiftError):
             align_fp_k(sino, FanAlignConfig(K=4))
+
+
+def small_fan(alpha=0.0):
+    """64 x 64 fan scan, h = 2.5 px; the FP runs take 2 to 4 iterations."""
+    instability = InstabilityModel(alpha) if alpha > 0.0 else None
+    return fan_project(make_disk_phantom(1), fan_geometry(64), h=2.5, instability=instability)
+
+
+def fan_sampler(sino):
+    return lambda s, b: sample_periodic(sino, s, b)
+
+
+class TestLockstepRuns:
+    """median_fixed_point advances its K runs together; each run must end as
+    it would alone (sequential_median_fixed_point), bit for bit."""
+
+    @staticmethod
+    def both(sino, cfg):
+        args = (sino.values, sino.geometry, fan_sampler(sino), cfg)
+        lockstep, sequential = median_fixed_point(*args), sequential_median_fixed_point(*args)
+        assert repr(lockstep) == repr(sequential)
+        return lockstep[1]
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_equals_sequential_runs(self, k):
+        self.both(small_fan(), FanAlignConfig(K=k))
+
+    def test_failing_start_is_dropped(self):
+        sino = small_fan()
+        grid = sino.values.copy()
+        grid[0] = 0.0
+        runs = self.both(Sinogram(sino.geometry, grid), FanAlignConfig(K=10))
+        assert [j for j, _, _, _ in runs] == list(range(1, 10))
+
+    def test_runs_ending_at_different_iterations(self):
+        runs = self.both(small_fan(alpha=0.01), FanAlignConfig(K=10))
+        assert len({iters for _, _, iters, _ in runs}) > 1
+
+    def test_unconverged_runs_at_the_iteration_cap(self):
+        runs = self.both(small_fan(alpha=0.01), FanAlignConfig(K=10, max_iter=2))
+        assert {conv for _, _, _, conv in runs} == {True, False}
+
+    def test_one_reflection_and_one_correlation_per_iteration(self, monkeypatch):
+        sino = small_fan(alpha=0.01)
+        cfg = FanAlignConfig(method="FP_K")
+        _, runs = median_fixed_point(sino.values, sino.geometry, fan_sampler(sino), cfg)
+        iterations = [iters for _, _, iters, _ in runs]
+        assert max(iterations) < sum(iterations)
+        monkeypatch.setattr(fan_align, "symmetry_mse", lambda sino, h: 0.0)  # count the run reads only
+        reads = count_calls(monkeypatch, fan_align, "sample_periodic")
+        correlations = count_calls(monkeypatch, fan_align, "xcorr_shift_rows")
+        result = align_fp_k(sino, cfg)
+        assert result.iterations == len(reads) == len(correlations) == max(iterations)
 
 
 class TestTraceLosses:

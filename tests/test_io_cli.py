@@ -344,6 +344,12 @@ class TestCliAlignCone:
         aligned, _ = cli_fan_files
         assert main(["align-cone", "--input", aligned]) == 4
 
+    def test_more_fpk_starts_than_views_rejected(self, tmp_path):
+        out = str(tmp_path / "c.sino")
+        main(["simulate", "--mode", "cone", "--n", "24", "--seed", "0", "--features", "4", "--out", out])
+        n_beta = read_sinogram(out).geometry.n_beta
+        assert main(["align-cone", "--input", out, "--inner-method", "fpk", "--k", str(n_beta + 1)]) == 4
+
     def test_bad_eta0_suffix_rejected(self, tmp_path):
         out = str(tmp_path / "c.sino")
         main(["simulate", "--mode", "cone", "--n", "24", "--seed", "0", "--features", "4", "--out", out])

@@ -15,6 +15,7 @@ from ctalign import (
     sample_detector,
     sample_periodic,
     xcorr_shift_1d,
+    xcorr_shift_rows,
     xcorr_shift_s_2d,
 )
 from ctalign.registration import _peak_shift, _spectral_upsample, shift_views
@@ -120,6 +121,85 @@ class TestXcorr1D:
         a = bump(80, 30.0, 4.0)
         b = np.roll(a, 5)
         assert xcorr_shift_1d(3.7 * a, 3.7 * b) == pytest.approx(xcorr_shift_1d(a, b), abs=0.05)
+
+
+def bump_rows(rng, k, n):
+    """k periodized Gaussians at random centres and widths."""
+    return np.array([bump(n, rng.uniform(0.0, n), rng.uniform(1.0, n / 6)) for _ in range(k)])
+
+
+def shifts_1d(a, b, upsample):
+    """xcorr_shift_1d row by row, NaN where it raises AmbiguousShiftError."""
+    out = []
+    for x, y in zip(a, b):
+        try:
+            out.append(xcorr_shift_1d(x, y, upsample))
+        except AmbiguousShiftError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+class TestXcorrRows:
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("n", [64, 33])
+    @pytest.mark.parametrize("upsample", [1, 20])
+    def test_rows_are_the_1d_shifts(self, k, n, upsample):
+        rng = np.random.default_rng(100 * k + n + upsample)
+        a, b = bump_rows(rng, k, n), bump_rows(rng, k, n)
+        b[::2] = a[::2] + 1e-3 * rng.normal(size=(len(a[::2]), n))  # small shifts too
+        assert same_bits(xcorr_shift_rows(a, b, upsample), shifts_1d(a, b, upsample))
+        assert same_bits(xcorr_shift_rows(b, a, upsample), shifts_1d(b, a, upsample))
+
+    def test_pinned_half_sample_tie_per_row(self):
+        a, b = bump(8, 0.0, 1.0), bump(8, 1.5, 1.0)  # tied peaks at shifts -1 and -2
+        rows = xcorr_shift_rows(np.array([a, b, a]), np.array([b, a, a]), upsample=1)
+        assert same_bits(rows, [xcorr_shift_1d(a, b, 1), xcorr_shift_1d(b, a, 1), 0.0])
+        assert rows[0] + rows[1] == 0.0
+
+    @pytest.mark.parametrize("upsample", [1, 20])
+    def test_shift_of_exactly_half_the_length(self, upsample):
+        b = bump_rows(np.random.default_rng(7), 3, 32)
+        a = np.roll(b, 16, axis=1)
+        for x, y in ((a, b), (b, a)):
+            rows = xcorr_shift_rows(x, y, upsample)
+            assert same_bits(rows, shifts_1d(x, y, upsample))
+            assert np.all(rows == 16.0)
+
+    def test_zero_row_is_flagged_alone(self):
+        rng = np.random.default_rng(3)
+        a, b = bump_rows(rng, 4, 48), bump_rows(rng, 4, 48)
+        clean = xcorr_shift_rows(a, b)
+        a[2] = 0.0
+        flagged = xcorr_shift_rows(a, b)
+        assert np.isnan(flagged[2])
+        keep = [0, 1, 3]
+        assert same_bits(flagged[keep], clean[keep])
+        with pytest.raises(AmbiguousShiftError):
+            xcorr_shift_1d(a[2], b[2])
+
+    def test_non_finite_row_rejected(self):
+        a = bump_rows(np.random.default_rng(4), 3, 16)
+        b = a.copy()
+        b[1, 5] = np.inf
+        with pytest.raises(ValueError):
+            xcorr_shift_rows(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.ones(8), np.arange(8.0)),  # 1-D: use xcorr_shift_1d
+            (np.ones((2, 8)), np.ones((3, 8))),
+            (np.ones((2, 8)), np.ones((2, 9))),
+            (np.ones((2, 1)), np.ones((2, 1))),
+        ],
+    )
+    def test_bad_shapes_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            xcorr_shift_rows(a, b)
 
 
 class TestXcorrS2D:
