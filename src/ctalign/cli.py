@@ -1,30 +1,40 @@
 """Command-line surface: simulate data, run estimators, evaluate metrics,
 emit plot-ready sweep tables.
 
-Subcommands: simulate, align-fan, align-cone, metric, sweep.  Options can
-come from a `key: value` config file (--config); explicit flags win over the
-file, the file wins over built-in defaults.  Angles on the command line need
-an explicit unit suffix (`10deg`, `0.02rad`); internally everything is
-radians.  Exit codes: 0 success, 2 estimator non-convergence or failure,
-3 I/O or file-format error, 4 invalid configuration.
+Subcommands: simulate, align-fan, align-cone, metric, sweep.  Every option
+is declared once, in io_cli.RUN_OPTIONS, and can come from a flag or from a
+`key: value` config file (--config); explicit flags win over the file, the
+file wins over built-in defaults.  Angles need an explicit unit suffix
+(`10deg`, `0.02rad`); internally everything is radians.  Exit codes:
+0 success, 2 estimator non-convergence or failure, 3 I/O or file-format
+error, 4 invalid configuration.
 """
 
 import argparse
 import math
 import sys
 import time
+from dataclasses import fields
+from functools import partial
 
 from pathlib import Path
 
 from .cone_align import VPConfig, lambda_eta, variable_projection
-from .core import ConeGeometry, FanGeometry, Sinogram, unit_disk_half_width
+from .core import FAN_METHODS, ConeGeometry, FanGeometry, Sinogram, unit_disk_half_width
 from .fan_align import FanAlignConfig, align_fan, symmetry_mse
 from .io_cli import (
+    RUN_OPTIONS,
     ConfigError,
     FormatError,
     RunConfig,
+    format_lines,
+    format_value,
+    geometry_fields,
+    header_field,
     header_metadata,
     parse_angle,
+    parse_bool,
+    positive_float,
     read_sinogram,
     write_sinogram,
     write_truth,
@@ -32,9 +42,8 @@ from .io_cli import (
 from .registration import AmbiguousShiftError
 from .simulate import InstabilityModel, cone_project, fan_project, make_disk_phantom, make_sphere_phantom
 
-# command-line spellings of the estimator tags
-_FAN_METHODS = {"yang": "Yang", "ly": "LY", "2dr": "2DR", "fp": "FP", "fpk": "FP_K", "fp_k": "FP_K"}
-_INNER_METHODS = {"2dr": "2dr", "fpk": "fp_k", "fp_k": "fp_k"}
+# flags not spelled --<key with dashes>
+_FLAGS = {"K": "--k", "output": "--out"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,88 +53,63 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_config(args):
-    if getattr(args, "config", None) is None:
-        return RunConfig()
-    return RunConfig.from_file(args.config)
+def _options(args):
+    """The run options: the config file's entries, then the flags that were set."""
+    options = RunConfig()
+    if args.config is not None:
+        options = RunConfig.parse(Path(args.config).read_text(encoding="ascii"))
+    options.update((key, getattr(args, key)) for key in RUN_OPTIONS if getattr(args, key, None) is not None)
+    return options
 
 
-def _resolve(args, cfg, key, default):
-    """Flag > config file > default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg.get(key)
-    return default
+def _config(cls, options, **fixed):
+    """cls from the options named like its fields; cls supplies every default."""
+    given = {f.name: options[f.name] for f in fields(cls) if f.name in options}
+    return cls(**(given | fixed))
 
 
-def _resolve_angle(args, cfg, key, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return parse_angle(value)
-    if key in cfg:
-        return cfg.get(key)  # config values are parsed to radians on load
-    return default
-
-
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _config_echo(command, *configs):
+    """cfg_<key> pairs of the options of command held by configs, in table
+    order; angles are in radians."""
+    return [
+        (f"cfg_{key}_rad" if option.parse is parse_angle else f"cfg_{key}", getattr(config, key))
+        for key, option in RUN_OPTIONS.items()
+        if command in option.commands
+        for config in configs
+        if hasattr(config, key)
+    ]
 
 
 def _emit_report(pairs, report_path):
-    text = "".join(f"{k}: {_fmt(v)}\n" for k, v in pairs)
+    text = format_lines(pairs)
     sys.stdout.write(text)
     if report_path is not None:
         Path(report_path).write_text(text, encoding="ascii")
 
 
-def _given(args, cfg, keys):
-    """{key: value} for each of keys that a flag or the config file set; the
-    config dataclasses supply every default."""
-    values = {key: _resolve(args, cfg, key, None) for key in keys}
-    return {key: value for key, value in values.items() if value is not None}
-
-
-def _fan_config(args, cfg, method_tag):
-    keys = ("K", "max_iter", "tol_h", "upsample", "beta_index")
-    return FanAlignConfig(method=method_tag, **_given(args, cfg, keys))
-
-
-def cmd_simulate(args):
-    cfg = _load_config(args)
-    mode = _resolve(args, cfg, "mode", None)
-    if mode not in ("fan", "cone"):
+def cmd_simulate(options):
+    mode = options.get("mode")
+    if mode is None:
         raise ConfigError("simulate needs --mode fan or --mode cone")
-    n = int(_resolve(args, cfg, "n", 256))
-    h = float(_resolve(args, cfg, "h", 0.0))
-    eta = _resolve_angle(args, cfg, "eta", 0.0)
-    alpha = float(_resolve(args, cfg, "alpha", 0.0))
-    seed = int(_resolve(args, cfg, "seed", 0))
-    source_radius = float(_resolve(args, cfg, "source_radius", 2.0))
-    features = _resolve(args, cfg, "features", None)
-    sidecar = bool(_resolve(args, cfg, "sidecar", False))
-    pixel_size_mm = _resolve(args, cfg, "pixel_size_mm", None)
-    out = _resolve(args, cfg, "output", None)
-    if out is None:
-        out = f"{mode}_n{n}_seed{seed}.sino"
-    instability = InstabilityModel(alpha) if alpha > 0.0 else None
+    n, h, seed = options.get("n", 256), options.get("h", 0.0), options.get("seed", 0)
+    eta = options.get("eta", 0.0)
+    alpha = options.get("alpha", 0.0)
+    source_radius = options.get("source_radius", 2.0)
+    features = options.get("features")
+    out = options.get("output", f"{mode}_n{n}_seed{seed}.sino")
+    instability = InstabilityModel(alpha)
     width = unit_disk_half_width(source_radius)
     if mode == "fan":
         if eta != 0.0:
             raise ConfigError("--eta applies to cone simulations only")
-        phantom = make_disk_phantom(seed, n_disks=int(features) if features is not None else 30)
+        phantom = make_disk_phantom(seed, n_disks=30 if features is None else features)
         geom = FanGeometry(source_radius, n, width, n)
         data = fan_project(phantom, geom, h=h, instability=instability)
     else:
-        phantom = make_sphere_phantom(seed, n_spheres=int(features) if features is not None else 20)
+        phantom = make_sphere_phantom(seed, n_spheres=20 if features is None else features)
         geom = ConeGeometry(source_radius, n, n, width, width, n)
         data = cone_project(phantom, geom, h=h, eta=eta, instability=instability)
-    write_sinogram(out, data, sidecar=sidecar, pixel_size_mm=pixel_size_mm)
+    write_sinogram(out, data, sidecar=options.get("sidecar", False), pixel_size_mm=options.get("pixel_size_mm"))
     truth = str(out) + ".truth"
     write_truth(
         truth,
@@ -142,86 +126,31 @@ def cmd_simulate(args):
     return 0
 
 
-def _geometry_echo(geom):
-    if isinstance(geom, FanGeometry):
-        return [
-            ("n_s", geom.n_s),
-            ("n_beta", geom.n_beta),
-            ("s_max", float(geom.s_max)),
-            ("source_radius", float(geom.source_radius)),
-        ]
-    return [
-        ("n_u", geom.n_u),
-        ("n_v", geom.n_v),
-        ("n_beta", geom.n_beta),
-        ("u_max", float(geom.u_max)),
-        ("v_max", float(geom.v_max)),
-        ("source_radius", float(geom.source_radius)),
-    ]
-
-
-def cmd_align(args):
-    cfg = _load_config(args)
-    input_path = _resolve(args, cfg, "input", None)
+def cmd_align(command, options):
+    input_path = options.get("input")
     if input_path is None:
         raise ConfigError("an input file is required (--input)")
-    report_path = _resolve(args, cfg, "report", None)
     data = read_sinogram(input_path)
     meta = header_metadata(input_path)
-    pixel_size_mm = float(meta["pixel_size_mm"]) if "pixel_size_mm" in meta else None
+    pixel_size_mm = header_field(meta, "pixel_size_mm", positive_float) if "pixel_size_mm" in meta else None
 
-    if args.mode == "fan":
+    if command == "align-fan":
         if not isinstance(data, Sinogram):
             raise ConfigError("align-fan needs fan data; this file holds a cone stack")
-        method_cli = str(_resolve(args, cfg, "method", "2dr")).lower()
-        if method_cli not in _FAN_METHODS:
-            raise ConfigError(f"unknown fan method {method_cli!r}")
-        fan_cfg = _fan_config(args, cfg, _FAN_METHODS[method_cli])
+        config = _config(FanAlignConfig, options)
         start = time.perf_counter()
-        result = align_fan(data, fan_cfg)
-        seconds = time.perf_counter() - start
-        config_echo = [
-            ("cfg_method", fan_cfg.method),
-            ("cfg_K", fan_cfg.K),
-            ("cfg_max_iter", fan_cfg.max_iter),
-            ("cfg_tol_h", fan_cfg.tol_h),
-            ("cfg_upsample", fan_cfg.upsample),
-            ("cfg_beta_index", fan_cfg.beta_index),
-        ]
+        result = align_fan(data, config)
+        configs = (config,)
     else:
         if isinstance(data, Sinogram):
             raise ConfigError("align-cone needs cone data; this file holds a fan sinogram")
-        inner_cli = str(_resolve(args, cfg, "inner_method", "2dr")).lower()
-        if inner_cli not in _INNER_METHODS:
-            raise ConfigError(f"unknown inner method {inner_cli!r}")
-        vp_keys = _given(args, cfg, ("delta_eta", "gamma0", "armijo_c", "max_outer", "tol_eta"))
-        eta0 = _resolve_angle(args, cfg, "eta0", None)
-        if eta0 is not None:
-            vp_keys["eta0"] = eta0
-        vp_cfg = VPConfig(inner_method=_INNER_METHODS[inner_cli], inner=_fan_config(args, cfg, "2DR"), **vp_keys)
+        config = _config(VPConfig, options, inner=_config(FanAlignConfig, options))
         start = time.perf_counter()
-        result = variable_projection(data, vp_cfg)
-        seconds = time.perf_counter() - start
-        config_echo = [
-            ("cfg_inner_method", vp_cfg.inner_method),
-            ("cfg_eta0_rad", vp_cfg.eta0),
-            ("cfg_delta_eta", vp_cfg.delta_eta),
-            ("cfg_gamma0", vp_cfg.gamma0),
-            ("cfg_armijo_c", vp_cfg.armijo_c),
-            ("cfg_max_outer", vp_cfg.max_outer),
-            ("cfg_tol_eta", vp_cfg.tol_eta),
-            ("cfg_K", vp_cfg.inner.K),
-            ("cfg_max_iter", vp_cfg.inner.max_iter),
-            ("cfg_tol_h", vp_cfg.inner.tol_h),
-            ("cfg_upsample", vp_cfg.inner.upsample),
-        ]
+        result = variable_projection(data, config)
+        configs = (config, config.inner)
+    seconds = time.perf_counter() - start
 
-    pairs = [
-        ("command", "align-fan" if args.mode == "fan" else "align-cone"),
-        ("input", str(input_path)),
-        ("method", result.method),
-        ("h_px", result.h),
-    ]
+    pairs = [("command", command), ("input", str(input_path)), ("method", result.method), ("h_px", result.h)]
     if pixel_size_mm is not None:
         pairs.append(("h_mm", result.h * pixel_size_mm))
     pairs += [
@@ -232,19 +161,18 @@ def cmd_align(args):
         ("converged", result.converged),
         ("seconds", float(f"{seconds:.3f}")),
     ]
-    pairs += _geometry_echo(data.geometry)
-    pairs += config_echo
-    _emit_report(pairs, report_path)
+    pairs += geometry_fields(data.geometry)
+    pairs += _config_echo(command, *configs)
+    _emit_report(pairs, options.get("report"))
     return 0 if result.converged else 2
 
 
-def cmd_metric(args):
-    cfg = _load_config(args)
-    input_path = _resolve(args, cfg, "input", None)
+def cmd_metric(options):
+    input_path = options.get("input")
     if input_path is None:
         raise ConfigError("an input file is required (--input)")
-    h = float(_resolve(args, cfg, "h", 0.0))
-    eta = _resolve_angle(args, cfg, "eta", 0.0)
+    h = options.get("h", 0.0)
+    eta = options.get("eta", 0.0)
     data = read_sinogram(input_path)
     if isinstance(data, Sinogram):
         if eta != 0.0:
@@ -253,130 +181,65 @@ def cmd_metric(args):
     else:
         fan = Sinogram(data.geometry.central_fan(), lambda_eta(data, 0.0, eta))
     mse = symmetry_mse(fan, h)
-    _emit_report(
-        [
-            ("command", "metric"),
-            ("input", str(input_path)),
-            ("h_px", h),
-            ("eta_rad", eta),
-            ("mse", mse),
-        ],
-        _resolve(args, cfg, "report", None),
-    )
+    pairs = [("command", "metric"), ("input", str(input_path)), ("h_px", h), ("eta_rad", eta), ("mse", mse)]
+    _emit_report(pairs, options.get("report"))
     return 0
 
 
-def cmd_sweep(args):
-    cfg = _load_config(args)
-    n = int(_resolve(args, cfg, "n", 256))
-    seed = int(_resolve(args, cfg, "seed", 0))
-    h = float(_resolve(args, cfg, "h", 10.0))
-    features = int(_resolve(args, cfg, "features", 30))
-    source_radius = float(_resolve(args, cfg, "source_radius", 2.0))
-    alphas_text = str(_resolve(args, cfg, "alphas", "0,0.002,0.004,0.006,0.008,0.01"))
-    methods_text = str(_resolve(args, cfg, "methods", "yang,ly,2dr,fp,fpk"))
-    out = _resolve(args, cfg, "output", None)
-    try:
-        alphas = [float(a) for a in alphas_text.split(",") if a.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse alpha list {alphas_text!r}") from None
-    methods = []
-    for name in methods_text.split(","):
-        name = name.strip().lower()
-        if not name:
-            continue
-        if name not in _FAN_METHODS:
-            raise ConfigError(f"unknown fan method {name!r}")
-        methods.append(name)
+def cmd_sweep(options):
+    h = options.get("h", 10.0)
+    alphas = options.get("alphas", [0.0, 0.002, 0.004, 0.006, 0.008, 0.01])
+    methods = options.get("methods", FAN_METHODS)
     if not alphas or not methods:
         raise ConfigError("sweep needs at least one alpha and one method")
-
-    phantom = make_disk_phantom(seed, n_disks=features)
+    instabilities = [InstabilityModel(alpha) for alpha in alphas]
+    configs = [_config(FanAlignConfig, options, method=method) for method in methods]
+    source_radius = options.get("source_radius", 2.0)
+    n = options.get("n", 256)
+    phantom = make_disk_phantom(options.get("seed", 0), n_disks=options.get("features", 30))
     geom = FanGeometry(source_radius, n, unit_disk_half_width(source_radius), n)
     lines = ["alpha,method,abs_error_px,seconds"]
-    for alpha in alphas:
-        instability = InstabilityModel(alpha) if alpha > 0.0 else None
+    for instability in instabilities:
         sino = fan_project(phantom, geom, h=h, instability=instability)
-        for name in methods:
-            fan_cfg = _fan_config(args, cfg, _FAN_METHODS[name])
+        for config in configs:
             start = time.perf_counter()
-            result = align_fan(sino, fan_cfg)
+            result = align_fan(sino, config)
             seconds = time.perf_counter() - start
-            lines.append(f"{_fmt(float(alpha))},{result.method},{_fmt(abs(result.h - h))},{seconds:.3f}")
+            error = format_value(abs(result.h - h))
+            lines.append(f"{format_value(instability.alpha)},{result.method},{error},{seconds:.3f}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
+    out = options.get("output")
     if out is not None:
         Path(out).write_text(text, encoding="ascii")
         print(f"wrote: {out}")
     return 0
 
 
+# subcommand: (function of the run options, help)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "generate misaligned data plus a ground-truth sidecar"),
+    "align-fan": (partial(cmd_align, "align-fan"), "estimate the shift of a fan data file"),
+    "align-cone": (partial(cmd_align, "align-cone"), "estimate shift and rotation of a cone data file"),
+    "metric": (cmd_metric, "symmetry MSE of a data file at a candidate (h, eta)"),
+    "sweep": (cmd_sweep, "error table over an instability grid, CSV output"),
+}
+
+
 def build_parser():
     parser = _Parser(prog="ctalign", description="Fan/cone-beam detector misalignment estimation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    for command, (func, about) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key: value config file; flags override it")
-        p.add_argument("--report", help="also write the report to this file")
-
-    p = sub.add_parser("simulate", help="generate misaligned data plus a ground-truth sidecar")
-    add_common(p)
-    p.add_argument("--mode", choices=("fan", "cone"))
-    p.add_argument("--n", type=int, help="detector pixels = views (and rows for cone)")
-    p.add_argument("--h", type=float, help="detector shift in effective pixels")
-    p.add_argument("--eta", help="in-plane rotation with unit suffix, e.g. 1deg (cone only)")
-    p.add_argument("--alpha", type=float, help="beam instability amplitude")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--features", type=int, help="number of random voids in the phantom")
-    p.add_argument("--source-radius", dest="source_radius", type=float)
-    p.add_argument("--pixel-size-mm", dest="pixel_size_mm", type=float)
-    p.add_argument("--sidecar", action="store_true", default=None, help="write payload to a sibling .raw file")
-    p.add_argument("--out", dest="output")
-    p.set_defaults(func=cmd_simulate)
-
-    for mode, name in (("fan", "align-fan"), ("cone", "align-cone")):
-        p = sub.add_parser(name, help=f"estimate misalignment of a {mode} data file")
-        add_common(p)
-        p.add_argument("--input", required=False)
-        if mode == "fan":
-            p.add_argument("--method", choices=sorted(_FAN_METHODS), help="estimator (default 2dr)")
-        else:
-            p.add_argument(
-                "--inner-method", dest="inner_method", choices=sorted(_INNER_METHODS), help="inner shift solver"
-            )
-            p.add_argument("--eta0", help="starting angle with unit suffix")
-            p.add_argument("--delta-eta", dest="delta_eta", type=float)
-            p.add_argument("--gamma0", type=float)
-            p.add_argument("--armijo-c", dest="armijo_c", type=float)
-            p.add_argument("--max-outer", dest="max_outer", type=int)
-            p.add_argument("--tol-eta", dest="tol_eta", type=float)
-        p.add_argument("--k", dest="K", type=int, help="FP_K start count")
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--tol-h", dest="tol_h", type=float)
-        p.add_argument("--upsample", type=int)
-        if mode == "fan":
-            p.add_argument("--beta-index", dest="beta_index", type=int)
-        p.set_defaults(func=cmd_align, mode=mode)
-
-    p = sub.add_parser("metric", help="symmetry MSE of a data file at a candidate (h, eta)")
-    add_common(p)
-    p.add_argument("--input", required=False)
-    p.add_argument("--h", type=float, help="candidate shift in effective pixels")
-    p.add_argument("--eta", help="candidate rotation with unit suffix (cone only)")
-    p.set_defaults(func=cmd_metric)
-
-    p = sub.add_parser("sweep", help="error table over an instability grid, CSV output")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--features", type=int)
-    p.add_argument("--source-radius", dest="source_radius", type=float)
-    p.add_argument("--alphas", help="comma-separated instability amplitudes")
-    p.add_argument("--methods", help="comma-separated estimator names")
-    p.add_argument("--out", dest="output")
-    p.set_defaults(func=cmd_sweep)
-
+        for key, option in RUN_OPTIONS.items():
+            if command in option.commands:
+                flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+                if option.parse is parse_bool:  # a flag without a value that sets its option
+                    p.add_argument(flag, dest=key, help=option.help, action="store_const", const=True)
+                else:
+                    p.add_argument(flag, dest=key, help=option.help, type=option.parse)
     return parser
 
 
@@ -384,7 +247,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(_options(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -34,6 +34,8 @@ ETA_BOUND = math.radians(45.0)  # far beyond any physical detector mounting erro
 
 INNER_METHODS = ("2dr", "fp_k")
 
+MAX_BACKTRACK = 30  # step halvings before a line search gives up
+
 
 @dataclass(frozen=True)
 class VPConfig:
@@ -53,7 +55,6 @@ class VPConfig:
     armijo_c: float = 1e-4
     max_outer: int = 20
     tol_eta: float = 1e-4
-    max_backtrack: int = 30
     inner: FanAlignConfig = field(default_factory=FanAlignConfig)
 
     def __post_init__(self):
@@ -61,10 +62,12 @@ class VPConfig:
             raise ValueError(f"inner_method must be one of {INNER_METHODS}")
         if not self.delta_eta > 0:
             raise ValueError("delta_eta must be positive")
+        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
+            raise ValueError("gamma0 must be positive and finite")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
-        if self.max_outer < 1 or self.max_backtrack < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
         if not self.tol_eta > 0:
             raise ValueError("tol_eta must be positive")
         if not -ETA_BOUND <= self.eta0 <= ETA_BOUND:
@@ -183,7 +186,7 @@ def variable_projection(stack, cfg=VPConfig()):
             break
         gamma = gamma0
         accepted = False
-        for depth in range(cfg.max_backtrack):
+        for depth in range(MAX_BACKTRACK):
             eta_new = min(max(eta - gamma * grad, -ETA_BOUND), ETA_BOUND)
             h_new, loss_new = _reduced_loss(stack, eta_new, cfg, cache)
             if loss_new <= current - cfg.armijo_c * gamma * grad * grad:

@@ -92,6 +92,11 @@ class FanGeometry:
             raise ValueError("need at least 2 samples per axis")
 
     @property
+    def shape(self):
+        """Shape of the data: (n_beta, n_s)."""
+        return (self.n_beta, self.n_s)
+
+    @property
     def pixel_size(self):
         """Effective detector pixel, in s units."""
         return 2.0 * self.s_max / (self.n_s - 1)
@@ -138,6 +143,11 @@ class ConeGeometry:
             raise ValueError("v_max must be positive and finite")
         if self.n_u < 2 or self.n_v < 2 or self.n_beta < 2:
             raise ValueError("need at least 2 samples per axis")
+
+    @property
+    def shape(self):
+        """Shape of the data: (n_beta, n_v, n_u)."""
+        return (self.n_beta, self.n_v, self.n_u)
 
     @property
     def pixel_size(self):
@@ -190,8 +200,7 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        shape = (self.geometry.n_beta, self.geometry.n_s)
-        object.__setattr__(self, "values", _frozen_values(self.values, shape, "Sinogram"))
+        object.__setattr__(self, "values", _frozen_values(self.values, self.geometry.shape, "Sinogram"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +211,7 @@ class ProjectionStack:
     values: np.ndarray
 
     def __post_init__(self):
-        shape = (self.geometry.n_beta, self.geometry.n_v, self.geometry.n_u)
-        object.__setattr__(self, "values", _frozen_values(self.values, shape, "ProjectionStack"))
+        object.__setattr__(self, "values", _frozen_values(self.values, self.geometry.shape, "ProjectionStack"))
 
 
 @dataclass(frozen=True)

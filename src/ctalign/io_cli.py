@@ -6,14 +6,21 @@ either in the same file after a blank line (single-file mode) or in a
 sibling file named by a `payload` header key (sidecar mode).  Headers are
 greppable text; all in-memory computation is double precision, float32 is
 only the storage type.
+
+Each `key: value` format is one table of keys and parsers: KINDS holds the
+geometry header keys of each data kind, TRUTH_KEYS the ground-truth
+sidecar, and RUN_OPTIONS every option of the command line and its config
+files.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from pathlib import Path
 
-from .core import ConeGeometry, FanGeometry, ProjectionStack, Sinogram
+from .cone_align import INNER_METHODS
+from .core import FAN_METHODS, ConeGeometry, FanGeometry, ProjectionStack, Sinogram
 
 FORMAT_VERSION = 1
 
@@ -42,42 +49,47 @@ class ConfigError(Exception):
     """Invalid run configuration or CLI usage (exit code 4)."""
 
 
-def _format_number(x):
-    """Shortest text that round-trips the float exactly."""
-    return repr(float(x))
+def format_value(value):
+    """Text of a value in a `key: value` line: floats as the shortest text
+    that round-trips exactly, booleans as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
-def _header_lines(obj, pixel_size_mm=None, payload_name=None):
-    geom = obj.geometry
-    lines = [("format_version", str(FORMAT_VERSION))]
-    if isinstance(obj, Sinogram):
-        lines += [
-            ("kind", "fan"),
-            ("n_s", str(geom.n_s)),
-            ("n_beta", str(geom.n_beta)),
-            ("s_max", _format_number(geom.s_max)),
-            ("source_radius", _format_number(geom.source_radius)),
-        ]
-    else:
-        lines += [
-            ("kind", "cone"),
-            ("n_u", str(geom.n_u)),
-            ("n_v", str(geom.n_v)),
-            ("n_beta", str(geom.n_beta)),
-            ("u_max", _format_number(geom.u_max)),
-            ("v_max", _format_number(geom.v_max)),
-            ("source_radius", _format_number(geom.source_radius)),
-        ]
-    if pixel_size_mm is not None:
-        lines.append(("pixel_size_mm", _format_number(pixel_size_mm)))
-    lines += [
-        ("value_dtype", "float32"),
-        ("byte_order", "little-endian"),
-        ("layout", "row-major view-outermost"),
-    ]
-    if payload_name is not None:
-        lines.append(("payload", payload_name))
-    return "".join(f"{k}: {v}\n" for k, v in lines)
+def format_lines(pairs):
+    return "".join(f"{key}: {format_value(value)}\n" for key, value in pairs)
+
+
+def positive_float(text):
+    """float(text), which must be positive and finite (else ValueError)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{text!r} is not positive and finite")
+    return value
+
+
+# each data kind: its geometry, its container, and the geometry's header keys
+# in file order with their parsers; the keys are the geometry's field names
+KINDS = {
+    "fan": (FanGeometry, Sinogram, {"n_s": int, "n_beta": int, "s_max": float, "source_radius": float}),
+    "cone": (
+        ConeGeometry,
+        ProjectionStack,
+        {"n_u": int, "n_v": int, "n_beta": int, "u_max": float, "v_max": float, "source_radius": float},
+    ),
+}
+
+
+def _kind(obj):
+    return "fan" if isinstance(obj, (Sinogram, FanGeometry)) else "cone"
+
+
+def geometry_fields(geom):
+    """(key, value) pairs of the geometry's header keys, in file order."""
+    return [(key, parse(getattr(geom, key))) for key, parse in KINDS[_kind(geom)][2].items()]
 
 
 def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
@@ -85,18 +97,25 @@ def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
 
     sidecar=False puts header and payload in one file separated by a blank
     line; sidecar=True writes the header to `path` and the raw payload to
-    `path + '.raw'`, recording the payload file name in the header.
+    `path + '.raw'`, recording the payload file name in the header.  A
+    pixel_size_mm that is not positive and finite is a ValueError, raised
+    before anything is written.
     """
     path = Path(path)
+    pairs = [("format_version", FORMAT_VERSION), ("kind", _kind(obj)), *geometry_fields(obj.geometry)]
+    if pixel_size_mm is not None:
+        pairs.append(("pixel_size_mm", positive_float(pixel_size_mm)))
+    pairs += [("value_dtype", "float32"), ("byte_order", "little-endian"), ("layout", "row-major view-outermost")]
+    payload_name = path.name + ".raw"
+    if sidecar:
+        pairs.append(("payload", payload_name))
+    header = format_lines(pairs).encode("ascii")
     payload = np.ascontiguousarray(obj.values, dtype="<f4").tobytes()
     if sidecar:
-        payload_name = path.name + ".raw"
-        header = _header_lines(obj, pixel_size_mm, payload_name)
-        path.write_text(header, encoding="ascii")
+        path.write_bytes(header)
         (path.parent / payload_name).write_bytes(payload)
     else:
-        header = _header_lines(obj, pixel_size_mm)
-        path.write_bytes(header.encode("ascii") + b"\n" + payload)
+        path.write_bytes(header + b"\n" + payload)
     return path
 
 
@@ -122,25 +141,14 @@ def _decode_header(header_bytes):
         raise HeaderFormatError(f"header is not ASCII text: {exc}") from None
 
 
-def _header_int(entries, key):
+def header_field(entries, key, parse):
+    """entries[key] read by parse; HeaderFormatError if missing or unreadable."""
+    if key not in entries:
+        raise HeaderFormatError(f"missing header key {key!r}")
     try:
-        return int(entries[key])
-    except KeyError:
-        raise HeaderFormatError(f"missing header key {key!r}") from None
+        return parse(entries[key])
     except ValueError:
-        raise HeaderFormatError(f"header key {key!r} is not an integer: {entries[key]!r}") from None
-
-
-def _header_float(entries, key):
-    try:
-        value = float(entries[key])
-    except KeyError:
-        raise HeaderFormatError(f"missing header key {key!r}") from None
-    except ValueError:
-        raise HeaderFormatError(f"header key {key!r} is not a number: {entries[key]!r}") from None
-    if not math.isfinite(value):
-        raise HeaderFormatError(f"header key {key!r} must be finite")
-    return value
+        raise HeaderFormatError(f"bad value for header key {key!r}: {entries[key]!r}") from None
 
 
 def read_sinogram(path):
@@ -158,7 +166,7 @@ def read_sinogram(path):
     else:
         header_bytes, payload = blob, b""
     entries = _parse_header(_decode_header(header_bytes))
-    if _header_int(entries, "format_version") != FORMAT_VERSION:
+    if header_field(entries, "format_version", int) != FORMAT_VERSION:
         raise HeaderFormatError(f"unsupported format_version {entries['format_version']}")
     dtype = entries.get("value_dtype", "")
     if dtype != "float32":
@@ -172,41 +180,20 @@ def read_sinogram(path):
         except OSError as exc:
             raise ShapeMismatchError(f"cannot read payload file {payload_path}: {exc}") from None
     kind = entries.get("kind")
-    if kind == "fan":
-        shape = (_header_int(entries, "n_beta"), _header_int(entries, "n_s"))
-        try:
-            geom = FanGeometry(
-                source_radius=_header_float(entries, "source_radius"),
-                n_s=shape[1],
-                s_max=_header_float(entries, "s_max"),
-                n_beta=shape[0],
-            )
-        except ValueError as exc:
-            raise HeaderFormatError(f"invalid fan geometry: {exc}") from None
-    elif kind == "cone":
-        shape = (_header_int(entries, "n_beta"), _header_int(entries, "n_v"), _header_int(entries, "n_u"))
-        try:
-            geom = ConeGeometry(
-                source_radius=_header_float(entries, "source_radius"),
-                n_u=shape[2],
-                n_v=shape[1],
-                u_max=_header_float(entries, "u_max"),
-                v_max=_header_float(entries, "v_max"),
-                n_beta=shape[0],
-            )
-        except ValueError as exc:
-            raise HeaderFormatError(f"invalid cone geometry: {exc}") from None
-    else:
+    if kind not in KINDS:
         raise HeaderFormatError(f"kind must be 'fan' or 'cone', got {kind!r}")
-    expected = int(np.prod(shape)) * 4
+    geometry, container, keys = KINDS[kind]
+    try:
+        geom = geometry(**{key: header_field(entries, key, parse) for key, parse in keys.items()})
+    except ValueError as exc:
+        raise HeaderFormatError(f"invalid {kind} geometry: {exc}") from None
+    expected = math.prod(geom.shape) * 4
     if len(payload) != expected:
-        raise ShapeMismatchError(f"payload is {len(payload)} bytes, shape {shape} needs {expected}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(float)
+        raise ShapeMismatchError(f"payload is {len(payload)} bytes, shape {geom.shape} needs {expected}")
+    values = np.frombuffer(payload, dtype="<f4").reshape(geom.shape).astype(float)
     if not np.all(np.isfinite(values)):
         raise PayloadValueError("payload contains NaN or Inf")
-    if kind == "fan":
-        return Sinogram(geom, values)
-    return ProjectionStack(geom, values)
+    return container(geom, values)
 
 
 def header_metadata(path):
@@ -224,31 +211,28 @@ def header_metadata(path):
     return _parse_header(_decode_header(head))
 
 
-def write_truth(path, kind, h_px, eta_rad, alpha, seed, features, source_radius):
-    """Ground-truth sidecar written next to simulated data."""
-    lines = [
-        ("kind", kind),
-        ("h_px", _format_number(h_px)),
-        ("eta_rad", _format_number(eta_rad)),
-        ("alpha", _format_number(alpha)),
-        ("seed", str(int(seed))),
-        ("features", str(int(features))),
-        ("source_radius", _format_number(source_radius)),
-    ]
-    Path(path).write_text("".join(f"{k}: {v}\n" for k, v in lines), encoding="ascii")
+# the keys of the ground-truth sidecar written next to simulated data, in
+# file order, with their parsers
+TRUTH_KEYS = {
+    "kind": str,
+    "h_px": float,
+    "eta_rad": float,
+    "alpha": float,
+    "seed": int,
+    "features": int,
+    "source_radius": float,
+}
+
+
+def write_truth(path, **truth):
+    """Ground-truth sidecar: truth holds a value for every TRUTH_KEYS key."""
+    text = format_lines((key, parse(truth[key])) for key, parse in TRUTH_KEYS.items())
+    Path(path).write_text(text, encoding="ascii")
 
 
 def read_truth(path):
     entries = _parse_header(Path(path).read_text(encoding="ascii"))
-    return {
-        "kind": entries["kind"],
-        "h_px": float(entries["h_px"]),
-        "eta_rad": float(entries["eta_rad"]),
-        "alpha": float(entries["alpha"]),
-        "seed": int(entries["seed"]),
-        "features": int(entries["features"]),
-        "source_radius": float(entries["source_radius"]),
-    }
+    return {key: header_field(entries, key, parse) for key, parse in TRUTH_KEYS.items()}
 
 
 def parse_angle(text):
@@ -264,7 +248,7 @@ def parse_angle(text):
     raise ConfigError(f"angle {text!r} needs a 'deg' or 'rad' suffix")
 
 
-def _parse_bool(text):
+def parse_bool(text):
     value = str(text).strip().lower()
     if value in ("true", "yes", "1", "on"):
         return True
@@ -273,48 +257,78 @@ def _parse_bool(text):
     raise ConfigError(f"cannot parse boolean {text!r}")
 
 
-# every key a run configuration file may carry, with its parser
-RUN_CONFIG_KEYS = {
-    "input": str,
-    "output": str,
-    "report": str,
-    "seed": int,
-    "mode": str,
-    "n": int,
-    "h": float,
-    "eta": parse_angle,
-    "alpha": float,
-    "features": int,
-    "sidecar": _parse_bool,
-    "source_radius": float,
-    "pixel_size_mm": float,
-    "method": str,
-    "K": int,
-    "max_iter": int,
-    "tol_h": float,
-    "upsample": int,
-    "beta_index": int,
-    "inner_method": str,
-    "eta0": parse_angle,
-    "delta_eta": float,
-    "gamma0": float,
-    "armijo_c": float,
-    "max_outer": int,
-    "tol_eta": float,
-    "alphas": str,
-    "methods": str,
+def _choice(spellings):
+    """Parser of one of the keys of spellings, to the value it spells."""
+
+    def parse_choice(text):
+        if text not in spellings:
+            raise ConfigError(f"{text!r} is not one of {', '.join(spellings)}")
+        return spellings[text]
+
+    return parse_choice
+
+
+def _method(tags):
+    """Case-insensitive parser of an estimator tag; 'fpk' also spells fp_k."""
+    spellings = {tag.lower(): tag for tag in tags}
+    choose = _choice({**spellings, "fpk": spellings["fp_k"]})
+    return lambda text: choose(text.lower())
+
+
+def _list(parse):
+    """Parser of a comma-separated list of parse values; blank items are skipped."""
+
+    def parse_list(text):
+        return [parse(item.strip()) for item in text.split(",") if item.strip()]
+
+    return parse_list
+
+
+Option = namedtuple("Option", "parse commands help")
+
+_ALIGN = ("align-fan", "align-cone")
+_MAKE = ("simulate", "sweep")
+
+# every run option, in config-echo order: the parser shared by its flag and
+# its config-file key, the subcommands that take it as a flag, the flag help
+RUN_OPTIONS = {
+    "input": Option(str, (*_ALIGN, "metric"), "data file to read"),
+    "output": Option(str, _MAKE, "file to write"),
+    "report": Option(str, ("simulate", *_ALIGN, "metric", "sweep"), "also write the report to this file"),
+    "seed": Option(int, _MAKE, "phantom seed"),
+    "mode": Option(_choice({kind: kind for kind in KINDS}), ("simulate",), "fan or cone"),
+    "n": Option(int, _MAKE, "detector pixels = views (and rows for cone)"),
+    "h": Option(float, ("simulate", "metric", "sweep"), "detector shift in effective pixels"),
+    "eta": Option(parse_angle, ("simulate", "metric"), "in-plane rotation with unit suffix, e.g. 1deg (cone only)"),
+    "alpha": Option(float, ("simulate",), "beam instability amplitude"),
+    "features": Option(int, _MAKE, "number of random voids in the phantom"),
+    "sidecar": Option(parse_bool, ("simulate",), "write the payload to a sibling .raw file"),
+    "source_radius": Option(float, _MAKE, "source circle radius; the object fits in the unit disk"),
+    "pixel_size_mm": Option(positive_float, ("simulate",), "detector pixel size recorded in the header"),
+    "method": Option(_method(FAN_METHODS), ("align-fan",), "estimator: yang, ly, 2dr, fp or fpk (default 2dr)"),
+    "inner_method": Option(_method(INNER_METHODS), ("align-cone",), "inner shift solver: 2dr or fpk"),
+    "eta0": Option(parse_angle, ("align-cone",), "starting angle with unit suffix"),
+    "delta_eta": Option(float, ("align-cone",), "finite-difference step in eta, radians"),
+    "gamma0": Option(float, ("align-cone",), "first line-search step"),
+    "armijo_c": Option(float, ("align-cone",), "Armijo sufficient-decrease constant"),
+    "max_outer": Option(int, ("align-cone",), "outer iteration cap"),
+    "tol_eta": Option(float, ("align-cone",), "eta step tolerance, radians"),
+    "K": Option(int, _ALIGN, "FP_K start count"),
+    "max_iter": Option(int, _ALIGN, "fixed-point iteration cap"),
+    "tol_h": Option(float, _ALIGN, "fixed-point tolerance in pixels"),
+    "upsample": Option(int, _ALIGN, "sub-pixel registration factor"),
+    "beta_index": Option(int, ("align-fan",), "starting view of a single FP run"),
+    "alphas": Option(_list(float), ("sweep",), "comma-separated instability amplitudes"),
+    "methods": Option(_list(_method(FAN_METHODS)), ("sweep",), "comma-separated estimator names"),
 }
 
 
-class RunConfig:
+class RunConfig(dict):
     """Validated `key: value` run configuration; unknown keys are rejected."""
-
-    def __init__(self, entries=None):
-        self.entries = dict(entries or {})
 
     @classmethod
     def parse(cls, text):
-        entries = {}
+        entries = cls()
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -323,22 +337,10 @@ class RunConfig:
                 raise ConfigError(f"config line {lineno} is not 'key: value': {line!r}")
             key, value = stripped.split(":", 1)
             key = key.strip()
-            if key not in RUN_CONFIG_KEYS:
+            if key not in RUN_OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                entries[key] = RUN_CONFIG_KEYS[key](value.strip())
-            except ConfigError:
-                raise
+                entries[key] = RUN_OPTIONS[key].parse(value.strip())
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
-        return cls(entries)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.parse(Path(path).read_text(encoding="ascii"))
-
-    def get(self, key, default=None):
-        return self.entries.get(key, default)
-
-    def __contains__(self, key):
-        return key in self.entries
+        return entries

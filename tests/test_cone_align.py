@@ -338,6 +338,10 @@ class TestVPConfigValidation:
             {"max_outer": 0},
             {"tol_eta": 0.0},
             {"eta0": math.radians(60.0)},
+            {"gamma0": 0.0},
+            {"gamma0": -1.0},
+            {"gamma0": math.nan},
+            {"gamma0": math.inf},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):

@@ -16,7 +16,8 @@ from ctalign import (
     symmetry_mse,
     write_sinogram,
 )
-from ctalign.cli import main
+from ctalign import cli
+from ctalign.cli import build_parser, main
 from ctalign.io_cli import (
     ConfigError,
     HeaderFormatError,
@@ -86,6 +87,13 @@ class TestSinogramFiles:
         path = tmp_path / "fan.sino"
         write_sinogram(path, small_sino(), pixel_size_mm=0.127)
         assert float(header_metadata(path)["pixel_size_mm"]) == 0.127
+
+    @pytest.mark.parametrize("pixel_size_mm", [0.0, -2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_bad_pixel_size_rejected_before_writing(self, tmp_path, pixel_size_mm, sidecar):
+        with pytest.raises(ValueError):
+            write_sinogram(tmp_path / "fan.sino", small_sino(), sidecar=sidecar, pixel_size_mm=pixel_size_mm)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("layout", ["inline", "inline-long-header", "sidecar", "header-only"])
     def test_header_metadata_matches_whole_file_parse(self, tmp_path, layout):
@@ -253,6 +261,19 @@ class TestCliSimulate:
     def test_missing_mode_rejected(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x.sino")]) == 4
 
+    @pytest.mark.parametrize("alpha", ["-0.5", "nan"])
+    def test_bad_alpha_rejected_and_nothing_written(self, tmp_path, alpha):
+        rc = main(["simulate", "--mode", "fan", "--n", "32", "--alpha", alpha, "--out", str(tmp_path / "x.sino")])
+        assert rc == 4
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--pixel-size-mm", "-2"], ["--pixel-size-mm", "0"], ["--config", "px.cfg"]])
+    def test_bad_pixel_size_rejected_and_nothing_written(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "px.cfg").write_text("pixel_size_mm: nan\n")
+        assert main(["simulate", "--mode", "fan", "--n", "32", "--out", "x.sino", *argv]) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["px.cfg"]
+
 
 class TestCliAlignFan:
     @pytest.mark.parametrize("method", ["yang", "ly", "2dr", "fp", "fpk"])
@@ -292,6 +313,20 @@ class TestCliAlignFan:
         assert main(["align-fan", "--input", out, "--method", "fp"]) == 0
         text = capsys.readouterr().out
         assert float(report_value(text, "h_mm")) == pytest.approx(0.2 * float(report_value(text, "h_px")), rel=1e-12)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-0.2"])
+    def test_bad_header_pixel_size_is_a_format_error(self, tmp_path, capsys, value):
+        path = tmp_path / "p.sino"
+        write_sinogram(path, small_sino(), pixel_size_mm=0.2)
+        path.write_bytes(path.read_bytes().replace(b"pixel_size_mm: 0.2", b"pixel_size_mm: " + value.encode()))
+        assert main(["align-fan", "--input", str(path), "--method", "2dr"]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("spelling,tag", [("FP", "FP"), ("Yang", "Yang"), ("FPK", "FP_K"), ("fp_K", "FP_K")])
+    def test_method_names_are_case_insensitive(self, cli_fan_files, capsys, spelling, tag):
+        _, shifted = cli_fan_files
+        assert main(["align-fan", "--input", shifted, "--method", spelling]) == 0
+        assert report_value(capsys.readouterr().out, "method") == tag
 
     def test_kind_mismatch_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "c.sino")
@@ -350,6 +385,14 @@ class TestCliAlignCone:
         n_beta = read_sinogram(out).geometry.n_beta
         assert main(["align-cone", "--input", out, "--inner-method", "fpk", "--k", str(n_beta + 1)]) == 4
 
+    @pytest.mark.parametrize("gamma0", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_gamma0_rejected(self, tmp_path, capsys, gamma0):
+        out = str(tmp_path / "c.sino")
+        main(["simulate", "--mode", "cone", "--n", "24", "--h", "2", "--eta", "1deg", "--features", "4", "--out", out])
+        capsys.readouterr()
+        assert main(["align-cone", "--input", out, f"--gamma0={gamma0}"]) == 4
+        assert capsys.readouterr().out == ""
+
     def test_bad_eta0_suffix_rejected(self, tmp_path):
         out = str(tmp_path / "c.sino")
         main(["simulate", "--mode", "cone", "--n", "24", "--seed", "0", "--features", "4", "--out", out])
@@ -390,6 +433,11 @@ class TestCliSweep:
         for method, err in noisy.items():
             assert err >= clean[method] - 1e-12
 
+    @pytest.mark.parametrize("alphas", ["-1,nan", "0,-1", "nan"])
+    def test_bad_alpha_rejected_before_any_row(self, capsys, alphas):
+        assert main(["sweep", "--n", "32", "--features", "5", f"--alphas={alphas}", "--methods", "yang"]) == 4
+        assert capsys.readouterr().out == ""
+
     def test_rerun_identical_apart_from_timing(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         self.run_sweep(str(a))
@@ -397,3 +445,194 @@ class TestCliSweep:
         capsys.readouterr()
         strip = lambda p: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
         assert strip(a) == strip(b)
+
+
+FAN_HEADER = (
+    b"format_version: 1\nkind: fan\nn_s: 16\nn_beta: 8\ns_max: 1.0\nsource_radius: 2.0\npixel_size_mm: 0.127\n"
+    b"value_dtype: float32\nbyte_order: little-endian\nlayout: row-major view-outermost\n"
+)
+CONE_HEADER = (
+    b"format_version: 1\nkind: cone\nn_u: 9\nn_v: 7\nn_beta: 6\nu_max: 1.0\nv_max: 0.8\nsource_radius: 2.0\n"
+    b"value_dtype: float32\nbyte_order: little-endian\nlayout: row-major view-outermost\npayload: c.sino.raw\n"
+)
+TRUTH_FILE = (
+    b"kind: cone\nh_px: -2.5\neta_rad: 0.017453292519943295\nalpha: 0.004\nseed: 7\nfeatures: 20\n"
+    b"source_radius: 2.0\n"
+)
+
+
+class TestFileKeyTables:
+    """The data header and the truth sidecar keep their exact bytes: key
+    order, number text and layout are pinned here."""
+
+    def test_fan_file_bytes(self, tmp_path):
+        path, sino = tmp_path / "f.sino", small_sino()
+        write_sinogram(path, sino, pixel_size_mm=0.127)
+        assert path.read_bytes() == FAN_HEADER + b"\n" + sino.values.astype("<f4").tobytes()
+
+    def test_cone_sidecar_bytes(self, tmp_path):
+        path, stack = tmp_path / "c.sino", small_stack()
+        write_sinogram(path, stack, sidecar=True)
+        assert path.read_bytes() == CONE_HEADER
+        assert (tmp_path / "c.sino.raw").read_bytes() == stack.values.astype("<f4").tobytes()
+
+    def test_truth_bytes_and_types(self, tmp_path):
+        path = tmp_path / "x.truth"
+        truth = dict(kind="cone", h_px=-2.5, eta_rad=math.radians(1.0), alpha=0.004, seed=7, features=20)
+        truth["source_radius"] = 2.0
+        write_truth(path, **truth)
+        assert path.read_bytes() == TRUTH_FILE
+        back = read_truth(path)
+        assert back == truth
+        assert [type(v) for v in back.values()] == [str, float, float, float, int, int, float]
+
+    def test_truth_missing_key_is_a_format_error(self, tmp_path):
+        path = tmp_path / "x.truth"
+        path.write_bytes(TRUTH_FILE.replace(b"seed: 7\n", b""))
+        with pytest.raises(HeaderFormatError):
+            read_truth(path)
+
+
+# per run option: a value for its flag and a different one for the config file
+OPTION_SAMPLES = {
+    "input": ("a.sino", "b.sino"),
+    "output": ("o.sino", "p.sino"),
+    "report": ("r.txt", "s.txt"),
+    "seed": ("3", "4"),
+    "mode": ("cone", "fan"),
+    "n": ("32", "64"),
+    "h": ("2.5", "7"),
+    "eta": ("1deg", "0.02rad"),
+    "alpha": ("0.01", "0"),
+    "features": ("4", "9"),
+    "sidecar": ("true", "false"),
+    "source_radius": ("2.5", "3"),
+    "pixel_size_mm": ("0.2", "1e-3"),
+    "method": ("FPK", "ly"),
+    "inner_method": ("fpk", "2dr"),
+    "eta0": ("0.5deg", "0.001rad"),
+    "delta_eta": ("0.002", "0.003"),
+    "gamma0": ("0.5", "2"),
+    "armijo_c": ("0.001", "0.5"),
+    "max_outer": ("3", "30"),
+    "tol_eta": ("0.001", "1e-6"),
+    "K": ("3", "12"),
+    "max_iter": ("7", "50"),
+    "tol_h": ("0.02", "0.5"),
+    "upsample": ("8", "16"),
+    "beta_index": ("2", "5"),
+    "alphas": ("0,0.01", "0.004"),
+    "methods": ("yang, FP_K", "2dr"),
+}
+
+
+def _flag_argv(key, value):
+    flag = {"K": "--k", "output": "--out"}.get(key, "--" + key.replace("_", "-"))
+    return [flag] if key == "sidecar" else [flag, value]
+
+
+class TestRunOptionTable:
+    """Every run option goes through one parser, whether it comes from its
+    flag or from its config-file key, and the flag wins over the file."""
+
+    def test_every_option_has_samples(self):
+        assert set(OPTION_SAMPLES) == set(io_cli.RUN_OPTIONS)
+
+    @pytest.mark.parametrize(
+        "command,key", [(c, k) for k, option in io_cli.RUN_OPTIONS.items() for c in option.commands]
+    )
+    def test_flag_equals_config_line_and_wins(self, tmp_path, command, key):
+        flag_value, file_value = OPTION_SAMPLES[key]
+        same, other = tmp_path / "same.cfg", tmp_path / "other.cfg"
+        same.write_text(f"{key}: {flag_value}\n")
+        other.write_text(f"{key}: {file_value}\n")
+        parser = build_parser()
+
+        def options(*argv):
+            return cli._options(parser.parse_args([command, *argv]))
+
+        from_flag = options(*_flag_argv(key, flag_value))
+        assert set(from_flag) == {key}
+        assert options("--config", str(same)) == from_flag
+        assert options("--config", str(other)) != from_flag
+        assert options("--config", str(other), *_flag_argv(key, flag_value)) == from_flag
+
+    def test_method_spellings_map_to_tags(self):
+        parser = build_parser()
+        argv = ["sweep", "--methods", "Yang,LY,2dr,fp,fpk,FP_K"]
+        assert cli._options(parser.parse_args(argv))["methods"] == ["Yang", "LY", "2DR", "FP", "FP_K", "FP_K"]
+        argv = ["align-cone", "--inner-method", "FPK"]
+        assert cli._options(parser.parse_args(argv))["inner_method"] == "fp_k"
+
+
+FAN_REPORT_KEYS = [
+    "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
+    "n_s", "n_beta", "s_max", "source_radius",
+    "cfg_method", "cfg_K", "cfg_max_iter", "cfg_tol_h", "cfg_upsample", "cfg_beta_index",
+]  # fmt: skip
+CONE_REPORT_KEYS = [
+    "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
+    "n_u", "n_v", "n_beta", "u_max", "v_max", "source_radius",
+    "cfg_inner_method", "cfg_eta0_rad", "cfg_delta_eta", "cfg_gamma0", "cfg_armijo_c", "cfg_max_outer",
+    "cfg_tol_eta", "cfg_K", "cfg_max_iter", "cfg_tol_h", "cfg_upsample",
+]  # fmt: skip
+
+
+def with_h_mm(keys):
+    return keys[: keys.index("h_px") + 1] + ["h_mm"] + keys[keys.index("h_px") + 1 :]
+
+
+class TestReportKeys:
+    """The align reports keep their key sequence; the config echo follows the
+    run-option table order, so reordering the table fails here."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("reports")
+        for name, argv in {
+            "fan": ["--mode", "fan", "--n", "32", "--h", "2", "--features", "5"],
+            "fan_px": ["--mode", "fan", "--n", "32", "--h", "2", "--features", "5", "--pixel-size-mm", "0.2"],
+            "cone": ["--mode", "cone", "--n", "20", "--h", "1", "--eta", "1deg", "--features", "3"],
+            "cone_px": ["--mode", "cone", "--n", "20", "--features", "3", "--pixel-size-mm", "0.5", "--sidecar"],
+        }.items():
+            assert main(["simulate", *argv, "--out", str(root / f"{name}.sino")]) == 0
+        return root
+
+    def report(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv) in (0, 2)
+        out = capsys.readouterr().out
+        return [line.split(":", 1)[0] for line in out.splitlines()], out
+
+    def test_align_fan_default(self, root, capsys):
+        keys, out = self.report(capsys, ["align-fan", "--input", str(root / "fan.sino")])
+        assert keys == FAN_REPORT_KEYS
+        assert report_value(out, "cfg_method") == "2DR"
+
+    def test_align_fan_config_and_flag(self, root, capsys):
+        cfg = root / "fan.cfg"
+        cfg.write_text(f"input: {root / 'fan.sino'}\nmethod: fp\nK: 7\nmax_iter: 9\n")
+        keys, out = self.report(capsys, ["align-fan", "--config", str(cfg), "--k", "4"])
+        assert keys == FAN_REPORT_KEYS
+        assert [report_value(out, k) for k in ("cfg_method", "cfg_K", "cfg_max_iter")] == ["FP", "4", "9"]
+
+    def test_align_fan_pixel_size(self, root, capsys):
+        keys, _ = self.report(capsys, ["align-fan", "--input", str(root / "fan_px.sino"), "--method", "fp"])
+        assert keys == with_h_mm(FAN_REPORT_KEYS)
+
+    def test_align_cone_default(self, root, capsys):
+        keys, out = self.report(capsys, ["align-cone", "--input", str(root / "cone.sino")])
+        assert keys == CONE_REPORT_KEYS
+        assert report_value(out, "cfg_eta0_rad") == "0.0"
+
+    def test_align_cone_config_and_flag(self, root, capsys):
+        cfg = root / "cone.cfg"
+        cfg.write_text(f"input: {root / 'cone.sino'}\ninner_method: FPK\neta0: 0.3deg\nK: 5\nmax_outer: 9\n")
+        keys, out = self.report(capsys, ["align-cone", "--config", str(cfg), "--max-outer", "4"])
+        assert keys == CONE_REPORT_KEYS
+        got = [report_value(out, k) for k in ("cfg_inner_method", "cfg_eta0_rad", "cfg_K", "cfg_max_outer")]
+        assert got == ["fp_k", repr(math.radians(0.3)), "5", "4"]
+
+    def test_align_cone_pixel_size(self, root, capsys):
+        keys, _ = self.report(capsys, ["align-cone", "--input", str(root / "cone_px.sino")])
+        assert keys == with_h_mm(CONE_REPORT_KEYS)
