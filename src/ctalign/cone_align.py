@@ -27,7 +27,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .core import AlignmentResult, Sinogram
-from .fan_align import FanAlignConfig, median_fixed_point, reflect, symmetry_mse
+from .fan_align import FanAlignConfig, fixed_point_shift, fp_start_indices, reflect, symmetry_mse
 from .registration import sample_detector, xcorr_shift_s_2d
 
 ETA_BOUND = math.radians(45.0)  # far beyond any physical detector mounting error
@@ -60,16 +60,16 @@ class VPConfig:
     def __post_init__(self):
         if self.inner_method not in INNER_METHODS:
             raise ValueError(f"inner_method must be one of {INNER_METHODS}")
-        if not self.delta_eta > 0:
-            raise ValueError("delta_eta must be positive")
+        if not (math.isfinite(self.delta_eta) and self.delta_eta > 0):
+            raise ValueError("delta_eta must be positive and finite")
         if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
             raise ValueError("gamma0 must be positive and finite")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if not self.tol_eta > 0:
-            raise ValueError("tol_eta must be positive")
+        if not (math.isfinite(self.tol_eta) and self.tol_eta > 0):
+            raise ValueError("tol_eta must be positive and finite")
         if not -ETA_BOUND <= self.eta0 <= ETA_BOUND:
             raise ValueError("eta0 outside the search domain")
 
@@ -115,13 +115,16 @@ def inner_h(stack, eta, cfg=VPConfig(), lam=None):
     The fan estimate on the tilted pair (lambda_eta, pi_h_eta): 2DR
     correlates lambda_eta against pi_h_eta at h = 0 (their q-shift is 2h);
     fp_k takes the median of K fixed-point runs started at rows of
-    lambda_eta.  lam, if given, is lambda_eta(stack, 0.0, eta).
+    lambda_eta (fixed_point_shift).  lam, if given, is
+    lambda_eta(stack, 0.0, eta).
     """
     if lam is None:
         lam = lambda_eta(stack, 0.0, eta)
     if cfg.inner_method == "2dr":
         return 0.5 * xcorr_shift_s_2d(lam, pi_h_eta(stack, 0.0, eta), cfg.inner.upsample)
-    return median_fixed_point(lam, stack.geometry.central_fan(), _tilted(stack, eta), cfg.inner)[0]
+    fan = stack.geometry.central_fan()
+    starts = fp_start_indices(fan.n_beta, cfg.inner.K)
+    return fixed_point_shift(lam, fan, _tilted(stack, eta), starts, cfg.inner)[0]
 
 
 def _reduced_loss(stack, eta, cfg, cache):
@@ -132,31 +135,27 @@ def _reduced_loss(stack, eta, cfg, cache):
     return cache[eta]
 
 
-def _gradient(stack, eta, cfg, cache):
-    """Finite-difference gradient of the reduced loss; central inside the
-    search domain, one-sided at its edges."""
+def reduced_gradient(stack, eta, cfg=VPConfig(), cache=None):
+    """d/d eta of the reduced loss L(h(eta), eta) by finite differences.
+
+    Central stencil with step cfg.delta_eta; falls back to a one-sided
+    stencil when eta sits within one step of the search-domain edge.
+    cache maps eta to (h, loss) of the reduced loss, shared across calls.
+    """
+    cache = {} if cache is None else cache
     d = cfg.delta_eta
     lo, hi = eta - d, eta + d
     if hi > ETA_BOUND:
         _, l0 = _reduced_loss(stack, eta, cfg, cache)
         _, ll = _reduced_loss(stack, lo, cfg, cache)
-        return (l0 - ll) / d, "backward"
+        return (l0 - ll) / d
     if lo < -ETA_BOUND:
         _, l0 = _reduced_loss(stack, eta, cfg, cache)
         _, lh = _reduced_loss(stack, hi, cfg, cache)
-        return (lh - l0) / d, "forward"
+        return (lh - l0) / d
     _, ll = _reduced_loss(stack, lo, cfg, cache)
     _, lh = _reduced_loss(stack, hi, cfg, cache)
-    return (lh - ll) / (2.0 * d), "central"
-
-
-def reduced_gradient(stack, eta, cfg=VPConfig()):
-    """d/d eta of the reduced loss L(h(eta), eta) by finite differences.
-
-    Central stencil with step cfg.delta_eta; falls back to a one-sided
-    stencil when eta sits within one step of the search-domain edge.
-    """
-    return _gradient(stack, eta, cfg, {})[0]
+    return (lh - ll) / (2.0 * d)
 
 
 def variable_projection(stack, cfg=VPConfig()):
@@ -180,7 +179,7 @@ def variable_projection(stack, cfg=VPConfig()):
     converged = False
     iterations = 0
     for k in range(1, cfg.max_outer + 1):
-        grad, _ = _gradient(stack, eta, cfg, cache)
+        grad = reduced_gradient(stack, eta, cfg, cache)
         if grad == 0.0:
             converged = True
             break

@@ -174,9 +174,6 @@ class ConeGeometry:
     def px_to_u(self, h_px):
         return h_px * self.pixel_size
 
-    def u_to_px(self, h_u):
-        return h_u / self.pixel_size
-
     def central_fan(self):
         """FanGeometry of the equatorial (v = 0) slice."""
         return FanGeometry(self.source_radius, self.n_u, self.u_max, self.n_beta)

@@ -8,10 +8,11 @@ estimator recovers h as half of a cross-correlation shift:
 * Yang: angular sum profile p against its reversal.
 * LY:   p against the reflected profile w (linear interpolation in beta).
 * 2DR:  the full sinogram against its reflected resampling, 2D correlation.
-* FP:   fixed-point iteration on a single view, h_{k+1} = h_k + shift/2.
-* FP_K: median of K FP runs started at views spread uniformly over beta,
-        advanced in lockstep: each iteration reflects every active run in
-        one sampler call and correlates them in one batched call.
+* FP_K: median of K fixed-point runs h_{k+1} = h_k + shift/2, each on one
+        view, started at views spread uniformly over beta and advanced in
+        lockstep: each iteration reflects every active run in one sampler
+        call and correlates them in one batched call (fixed_point_shift).
+* FP:   the one-start case of FP_K, started at the view beta_index.
 
 The symmetry map is written once, in reflect(); cone_align reads the same
 map through its tilted detector axis.  On every view at once the map is a
@@ -176,57 +177,65 @@ def align_2dr(sino, cfg=FanAlignConfig()):
     return _single_shot(sino, h, "2DR")
 
 
-def _fixed_point_runs(lam, reflect_rows, upsample, tol_h, max_iter):
-    """Fixed-point runs h_{k+1} = h_k + shift(lam_j, pi_j(h_k)) / 2, one per
-    row lam_j of lam, advanced in lockstep from h_0 = 0.
+def fp_start_indices(n_beta, K):
+    """The K FP starting views, uniformly spread: round(j*n_beta/K) mod n_beta.
 
-    reflect_rows(h, rows) returns the symmetry-reflected views pi_j(h_j) of
-    the runs j in the index array rows, one row each.  Every iteration
-    reflects the active runs in that one call and correlates them in one
-    xcorr_shift_rows call.  A run stops when its update drops below tol_h
-    (converged) or after max_iter updates, and fails when its correlation is
-    identically zero.  Returns, per run, (h, iterations, history, converged)
-    with history the successive h_k (pixels), or None for a failed run: each
-    run's values are those of running it alone.
+    K may not exceed the number of views: the starts would repeat.
     """
-    h = np.zeros(lam.shape[0])
-    histories = [[] for _ in h]
-    runs = [None] * len(h)
-    active = np.arange(len(h))
-    for k in range(1, max_iter + 1):
+    if K > n_beta:
+        raise ValueError("K cannot exceed the number of views")
+    return [int(round(j * n_beta / K)) % n_beta for j in range(K)]
+
+
+def fixed_point_shift(lam, geom, sample, starts, cfg):
+    """Median of the fixed-point runs h_{k+1} = h_k + shift(lam_j, pi_j(h_k)) / 2
+    started from h_0 = 0 at the views j in starts.
+
+    lam holds the reference views, one row per view of geom; sample(x, b)
+    reads the data the reflections pi_j(h) are taken from.  The runs advance
+    in lockstep, with the values of separate runs: each iteration reflects
+    every active run in one sampler call and correlates them in one
+    xcorr_shift_rows call.  A run stops when its update drops below cfg.tol_h
+    (converged) or after cfg.max_iter updates, and fails when its correlation
+    is identically zero (a defective view).  Failed runs are excluded from
+    the median; if every run fails, AmbiguousShiftError is raised.  For even
+    counts the lower-middle order statistic is taken, avoiding an average of
+    two modes.  Returns (h, iterations, runs): the median, the largest
+    iteration count, and per returned run (start number, h_j, iterations,
+    converged, history) with history the successive h_k (pixels).
+    """
+    s = geom.s_axis()
+    beta0 = np.asarray(starts) * geom.beta_step
+    lam = lam[starts]
+    h = np.zeros(len(starts))
+    histories = [[] for _ in starts]
+    runs = [None] * len(starts)
+    active = np.arange(len(starts))
+    for k in range(1, cfg.max_iter + 1):
         h_old = h[active]
-        h_new = h_old + 0.5 * xcorr_shift_rows(lam[active], reflect_rows(h_old, active), upsample)
-        done = np.abs(h_new - h_old) < tol_h
+        pi = reflect(geom, sample, h_old[:, None], beta0[active, None], s)
+        h_new = h_old + 0.5 * xcorr_shift_rows(lam[active], pi, cfg.upsample)
+        done = np.abs(h_new - h_old) < cfg.tol_h
         h[active] = h_new
         for j, h_j, conv in zip(active.tolist(), h_new.tolist(), done.tolist()):
             if not math.isnan(h_j):  # NaN: zero correlation, the run fails
                 histories[j].append(h_j)
-                if conv or k == max_iter:
-                    runs[j] = (h_j, k, histories[j], conv)
+                if conv or k == cfg.max_iter:
+                    runs[j] = (j, h_j, k, conv, histories[j])
         active = active[~np.isnan(h_new) & ~done]
         if not active.size:
             break
-    return runs
-
-
-def fixed_point_shift(lam, make_pi, upsample, tol_h, max_iter):
-    """One fixed-point run on a single view: _fixed_point_runs on one row.
-
-    lam is the reference view; make_pi(h_px) produces the symmetry-reflected
-    view at candidate shift h.  Returns (h, iterations, history, converged);
-    raises AmbiguousShiftError when the correlation is identically zero.
-    """
-    reflect_row = lambda h, _: make_pi(float(h[0]))[None]
-    (run,) = _fixed_point_runs(np.asarray(lam)[None], reflect_row, upsample, tol_h, max_iter)
-    if run is None:
-        raise AmbiguousShiftError("zero cross-correlation")
-    return run
+    runs = [run for run in runs if run is not None]
+    if not runs:
+        raise AmbiguousShiftError("every fixed-point start failed")
+    ordered = sorted(h_j for _, h_j, *_ in runs)
+    return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, *_ in runs), runs
 
 
 def align_fp(sino, cfg=FanAlignConfig()):
-    """Fixed-point shift estimate from the single view at cfg.beta_index.
+    """FP: fixed_point_shift with the one start cfg.beta_index.
 
-    The reference Lambda_i = g(s_i, b_0) is computed once; each iteration
+    The reference Lambda_i = g(s_i, b_0) is the view itself; each iteration
     correlates it against Pi_k(s_i) = g(-s_i + 2h_k, b_0 + pi +
     2*atan((s_i - h_k)/r)) and advances h by half the measured shift.
     Non-convergence within max_iter is flagged on the result, not fatal.
@@ -237,71 +246,26 @@ def align_fp(sino, cfg=FanAlignConfig()):
     if not 0 <= cfg.beta_index < geom.n_beta:
         raise ValueError("beta_index outside the view range")
     sample = lambda s, b: sample_periodic(sino, s, b)
-    s, beta0 = geom.s_axis(), cfg.beta_index * geom.beta_step
-    h, iterations, history, converged = fixed_point_shift(
-        sino.values[cfg.beta_index],
-        lambda h: reflect(geom, sample, h, beta0, s),
-        cfg.upsample,
-        cfg.tol_h,
-        cfg.max_iter,
-    )
+    h, iterations, [(*_, converged, history)] = fixed_point_shift(sino.values, geom, sample, [cfg.beta_index], cfg)
     losses = {hk: symmetry_mse(sino, hk) for hk in set(history)}
     trace = [(k + 1, hk, 0.0, losses[hk]) for k, hk in enumerate(history)]
     return _result(h, "FP", iterations, trace, converged, losses[h])
 
 
-def fp_start_indices(n_beta, K):
-    """The K FP starting views, uniformly spread: round(j*n_beta/K) mod n_beta."""
-    return [int(round(j * n_beta / K)) % n_beta for j in range(K)]
-
-
-def median_fixed_point(lam, geom, sample, cfg):
-    """Median of cfg.K fixed-point runs started at views spread uniformly in beta.
-
-    lam holds the reference views, one row per view of geom; sample(x, b)
-    reads the data the reflections are taken from.  The K runs advance in
-    lockstep (_fixed_point_runs): each iteration reflects every active start
-    in one sampler call, reflect(geom, sample, h[:, None], beta0[:, None]),
-    and correlates them in one batched call, with the values of K separate
-    runs.  A run that fails outright (zero correlation on a defective view) is
-    excluded from the median; if every run fails the error propagates.  For
-    even counts the lower-middle order statistic is taken, avoiding an
-    average of two modes.  Returns (h, runs) with runs the (start number,
-    h_j, iterations, converged) of each run that returned.  K may not exceed
-    the number of views: the starts would repeat.
-    """
-    if cfg.K > geom.n_beta:
-        raise ValueError("K cannot exceed the number of views")
-    s = geom.s_axis()
-    starts = np.array(fp_start_indices(geom.n_beta, cfg.K))
-    beta0 = starts * geom.beta_step
-    results = _fixed_point_runs(
-        lam[starts],
-        lambda h, rows: reflect(geom, sample, h[:, None], beta0[rows, None], s),
-        cfg.upsample,
-        cfg.tol_h,
-        cfg.max_iter,
-    )
-    runs = [(j, run[0], run[1], run[3]) for j, run in enumerate(results) if run is not None]
-    if not runs:
-        raise AmbiguousShiftError("every fixed-point start failed")
-    ordered = sorted(h_j for _, h_j, _, _ in runs)
-    return ordered[(len(ordered) - 1) // 2], runs
-
-
 def align_fp_k(sino, cfg=FanAlignConfig()):
-    """FP_K: the median of K fixed-point runs (see median_fixed_point).
+    """FP_K: fixed_point_shift from K starts spread uniformly in beta.
 
     iterations reports the largest per-run count; the trace holds each run's
     estimate and its symmetry MSE, computed once per distinct estimate (runs
     from different starts usually land on the same sub-pixel value).
     """
     geom = sino.geometry
-    h, runs = median_fixed_point(sino.values, geom, lambda s, b: sample_periodic(sino, s, b), cfg)
-    losses = {h_j: symmetry_mse(sino, h_j) for h_j in {h_j for _, h_j, _, _ in runs}}
-    trace = [(j, h_j, 0.0, losses[h_j]) for j, h_j, _, _ in runs]
-    iterations = max(iters for _, _, iters, _ in runs)
-    converged = all(conv for _, _, _, conv in runs)
+    sample = lambda s, b: sample_periodic(sino, s, b)
+    starts = fp_start_indices(geom.n_beta, cfg.K)
+    h, iterations, runs = fixed_point_shift(sino.values, geom, sample, starts, cfg)
+    losses = {h_j: symmetry_mse(sino, h_j) for h_j in {h_j for _, h_j, *_ in runs}}
+    trace = [(j, h_j, 0.0, losses[h_j]) for j, h_j, *_ in runs]
+    converged = all(conv for _, _, _, conv, _ in runs)
     return _result(h, "FP_K", iterations, trace, converged, losses[h])
 
 

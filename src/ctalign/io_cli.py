@@ -294,7 +294,7 @@ _MAKE = ("simulate", "sweep")
 RUN_OPTIONS = {
     "input": Option(str, (*_ALIGN, "metric"), "data file to read"),
     "output": Option(str, _MAKE, "file to write"),
-    "report": Option(str, ("simulate", *_ALIGN, "metric", "sweep"), "also write the report to this file"),
+    "report": Option(str, (*_ALIGN, "metric"), "also write the report to this file"),
     "seed": Option(int, _MAKE, "phantom seed"),
     "mode": Option(_choice({kind: kind for kind in KINDS}), ("simulate",), "fan or cone"),
     "n": Option(int, _MAKE, "detector pixels = views (and rows for cone)"),

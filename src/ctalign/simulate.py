@@ -107,24 +107,31 @@ class InstabilityModel:
         return self.alpha * (np.sin(np.pi * s / (2.0 * s_max)) + np.cos(beta / 2.0) + 2.0)
 
 
-def _place_disks(rng, n, radius_range, region_radius, max_attempts):
-    """Rejection-sample n pairwise-disjoint disks inside a disk of region_radius."""
+def _place(seed, n, radius_range, region_radius, half_height=None):
+    """Rejection-sample n pairwise-disjoint disks inside a disk of
+    region_radius or, given half_height, n spheres inside the cylinder of that
+    radius and half height about the y axis (the disk lies in its x-z plane)."""
+    rng = np.random.default_rng(seed)
     lo, hi = radius_range
+    kind = "disks" if half_height is None else "spheres"
+    max_attempts = 2000 * max(n, 1)
     placed = []
     attempts = 0
     while len(placed) < n:
         if attempts >= max_attempts:
-            raise RuntimeError(f"could not place {n} non-overlapping disks in {max_attempts} attempts")
+            raise RuntimeError(f"could not place {n} non-overlapping {kind} in {max_attempts} attempts")
         attempts += 1
         radius = rng.uniform(lo, hi)
         reach = region_radius - radius
-        if reach <= 0:
+        ymax = math.inf if half_height is None else half_height - radius
+        if reach <= 0 or ymax <= 0:
             continue
         # uniform over the admissible center disk
         rho = reach * math.sqrt(rng.uniform())
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        center = (rho * math.cos(phi), rho * math.sin(phi))
-        if all(math.hypot(center[0] - c[0], center[1] - c[1]) > radius + r for c, r in placed):
+        x, z = rho * math.cos(phi), rho * math.sin(phi)
+        center = (x, z) if half_height is None else (x, rng.uniform(-ymax, ymax), z)
+        if all(math.dist(center, c) > radius + r for c, r in placed):
             placed.append((center, radius))
     return placed
 
@@ -147,8 +154,7 @@ def make_disk_phantom(seed, n_disks=30, radius_range=(0.02, 0.08), density=1.0, 
         raise ValueError("n_disks must be nonnegative")
     if not 0.0 < enclosing_radius <= 1.0:
         raise ValueError("enclosing_radius must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    placed = _place_disks(rng, n_disks, radius_range, enclosing_radius, max_attempts=2000 * max(n_disks, 1))
+    placed = _place(seed, n_disks, radius_range, enclosing_radius)
     disks = tuple((center, radius, -density) for center, radius in placed)
     return Phantom2D(disks=disks, background=((0.0, 0.0), enclosing_radius, density))
 
@@ -166,26 +172,7 @@ def make_sphere_phantom(
         raise ValueError("radius_range must satisfy 0 < lo <= hi < 1")
     if n_spheres < 0:
         raise ValueError("n_spheres must be nonnegative")
-    rng = np.random.default_rng(seed)
-    placed = []
-    attempts = 0
-    max_attempts = 2000 * max(n_spheres, 1)
-    while len(placed) < n_spheres:
-        if attempts >= max_attempts:
-            raise RuntimeError(f"could not place {n_spheres} non-overlapping spheres in {max_attempts} attempts")
-        attempts += 1
-        radius = rng.uniform(lo, hi)
-        reach = cylinder_radius - radius
-        ymax = half_height - radius
-        if reach <= 0 or ymax <= 0:
-            continue
-        rho = reach * math.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        center = (rho * math.cos(phi), rng.uniform(-ymax, ymax), rho * math.sin(phi))
-        if all(
-            math.dist(center, c) > radius + r for c, r in placed
-        ):
-            placed.append((center, radius))
+    placed = _place(seed, n_spheres, radius_range, cylinder_radius, half_height)
     spheres = tuple((center, radius, -density) for center, radius in placed)
     return Phantom3D(spheres=spheres, cylinder=(cylinder_radius, half_height, density))
 

@@ -21,7 +21,7 @@ from ctalign import (
     make_sphere_phantom,
     unit_disk_half_width,
 )
-from ctalign.fan_align import fp_start_indices, reflect
+from ctalign.fan_align import fixed_point_shift, fp_start_indices, reflect
 from ctalign.registration import (
     AmbiguousShiftError,
     _axis_weights,
@@ -106,9 +106,18 @@ def two_plane_detector(stack, u, v, beta):
     return float(out[0]) if shape == () else out
 
 
+def lockstep_median_fixed_point(lam, geom, sample, cfg):
+    """fixed_point_shift from the cfg.K FP_K starts, returned in the (h, runs)
+    shape of sequential_median_fixed_point: each run is (start number, h_j,
+    iterations, converged)."""
+    h, _, runs = fixed_point_shift(lam, geom, sample, fp_start_indices(geom.n_beta, cfg.K), cfg)
+    return h, [run[:4] for run in runs]
+
+
 def sequential_median_fixed_point(lam, geom, sample, cfg):
-    """median_fixed_point with its K runs one after another, each a scalar
-    fixed-point loop on one view: the reference for the lockstep runs."""
+    """fixed_point_shift from the cfg.K FP_K starts with its runs one after
+    another, each a scalar fixed-point loop on one view: the reference for
+    the lockstep runs."""
     s = geom.s_axis()
     runs = []
     for j, idx in enumerate(fp_start_indices(geom.n_beta, cfg.K)):

@@ -37,6 +37,7 @@ from conftest import (
     cone_geometry,
     count_calls,
     fan_geometry,
+    lockstep_median_fixed_point,
     sequential_median_fixed_point,
     two_plane_detector,
 )
@@ -190,19 +191,19 @@ def small_stack():
 
 
 def tilted_pair(stack, eta):
-    """The median_fixed_point inputs of the fp_k inner solve at eta."""
+    """The fixed_point_shift inputs of the fp_k inner solve at eta."""
     return lambda_eta(stack, 0.0, eta), stack.geometry.central_fan(), cone_align._tilted(stack, eta)
 
 
 class TestInnerFixedPoint:
-    """The fp_k inner solve is the lockstep median_fixed_point on the tilted
+    """The fp_k inner solve is the lockstep fixed_point_shift on the tilted
     pair: the same runs as one after another, one reflection per iteration."""
 
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     def test_equals_sequential_runs(self, small_stack, eta):
         args = tilted_pair(small_stack, eta)
         cfg = FanAlignConfig()
-        lockstep = fan_align.median_fixed_point(*args, cfg)
+        lockstep = lockstep_median_fixed_point(*args, cfg)
         assert repr(lockstep) == repr(sequential_median_fixed_point(*args, cfg))
         assert inner_h(small_stack, eta, VPConfig(inner_method="fp_k", inner=cfg)) == lockstep[0]
 
@@ -217,7 +218,7 @@ class TestInnerFixedPoint:
         eta = 0.02
         args = tilted_pair(small_stack, eta)
         cfg = VPConfig(inner_method="fp_k")
-        _, runs = fan_align.median_fixed_point(*args, cfg.inner)
+        _, runs = lockstep_median_fixed_point(*args, cfg.inner)
         iterations = [iters for _, _, iters, _ in runs]
         assert max(iterations) < sum(iterations)
         reads = count_calls(monkeypatch, cone_align, "sample_detector")
@@ -333,10 +334,14 @@ class TestVPConfigValidation:
         [
             {"inner_method": "newton"},
             {"delta_eta": 0.0},
+            {"delta_eta": math.inf},
+            {"delta_eta": math.nan},
             {"armijo_c": 0.0},
             {"armijo_c": 1.0},
             {"max_outer": 0},
             {"tol_eta": 0.0},
+            {"tol_eta": math.inf},
+            {"tol_eta": math.nan},
             {"eta0": math.radians(60.0)},
             {"gamma0": 0.0},
             {"gamma0": -1.0},

@@ -29,9 +29,16 @@ from ctalign import (
     unit_disk_half_width,
 )
 from ctalign import fan_align
-from ctalign.fan_align import fp_start_indices, median_fixed_point
+from ctalign.fan_align import fp_start_indices
 from ctalign.simulate import InstabilityModel
-from conftest import H_TRUE, SOURCE_RADIUS, count_calls, fan_geometry, sequential_median_fixed_point
+from conftest import (
+    H_TRUE,
+    SOURCE_RADIUS,
+    count_calls,
+    fan_geometry,
+    lockstep_median_fixed_point,
+    sequential_median_fixed_point,
+)
 
 ALL_ALIGNERS = [align_yang, align_ly, align_2dr, align_fp, align_fp_k]
 
@@ -248,13 +255,13 @@ def fan_sampler(sino):
 
 
 class TestLockstepRuns:
-    """median_fixed_point advances its K runs together; each run must end as
+    """fixed_point_shift advances its K runs together; each run must end as
     it would alone (sequential_median_fixed_point), bit for bit."""
 
     @staticmethod
     def both(sino, cfg):
         args = (sino.values, sino.geometry, fan_sampler(sino), cfg)
-        lockstep, sequential = median_fixed_point(*args), sequential_median_fixed_point(*args)
+        lockstep, sequential = lockstep_median_fixed_point(*args), sequential_median_fixed_point(*args)
         assert repr(lockstep) == repr(sequential)
         return lockstep[1]
 
@@ -280,7 +287,7 @@ class TestLockstepRuns:
     def test_one_reflection_and_one_correlation_per_iteration(self, monkeypatch):
         sino = small_fan(alpha=0.01)
         cfg = FanAlignConfig(method="FP_K")
-        _, runs = median_fixed_point(sino.values, sino.geometry, fan_sampler(sino), cfg)
+        _, runs = lockstep_median_fixed_point(sino.values, sino.geometry, fan_sampler(sino), cfg)
         iterations = [iters for _, _, iters, _ in runs]
         assert max(iterations) < sum(iterations)
         monkeypatch.setattr(fan_align, "symmetry_mse", lambda sino, h: 0.0)  # count the run reads only

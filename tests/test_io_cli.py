@@ -274,6 +274,14 @@ class TestCliSimulate:
         assert main(["simulate", "--mode", "fan", "--n", "32", "--out", "x.sino", *argv]) == 4
         assert [p.name for p in tmp_path.iterdir()] == ["px.cfg"]
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_report_flag_rejected_and_nothing_written(self, tmp_path, monkeypatch, command):
+        # simulate and sweep write no report, so they take no --report flag
+        monkeypatch.chdir(tmp_path)
+        argv = ["--mode", "fan"] if command == "simulate" else []
+        assert main([command, *argv, "--n", "32", "--report", "r.txt", "--out", "f.sino"]) == 4
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCliAlignFan:
     @pytest.mark.parametrize("method", ["yang", "ly", "2dr", "fp", "fpk"])
@@ -392,6 +400,17 @@ class TestCliAlignCone:
         capsys.readouterr()
         assert main(["align-cone", "--input", out, f"--gamma0={gamma0}"]) == 4
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("key", ["delta_eta", "tol_eta"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_eta_step_rejected(self, tmp_path, capsys, key, value):
+        out = str(tmp_path / "c.sino")
+        main(["simulate", "--mode", "cone", "--n", "24", "--h", "2", "--eta", "1deg", "--features", "4", "--out", out])
+        capsys.readouterr()
+        assert main(["align-cone", "--input", out, "--" + key.replace("_", "-"), value]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
 
     def test_bad_eta0_suffix_rejected(self, tmp_path):
         out = str(tmp_path / "c.sino")
