@@ -2,23 +2,25 @@
 
 The in-plane rotation eta and shift h of the detector are recovered from the
 least-squares mismatch of two resamplings of the projection stack along the
-tilted detector axis:
+detector axis tilted by eta about the rotation-axis image (h, 0):
 
-    Lambda_eta g(q, b) = g(q cos(eta), -q sin(eta), b)
-    Pi_h_eta  g(q, b) = g((-q + 2h)cos(eta), (q - 2h)sin(eta),
+    Lambda_eta g(q, b) = g(h + (q - h)cos(eta), -(q - h)sin(eta), b)
+    Pi_h_eta  g(q, b) = g(h + (h - q)cos(eta), (q - h)sin(eta),
                           b + pi + 2*atan((q - h)/r))
 
-At the true misalignment both agree (the fan symmetry condition along the
-true horizontal axis), so L(h, eta) = |Lambda - Pi|^2 is minimized there.
+At the true misalignment Lambda is the mid-plane fan sinogram and both
+agree (the fan symmetry condition along the true horizontal axis), so
+L(h, eta) = |Lambda - Pi|^2 is minimized there.
 Pi_h_eta is the fan symmetry map (fan_align.reflect) read through the
 tilted detector axis, so the fan estimators are the eta = 0, v = 0 case:
 the stack is read along the reflected tilted path on the stored views, and
 each column is then shifted along the view axis.  Lambda_eta is that read
 on the unreflected path, with no shift.
 The inner variable h is eliminated by the fan 2DR or median-of-K fixed-point
-solve on the tilted pair at fixed eta; the reduced loss L(h(eta), eta) is
-descended in eta with finite-difference gradients and Armijo backtracking
-(step halved on each rejection).
+solve at fixed eta on the pair pivoted at 0, which is free of h; the reduced
+loss L(h(eta), eta) is descended in eta by Newton steps on its
+central-difference gradient and curvature, with Armijo backtracking (step
+halved on each rejection) as the safeguard.
 """
 
 import math
@@ -43,9 +45,12 @@ class VPConfig:
 
     inner_method selects the shift solver on the tilted fan pair; eta0 is
     the starting angle (radians); delta_eta the finite-difference step;
-    gamma0/armijo_c control the backtracking line search, which halves the
-    step on each rejection; max_outer/tol_eta bound the descent.
-    inner carries the fan-solver configuration.
+    gamma0 the fallback step length per unit gradient, taken instead of the
+    Newton step where the curvature is not positive or the stencil is
+    one-sided; armijo_c the sufficient-decrease constant of the
+    backtracking, which halves the step on each rejection; max_outer caps
+    the steps; tol_eta is the Newton step (radians) below which the descent
+    stops as converged.  inner carries the fan-solver configuration.
     """
 
     inner_method: str = "2dr"
@@ -74,34 +79,37 @@ class VPConfig:
             raise ValueError("eta0 outside the search domain")
 
 
-def _tilted(stack, eta):
-    """Sampler of the stack along the detector axis tilted by eta:
-    (x, b) -> g(x cos(eta), -x sin(eta), b)."""
+def _tilted(stack, eta, h_u=0.0):
+    """Sampler of the stack along the detector axis tilted by eta about (h_u, 0):
+    (x, b) -> g(h_u + (x - h_u)cos(eta), -(x - h_u)sin(eta), b)."""
     cose, sine = math.cos(eta), math.sin(eta)
-    return lambda x, b: sample_detector(stack, x * cose, -x * sine, b)
+    pivot = h_u * (1.0 - cose)  # written so that eta = 0 reads x exactly
+    return lambda x, b: sample_detector(stack, x * cose + pivot, (h_u - x) * sine, b)
 
 
 def lambda_eta(stack, h, eta):
-    """Stack resampled along the tilted horizontal axis: (q_i, b_j) grid array
-    of g(q cos(eta), -q sin(eta), b).  Free of h in this parameterization
-    (the argument is accepted for signature symmetry with pi_h_eta).
+    """Stack resampled along the axis tilted by eta about (h, 0), h in pixels:
+    (q_i, b_j) grid array of g(h + (q - h)cos(eta), -(q - h)sin(eta), b).
+    At the true (h, eta) this is the mid-plane fan sinogram.
     """
     geom = stack.geometry
-    return _tilted(stack, eta)(geom.u_axis()[None, :], geom.beta_axis()[:, None])
+    sample = _tilted(stack, eta, geom.px_to_u(h))
+    return sample(geom.u_axis()[None, :], geom.beta_axis()[:, None])
 
 
 def pi_h_eta(stack, h, eta):
-    """Symmetry-reflected tilted resampling at candidate shift h (pixels):
-    (q_i, b_j) grid array of g((-q + 2h)cos(eta), (q - 2h)sin(eta),
-    b + pi + 2*atan((q - h)/r)).
+    """Symmetry-reflected resampling at candidate shift h (pixels) along the
+    axis tilted by eta about (h, 0): (q_i, b_j) grid array of
+    g(h + (h - q)cos(eta), (q - h)sin(eta), b + pi + 2*atan((q - h)/r)).
     """
-    return reflect(stack.geometry.central_fan(), _tilted(stack, eta), h)
+    geom = stack.geometry
+    return reflect(geom.central_fan(), _tilted(stack, eta, geom.px_to_u(h)), h)
 
 
 def loss_L(stack, h, eta, lam=None):
     """Sum of squared differences of the two tilted resamplings at (h, eta).
 
-    lam, if given, is lambda_eta(stack, h, eta), which is free of h.
+    lam, if given, is lambda_eta(stack, h, eta).
     """
     if lam is None:
         lam = lambda_eta(stack, h, eta)
@@ -109,17 +117,15 @@ def loss_L(stack, h, eta, lam=None):
     return float(np.sum((lam - pi) ** 2))
 
 
-def inner_h(stack, eta, cfg=VPConfig(), lam=None):
+def inner_h(stack, eta, cfg=VPConfig()):
     """Shift (pixels) minimizing the tilted-pair mismatch at fixed eta.
 
-    The fan estimate on the tilted pair (lambda_eta, pi_h_eta): 2DR
-    correlates lambda_eta against pi_h_eta at h = 0 (their q-shift is 2h);
-    fp_k takes the median of K fixed-point runs started at rows of
-    lambda_eta (fixed_point_shift).  lam, if given, is
-    lambda_eta(stack, 0.0, eta).
+    The fan estimate on the pair pivoted at 0 (lambda_eta, pi_h_eta at
+    h = 0), which is free of h: 2DR correlates the two (their q-shift is
+    2h); fp_k takes the median of K fixed-point runs started at rows of
+    lambda_eta (fixed_point_shift).
     """
-    if lam is None:
-        lam = lambda_eta(stack, 0.0, eta)
+    lam = lambda_eta(stack, 0.0, eta)
     if cfg.inner_method == "2dr":
         return 0.5 * xcorr_shift_s_2d(lam, pi_h_eta(stack, 0.0, eta), cfg.inner.upsample)
     fan = stack.geometry.central_fan()
@@ -128,88 +134,82 @@ def inner_h(stack, eta, cfg=VPConfig(), lam=None):
 
 
 def _reduced_loss(stack, eta, cfg, cache):
+    """(h, loss, lam) at eta: h from the inner solve, then the loss on the
+    pair pivoted at h, whose lambda_eta is lam.  Cached per eta."""
     if eta not in cache:
-        lam = lambda_eta(stack, 0.0, eta)
-        h = inner_h(stack, eta, cfg, lam)
-        cache[eta] = (h, loss_L(stack, h, eta, lam))
+        h = inner_h(stack, eta, cfg)
+        lam = lambda_eta(stack, h, eta)
+        cache[eta] = (h, loss_L(stack, h, eta, lam), lam)
     return cache[eta]
 
 
 def reduced_gradient(stack, eta, cfg=VPConfig(), cache=None):
-    """d/d eta of the reduced loss L(h(eta), eta) by finite differences.
+    """(gradient, curvature) in eta of the reduced loss L(h(eta), eta).
 
-    Central stencil with step cfg.delta_eta; falls back to a one-sided
-    stencil when eta sits within one step of the search-domain edge.
-    cache maps eta to (h, loss) of the reduced loss, shared across calls.
+    Both come from the same three losses L-, L0, L+ at eta - d, eta, eta + d
+    (d = cfg.delta_eta): g = (L+ - L-)/2d and c = (L+ - 2 L0 + L-)/d^2.
+    Within one step of the search-domain edge the stencil is one-sided,
+    g = (L0 - L-)/d or (L+ - L0)/d, and c is nan.
+    cache maps eta to _reduced_loss results, shared across calls.
     """
     cache = {} if cache is None else cache
     d = cfg.delta_eta
-    lo, hi = eta - d, eta + d
-    if hi > ETA_BOUND:
-        _, l0 = _reduced_loss(stack, eta, cfg, cache)
-        _, ll = _reduced_loss(stack, lo, cfg, cache)
-        return (l0 - ll) / d
-    if lo < -ETA_BOUND:
-        _, l0 = _reduced_loss(stack, eta, cfg, cache)
-        _, lh = _reduced_loss(stack, hi, cfg, cache)
-        return (lh - l0) / d
-    _, ll = _reduced_loss(stack, lo, cfg, cache)
-    _, lh = _reduced_loss(stack, hi, cfg, cache)
-    return (lh - ll) / (2.0 * d)
+
+    def loss(at):
+        return _reduced_loss(stack, at, cfg, cache)[1]
+
+    l0 = loss(eta)
+    if eta + d > ETA_BOUND:
+        return (l0 - loss(eta - d)) / d, math.nan
+    if eta - d < -ETA_BOUND:
+        return (loss(eta + d) - l0) / d, math.nan
+    lo, hi = loss(eta - d), loss(eta + d)
+    return (hi - lo) / (2.0 * d), (hi - 2.0 * l0 + lo) / (d * d)
 
 
 def variable_projection(stack, cfg=VPConfig()):
-    """Joint (h, eta) estimate: gradient descent on the reduced loss.
+    """Joint (h, eta) estimate: safeguarded Newton descent on the reduced loss.
 
     Each outer iteration re-solves the inner shift at the probed angles
-    (results are cached per eta; the inner solve is deterministic), takes a
-    finite-difference gradient step and backtracks with factor 1/2 until the
-    Armijo sufficient-decrease test passes.  Descent stops when the eta
-    update drops below tol_eta or the iteration cap is reached; backtracking
-    exhaustion returns the best point seen, flagged non-converged.
+    (results are cached per eta; the inner solve is deterministic) and
+    takes the Newton step g/c of the central-difference stencil, or gamma0
+    times g where c is not positive or the stencil is one-sided; the step
+    is halved until the Armijo sufficient-decrease test passes.  Descent
+    stops as converged, with no new point, once c > 0 and the Newton step
+    is below tol_eta.  The iteration cap and backtracking exhaustion return
+    the last accepted point, flagged non-converged.
 
-    The result's mse is the fan symmetry MSE of the central tilted fan
-    extracted at the final eta.
+    The result's mse is the fan symmetry MSE of the accepted point's
+    lambda_eta, the mid-plane fan sinogram at the estimate.
     """
     cache = {}
     eta = min(max(cfg.eta0, -ETA_BOUND), ETA_BOUND)
-    h, current = _reduced_loss(stack, eta, cfg, cache)
+    h, current, lam = _reduced_loss(stack, eta, cfg, cache)
     trace = [(0, h, eta, current)]
-    gamma0 = cfg.gamma0
     converged = False
     iterations = 0
     for k in range(1, cfg.max_outer + 1):
-        grad = reduced_gradient(stack, eta, cfg, cache)
-        if grad == 0.0:
+        grad, curv = reduced_gradient(stack, eta, cfg, cache)
+        step = grad / curv if curv > 0.0 else cfg.gamma0 * grad
+        if curv > 0.0 and abs(step) < cfg.tol_eta:
             converged = True
             break
-        gamma = gamma0
-        accepted = False
-        for depth in range(MAX_BACKTRACK):
-            eta_new = min(max(eta - gamma * grad, -ETA_BOUND), ETA_BOUND)
-            h_new, loss_new = _reduced_loss(stack, eta_new, cfg, cache)
-            if loss_new <= current - cfg.armijo_c * gamma * grad * grad:
-                accepted = True
+        for _ in range(MAX_BACKTRACK):
+            eta_new = min(max(eta - step, -ETA_BOUND), ETA_BOUND)
+            h_new, loss_new, lam_new = _reduced_loss(stack, eta_new, cfg, cache)
+            if loss_new <= current - cfg.armijo_c * step * grad:
                 break
-            gamma *= 0.5
-        if not accepted:
+            step *= 0.5
+        else:
             break
-        if depth > 10:
-            gamma0 = gamma  # warm-start later searches once the scale is known
-        step = abs(eta_new - eta)
-        eta, h, current = eta_new, h_new, loss_new
+        eta, h, current, lam = eta_new, h_new, loss_new, lam_new
         iterations = k
         trace.append((k, h, eta, current))
-        if step < cfg.tol_eta:
-            converged = True
-            break
     method = "VP-2DR" if cfg.inner_method == "2dr" else "VP-FP_K"
-    geom = stack.geometry
-    fan = Sinogram(geom.central_fan(), lambda_eta(stack, 0.0, eta))
     return AlignmentResult(
         h=float(h),
         eta=float(eta),
-        mse=symmetry_mse(fan, h),
+        mse=symmetry_mse(Sinogram(stack.geometry.central_fan(), lam), h),
         iterations=iterations,
         method=method,
         trace=tuple(trace),

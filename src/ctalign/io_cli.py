@@ -309,10 +309,10 @@ RUN_OPTIONS = {
     "inner_method": Option(_method(INNER_METHODS), ("align-cone",), "inner shift solver: 2dr or fpk"),
     "eta0": Option(parse_angle, ("align-cone",), "starting angle with unit suffix"),
     "delta_eta": Option(float, ("align-cone",), "finite-difference step in eta, radians"),
-    "gamma0": Option(float, ("align-cone",), "first line-search step"),
+    "gamma0": Option(float, ("align-cone",), "fallback step per unit gradient where the Newton step is unavailable"),
     "armijo_c": Option(float, ("align-cone",), "Armijo sufficient-decrease constant"),
     "max_outer": Option(int, ("align-cone",), "outer iteration cap"),
-    "tol_eta": Option(float, ("align-cone",), "eta step tolerance, radians"),
+    "tol_eta": Option(float, ("align-cone",), "Newton step in eta below which VP stops, radians"),
     "K": Option(int, _ALIGN, "FP_K start count"),
     "max_iter": Option(int, _ALIGN, "fixed-point iteration cap"),
     "tol_h": Option(float, _ALIGN, "fixed-point tolerance in pixels"),

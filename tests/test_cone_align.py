@@ -26,6 +26,7 @@ from ctalign import (
     reduced_gradient,
     reflected_resampling,
     sample_detector,
+    symmetry_mse,
     unit_disk_half_width,
     variable_projection,
 )
@@ -74,10 +75,20 @@ class TestLambdaEta:
         out = lambda_eta(odd_row_stack, 0.0, 0.0)
         assert np.array_equal(out, odd_row_stack.values[:, 32, :])
 
-    def test_h_argument_has_no_effect(self, odd_row_stack):
-        a = lambda_eta(odd_row_stack, 0.0, 0.01)
-        b = lambda_eta(odd_row_stack, 7.0, 0.01)
-        assert np.array_equal(a, b)
+    def test_pivoted_read_is_the_true_mid_plane(self):
+        """Tilted about (h, 0) at the true (h, eta), the read is the fan
+        sinogram of the true mid-plane v = 0 on the shifted detector axis;
+        tilted about (0, 0) it reads off the mid-plane."""
+        geom = cone_geometry(64)
+        ph = make_sphere_phantom(3, n_spheres=10)
+        h, eta = 10.0, math.radians(3.0)
+        stack = cone_project(ph, geom, h=h, eta=eta)
+        q = geom.u_axis()[None, :]
+        beta = geom.beta_axis()[:, None]
+        oracle = cone_line_integral(ph, SOURCE_RADIUS, q - geom.px_to_u(h), 0.0, beta)
+        error = lambda pivot: np.linalg.norm(lambda_eta(stack, pivot, eta) - oracle)
+        assert error(h) <= 2.5e-3 * np.linalg.norm(oracle)
+        assert error(0.0) > 2.0 * error(h)
 
     def test_matches_rotated_detector_reprojection(self):
         """Tilted extraction vs an analytically rotated detector."""
@@ -129,12 +140,12 @@ class TestViewShiftPath:
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     @pytest.mark.parametrize("h", [0.0, 2.37, -2.37, 0.6 * 33])
     def test_pi_matches_full_grid_formula(self, stack, h, eta):
+        """The reflected read on the axis tilted about (h, 0)."""
         geom = stack.geometry
         q = geom.u_axis()
         h_u = geom.px_to_u(h)
-        x = -q + 2.0 * h_u
         beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
-        want = sample_detector(stack, x * math.cos(eta), -x * math.sin(eta), beta)
+        want = sample_detector(stack, h_u + (h_u - q) * math.cos(eta), (q - h_u) * math.sin(eta), beta)
         got = pi_h_eta(stack, h, eta)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(stack.values))
 
@@ -157,13 +168,9 @@ class TestLossL:
         assert at_truth < loss_L(ref_stack, H_TRUE, ETA_TRUE + math.radians(0.5))
 
     def test_coarse_grid_minimum_near_truth(self, ref_stack):
-        best = (math.inf, None, None)
-        for eta in np.radians(np.arange(0.0, 2.0 + 1e-9, 0.25)):
-            lam = lambda_eta(ref_stack, 0.0, eta)
-            for h in np.arange(5.0, 15.0 + 1e-9, 1.0):
-                val = float(np.sum((lam - pi_h_eta(ref_stack, h, eta)) ** 2))
-                if val < best[0]:
-                    best = (val, h, eta)
+        best = grid_oracle(
+            ref_stack, np.arange(5.0, 15.0 + 1e-9, 1.0), np.radians(np.arange(0.0, 2.0 + 1e-9, 0.25))
+        )
         assert best[1] == pytest.approx(H_TRUE, abs=0.5)
         assert best[2] == pytest.approx(ETA_TRUE, abs=math.radians(0.25))
 
@@ -223,40 +230,72 @@ class TestInnerFixedPoint:
         assert max(iterations) < sum(iterations)
         reads = count_calls(monkeypatch, cone_align, "sample_detector")
         correlations = count_calls(monkeypatch, fan_align, "xcorr_shift_rows")
-        inner_h(small_stack, eta, cfg, args[0])
-        assert len(reads) == len(correlations) == max(iterations)
+        inner_h(small_stack, eta, cfg)
+        assert len(correlations) == max(iterations)
+        assert len(reads) == 1 + max(iterations)  # the h-free read, then the reflections
+
+
+def fake_reduced_loss(monkeypatch, loss, lam=None):
+    """Replace the reduced loss by loss(eta), with h = 0 and lam as given;
+    returns the distinct etas in the order they are first probed."""
+    probed = []
+
+    def fake(stack, eta, cfg, cache):
+        if eta not in cache:
+            probed.append(eta)
+            cache[eta] = (0.0, loss(eta), lam)
+        return cache[eta]
+
+    monkeypatch.setattr(cone_align, "_reduced_loss", fake)
+    return probed
+
+
+def gradient(stack, eta, cfg=VPConfig()):
+    return reduced_gradient(stack, eta, cfg)[0]
 
 
 class TestReducedGradient:
     def test_sign_flips_across_truth(self, ref_stack):
-        cfg = VPConfig()
-        assert reduced_gradient(ref_stack, ETA_TRUE - 0.005, cfg) < 0.0
-        assert reduced_gradient(ref_stack, ETA_TRUE + 0.005, cfg) > 0.0
+        assert gradient(ref_stack, ETA_TRUE - 0.005) < 0.0
+        assert gradient(ref_stack, ETA_TRUE + 0.005) > 0.0
 
     def test_smallest_at_truth(self, ref_stack):
-        cfg = VPConfig()
-        at_truth = abs(reduced_gradient(ref_stack, ETA_TRUE, cfg))
-        assert at_truth < abs(reduced_gradient(ref_stack, ETA_TRUE - 0.01, cfg))
-        assert at_truth < abs(reduced_gradient(ref_stack, ETA_TRUE + 0.01, cfg))
+        at_truth = abs(gradient(ref_stack, ETA_TRUE))
+        assert at_truth < abs(gradient(ref_stack, ETA_TRUE - 0.01))
+        assert at_truth < abs(gradient(ref_stack, ETA_TRUE + 0.01))
 
     def test_step_halving_consistency(self, ref_stack):
         """Near the minimum the finite-difference estimate is already
         converged: halving the step changes it by under 10 percent."""
         at = ETA_TRUE + 0.01
-        coarse = reduced_gradient(ref_stack, at, VPConfig())
-        fine = reduced_gradient(ref_stack, at, VPConfig(delta_eta=0.0005))
+        coarse = gradient(ref_stack, at)
+        fine = gradient(ref_stack, at, VPConfig(delta_eta=0.0005))
         assert abs(fine - coarse) <= 0.10 * abs(coarse)
+
+    def test_curvature_positive_at_truth(self, ref_stack):
+        _, curv = reduced_gradient(ref_stack, ETA_TRUE)
+        assert curv > 0.0
+
+    @pytest.mark.parametrize("eta, probes", [(0.1, 3), (cone_align.ETA_BOUND, 2), (-cone_align.ETA_BOUND, 2)])
+    def test_one_stencil_of_cached_losses(self, monkeypatch, eta, probes):
+        """g and c come from the same cached losses: three central probes,
+        or two one-sided ones at the domain edge, where c is nan."""
+        calls = fake_reduced_loss(monkeypatch, lambda e: 3.0 * e * e)
+        d = VPConfig().delta_eta
+        g, c = reduced_gradient(None, eta)
+        assert len(calls) == probes
+        if probes == 3:
+            assert g == pytest.approx(6.0 * eta, rel=1e-9)
+            assert c == pytest.approx(6.0, rel=1e-6)
+        else:
+            assert math.isnan(c)
+            assert g == pytest.approx(6.0 * eta - math.copysign(3.0 * d, eta), rel=1e-9)
 
 
 def grid_oracle(stack, h_grid, e_grid):
-    best = (math.inf, None, None)
-    for eta in e_grid:
-        lam = lambda_eta(stack, 0.0, eta)
-        for h in h_grid:
-            val = float(np.sum((lam - pi_h_eta(stack, h, eta)) ** 2))
-            if val < best[0]:
-                best = (val, h, eta)
-    return best
+    """(loss, h, eta) of the smallest loss_L on the grid: both resamplings
+    of each probe are tilted about the same pivot (h, 0)."""
+    return min(((loss_L(stack, h, eta), h, eta) for eta in e_grid for h in h_grid), key=lambda best: best[0])
 
 
 class TestVariableProjection:
@@ -264,7 +303,7 @@ class TestVariableProjection:
     def test_aligned_stack_converges_immediately(self, method, aligned_stack):
         result = variable_projection(aligned_stack, VPConfig(inner_method=method))
         assert result.converged
-        assert result.iterations == 1
+        assert result.iterations == 0
         assert result.h == pytest.approx(0.0, abs=0.05)
         assert abs(result.eta) <= 2e-4
 
@@ -273,7 +312,7 @@ class TestVariableProjection:
         result = variable_projection(ref_stack, VPConfig(inner_method=method))
         assert result.method == tag
         assert result.converged
-        assert result.iterations <= 5
+        assert result.iterations <= 3
         assert result.h == pytest.approx(H_TRUE, abs=0.15)
         assert result.eta == pytest.approx(ETA_TRUE, abs=math.radians(0.05))
 
@@ -297,6 +336,17 @@ class TestVariableProjection:
         assert abs(result.h - h3) <= 0.25
         assert abs(result.eta - e3) <= math.radians(0.05)
 
+    def test_two_tilted_reads_per_probed_eta(self, ref_stack, monkeypatch):
+        """One h-free read for the inner solve and one read pivoted at its h
+        for the loss; the result's mse is the accepted point's pivoted read."""
+        reads = count_calls(monkeypatch, cone_align, "lambda_eta")
+        result = variable_projection(ref_stack, VPConfig())
+        etas = [args[2] for args in reads]
+        assert len(etas) == 2 * len(set(etas))
+        assert [args[1] for args in reads[::2]] == [0.0] * len(set(etas))
+        fan = Sinogram(ref_stack.geometry.central_fan(), lambda_eta(ref_stack, result.h, result.eta))
+        assert result.mse == symmetry_mse(fan, result.h)
+
     def test_descent_is_monotone(self, ref_stack):
         result = variable_projection(ref_stack, VPConfig(eta0=math.radians(0.5)))
         losses = [entry[3] for entry in result.trace]
@@ -305,9 +355,9 @@ class TestVariableProjection:
     def test_gradient_small_at_convergence(self, ref_stack):
         cfg = VPConfig()
         result = variable_projection(ref_stack, cfg)
-        at_final = abs(reduced_gradient(ref_stack, result.eta, cfg))
-        assert at_final < abs(reduced_gradient(ref_stack, result.eta - 5 * cfg.tol_eta, cfg))
-        assert at_final < abs(reduced_gradient(ref_stack, result.eta + 5 * cfg.tol_eta, cfg))
+        at_final = abs(gradient(ref_stack, result.eta, cfg))
+        assert at_final < abs(gradient(ref_stack, result.eta - 5 * cfg.tol_eta, cfg))
+        assert at_final < abs(gradient(ref_stack, result.eta + 5 * cfg.tol_eta, cfg))
 
     @pytest.mark.parametrize("method,fan_aligner", [("2dr", align_2dr), ("fp_k", align_fp_k)])
     def test_consistent_with_fan_estimate_when_untilted(self, method, fan_aligner, odd_row_stack):
@@ -326,6 +376,94 @@ class TestVariableProjection:
         assert result.trace[0][0] == 0
         assert result.trace[0][2] == 0.0
         assert result.trace[-1][2] == result.eta
+
+
+class TestNewtonStep:
+    """The outer step on synthetic reduced losses: the Newton step g/c where
+    the central stencil is convex, gamma0 times g elsewhere, Armijo
+    backtracking on both, and a stop only on a short Newton step."""
+
+    @pytest.fixture
+    def run(self, monkeypatch, small_stack):
+        lam = lambda_eta(small_stack, 0.0, 0.0)
+
+        def run(loss, **kwargs):
+            probed = fake_reduced_loss(monkeypatch, loss, lam)
+            return variable_projection(small_stack, VPConfig(**kwargs)), probed
+
+        return run
+
+    def test_parabola_vertex_in_one_step(self, run):
+        vertex = 0.0123
+        result, probed = run(lambda e: 2.0 * (e - vertex) ** 2 + 0.5)
+        assert abs(result.eta - vertex) <= 1e-12
+        assert result.converged
+        assert result.iterations == 1
+        assert len(probed) == 6  # start and its stencil, vertex and its stencil
+
+    def test_concave_stencil_takes_gamma0_step_and_backtracks(self, run):
+        eta0, gamma0, d = 0.1, 4.0, VPConfig().delta_eta
+        loss = lambda e: -e * e + 10.0 * e**4
+        assert loss(eta0 + d) - 2.0 * loss(eta0) + loss(eta0 - d) < 0.0
+        g = (loss(eta0 + d) - loss(eta0 - d)) / (2.0 * d)
+        result, probed = run(loss, eta0=eta0, gamma0=gamma0, max_outer=1)
+        trials = probed[3:]
+        assert len(trials) == 3
+        assert trials == pytest.approx([eta0 - gamma0 * g / 2**k for k in range(3)], abs=1e-15)
+        assert result.eta == trials[-1]
+        assert result.iterations == 1
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_sided_stencil_falls_back_to_gamma0(self, run, sign):
+        bound, gamma0, d = sign * cone_align.ETA_BOUND, 0.1, VPConfig().delta_eta
+        loss = lambda e: (e - sign * 0.5) ** 2
+        result, probed = run(loss, eta0=bound, gamma0=gamma0, max_outer=1)
+        g = sign * (loss(bound) - loss(bound - sign * d)) / d
+        assert probed[:2] == [bound, bound - sign * d]
+        assert probed[2] == pytest.approx(bound - gamma0 * g, abs=1e-15)
+        assert result.eta == probed[2]
+
+    @pytest.mark.parametrize("loss", [lambda e: 1.0, lambda e: -1e-9 * e * e], ids=["flat", "concave"])
+    def test_nonpositive_curvature_never_converges(self, run, loss):
+        result, _ = run(loss, eta0=1e-6)
+        assert not result.converged
+
+
+@pytest.fixture(scope="module")
+def sweep_stacks():
+    """The sweep: sphere phantoms 1-5 at N = 64, 96, 128, h = 10*N/128 px,
+    eta = 1 degree."""
+    return {
+        (n, seed): cone_project(make_sphere_phantom(seed), cone_geometry(n), h=10.0 * n / 128, eta=ETA_TRUE)
+        for n in (64, 96, 128)
+        for seed in range(1, 6)
+    }
+
+
+def test_sweep_within_gate_in_few_steps(sweep_stacks, monkeypatch, capsys):
+    """VP on every sweep stack with both inner solvers (30 runs): the gate
+    is |h error| <= 0.15 px and |eta error| <= 0.05 degrees.  Runs outside
+    it that report converged are the small-N mid-plane interpolation bias
+    (N = 64 seeds 2-4, N = 96 seeds 2-3), not the descent."""
+    solves = count_calls(monkeypatch, cone_align, "inner_h")
+    within = wrong = 0
+    iterations = []
+    for (n, seed), stack in sweep_stacks.items():
+        for method in INNER:
+            result = variable_projection(stack, VPConfig(inner_method=method))
+            ok = abs(result.h - 10.0 * n / 128) <= 0.15 and abs(result.eta - ETA_TRUE) <= math.radians(0.05)
+            within += ok
+            wrong += result.converged and not ok
+            iterations.append(result.iterations)
+    with capsys.disabled():
+        print(
+            f"\nVP sweep: {within}/{len(iterations)} within the gate, {wrong} wrong but converged, "
+            f"{np.mean(iterations):.2f} outer iterations on average, {len(solves)} inner solves"
+        )
+    assert within >= 20
+    assert wrong <= 10
+    assert max(iterations) <= 3
+    assert len(solves) <= 300
 
 
 class TestVPConfigValidation:
