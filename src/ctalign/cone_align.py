@@ -13,9 +13,9 @@ agree (the fan symmetry condition along the true horizontal axis), so
 L(h, eta) = |Lambda - Pi|^2 is minimized there.
 Pi_h_eta is the fan symmetry map (fan_align.reflect) read through the
 tilted detector axis, so the fan estimators are the eta = 0, v = 0 case:
-the stack is read along the reflected tilted path on the stored views, and
-each column is then shifted along the view axis.  Lambda_eta is that read
-on the unreflected path, with no shift.
+one read of every stored view along the reflected tilted path, each column
+at its own view offset.  Lambda_eta is that read on the unreflected path,
+with no offset.
 The inner variable h is eliminated by the fan 2DR or median-of-K fixed-point
 solve at fixed eta on the pair pivoted at 0, which is free of h; the reduced
 loss L(h(eta), eta) is descended in eta by Newton steps on its
@@ -81,10 +81,11 @@ class VPConfig:
 
 def _tilted(stack, eta, h_u=0.0):
     """Sampler of the stack along the detector axis tilted by eta about (h_u, 0):
-    (x, b) -> g(h_u + (x - h_u)cos(eta), -(x - h_u)sin(eta), b)."""
+    (x, b) -> g(h_u + (x - h_u)cos(eta), -(x - h_u)sin(eta), b); (x, None, offset)
+    reads every stored view b_j at b_j + offset, as registration.sample_detector."""
     cose, sine = math.cos(eta), math.sin(eta)
     pivot = h_u * (1.0 - cose)  # written so that eta = 0 reads x exactly
-    return lambda x, b: sample_detector(stack, x * cose + pivot, (h_u - x) * sine, b)
+    return lambda x, b, offset=None: sample_detector(stack, x * cose + pivot, (h_u - x) * sine, b, offset)
 
 
 def lambda_eta(stack, h, eta):
@@ -94,7 +95,7 @@ def lambda_eta(stack, h, eta):
     """
     geom = stack.geometry
     sample = _tilted(stack, eta, geom.px_to_u(h))
-    return sample(geom.u_axis()[None, :], geom.beta_axis()[:, None])
+    return sample(geom.u_axis(), None)
 
 
 def pi_h_eta(stack, h, eta):

@@ -15,11 +15,11 @@ estimator recovers h as half of a cross-correlation shift:
 * FP:   the one-start case of FP_K, started at the view beta_index.
 
 The symmetry map is written once, in reflect(); cone_align reads the same
-map through its tilted detector axis.  On every view at once the map is a
-read along the reflected detector path on the stored views plus a shift of
-each detector column along the view axis, since its angle offset
-pi + 2*atan((s - h)/r) depends on the column only.  All h values are in
-effective detector pixels.
+map through its tilted detector axis.  On every view at once the map is one
+sampler read of every stored view along the reflected detector path, each
+detector column at its own view offset pi + 2*atan((s - h)/r), since that
+offset depends on the column only.  All h values are in effective detector
+pixels.
 """
 
 import math
@@ -31,7 +31,6 @@ from .core import FAN_METHODS, AlignmentResult
 from .registration import (
     AmbiguousShiftError,
     sample_periodic,
-    shift_views,
     xcorr_shift_1d,
     xcorr_shift_rows,
     xcorr_shift_s_2d,
@@ -77,10 +76,9 @@ def reflect(geom, sample, h_px, beta=None, s=None):
     axis s of geom (pass s to reuse an axis across calls).  sample(x, b) reads
     the data at detector coordinate x and view angle b; beta is a view angle
     or an array of them.  beta=None takes every view b_j of geom and returns
-    the (n_beta, n_s) array: the data is read along the reflected detector
-    path on the stored views, where no beta interpolation is needed, and each
-    column is then shifted along the view axis by its angle offset
-    pi + 2*atan((s_i - h)/r) (registration.shift_views).
+    the (n_beta, n_s) array sample(x, None, offset): the stored views read
+    along the reflected detector path x, column i at view angle
+    b_j + offset_i with offset_i = pi + 2*atan((s_i - h)/r).
     """
     if s is None:
         s = geom.s_axis()
@@ -88,7 +86,7 @@ def reflect(geom, sample, h_px, beta=None, s=None):
     x = -s + 2.0 * h_s
     offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
     if beta is None:
-        return shift_views(sample(x, geom.beta_axis()[:, None]), math.pi + offset)
+        return sample(x, None, math.pi + offset)
     return sample(x, beta + math.pi + offset)
 
 
@@ -99,7 +97,7 @@ def reflected_resampling(sino, h_px=0.0):
     with h in pixels (h = 0 gives the reflection the LY/2DR estimators
     correlate against).  Bilinear sampling, periodic in beta.
     """
-    return reflect(sino.geometry, lambda s, b: sample_periodic(sino, s, b), h_px)
+    return reflect(sino.geometry, lambda s, b, offset=None: sample_periodic(sino, s, b, offset), h_px)
 
 
 def profile_p(sino):

@@ -12,10 +12,11 @@ one-row case.
 The samplers build interpolation weights per axis, on each coordinate's own
 shape (a detector row against a column of angles costs n + m, not n*m), and
 gather corner values from the flattened data, bitwise as full-grid formulas.
-A query whose view angles all fall on stored views reads one view plane, not
-two.  shift_views moves each column of a full view grid along the periodic
-view axis with one interpolation weight per column: the fan symmetry map on
-every view is a read on the stored views plus that shift.
+An axis whose weight is zero at every point (a detector axis, or the view
+axis when every angle is on a stored view) is not read.  Queried on every
+stored view with one view-angle offset per detector point (beta=None), they
+read cache-sized blocks of views, each corner gathered once per block and
+adjacent views blended per column: the fan symmetry map on every view.
 """
 
 import numpy as np
@@ -182,91 +183,121 @@ def _coordinates(*coords):
     return np.atleast_1d(*coords), np.broadcast_shapes(*(c.shape for c in coords))
 
 
-def _gather(flat, row, corner):
-    """flat[row + offset] for a corner (offset, off-grid mask), zero where
-    the corner is off the grid; a fresh array."""
-    offset, off = corner
-    v = flat.take(row + offset, mode="clip")  # in range: skip the bounds check
+def _gather(flat, index, off):
+    """flat[index modulo its size], zero where off (off the grid); a fresh array."""
+    v = flat.take(index, mode="wrap")
     np.copyto(v, 0.0, where=off)
     return v
 
 
-def _lerp(v0, v1, w):
-    """(1 - w) * v0 + w * v1, computed in place in v0 and v1."""
-    v0 *= 1.0 - w
+def _lerp(v0, v1, w, out=None):
+    """(1 - w) * v0 + w * v1, computed in place in v1 and in out (v0 if None)."""
+    out = np.multiply(v0, 1.0 - w, out=v0 if out is None else out)
     v1 *= w
-    v0 += v1
-    return v0
+    out += v1
+    return out
 
 
-def sample_periodic(sino, s, beta):
-    """Bilinear sinogram lookup: linear in s (zero outside the detector),
-    linear and 2*pi-periodic in beta.  Accepts scalars or broadcastable
-    arrays; grid-point queries reproduce stored values bit-exactly.  When
-    every angle is on a stored view the upper view plane is not read.
-    """
-    (s, beta), shape = _coordinates(s, beta)
+def _cell(axes, start=None):
+    """The corners (flat offset, off-grid mask) of each point's cell on the
+    _axis_weights axes, outermost first, added to the corner start if given,
+    and the weights of the axes they span.  An axis whose weight is 0 at
+    every point adds its lower corner only: the upper one would add 0 * v."""
+    corners, weights = [start], []
+    for lo, hi, w in axes:
+        ends = [lo]
+        if w.any():
+            ends.append(hi)
+            weights.append(w)
+        corners = [e if c is None else (c[0] + e[0], c[1] | e[1]) for c in corners for e in ends]
+    return corners, weights
+
+
+def _read(flat, rows, cell):
+    """The cell's corner values at flat offsets rows + corner, lerped innermost axis first."""
+    corners, weights = cell
+    values = [_gather(flat, rows + offset, off) for offset, off in corners]
+    for w in reversed(weights):
+        values = [_lerp(values[i], values[i + 1], w) for i in range(0, len(values), 2)]
+    return values[0]
+
+
+_BLOCK = 1 << 14  # output points per block of the all-views read: they stay in cache
+
+
+def _all_views(flat, n, axes, view_offset):
+    """The (n, m) read of every stored view j at the m detector points of
+    axes, column i at view angle b_j + view_offset_i (b_j if None), which is
+    one (whole views k_i, weight f_i) pair.  Each block of views gathers each
+    corner once on its views plus one, view j + k_i at flat offset
+    (j + k_i)*stride + corner (corner < stride: the index modulo is the view
+    modulo), applies the detector lerps, then blends adjacent rows with f_i
+    unless every f_i is 0: bit for bit the full-grid read, then the blend."""
+    m, stride = axes[0][2].size, flat.size // n
+    k, blend = 0, False
+    if view_offset is not None:
+        k, _, f = _beta_weights(view_offset, n, stride)
+        blend = bool(f.any())
+    cell = _cell(axes, (k, False))
+    rows = max(1, _BLOCK // m)
+    out = np.empty((n, m))
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        v = _read(flat, np.arange(a * stride, (b + blend) * stride, stride)[:, None], cell)
+        if blend:
+            _lerp(v[:-1], v[1:], f, out[a:b])  # v[:-1] is read before v[1:] is scaled
+        else:
+            out[a:b] = v
+    return out
+
+
+def _sample(values, specs, message, beta, view_offset):
+    """The samplers' read of values (n views 2*pi/n apart on the first axis)
+    at detector coordinates, specs one (coordinate, origin, step, count,
+    stride) per axis, outermost first; message: the non-finite error."""
+    n, flat = values.shape[0], values.ravel()
+    coords = [spec[0] for spec in specs]
+    if beta is None:
+        offset = 0.0 if view_offset is None else view_offset
+        *coords, offset = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (*coords, offset)))
+        shape = (n,) + offset.shape
+        coords, offset = [c.ravel() for c in coords], offset.ravel()
+    elif view_offset is not None:
+        raise ValueError("view_offset needs beta=None")
+    else:
+        (*coords, beta), shape = _coordinates(*coords, beta)
     if 0 in shape:
         return np.zeros(shape)  # an empty query reads, and checks, no point
-    if not np.all(np.isfinite(s)):
-        raise ValueError("s coordinates must be finite")
+    if not all(np.all(np.isfinite(c)) for c in coords):
+        raise ValueError(message)
+    axes = [_axis_weights(c, *spec[1:]) for c, spec in zip(coords, specs)]
+    if beta is None:
+        return _all_views(flat, n, axes, None if view_offset is None else offset).reshape(shape)
+    cell = _cell(axes)
+    j0, j1, t = _beta_weights(beta, n, flat.size // n)
+    out = _read(flat, j0, cell)
+    if t.any():
+        out = _lerp(out, _read(flat, j1, cell), t)
+    return float(out[0]) if shape == () else out
+
+
+def sample_periodic(sino, s, beta, view_offset=None):
+    """Bilinear sinogram lookup: linear in s (zero outside the detector),
+    linear and 2*pi-periodic in beta.  Accepts scalars or broadcastable
+    arrays; grid-point queries reproduce stored values bit-exactly.
+    beta=None reads every stored view b_j: the (n_beta,) + shape array of
+    g(s, b_j + view_offset), view_offset broadcast with s (0 if None).
+    """
     geom = sino.geometry
-    flat = sino.values.ravel()
-    s0, s1, w = _axis_weights(s, -geom.s_max, geom.pixel_size, geom.n_s, 1)
-    j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_s)
-    out = _lerp(_gather(flat, j0, s0), _gather(flat, j0, s1), w)
-    if t.any():
-        out = _lerp(out, _lerp(_gather(flat, j1, s0), _gather(flat, j1, s1), w), t)
-    return float(out[0]) if shape == () else out
+    specs = [(s, -geom.s_max, geom.pixel_size, geom.n_s, 1)]
+    return _sample(sino.values, specs, "s coordinates must be finite", beta, view_offset)
 
 
-def sample_detector(stack, u, v, beta):
+def sample_detector(stack, u, v, beta, view_offset=None):
     """Trilinear projection-stack lookup: linear with zero fill in u and v,
-    linear and periodic in beta.  Scalar or broadcastable array coordinates.
+    linear and periodic in beta.  Scalar or broadcastable array coordinates;
+    beta=None and view_offset as in sample_periodic.
     """
-    (u, v, beta), shape = _coordinates(u, v, beta)
-    if 0 in shape:
-        return np.zeros(shape)
-    if not np.all(np.isfinite(u)) or not np.all(np.isfinite(v)):
-        raise ValueError("detector coordinates must be finite")
     geom = stack.geometry
-    flat = stack.values.ravel()
-    u0, u1, wu = _axis_weights(u, -geom.u_max, geom.pixel_size, geom.n_u, 1)
-    v0, v1, wv = _axis_weights(v, -geom.v_max, geom.pixel_size_v, geom.n_v, geom.n_u)
-    j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_v * geom.n_u)
-    corners = [(iv + iu, offv | offu) for iv, offv in (v0, v1) for iu, offu in (u0, u1)]
-
-    def plane(j):
-        c00, c01, c10, c11 = (_gather(flat, j, corner) for corner in corners)
-        return _lerp(_lerp(c00, c01, wu), _lerp(c10, c11, wu), wv)
-
-    out = plane(j0)
-    if t.any():
-        out = _lerp(out, plane(j1), t)
-    return float(out[0]) if shape == () else out
-
-
-_VIEW_BLOCK = 32  # views per pass of shift_views: its indices and gathers stay in cache
-
-
-def shift_views(values, offset):
-    """Each column of a view-major array read at its own view-angle offset.
-
-    values[j, i] holds column i at view angle b_j = 2*pi*j/n (n views on
-    the first axis); returns out[j, i] = values_i(b_j + offset_i), linear and
-    2*pi-periodic in the view angle.  Each column needs one (view index,
-    weight) pair, snapped to the grid as in the samplers, so an offset of
-    whole views moves stored values bit-exactly.  A fresh array.
-    """
-    n, m = values.shape
-    k, _, f = _beta_weights(offset, n, m)
-    k += np.arange(m)
-    flat = values.ravel()
-    out = np.empty((n, m))
-    for j in range(0, n, _VIEW_BLOCK):
-        # flat index of view j + k_i of column i; mode="wrap" is the view modulo
-        idx = np.arange(j * m, min(j + _VIEW_BLOCK, n) * m, m)[:, None] + k
-        lo = flat.take(idx, mode="wrap")
-        idx += m
-        out[j : j + _VIEW_BLOCK] = _lerp(lo, flat.take(idx, mode="wrap"), f)
-    return out
+    specs = [(v, -geom.v_max, geom.pixel_size_v, geom.n_v, geom.n_u), (u, -geom.u_max, geom.pixel_size, geom.n_u, 1)]
+    return _sample(stack.values, specs, "detector coordinates must be finite", beta, view_offset)

@@ -10,6 +10,7 @@ that needs realistic data reuses the same arrays.
 
 import math
 
+import numpy as np
 import pytest
 
 from ctalign import (
@@ -27,7 +28,6 @@ from ctalign.registration import (
     _axis_weights,
     _beta_weights,
     _coordinates,
-    _gather,
     _lerp,
     xcorr_shift_1d,
 )
@@ -74,9 +74,19 @@ def ref_stack():
     return cone_project(phantom, cone_geometry(128), h=H_TRUE, eta=ETA_TRUE)
 
 
+def _gather(flat, row, corner):
+    """flat[row + offset] for a corner (offset, off-grid mask), zero where
+    the corner is off the grid."""
+    offset, off = corner
+    v = flat[row + offset]
+    v[np.broadcast_to(off, v.shape)] = 0.0
+    return v
+
+
 def two_plane_periodic(sino, s, beta):
-    """sample_periodic with both view planes always read and blended: the
-    reference for its skip of the upper plane when every view weight is 0."""
+    """sample_periodic with every axis always read and blended (both view
+    planes, both detector neighbours): the reference for its skip of an
+    axis whose weight is 0 at every point."""
     (s, beta), shape = _coordinates(s, beta)
     geom = sino.geometry
     flat = sino.values.ravel()
@@ -89,7 +99,7 @@ def two_plane_periodic(sino, s, beta):
 
 
 def two_plane_detector(stack, u, v, beta):
-    """sample_detector with both view planes always read and blended."""
+    """sample_detector with every axis always read and blended."""
     (u, v, beta), shape = _coordinates(u, v, beta)
     geom = stack.geometry
     flat = stack.values.ravel()
@@ -104,6 +114,36 @@ def two_plane_detector(stack, u, v, beta):
 
     out = _lerp(plane(j0), plane(j1), t)
     return float(out[0]) if shape == () else out
+
+
+def shift_columns(values, offset):
+    """Each column of a view-major array read at its own view-angle offset:
+    out[j, i] = values_i(b_j + offset_i), linear and 2*pi-periodic in the
+    view angle, from one (view, weight) pair per column."""
+    n, m = values.shape
+    k, _, f = _beta_weights(np.broadcast_to(np.asarray(offset, dtype=float), (m,)), n, 1)
+    rows = (np.arange(n)[:, None] + k) % n
+    cols = np.arange(m)
+    return _lerp(values[rows, cols], values[(rows + 1) % n, cols], f)
+
+
+def two_stage_periodic(sino, s, beta, view_offset=None):
+    """sample_periodic with the all-views read (beta=None) in two stages:
+    the two-plane read at every stored view, then each column shifted by
+    its view offset.  The reference for the blocked all-views read."""
+    if beta is not None:
+        return two_plane_periodic(sino, s, beta)
+    grid = two_plane_periodic(sino, s, sino.geometry.beta_axis()[:, None])
+    return grid if view_offset is None else shift_columns(grid, view_offset)
+
+
+def two_stage_detector(stack, u, v, beta, view_offset=None):
+    """sample_detector with the all-views read in two stages, as
+    two_stage_periodic; u and v are 1-D."""
+    if beta is not None:
+        return two_plane_detector(stack, u, v, beta)
+    grid = two_plane_detector(stack, u, v, stack.geometry.beta_axis()[:, None])
+    return grid if view_offset is None else shift_columns(grid, view_offset)
 
 
 def lockstep_median_fixed_point(lam, geom, sample, cfg):

@@ -41,6 +41,7 @@ from conftest import (
     lockstep_median_fixed_point,
     sequential_median_fixed_point,
     two_plane_detector,
+    two_stage_detector,
 )
 
 INNER = ["2dr", "fp_k"]
@@ -155,6 +156,30 @@ class TestViewShiftPath:
         q = geom.u_axis()
         want = two_plane_detector(stack, q * math.cos(eta), -q * math.sin(eta), geom.beta_axis()[:, None])
         assert np.array_equal(lambda_eta(stack, 0.0, eta), want)
+
+
+class TestAllViewsRead:
+    """lambda_eta and pi_h_eta, each one blocked read of every stored view,
+    equal bit for bit their two-stage reference (the full-grid read at every
+    stored view, then for pi_h_eta each column shifted along the view axis)."""
+
+    @pytest.fixture(scope="class", params=[16, 32])
+    def stack(self, request):
+        n = request.param
+        return ProjectionStack(cone_geometry(n), np.random.default_rng(n).uniform(0.5, 2.0, size=(n, n, n)))
+
+    @pytest.mark.parametrize("read", [pi_h_eta, lambda_eta])
+    @pytest.mark.parametrize("eta", [0.0, 0.02])
+    @pytest.mark.parametrize("h", [0.0, 2.37])  # the pivot of the tilted axis
+    def test_matches_two_stage_read(self, monkeypatch, stack, read, h, eta):
+        got = read(stack, h, eta)
+        monkeypatch.setattr(cone_align, "sample_detector", two_stage_detector)
+        assert np.array_equal(got, read(stack, h, eta))
+
+    @pytest.mark.parametrize("read, h, eta", [(pi_h_eta, math.nan, 0.01), (lambda_eta, 0.0, math.nan)])
+    def test_non_finite_input_rejected(self, stack, read, h, eta):
+        with pytest.raises(ValueError, match="detector coordinates must be finite"):
+            read(stack, h, eta)
 
 
 class TestLossL:

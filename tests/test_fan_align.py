@@ -2,6 +2,7 @@
 analytic data, fixed-point behaviour, and invariance properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ctalign import (
     symmetry_mse,
     unit_disk_half_width,
 )
-from ctalign import fan_align
+from ctalign import fan_align, registration
 from ctalign.fan_align import fp_start_indices
 from ctalign.simulate import InstabilityModel
 from conftest import (
@@ -38,6 +39,7 @@ from conftest import (
     fan_geometry,
     lockstep_median_fixed_point,
     sequential_median_fixed_point,
+    two_stage_periodic,
 )
 
 ALL_ALIGNERS = [align_yang, align_ly, align_2dr, align_fp, align_fp_k]
@@ -174,6 +176,54 @@ class TestViewShiftPath:
         got = reflected_resampling(sino, h)
         want = reflection_at_view_angles(sino, h)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(sino.values))
+
+
+class TestAllViewsRead:
+    """The all-views reflection, one blocked read, equals bit for bit its
+    two-stage reference: the full-grid read at every stored view, then each
+    column shifted along the view axis."""
+
+    @pytest.fixture(scope="class", params=[5, 7, 64, 257])
+    def sino(self, request):
+        geom = FanGeometry(SOURCE_RADIUS, 33, unit_disk_half_width(SOURCE_RADIUS), request.param)
+        return fan_project(make_disk_phantom(1, n_disks=30), geom, h=2.37)
+
+    @pytest.mark.parametrize("h", [0.0, 2.37, -2.37, 0.6 * 33])
+    def test_matches_two_stage_read(self, monkeypatch, sino, h):
+        got = reflected_resampling(sino, h)
+        monkeypatch.setattr(fan_align, "sample_periodic", two_stage_periodic)
+        assert np.array_equal(got, reflected_resampling(sino, h))
+
+    @pytest.mark.parametrize("h", [0.0, 37.3])
+    def test_block_of_one_view_row(self, monkeypatch, h):
+        n_s = registration._BLOCK + 11
+        geom = FanGeometry(SOURCE_RADIUS, n_s, unit_disk_half_width(SOURCE_RADIUS), 5)
+        sino = Sinogram(geom, np.random.default_rng(9).uniform(0.5, 2.0, size=(5, n_s)))
+        got = reflected_resampling(sino, h)
+        monkeypatch.setattr(fan_align, "sample_periodic", two_stage_periodic)
+        assert np.array_equal(got, reflected_resampling(sino, h))
+
+    @pytest.mark.parametrize("h", [0.0, 17.3])
+    def test_peak_memory_near_the_output(self, h):
+        """No full-size index array or temporary: the read allocates at
+        most half its output on top of it."""
+        sino = Sinogram(fan_geometry(512), np.random.default_rng(4).uniform(0.5, 2.0, size=(512, 512)))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = reflected_resampling(sino, h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_shift_rejected(self, sino, h):
+        with pytest.raises(ValueError, match="s coordinates must be finite"):
+            reflected_resampling(sino, h)
 
 
 class TestFixedPoint:

@@ -18,8 +18,9 @@ from ctalign import (
     xcorr_shift_rows,
     xcorr_shift_s_2d,
 )
-from ctalign.registration import _peak_shift, _spectral_upsample, shift_views
-from conftest import two_plane_detector, two_plane_periodic
+from ctalign import registration
+from ctalign.registration import _peak_shift, _spectral_upsample
+from conftest import count_calls, two_plane_detector, two_plane_periodic, two_stage_periodic
 
 
 def bump(n, center, width):
@@ -422,19 +423,24 @@ class TestSampleDetector:
 
 
 class TestShiftViews:
-    @pytest.fixture
-    def values(self):
-        return np.random.default_rng(5).uniform(0.5, 2.0, size=(12, 9))
+    """sample_periodic on every stored view (beta=None), each column at its
+    own view-angle offset."""
 
-    def test_whole_view_offsets_roll_bit_exactly(self, values):
+    @pytest.fixture
+    def sino(self):
+        geom = FanGeometry(2.0, 9, 1.0, 12)
+        return Sinogram(geom, np.random.default_rng(5).uniform(0.5, 2.0, size=(12, 9)))
+
+    def test_whole_view_offsets_roll_bit_exactly(self, sino):
         step = 2 * math.pi / 12
         k = np.arange(9) - 4  # negative offsets wrap too
-        out = shift_views(values, k * step)
+        out = sample_periodic(sino, sino.geometry.s_axis(), None, k * step)
         for i in range(9):
-            assert np.array_equal(out[:, i], np.roll(values[:, i], -k[i]))
+            assert np.array_equal(out[:, i], np.roll(sino.values[:, i], -k[i]))
 
-    def test_half_view_offset_is_neighbour_mean(self, values):
-        out = shift_views(values, np.full(9, 11.5 * 2 * math.pi / 12))
+    def test_half_view_offset_is_neighbour_mean(self, sino):
+        out = sample_periodic(sino, sino.geometry.s_axis(), None, np.full(9, 11.5 * 2 * math.pi / 12))
+        values = sino.values
         expected = 0.5 * (values[np.arange(12) - 1] + values)  # view j + 11.5 is between j - 1 and j
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
@@ -444,9 +450,58 @@ class TestShiftViews:
         sino = Sinogram(geom, np.random.default_rng(n_beta).uniform(0.5, 2.0, size=(n_beta, 33)))
         offset = math.pi + 2.0 * np.arctan((geom.s_axis() - 0.1) / geom.source_radius)
         want = sample_periodic(sino, geom.s_axis(), geom.beta_axis()[:, None] + offset)
-        np.testing.assert_allclose(shift_views(sino.values, offset), want, rtol=0, atol=1e-12 * 2.0)
+        got = sample_periodic(sino, geom.s_axis(), None, offset)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * 2.0)
 
-    def test_fresh_array(self, values):
-        out = shift_views(values, np.zeros(9))
-        assert np.array_equal(out, values)
-        assert not np.shares_memory(out, values)
+    def test_fresh_array(self, sino):
+        out = sample_periodic(sino, sino.geometry.s_axis(), None, np.zeros(9))
+        assert np.array_equal(out, sino.values)
+        assert not np.shares_memory(out, sino.values)
+
+    def test_view_offset_needs_all_views(self, sino):
+        with pytest.raises(ValueError, match="view_offset needs beta=None"):
+            sample_periodic(sino, 0.0, 0.0, 0.1)
+
+    def test_non_finite_view_offset_rejected(self, sino):
+        stack = ProjectionStack(ConeGeometry(2.0, 9, 3, 1.0, 1.0, 12), np.ones((12, 3, 9)))
+        with pytest.raises(ValueError, match="wrap_angle requires finite angles"):
+            sample_periodic(sino, sino.geometry.s_axis(), None, math.nan)
+        with pytest.raises(ValueError, match="wrap_angle requires finite angles"):
+            sample_detector(stack, stack.geometry.u_axis(), 0.0, None, np.full(9, math.inf))
+
+
+class TestZeroWeightAxes:
+    """Both sampler paths read an axis's upper neighbour only where its
+    weight is nonzero at some point."""
+
+    @pytest.mark.parametrize("s_on_grid", [True, False])
+    @pytest.mark.parametrize("beta_on_grid", [True, False])
+    def test_periodic_gathers(self, monkeypatch, small_sino, s_on_grid, beta_on_grid):
+        geom = small_sino.geometry
+        s = geom.s_axis() + (0.0 if s_on_grid else 0.3 * geom.pixel_size)
+        beta = geom.beta_axis()[:, None] + (0.0 if beta_on_grid else 0.4 * geom.beta_step)
+        gathers = count_calls(monkeypatch, registration, "_gather")
+        got = sample_periodic(small_sino, s, beta)
+        assert len(gathers) == 2 ** ((not s_on_grid) + (not beta_on_grid))
+        assert np.array_equal(got, two_plane_periodic(small_sino, s, beta))
+        # all views in one block: each detector corner is gathered once,
+        # whether or not adjacent views are blended
+        offset = np.full(geom.n_s, 0.0 if beta_on_grid else 0.4 * geom.beta_step)
+        gathers.clear()
+        got = sample_periodic(small_sino, s, None, offset)
+        assert len(gathers) == 2 ** (not s_on_grid)
+        assert np.array_equal(got, two_stage_periodic(small_sino, s, None, offset))
+
+    @pytest.mark.parametrize("u_on_grid", [True, False])
+    @pytest.mark.parametrize("v_on_grid", [True, False])
+    @pytest.mark.parametrize("beta_on_grid", [True, False])
+    def test_detector_gathers(self, monkeypatch, u_on_grid, v_on_grid, beta_on_grid):
+        geom = ConeGeometry(2.0, 7, 5, 1.0, 0.8, 6)
+        stack = ProjectionStack(geom, np.random.default_rng(11).uniform(0.5, 2.0, size=(6, 5, 7)))
+        u = geom.u_axis() + (0.0 if u_on_grid else 0.3 * geom.pixel_size)
+        v = geom.v_axis()[[0, 1, 2, 3, 4, 0, 1]] + (0.0 if v_on_grid else 0.6 * geom.pixel_size_v)
+        beta = geom.beta_axis()[:, None] + (0.0 if beta_on_grid else 0.4 * geom.beta_step)
+        gathers = count_calls(monkeypatch, registration, "_gather")
+        got = sample_detector(stack, u, v, beta)
+        assert len(gathers) == 2 ** ((not u_on_grid) + (not v_on_grid) + (not beta_on_grid))
+        assert np.array_equal(got, two_plane_detector(stack, u, v, beta))
