@@ -179,7 +179,8 @@ def cmd_metric(options):
             raise ConfigError("--eta applies to cone data only")
         fan = data
     else:
-        fan = Sinogram(data.geometry.central_fan(), lambda_eta(data, 0.0, eta))
+        # the mid-plane pivoted at h, as in the mse that variable_projection reports
+        fan = Sinogram(data.geometry.central_fan(), lambda_eta(data, h, eta))
     mse = symmetry_mse(fan, h)
     pairs = [("command", "metric"), ("input", str(input_path)), ("h_px", h), ("eta_rad", eta), ("mse", mse)]
     _emit_report(pairs, options.get("report"))

@@ -61,8 +61,8 @@ class FanAlignConfig:
             raise ValueError("K must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.tol_h > 0:
-            raise ValueError("tol_h must be positive")
+        if not (math.isfinite(self.tol_h) and self.tol_h > 0):
+            raise ValueError("tol_h must be positive and finite")
         if self.upsample < 1:
             raise ValueError("upsample must be at least 1")
         if self.beta_index < 0:

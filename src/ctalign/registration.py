@@ -9,14 +9,15 @@ xcorr_shift_rows registers K row pairs with one batched FFT per step and
 marks rows whose correlation is identically zero; xcorr_shift_1d is its
 one-row case.
 
-The samplers build interpolation weights per axis, on each coordinate's own
-shape (a detector row against a column of angles costs n + m, not n*m), and
-gather corner values from the flattened data, bitwise as full-grid formulas.
-An axis whose weight is zero at every point (a detector axis, or the view
-axis when every angle is on a stored view) is not read.  Queried on every
-stored view with one view-angle offset per detector point (beta=None), they
+The samplers have one read: stored views at detector points, each point at
+its own view-angle offset.  Queried on every stored view (beta=None), they
 read cache-sized blocks of views, each corner gathered once per block and
-adjacent views blended per column: the fan symmetry map on every view.
+adjacent views blended per column: the fan symmetry map on every view.  A
+query at given view angles is the one-view case, stored view 0 read with
+the angles as offsets.  Interpolation weights are built per axis and corner
+values gathered from the flattened data, bitwise as full-grid formulas.  An
+axis whose weight is zero at every point (a detector axis, or the view axis
+when every angle is on a stored view) is not read.
 """
 
 import numpy as np
@@ -153,7 +154,10 @@ def _axis_weights(coord, origin, step, n, stride):
     i1 = i0 + 1
     off0 = (i0 < 0) | (i0 > n - 1)
     off1 = (i1 < 0) | (i1 > n - 1)
-    return (np.clip(i0, 0, n - 1, out=i0) * stride, off0), (np.clip(i1, 0, n - 1, out=i1) * stride, off1), w
+    for i in (i0, i1):  # np.clip in place, at a lower fixed cost per call
+        np.maximum(i, 0, out=i)
+        np.minimum(i, n - 1, out=i)
+    return (i0 * stride, off0), (i1 * stride, off1), w
 
 
 def _beta_weights(beta, n, stride):
@@ -176,13 +180,6 @@ def _beta_weights(beta, n, stride):
     return j0, j1, t
 
 
-def _coordinates(*coords):
-    """The coordinates as float arrays of at least one dimension (in-place
-    arithmetic needs arrays, not scalars) and their broadcast shape."""
-    coords = [np.asarray(c, dtype=float) for c in coords]
-    return np.atleast_1d(*coords), np.broadcast_shapes(*(c.shape for c in coords))
-
-
 def _gather(flat, index, off):
     """flat[index modulo its size], zero where off (off the grid); a fresh array."""
     v = flat.take(index, mode="wrap")
@@ -198,18 +195,19 @@ def _lerp(v0, v1, w, out=None):
     return out
 
 
-def _cell(axes, start=None):
+def _cell(axes, start):
     """The corners (flat offset, off-grid mask) of each point's cell on the
-    _axis_weights axes, outermost first, added to the corner start if given,
-    and the weights of the axes they span.  An axis whose weight is 0 at
-    every point adds its lower corner only: the upper one would add 0 * v."""
-    corners, weights = [start], []
+    _axis_weights axes, outermost first, offsets added to start, and the
+    weights of the axes they span.  An axis whose weight is 0 at every point
+    adds its lower corner only: the upper one would add 0 * v."""
+    corners, weights = [(start, None)], []
     for lo, hi, w in axes:
         ends = [lo]
         if w.any():
             ends.append(hi)
             weights.append(w)
-        corners = [e if c is None else (c[0] + e[0], c[1] | e[1]) for c in corners for e in ends]
+        # a bool-array | bool-scalar is ~10x an array | array: the start has no mask
+        corners = [(c + e, off if c_off is None else c_off | off) for c, c_off in corners for e, off in ends]
     return corners, weights
 
 
@@ -225,24 +223,25 @@ def _read(flat, rows, cell):
 _BLOCK = 1 << 14  # output points per block of the all-views read: they stay in cache
 
 
-def _all_views(flat, n, axes, view_offset):
-    """The (n, m) read of every stored view j at the m detector points of
-    axes, column i at view angle b_j + view_offset_i (b_j if None), which is
-    one (whole views k_i, weight f_i) pair.  Each block of views gathers each
-    corner once on its views plus one, view j + k_i at flat offset
-    (j + k_i)*stride + corner (corner < stride: the index modulo is the view
-    modulo), applies the detector lerps, then blends adjacent rows with f_i
-    unless every f_i is 0: bit for bit the full-grid read, then the blend."""
+def _all_views(flat, n, views, axes, view_offset):
+    """The (views, m) read of the stored views j < views at the m detector
+    points of axes, column i at view angle b_j + view_offset_i (b_j if None),
+    which is one (whole views k_i, weight f_i) pair.  Each block of views
+    gathers each corner once on its views plus one, view j + k_i at flat
+    offset (j + k_i)*stride + corner (corner < stride: the index modulo is
+    the view modulo), applies the detector lerps, then blends adjacent rows
+    with f_i unless every f_i is 0: bit for bit the full-grid read, then the
+    blend."""
     m, stride = axes[0][2].size, flat.size // n
     k, blend = 0, False
     if view_offset is not None:
         k, _, f = _beta_weights(view_offset, n, stride)
         blend = bool(f.any())
-    cell = _cell(axes, (k, False))
+    cell = _cell(axes, k)
     rows = max(1, _BLOCK // m)
-    out = np.empty((n, m))
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
+    out = np.empty((views, m))
+    for a in range(0, views, rows):
+        b = min(a + rows, views)
         v = _read(flat, np.arange(a * stride, (b + blend) * stride, stride)[:, None], cell)
         if blend:
             _lerp(v[:-1], v[1:], f, out[a:b])  # v[:-1] is read before v[1:] is scaled
@@ -254,31 +253,26 @@ def _all_views(flat, n, axes, view_offset):
 def _sample(values, specs, message, beta, view_offset):
     """The samplers' read of values (n views 2*pi/n apart on the first axis)
     at detector coordinates, specs one (coordinate, origin, step, count,
-    stride) per axis, outermost first; message: the non-finite error."""
+    stride) per axis, outermost first; message: the non-finite error.  A
+    query at view angles beta is the all-views read of stored view 0 (at
+    angle 0) with view offset beta."""
     n, flat = values.shape[0], values.ravel()
-    coords = [spec[0] for spec in specs]
-    if beta is None:
-        offset = 0.0 if view_offset is None else view_offset
-        *coords, offset = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (*coords, offset)))
-        shape = (n,) + offset.shape
-        coords, offset = [c.ravel() for c in coords], offset.ravel()
-    elif view_offset is not None:
-        raise ValueError("view_offset needs beta=None")
-    else:
-        (*coords, beta), shape = _coordinates(*coords, beta)
+    views = n
+    if beta is not None:
+        if view_offset is not None:
+            raise ValueError("view_offset needs beta=None")
+        views, view_offset = 1, beta
+    offset = 0.0 if view_offset is None else view_offset
+    *coords, offset = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (*(s[0] for s in specs), offset)))
+    shape = offset.shape if beta is not None else (n,) + offset.shape
     if 0 in shape:
         return np.zeros(shape)  # an empty query reads, and checks, no point
+    coords = [c.ravel() for c in coords]
     if not all(np.all(np.isfinite(c)) for c in coords):
         raise ValueError(message)
     axes = [_axis_weights(c, *spec[1:]) for c, spec in zip(coords, specs)]
-    if beta is None:
-        return _all_views(flat, n, axes, None if view_offset is None else offset).reshape(shape)
-    cell = _cell(axes)
-    j0, j1, t = _beta_weights(beta, n, flat.size // n)
-    out = _read(flat, j0, cell)
-    if t.any():
-        out = _lerp(out, _read(flat, j1, cell), t)
-    return float(out[0]) if shape == () else out
+    out = _all_views(flat, n, views, axes, None if view_offset is None else offset.ravel())
+    return float(out[0, 0]) if shape == () else out.reshape(shape)
 
 
 def sample_periodic(sino, s, beta, view_offset=None):

@@ -338,7 +338,4 @@ def resample_shift_rotate(stack, h, eta, rotate_first=False):
     else:
         uq = (u - h_u) * cose - v * sine
         vq = (u - h_u) * sine + v * cose
-    values = np.empty_like(stack.values)
-    for j, b in enumerate(geom.beta_axis()):
-        values[j] = sample_detector(stack, uq, vq, b)
-    return ProjectionStack(geom, values)
+    return ProjectionStack(geom, sample_detector(stack, uq, vq, None))

@@ -27,7 +27,6 @@ from ctalign.registration import (
     AmbiguousShiftError,
     _axis_weights,
     _beta_weights,
-    _coordinates,
     _lerp,
     xcorr_shift_1d,
 )
@@ -72,6 +71,13 @@ def ref_stack():
     """Misaligned reference stack: h = 10 px, eta = 1 degree, 128^3."""
     phantom = make_sphere_phantom(1, n_spheres=20)
     return cone_project(phantom, cone_geometry(128), h=H_TRUE, eta=ETA_TRUE)
+
+
+def _coordinates(*coords):
+    """The coordinates as float arrays of at least one dimension (in-place
+    arithmetic needs arrays, not scalars) and their broadcast shape."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    return np.atleast_1d(*coords), np.broadcast_shapes(*(c.shape for c in coords))
 
 
 def _gather(flat, row, corner):

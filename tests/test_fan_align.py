@@ -428,6 +428,8 @@ class TestConfigValidation:
             {"K": 0},
             {"max_iter": 0},
             {"tol_h": 0.0},
+            {"tol_h": math.inf},
+            {"tol_h": math.nan},
             {"upsample": 0},
             {"beta_index": -1},
         ],

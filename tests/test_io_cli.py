@@ -314,6 +314,14 @@ class TestCliAlignFan:
         assert rc == 2
         assert report_value(capsys.readouterr().out, "converged") == "false"
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tol_h_rejected(self, cli_fan_files, capsys, value):
+        _, shifted = cli_fan_files
+        assert main(["align-fan", "--input", shifted, "--method", "fp", "--tol-h", value]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol_h" in captured.err
+
     def test_pixel_size_gives_millimetres(self, tmp_path, capsys):
         out = str(tmp_path / "p.sino")
         main(["simulate", "--mode", "fan", "--n", "128", "--h", "10", "--seed", "1", "--pixel-size-mm", "0.2", "--out", out])
@@ -429,6 +437,19 @@ class TestCliMetric:
     def test_eta_on_fan_rejected(self, cli_fan_files):
         _, shifted = cli_fan_files
         assert main(["metric", "--input", shifted, "--eta", "1deg"]) == 4
+
+    @pytest.mark.parametrize("inner", ["2dr", "fpk"])
+    def test_cone_metric_matches_align_cone(self, tmp_path, capsys, inner):
+        """The cone metric reads the mid-plane pivoted at h, as the estimate's mse."""
+        out = str(tmp_path / "cone.sino")
+        assert main(["simulate", "--mode", "cone", "--n", "48", "--h", "4", "--eta", "1deg", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["align-cone", "--input", out, "--inner-method", inner]) == 0
+        text = capsys.readouterr().out
+        h, eta = report_value(text, "h_px"), report_value(text, "eta_rad")
+        assert float(h) != 0.0 and float(eta) != 0.0
+        assert main(["metric", "--input", out, "--h", h, "--eta", eta + "rad"]) == 0
+        assert report_value(capsys.readouterr().out, "mse") == report_value(text, "mse")
 
 
 class TestCliSweep:

@@ -470,9 +470,51 @@ class TestShiftViews:
             sample_detector(stack, stack.geometry.u_axis(), 0.0, None, np.full(9, math.inf))
 
 
+class TestPerPointIsOneView:
+    """A query at view angles beta is row 0 of the all-views read with beta
+    as the view offsets, bit for bit: stored view 0 sits at angle 0."""
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_periodic(self, small_sino, on_grid):
+        geom = small_sino.geometry
+        s = geom.s_axis() + (0.0 if on_grid else 0.3 * geom.pixel_size)
+        beta = geom.beta_axis()[:, None] + (0.0 if on_grid else 0.4 * geom.beta_step)
+        beta = np.concatenate([beta, beta - 4 * math.pi, beta[::-1] + 2 * math.pi - 1e-12])
+        grid = sample_periodic(small_sino, s, beta)
+        assert grid.shape == (3 * geom.n_beta, geom.n_s)
+        assert grid.tobytes() == sample_periodic(small_sino, s, None, beta)[0].tobytes()
+        for b in beta[:, 0]:
+            x = s[3] if on_grid else 0.123
+            got = sample_periodic(small_sino, x, b)
+            assert type(got) is float
+            assert got == sample_periodic(small_sino, x, None, b)[0]
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_detector(self, on_grid):
+        geom = ConeGeometry(2.0, 7, 5, 1.0, 0.8, 6)
+        stack = ProjectionStack(geom, np.random.default_rng(13).uniform(0.5, 2.0, size=(6, 5, 7)))
+        u = geom.u_axis() + (0.0 if on_grid else 0.3 * geom.pixel_size)
+        v = geom.v_axis()[[0, 1, 2, 3, 4, 0, 1]] + (0.0 if on_grid else 0.6 * geom.pixel_size_v)
+        beta = geom.beta_axis()[:, None] + (0.0 if on_grid else 0.4 * geom.beta_step)
+        beta = np.concatenate([beta, beta + 2 * math.pi, -beta])
+        grid = sample_detector(stack, u, v, beta)
+        assert grid.shape == (3 * geom.n_beta, 7)
+        assert grid.tobytes() == sample_detector(stack, u, v, None, beta)[0].tobytes()
+        for b in beta[:, 0]:
+            got = sample_detector(stack, u[2], v[4], b)
+            assert type(got) is float
+            assert got == sample_detector(stack, u[2], v[4], None, b)[0]
+
+
+def gathered(gathers):
+    """The number of points read by the recorded _gather calls (flat, index, off)."""
+    return sum(index.size for _, index, _ in gathers)
+
+
 class TestZeroWeightAxes:
-    """Both sampler paths read an axis's upper neighbour only where its
-    weight is nonzero at some point."""
+    """Every read gathers an axis's upper neighbour only where its weight is
+    nonzero at some point: each gathered point counts once, so a skipped
+    axis halves the count."""
 
     @pytest.mark.parametrize("s_on_grid", [True, False])
     @pytest.mark.parametrize("beta_on_grid", [True, False])
@@ -482,14 +524,15 @@ class TestZeroWeightAxes:
         beta = geom.beta_axis()[:, None] + (0.0 if beta_on_grid else 0.4 * geom.beta_step)
         gathers = count_calls(monkeypatch, registration, "_gather")
         got = sample_periodic(small_sino, s, beta)
-        assert len(gathers) == 2 ** ((not s_on_grid) + (not beta_on_grid))
+        assert gathered(gathers) == geom.n_beta * geom.n_s * 2 ** ((not s_on_grid) + (not beta_on_grid))
         assert np.array_equal(got, two_plane_periodic(small_sino, s, beta))
-        # all views in one block: each detector corner is gathered once,
-        # whether or not adjacent views are blended
+        # all views in one block: each detector corner is gathered once on
+        # the views, plus one view if adjacent views are blended
         offset = np.full(geom.n_s, 0.0 if beta_on_grid else 0.4 * geom.beta_step)
         gathers.clear()
         got = sample_periodic(small_sino, s, None, offset)
         assert len(gathers) == 2 ** (not s_on_grid)
+        assert gathered(gathers) == (geom.n_beta + (not beta_on_grid)) * geom.n_s * 2 ** (not s_on_grid)
         assert np.array_equal(got, two_stage_periodic(small_sino, s, None, offset))
 
     @pytest.mark.parametrize("u_on_grid", [True, False])
@@ -503,5 +546,5 @@ class TestZeroWeightAxes:
         beta = geom.beta_axis()[:, None] + (0.0 if beta_on_grid else 0.4 * geom.beta_step)
         gathers = count_calls(monkeypatch, registration, "_gather")
         got = sample_detector(stack, u, v, beta)
-        assert len(gathers) == 2 ** ((not u_on_grid) + (not v_on_grid) + (not beta_on_grid))
+        assert gathered(gathers) == 6 * 7 * 2 ** ((not u_on_grid) + (not v_on_grid) + (not beta_on_grid))
         assert np.array_equal(got, two_plane_detector(stack, u, v, beta))

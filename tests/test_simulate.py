@@ -17,6 +17,7 @@ from ctalign import (
     make_disk_phantom,
     make_sphere_phantom,
     resample_shift_rotate,
+    sample_detector,
 )
 from conftest import SOURCE_RADIUS, cone_geometry, fan_geometry
 
@@ -253,7 +254,33 @@ class TestConeProject:
         assert not np.allclose(plain.values, tilted.values, atol=1e-3)
 
 
+def per_view_resample_shift_rotate(stack, h, eta, rotate_first=False):
+    """resample_shift_rotate as a loop of one per-point sampler read per
+    stored view: the reference for its one all-views read."""
+    geom = stack.geometry
+    h_u = geom.px_to_u(h)
+    cose, sine = math.cos(eta), math.sin(eta)
+    u = geom.u_axis()[None, :]
+    v = geom.v_axis()[:, None]
+    if rotate_first:
+        uq, vq = u * cose - v * sine - h_u, u * sine + v * cose
+    else:
+        uq, vq = (u - h_u) * cose - v * sine, (u - h_u) * sine + v * cose
+    values = np.empty_like(stack.values)
+    for j, b in enumerate(geom.beta_axis()):
+        values[j] = sample_detector(stack, uq, vq, b)
+    return values
+
+
 class TestResampleShiftRotate:
+    @pytest.mark.parametrize("rotate_first", [False, True])
+    @pytest.mark.parametrize("h, eta", [(0.0, 0.0), (3.0, 0.0), (2.5, math.radians(2.0)), (-1.7, -0.3)])
+    def test_matches_per_view_reads(self, rotate_first, h, eta):
+        stack = cone_project(make_sphere_phantom(3, n_spheres=6), cone_geometry(24))
+        out = resample_shift_rotate(stack, h, eta, rotate_first=rotate_first)
+        want = per_view_resample_shift_rotate(stack, h, eta, rotate_first=rotate_first)
+        assert out.values.tobytes() == want.tobytes()
+
     def test_identity(self, ref_stack):
         out = resample_shift_rotate(ref_stack, 0.0, 0.0)
         assert np.array_equal(out.values, ref_stack.values)
