@@ -11,16 +11,15 @@ detector axis tilted by eta about the rotation-axis image (h, 0):
 At the true misalignment Lambda is the mid-plane fan sinogram and both
 agree (the fan symmetry condition along the true horizontal axis), so
 L(h, eta) = |Lambda - Pi|^2 is minimized there.
-Pi_h_eta is the fan symmetry map (fan_align.reflect) read through the
-tilted detector axis, so the fan estimators are the eta = 0, v = 0 case:
-one read of every stored view along the reflected tilted path, each column
-at its own view offset.  Lambda_eta is that read on the unreflected path,
-with no offset.
+Pi_h_eta is the fan symmetry map (fan_align.reflect) read along the tilted
+detector axis, so the fan estimators are its eta = 0, v = 0 case; Lambda_eta
+is the same read of every stored view, unreflected.
 The inner variable h is eliminated by the fan 2DR or median-of-K fixed-point
 solve at fixed eta on the pair pivoted at 0, which is free of h; the reduced
-loss L(h(eta), eta) is descended in eta by Newton steps on its
-central-difference gradient and curvature, with Armijo backtracking (step
-halved on each rejection) as the safeguard.
+loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.  Its
+gradient is the partial one at the inner optimum (the envelope result of
+variable projection; Golub & Pereyra, Inverse Problems 19:R1, 2003), so h
+is solved only at the start, trial and accepted points, not on the stencil.
 """
 
 import math
@@ -108,10 +107,8 @@ def pi_h_eta(stack, h, eta):
 
 
 def loss_L(stack, h, eta, lam=None):
-    """Sum of squared differences of the two tilted resamplings at (h, eta).
-
-    lam, if given, is lambda_eta(stack, h, eta).
-    """
+    """Sum of squared differences of the two tilted resamplings at (h, eta);
+    lam, if given, is lambda_eta(stack, h, eta)."""
     if lam is None:
         lam = lambda_eta(stack, h, eta)
     pi = pi_h_eta(stack, h, eta)
@@ -134,13 +131,19 @@ def inner_h(stack, eta, cfg=VPConfig()):
     return fixed_point_shift(lam, fan, _tilted(stack, eta), starts, cfg.inner)[0]
 
 
+def _pivoted_loss(stack, h, eta, cache):
+    """(loss, lam) of the pair pivoted at (h, 0), lam its lambda_eta; cached per (h, eta)."""
+    if (h, eta) not in cache:
+        lam = lambda_eta(stack, h, eta)
+        cache[h, eta] = (loss_L(stack, h, eta, lam), lam)
+    return cache[h, eta]
+
+
 def _reduced_loss(stack, eta, cfg, cache):
-    """(h, loss, lam) at eta: h from the inner solve, then the loss on the
-    pair pivoted at h, whose lambda_eta is lam.  Cached per eta."""
+    """(h, loss, lam) at eta, h from the inner solve; cached per eta."""
     if eta not in cache:
         h = inner_h(stack, eta, cfg)
-        lam = lambda_eta(stack, h, eta)
-        cache[eta] = (h, loss_L(stack, h, eta, lam), lam)
+        cache[eta] = (h, *_pivoted_loss(stack, h, eta, cache))
     return cache[eta]
 
 
@@ -148,18 +151,20 @@ def reduced_gradient(stack, eta, cfg=VPConfig(), cache=None):
     """(gradient, curvature) in eta of the reduced loss L(h(eta), eta).
 
     Both come from the same three losses L-, L0, L+ at eta - d, eta, eta + d
-    (d = cfg.delta_eta): g = (L+ - L-)/2d and c = (L+ - 2 L0 + L-)/d^2.
-    Within one step of the search-domain edge the stencil is one-sided,
-    g = (L0 - L-)/d or (L+ - L0)/d, and c is nan.
-    cache maps eta to _reduced_loss results, shared across calls.
+    (d = cfg.delta_eta), pivoted at the centre's h = h(eta): the partial
+    derivatives at the inner optimum, which are the reduced ones (the
+    envelope result), so h is solved at eta only.  g = (L+ - L-)/2d and
+    c = (L+ - 2 L0 + L-)/d^2; within one step of the search-domain edge the
+    stencil is one-sided, g = (L0 - L-)/d or (L+ - L0)/d, and c is nan.
+    cache holds the solves per eta and the losses per (h, eta), across calls.
     """
     cache = {} if cache is None else cache
     d = cfg.delta_eta
+    h, l0, _ = _reduced_loss(stack, eta, cfg, cache)
 
     def loss(at):
-        return _reduced_loss(stack, at, cfg, cache)[1]
+        return _pivoted_loss(stack, h, at, cache)[0]
 
-    l0 = loss(eta)
     if eta + d > ETA_BOUND:
         return (l0 - loss(eta - d)) / d, math.nan
     if eta - d < -ETA_BOUND:
@@ -171,14 +176,14 @@ def reduced_gradient(stack, eta, cfg=VPConfig(), cache=None):
 def variable_projection(stack, cfg=VPConfig()):
     """Joint (h, eta) estimate: safeguarded Newton descent on the reduced loss.
 
-    Each outer iteration re-solves the inner shift at the probed angles
-    (results are cached per eta; the inner solve is deterministic) and
-    takes the Newton step g/c of the central-difference stencil, or gamma0
-    times g where c is not positive or the stencil is one-sided; the step
-    is halved until the Armijo sufficient-decrease test passes.  Descent
-    stops as converged, with no new point, once c > 0 and the Newton step
-    is below tol_eta.  The iteration cap and backtracking exhaustion return
-    the last accepted point, flagged non-converged.
+    The inner shift is solved at eta0 and at each trial angle (cached per
+    eta; the inner solve is deterministic), and held at the centre's value
+    across the stencil.  Each outer iteration takes the Newton step g/c, or
+    gamma0 times g where c is not positive or the stencil is one-sided; the
+    step is halved until the Armijo sufficient-decrease test passes.
+    Descent stops as converged, with no new point, once c > 0 and the
+    Newton step is below tol_eta.  The iteration cap and backtracking
+    exhaustion return the last accepted point, flagged non-converged.
 
     The result's mse is the fan symmetry MSE of the accepted point's
     lambda_eta, the mid-plane fan sinogram at the estimate.

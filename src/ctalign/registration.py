@@ -143,6 +143,7 @@ def _axis_weights(coord, origin, step, n, stride):
     the (flat offset, off-grid mask) of the lower and upper neighbours, and
     the upper neighbour's weight.  stride is the axis's flat-index stride."""
     x = (coord - origin) / step
+    np.minimum(np.maximum(x, -2.0, out=x), n + 1.0, out=x)  # off [-1, n] reads 0 anyway; the cast stays valid
     i0 = np.floor(x).astype(int)
     w = x - i0
     # snap to the grid so stored values are reproduced bit-exactly

@@ -214,6 +214,8 @@ def fan_project(phantom, geom, h=0.0, instability=None):
     s_i - h (shift applied in the geometry, not by resampling).  The beam
     instability, if given, is added on the recorded grid afterwards.
     """
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
     h_s = geom.px_to_s(h)
     s = geom.s_axis()
     beta = geom.beta_axis()
@@ -298,6 +300,8 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
     """
     if not -math.pi / 2 < eta < math.pi / 2:
         raise ValueError("eta must lie in (-pi/2, pi/2)")
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
     h_u = geom.px_to_u(h)
     u = geom.u_axis()
     v = geom.v_axis()

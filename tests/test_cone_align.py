@@ -261,17 +261,19 @@ class TestInnerFixedPoint:
 
 
 def fake_reduced_loss(monkeypatch, loss, lam=None):
-    """Replace the reduced loss by loss(eta), with h = 0 and lam as given;
-    returns the distinct etas in the order they are first probed."""
+    """Replace the reduced loss by loss(eta): every inner solve gives h = 0
+    and every pivoted loss is (loss(eta), lam); returns the distinct etas in
+    the order they are first probed."""
     probed = []
 
-    def fake(stack, eta, cfg, cache):
-        if eta not in cache:
+    def fake(stack, h, eta, cache):
+        if (h, eta) not in cache:
             probed.append(eta)
-            cache[eta] = (0.0, loss(eta), lam)
-        return cache[eta]
+            cache[h, eta] = (loss(eta), lam)
+        return cache[h, eta]
 
-    monkeypatch.setattr(cone_align, "_reduced_loss", fake)
+    monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg: 0.0)
+    monkeypatch.setattr(cone_align, "_pivoted_loss", fake)
     return probed
 
 
@@ -300,6 +302,18 @@ class TestReducedGradient:
     def test_curvature_positive_at_truth(self, ref_stack):
         _, curv = reduced_gradient(ref_stack, ETA_TRUE)
         assert curv > 0.0
+
+    @pytest.mark.parametrize("eta", [ETA_TRUE, ETA_TRUE + 0.01])
+    def test_stencil_is_the_pivoted_loss_at_the_centre_solve(self, ref_stack, monkeypatch, eta):
+        """The envelope result: h is solved once, at eta, and the stencil is
+        loss_L at that h, bit for bit."""
+        d = VPConfig().delta_eta
+        h = inner_h(ref_stack, eta)
+        lo, l0, hi = (loss_L(ref_stack, h, eta + k * d) for k in (-1, 0, 1))
+        solves = count_calls(monkeypatch, cone_align, "inner_h")
+        g, c = reduced_gradient(ref_stack, eta)
+        assert [args[1] for args in solves] == [eta]
+        assert (g, c) == ((hi - lo) / (2.0 * d), (hi - 2.0 * l0 + lo) / (d * d))
 
     @pytest.mark.parametrize("eta, probes", [(0.1, 3), (cone_align.ETA_BOUND, 2), (-cone_align.ETA_BOUND, 2)])
     def test_one_stencil_of_cached_losses(self, monkeypatch, eta, probes):
@@ -361,14 +375,30 @@ class TestVariableProjection:
         assert abs(result.h - h3) <= 0.25
         assert abs(result.eta - e3) <= math.radians(0.05)
 
-    def test_two_tilted_reads_per_probed_eta(self, ref_stack, monkeypatch):
-        """One h-free read for the inner solve and one read pivoted at its h
-        for the loss; the result's mse is the accepted point's pivoted read."""
+    def test_one_tilted_read_per_solve_and_per_pivot(self, ref_stack, monkeypatch):
+        """One h-free read for each inner solve; one read pivoted at (h, 0) for
+        each distinct (h, eta): the solved points, and the stencil of each
+        accepted point at its centre's h.  The result's mse is the accepted
+        point's pivoted read."""
+        solved = {}
+
+        def solve(stack, eta, cfg):
+            solved[eta] = original(stack, eta, cfg)
+            return solved[eta]
+
+        original = cone_align.inner_h
+        monkeypatch.setattr(cone_align, "inner_h", solve)
         reads = count_calls(monkeypatch, cone_align, "lambda_eta")
         result = variable_projection(ref_stack, VPConfig())
-        etas = [args[2] for args in reads]
-        assert len(etas) == 2 * len(set(etas))
-        assert [args[1] for args in reads[::2]] == [0.0] * len(set(etas))
+        d = VPConfig().delta_eta
+        assert 0.0 not in solved.values()  # so h == 0 marks the h-free reads
+        assert [args[2] for args in reads if args[1] == 0.0] == list(solved)
+        pivoted = [(args[1], args[2]) for args in reads if args[1] != 0.0]
+        centres = [entry[2] for entry in result.trace]
+        stencils = {(solved[c], c + k * d) for c in centres for k in (-1, 1)}
+        assert not {eta for _, eta in stencils} & set(solved)  # no inner solve at a stencil point
+        assert len(pivoted) == len(set(pivoted))
+        assert set(pivoted) == {(h, eta) for eta, h in solved.items()} | stencils
         fan = Sinogram(ref_stack.geometry.central_fan(), lambda_eta(ref_stack, result.h, result.eta))
         assert result.mse == symmetry_mse(fan, result.h)
 
@@ -488,7 +518,7 @@ def test_sweep_within_gate_in_few_steps(sweep_stacks, monkeypatch, capsys):
     assert within >= 20
     assert wrong <= 10
     assert max(iterations) <= 3
-    assert len(solves) <= 300
+    assert len(solves) <= 100
 
 
 class TestVPConfigValidation:

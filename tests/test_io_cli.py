@@ -267,6 +267,14 @@ class TestCliSimulate:
         assert rc == 4
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["fan", "cone"])
+    @pytest.mark.parametrize("h", ["inf", "nan"])
+    def test_non_finite_h_rejected_and_nothing_written(self, tmp_path, capsys, mode, h):
+        assert main(["simulate", "--mode", mode, "--n", "16", "--h", h, "--out", str(tmp_path / "x.sino")]) == 4
+        assert capsys.readouterr().err == "error: h must be finite\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [["--pixel-size-mm", "-2"], ["--pixel-size-mm", "0"], ["--config", "px.cfg"]])
     def test_bad_pixel_size_rejected_and_nothing_written(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -437,6 +445,13 @@ class TestCliMetric:
     def test_eta_on_fan_rejected(self, cli_fan_files):
         _, shifted = cli_fan_files
         assert main(["metric", "--input", shifted, "--eta", "1deg"]) == 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_off_detector_shift_reflects_to_zero(self, cli_fan_files, capsys):
+        """Every reflected read falls off the detector, so the mse is |g|^2/|g|^2."""
+        _, shifted = cli_fan_files
+        assert main(["metric", "--input", shifted, "--h", "1e300"]) == 0
+        assert report_value(capsys.readouterr().out, "mse") == "1.0"
 
     @pytest.mark.parametrize("inner", ["2dr", "fpk"])
     def test_cone_metric_matches_align_cone(self, tmp_path, capsys, inner):

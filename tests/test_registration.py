@@ -422,6 +422,25 @@ class TestSampleDetector:
         assert got == pytest.approx(stack.values.mean(), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+class TestFarOffGrid:
+    """A detector coordinate far off the grid reads 0, with no invalid integer cast."""
+
+    @pytest.mark.parametrize("x", [1e300, -1e300])
+    @pytest.mark.parametrize("beta", [0.3, None])
+    def test_sample_periodic_reads_zero(self, small_sino, x, beta):
+        assert np.all(sample_periodic(small_sino, np.array([x]), beta) == 0.0)
+
+    @pytest.mark.parametrize("x", [1e300, -1e300])
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    @pytest.mark.parametrize("beta", [0.3, None])
+    def test_sample_detector_reads_zero(self, x, axis, beta):
+        geom = ConeGeometry(2.0, 7, 5, 1.0, 0.8, 6)
+        stack = ProjectionStack(geom, np.random.default_rng(11).uniform(0.5, 2.0, size=(6, 5, 7)))
+        u, v = (np.array([x]), 0.0) if axis == "u" else (0.0, np.array([x]))
+        assert np.all(sample_detector(stack, u, v, beta) == 0.0)
+
+
 class TestShiftViews:
     """sample_periodic on every stored view (beta=None), each column at its
     own view-angle offset."""

@@ -207,6 +207,12 @@ class TestFanProject:
         ph = make_disk_phantom(9, n_disks=8)
         assert np.array_equal(fan_project(ph, geom, h=2.0).values, fan_project(ph, geom, h=2.0).values)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+    def test_non_finite_h_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be finite"):
+            fan_project(make_disk_phantom(9, n_disks=8), fan_geometry(16), h=h)
+
 
 def equatorial_slice(ph3):
     """The 2D phantom seen by the v = 0 fan of a 3D phantom."""
@@ -236,6 +242,12 @@ class TestConeProject:
         ph3 = make_sphere_phantom(0, n_spheres=2)
         with pytest.raises(ValueError):
             cone_project(ph3, geom3, eta=math.pi / 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+    def test_non_finite_h_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be finite"):
+            cone_project(make_sphere_phantom(0, n_spheres=2), cone_geometry(8), h=h)
 
     def test_instability_constant_in_v(self):
         geom3 = cone_geometry(16)
