@@ -12,6 +12,7 @@ error, 4 invalid configuration.
 
 import argparse
 import math
+import re
 import sys
 import time
 from dataclasses import fields
@@ -48,6 +49,11 @@ _FLAGS = {"K": "--k", "output": "--out"}
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ConfigError (exit code 4)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1e-3 or -1deg for a flag; no ctalign flag starts with -<digit> or -.<digit>
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ConfigError(message)

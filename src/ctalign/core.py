@@ -215,11 +215,11 @@ class ProjectionStack:
 class AlignmentResult:
     """Estimated misalignment and diagnostics of one estimator run.
 
-    h is in effective pixels, eta in radians.  trace holds one
-    (k, h_k, eta_k, loss_k) tuple per recorded step; for the fan estimators
-    loss_k is the symmetry MSE at h_k, for variable projection it is the
-    reduced loss.  converged is False when an iterative method exhausted its
-    budget before meeting its tolerance.
+    h is in effective pixels, eta in radians; mse is the symmetry error at
+    the estimate.  trace holds the accepted variable-projection descent, one
+    (k, h_k, eta_k, loss_k) per step from the start, loss_k the reduced loss;
+    the fan estimators record none.  converged is False when an iterative
+    method exhausted its budget before meeting its tolerance.
     """
 
     h: float

@@ -69,19 +69,18 @@ class FanAlignConfig:
             raise ValueError("beta_index must be non-negative")
 
 
-def reflect(geom, sample, h_px, beta=None, s=None):
+def reflect(geom, sample, h_px, beta=None):
     """The symmetry map at candidate shift h (pixels), read through a sampler.
 
     Returns sample(-s + 2h, beta + pi + 2*atan((s - h)/r)) on the detector
-    axis s of geom (pass s to reuse an axis across calls).  sample(x, b) reads
-    the data at detector coordinate x and view angle b; beta is a view angle
-    or an array of them.  beta=None takes every view b_j of geom and returns
-    the (n_beta, n_s) array sample(x, None, offset): the stored views read
-    along the reflected detector path x, column i at view angle
-    b_j + offset_i with offset_i = pi + 2*atan((s_i - h)/r).
+    axis s of geom.  sample(x, b) reads the data at detector coordinate x and
+    view angle b; beta is a view angle or an array of them.  beta=None takes
+    every view b_j of geom and returns the (n_beta, n_s) array
+    sample(x, None, offset): the stored views read along the reflected
+    detector path x, column i at view angle b_j + offset_i with
+    offset_i = pi + 2*atan((s_i - h)/r).
     """
-    if s is None:
-        s = geom.s_axis()
+    s = geom.s_axis()
     h_s = geom.px_to_s(h_px)
     x = -s + 2.0 * h_s
     offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
@@ -129,21 +128,11 @@ def symmetry_mse(sino, h):
     return float(np.dot(residual, residual)) / den
 
 
-def _result(h, method, iterations, trace, converged, mse):
+def _result(sino, h, method, iterations=0, converged=True):
+    """The fan result at h, with its symmetry MSE; fan results keep no trace."""
     return AlignmentResult(
-        h=float(h),
-        eta=0.0,
-        mse=mse,
-        iterations=iterations,
-        method=method,
-        trace=tuple(trace),
-        converged=converged,
+        h=float(h), eta=0.0, mse=symmetry_mse(sino, h), iterations=iterations, method=method, converged=converged
     )
-
-
-def _single_shot(sino, h, method):
-    mse = symmetry_mse(sino, h)
-    return _result(h, method, 0, [(0, float(h), 0.0, mse)], True, mse)
 
 
 def align_yang(sino, cfg=FanAlignConfig()):
@@ -154,7 +143,7 @@ def align_yang(sino, cfg=FanAlignConfig()):
     """
     p = profile_p(sino)
     h = 0.5 * xcorr_shift_1d(p, p[::-1], cfg.upsample)
-    return _single_shot(sino, h, "Yang")
+    return _result(sino, h, "Yang")
 
 
 def align_ly(sino, cfg=FanAlignConfig()):
@@ -163,7 +152,7 @@ def align_ly(sino, cfg=FanAlignConfig()):
     p = profile_p(sino)
     w = profile_w(sino)
     h = 0.5 * xcorr_shift_1d(p, w, cfg.upsample)
-    return _single_shot(sino, h, "LY")
+    return _result(sino, h, "LY")
 
 
 def align_2dr(sino, cfg=FanAlignConfig()):
@@ -172,7 +161,7 @@ def align_2dr(sino, cfg=FanAlignConfig()):
     the beta component is discarded."""
     z = reflected_resampling(sino, 0.0)
     h = 0.5 * xcorr_shift_s_2d(sino.values, z, cfg.upsample)
-    return _single_shot(sino, h, "2DR")
+    return _result(sino, h, "2DR")
 
 
 def fp_start_indices(n_beta, K):
@@ -200,26 +189,22 @@ def fixed_point_shift(lam, geom, sample, starts, cfg):
     counts the lower-middle order statistic is taken, avoiding an average of
     two modes.  Returns (h, iterations, runs): the median, the largest
     iteration count, and per returned run (start number, h_j, iterations,
-    converged, history) with history the successive h_k (pixels).
+    converged).
     """
-    s = geom.s_axis()
     beta0 = np.asarray(starts) * geom.beta_step
     lam = lam[starts]
     h = np.zeros(len(starts))
-    histories = [[] for _ in starts]
     runs = [None] * len(starts)
     active = np.arange(len(starts))
     for k in range(1, cfg.max_iter + 1):
         h_old = h[active]
-        pi = reflect(geom, sample, h_old[:, None], beta0[active, None], s)
+        pi = reflect(geom, sample, h_old[:, None], beta0[active, None])
         h_new = h_old + 0.5 * xcorr_shift_rows(lam[active], pi, cfg.upsample)
         done = np.abs(h_new - h_old) < cfg.tol_h
         h[active] = h_new
         for j, h_j, conv in zip(active.tolist(), h_new.tolist(), done.tolist()):
-            if not math.isnan(h_j):  # NaN: zero correlation, the run fails
-                histories[j].append(h_j)
-                if conv or k == cfg.max_iter:
-                    runs[j] = (j, h_j, k, conv, histories[j])
+            if (conv or k == cfg.max_iter) and not math.isnan(h_j):  # NaN: zero correlation, the run fails
+                runs[j] = (j, h_j, k, conv)
         active = active[~np.isnan(h_new) & ~done]
         if not active.size:
             break
@@ -230,6 +215,13 @@ def fixed_point_shift(lam, geom, sample, starts, cfg):
     return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, *_ in runs), runs
 
 
+def _fixed_point(sino, starts, method, cfg):
+    """fixed_point_shift on sino from the views in starts, converged if every returned run is."""
+    sample = lambda s, b: sample_periodic(sino, s, b)
+    h, iterations, runs = fixed_point_shift(sino.values, sino.geometry, sample, starts, cfg)
+    return _result(sino, h, method, iterations, all(conv for _, _, _, conv in runs))
+
+
 def align_fp(sino, cfg=FanAlignConfig()):
     """FP: fixed_point_shift with the one start cfg.beta_index.
 
@@ -237,34 +229,18 @@ def align_fp(sino, cfg=FanAlignConfig()):
     correlates it against Pi_k(s_i) = g(-s_i + 2h_k, b_0 + pi +
     2*atan((s_i - h_k)/r)) and advances h by half the measured shift.
     Non-convergence within max_iter is flagged on the result, not fatal.
-    The trace holds each h_k and its symmetry MSE, computed once per
-    distinct h_k (a converged run repeats its last value).
     """
-    geom = sino.geometry
-    if not 0 <= cfg.beta_index < geom.n_beta:
+    if not 0 <= cfg.beta_index < sino.geometry.n_beta:
         raise ValueError("beta_index outside the view range")
-    sample = lambda s, b: sample_periodic(sino, s, b)
-    h, iterations, [(*_, converged, history)] = fixed_point_shift(sino.values, geom, sample, [cfg.beta_index], cfg)
-    losses = {hk: symmetry_mse(sino, hk) for hk in set(history)}
-    trace = [(k + 1, hk, 0.0, losses[hk]) for k, hk in enumerate(history)]
-    return _result(h, "FP", iterations, trace, converged, losses[h])
+    return _fixed_point(sino, [cfg.beta_index], "FP", cfg)
 
 
 def align_fp_k(sino, cfg=FanAlignConfig()):
     """FP_K: fixed_point_shift from K starts spread uniformly in beta.
 
-    iterations reports the largest per-run count; the trace holds each run's
-    estimate and its symmetry MSE, computed once per distinct estimate (runs
-    from different starts usually land on the same sub-pixel value).
+    iterations is the largest per-run count; converged, that every returned run did.
     """
-    geom = sino.geometry
-    sample = lambda s, b: sample_periodic(sino, s, b)
-    starts = fp_start_indices(geom.n_beta, cfg.K)
-    h, iterations, runs = fixed_point_shift(sino.values, geom, sample, starts, cfg)
-    losses = {h_j: symmetry_mse(sino, h_j) for h_j in {h_j for _, h_j, *_ in runs}}
-    trace = [(j, h_j, 0.0, losses[h_j]) for j, h_j, *_ in runs]
-    converged = all(conv for _, _, _, conv, _ in runs)
-    return _result(h, "FP_K", iterations, trace, converged, losses[h])
+    return _fixed_point(sino, fp_start_indices(sino.geometry.n_beta, cfg.K), "FP_K", cfg)
 
 
 _ESTIMATORS = {

@@ -242,9 +242,12 @@ def parse_angle(text):
         if raw.endswith(suffix):
             number = raw[: -len(suffix)].strip()
             try:
-                return float(number) * scale
+                angle = float(number) * scale
             except ValueError:
                 raise ConfigError(f"cannot parse angle value {text!r}") from None
+            if not math.isfinite(angle):
+                raise ConfigError(f"angle {text!r} must be finite")
+            return angle
     raise ConfigError(f"angle {text!r} needs a 'deg' or 'rad' suffix")
 
 

@@ -157,21 +157,20 @@ def lockstep_median_fixed_point(lam, geom, sample, cfg):
     shape of sequential_median_fixed_point: each run is (start number, h_j,
     iterations, converged)."""
     h, _, runs = fixed_point_shift(lam, geom, sample, fp_start_indices(geom.n_beta, cfg.K), cfg)
-    return h, [run[:4] for run in runs]
+    return h, runs
 
 
 def sequential_median_fixed_point(lam, geom, sample, cfg):
     """fixed_point_shift from the cfg.K FP_K starts with its runs one after
     another, each a scalar fixed-point loop on one view: the reference for
     the lockstep runs."""
-    s = geom.s_axis()
     runs = []
     for j, idx in enumerate(fp_start_indices(geom.n_beta, cfg.K)):
         beta0 = idx * geom.beta_step
         h = 0.0
         try:
             for k in range(1, cfg.max_iter + 1):
-                h_new = h + 0.5 * xcorr_shift_1d(lam[idx], reflect(geom, sample, h, beta0, s), cfg.upsample)
+                h_new = h + 0.5 * xcorr_shift_1d(lam[idx], reflect(geom, sample, h, beta0), cfg.upsample)
                 converged = abs(h_new - h) < cfg.tol_h
                 h = h_new
                 if converged:

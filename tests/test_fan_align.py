@@ -255,11 +255,6 @@ class TestFixedPoint:
         assert not result.converged
         assert result.iterations == 1
 
-    def test_trace_records_each_step(self, ref_sino):
-        result = align_fp(ref_sino, FanAlignConfig())
-        assert len(result.trace) == result.iterations
-        assert result.trace[-1][1] == result.h
-
     def test_bad_beta_index_rejected(self, ref_sino):
         with pytest.raises(ValueError):
             align_fp(ref_sino, FanAlignConfig(beta_index=ref_sino.geometry.n_beta))
@@ -347,26 +342,14 @@ class TestLockstepRuns:
         assert result.iterations == len(reads) == len(correlations) == max(iterations)
 
 
-class TestTraceLosses:
-    @pytest.mark.parametrize("aligner", [align_fp, align_fp_k])
-    def test_trace_losses_are_symmetry_mse(self, aligner, ref_sino):
+class TestOneSymmetryRead:
+    @pytest.mark.parametrize("aligner", ALL_ALIGNERS)
+    def test_one_mse_read_at_the_estimate(self, aligner, ref_sino, monkeypatch):
+        reads = count_calls(monkeypatch, fan_align, "symmetry_mse")
         result = aligner(ref_sino, FanAlignConfig())
-        for _, h, _, loss in result.trace:
-            assert loss == symmetry_mse(ref_sino, h)
+        assert [h for _, h in reads] == [result.h]
         assert result.mse == symmetry_mse(ref_sino, result.h)
-
-    def test_fp_k_resamples_once_per_distinct_shift(self, ref_sino, monkeypatch):
-        shifts = []
-
-        def counting(sino, h):
-            shifts.append(h)
-            return symmetry_mse(sino, h)
-
-        monkeypatch.setattr(fan_align, "symmetry_mse", counting)
-        result = align_fp_k(ref_sino, FanAlignConfig())
-        distinct = {h for _, h, _, _ in result.trace}
-        assert sorted(shifts) == sorted(distinct)
-        assert len(distinct) < len(result.trace)  # the runs do repeat a shift here
+        assert result.trace == ()
 
 
 class TestSymmetryMse:

@@ -3,6 +3,7 @@
 
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             parse_angle("1.0")
 
+    @pytest.mark.parametrize("text", ["infdeg", "-inf deg", "nanrad", "1e400deg"])
+    def test_non_finite_angle_rejected(self, text):
+        with pytest.raises(ConfigError, match=repr(text)):
+            parse_angle(text)
+
 
 def report_value(out, key):
     for line in out.splitlines():
@@ -252,7 +258,7 @@ class TestCliSimulate:
         a, b = str(tmp_path / "a.sino"), str(tmp_path / "b.sino")
         for out in (a, b):
             main(["simulate", "--mode", "fan", "--n", "64", "--h", "3", "--seed", "5", "--out", out])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_eta_on_fan_rejected(self, tmp_path):
         rc = main(["simulate", "--mode", "fan", "--n", "32", "--eta", "1deg", "--out", str(tmp_path / "x.sino")])
@@ -465,6 +471,23 @@ class TestCliMetric:
         assert float(h) != 0.0 and float(eta) != 0.0
         assert main(["metric", "--input", out, "--h", h, "--eta", eta + "rad"]) == 0
         assert report_value(capsys.readouterr().out, "mse") == report_value(text, "mse")
+
+
+class TestCliNegativeValues:
+    def test_exponent_and_unit_values_are_not_flags(self, tmp_path, capsys):
+        """argparse's own negative-number pattern takes each of these values
+        for a flag."""
+        out = str(tmp_path / "c.sino")
+        argv = ["--mode", "cone", "--n", "24", "--h", "2", "--features", "4", "--out", out]
+        assert main(["simulate", *argv, "--eta", "-1deg"]) == 0
+        assert float(read_truth(out + ".truth")["eta_rad"]) == pytest.approx(math.radians(-1.0))
+        capsys.readouterr()
+        assert main(["align-cone", "--input", out, "--eta0", "-0.5deg"]) in (0, 2)  # ran: converged or not
+        assert float(report_value(capsys.readouterr().out, "cfg_eta0_rad")) == pytest.approx(math.radians(-0.5))
+        assert main(["metric", "--input", out, "--h", "-1e-3"]) == 0
+        assert report_value(capsys.readouterr().out, "h_px") == "-0.001"
+        assert main(["metric", "--input", out, "--eta", "-1e-3rad"]) == 0
+        assert report_value(capsys.readouterr().out, "eta_rad") == "-0.001"
 
 
 class TestCliSweep:
