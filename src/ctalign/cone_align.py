@@ -11,11 +11,11 @@ detector axis tilted by eta about the rotation-axis image (h, 0):
 At the true misalignment Lambda is the mid-plane fan sinogram and both
 agree (the fan symmetry condition along the true horizontal axis), so
 L(h, eta) = |Lambda - Pi|^2 is minimized there.
-Pi_h_eta is the fan symmetry map (fan_align.reflect) read along the tilted
-detector axis, so the fan estimators are its eta = 0, v = 0 case; Lambda_eta
-is the same read of every stored view, unreflected.
+The reflection maps the tilted line through (h, 0) onto itself, q to 2h - q,
+so Pi_h_eta = Pi_h o Lambda_eta is the fan symmetry map of the tilted sinogram
+(read once per (h, eta)), and the fan estimators are the eta = 0, v = 0 case.
 The inner variable h is eliminated by the fan 2DR or median-of-K fixed-point
-solve at fixed eta on the pair pivoted at 0, which is free of h; the reduced
+solve at fixed eta on the read pivoted at 0, which is free of h; the reduced
 loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.  Its
 gradient is the partial one at the inner optimum (the envelope result of
 variable projection; Golub & Pereyra, Inverse Problems 19:R1, 2003), so h
@@ -23,13 +23,11 @@ is solved only at the start, trial and accepted points, not on the stencil.
 """
 
 import math
-
-import numpy as np
 from dataclasses import dataclass, field
 
 from .core import AlignmentResult, Sinogram
-from .fan_align import FanAlignConfig, fixed_point_shift, fp_start_indices, reflect, symmetry_mse
-from .registration import sample_detector, xcorr_shift_s_2d
+from .fan_align import FanAlignConfig, reflected_resampling, shift_2dr, shift_fixed_point, symmetry_mse, symmetry_sse
+from .registration import sample_detector
 
 ETA_BOUND = math.radians(45.0)  # far beyond any physical detector mounting error
 
@@ -78,57 +76,46 @@ class VPConfig:
             raise ValueError("eta0 outside the search domain")
 
 
-def _tilted(stack, eta, h_u=0.0):
-    """Sampler of the stack along the detector axis tilted by eta about (h_u, 0):
-    (x, b) -> g(h_u + (x - h_u)cos(eta), -(x - h_u)sin(eta), b); (x, None, offset)
-    reads every stored view b_j at b_j + offset, as registration.sample_detector."""
-    cose, sine = math.cos(eta), math.sin(eta)
-    pivot = h_u * (1.0 - cose)  # written so that eta = 0 reads x exactly
-    return lambda x, b, offset=None: sample_detector(stack, x * cose + pivot, (h_u - x) * sine, b, offset)
-
-
 def lambda_eta(stack, h, eta):
     """Stack resampled along the axis tilted by eta about (h, 0), h in pixels:
     (q_i, b_j) grid array of g(h + (q - h)cos(eta), -(q - h)sin(eta), b).
     At the true (h, eta) this is the mid-plane fan sinogram.
     """
     geom = stack.geometry
-    sample = _tilted(stack, eta, geom.px_to_u(h))
-    return sample(geom.u_axis(), None)
+    h_u = geom.px_to_u(h)
+    cose, sine = math.cos(eta), math.sin(eta)
+    q = geom.u_axis()
+    pivot = h_u * (1.0 - cose)  # written so that eta = 0 reads q exactly
+    return sample_detector(stack, q * cose + pivot, (h_u - q) * sine, None)
+
+
+def _fan(stack, lam):
+    """A tilted read lam of the stack as a sinogram of its central fan."""
+    return Sinogram(stack.geometry.central_fan(), lam)
 
 
 def pi_h_eta(stack, h, eta):
     """Symmetry-reflected resampling at candidate shift h (pixels) along the
-    axis tilted by eta about (h, 0): (q_i, b_j) grid array of
-    g(h + (h - q)cos(eta), (q - h)sin(eta), b + pi + 2*atan((q - h)/r)).
+    axis tilted by eta about (h, 0): the fan reflection at h of
+    lam = lambda_eta(stack, h, eta), the (q_i, b_j) grid array of
+    lam(2h - q, b + pi + 2*atan((q - h)/r)).
     """
-    geom = stack.geometry
-    return reflect(geom.central_fan(), _tilted(stack, eta, geom.px_to_u(h)), h)
+    return reflected_resampling(_fan(stack, lambda_eta(stack, h, eta)), h)
 
 
 def loss_L(stack, h, eta, lam=None):
-    """Sum of squared differences of the two tilted resamplings at (h, eta);
-    lam, if given, is lambda_eta(stack, h, eta)."""
-    if lam is None:
-        lam = lambda_eta(stack, h, eta)
-    pi = pi_h_eta(stack, h, eta)
-    return float(np.sum((lam - pi) ** 2))
+    """|lam - Pi_h lam|^2, the sum of squared differences of the two tilted
+    resamplings at (h, eta); lam, if given, is lambda_eta(stack, h, eta)."""
+    return symmetry_sse(_fan(stack, lambda_eta(stack, h, eta) if lam is None else lam), h)
 
 
 def inner_h(stack, eta, cfg=VPConfig()):
-    """Shift (pixels) minimizing the tilted-pair mismatch at fixed eta.
-
-    The fan estimate on the pair pivoted at 0 (lambda_eta, pi_h_eta at
-    h = 0), which is free of h: 2DR correlates the two (their q-shift is
-    2h); fp_k takes the median of K fixed-point runs started at rows of
-    lambda_eta (fixed_point_shift).
-    """
-    lam = lambda_eta(stack, 0.0, eta)
+    """Shift (pixels) minimizing the tilted-pair mismatch at fixed eta: the
+    fan 2DR or FP_K shift solve on lambda_eta pivoted at 0, free of h."""
+    sino = _fan(stack, lambda_eta(stack, 0.0, eta))
     if cfg.inner_method == "2dr":
-        return 0.5 * xcorr_shift_s_2d(lam, pi_h_eta(stack, 0.0, eta), cfg.inner.upsample)
-    fan = stack.geometry.central_fan()
-    starts = fp_start_indices(fan.n_beta, cfg.inner.K)
-    return fixed_point_shift(lam, fan, _tilted(stack, eta), starts, cfg.inner)[0]
+        return shift_2dr(sino, cfg.inner)
+    return shift_fixed_point(sino, cfg.inner)[0]
 
 
 def _pivoted_loss(stack, h, eta, cache):
@@ -215,7 +202,7 @@ def variable_projection(stack, cfg=VPConfig()):
     return AlignmentResult(
         h=float(h),
         eta=float(eta),
-        mse=symmetry_mse(Sinogram(stack.geometry.central_fan(), lam), h),
+        mse=symmetry_mse(_fan(stack, lam), h),
         iterations=iterations,
         method=method,
         trace=tuple(trace),

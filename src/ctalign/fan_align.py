@@ -14,8 +14,9 @@ estimator recovers h as half of a cross-correlation shift:
         call and correlates them in one batched call (fixed_point_shift).
 * FP:   the one-start case of FP_K, started at the view beta_index.
 
-The symmetry map is written once, in reflect(); cone_align reads the same
-map through its tilted detector axis.  On every view at once the map is one
+The symmetry map is written once, in reflect(); cone_align applies it and
+the 2DR and FP_K shift solves to the sinogram read along its tilted
+detector axis.  On every view at once the map is one
 sampler read of every stored view along the reflected detector path, each
 detector column at its own view offset pi + 2*atan((s - h)/r), since that
 offset depends on the column only.  All h values are in effective detector
@@ -107,25 +108,27 @@ def profile_p(sino):
 def profile_w(sino):
     """Symmetry-reflected profile w_i = sum_j g(-s_i, b_j + pi + 2*atan(s_i/r)).
 
-    For data shifted by h the profiles satisfy p(s) ~= w(s - 2h).
+    For data shifted by h the profiles satisfy p(s) ~= w(s - 2h).  On a full
+    scan the read is linear and periodic in beta, so each column's sum over
+    the views is kept: w is p reversed up to rounding, and LY returns Yang's h.
     """
     return reflected_resampling(sino, 0.0).sum(axis=0)
 
 
-def symmetry_mse(sino, h):
-    """Normalized symmetry error |g - g_reflected(h)|_F^2 / |g|_F^2.
+def symmetry_sse(sino, h):
+    """|g - g_reflected(h)|_F^2, g resampled through the symmetry map at shift h (pixels)."""
+    residual = reflected_resampling(sino, h).ravel()  # a fresh array: work in place
+    residual -= sino.values.ravel()
+    return float(np.dot(residual, residual))
 
-    g_reflected is the sinogram resampled through the symmetry map at
-    candidate shift h (pixels).  Zero only for perfectly consistent data;
-    minimized near the true shift.
-    """
+
+def symmetry_mse(sino, h):
+    """symmetry_sse(sino, h) / |g|_F^2: zero only for consistent data, minimized near the true shift."""
     g = sino.values.ravel()
     den = float(np.dot(g, g))
     if den == 0.0:
         raise ValueError("symmetry_mse undefined for an all-zero sinogram")
-    residual = reflected_resampling(sino, h).ravel()  # a fresh array: work in place
-    residual -= g
-    return float(np.dot(residual, residual)) / den
+    return symmetry_sse(sino, h) / den
 
 
 def _result(sino, h, method, iterations=0, converged=True):
@@ -155,12 +158,15 @@ def align_ly(sino, cfg=FanAlignConfig()):
     return _result(sino, h, "LY")
 
 
+def shift_2dr(sino, cfg=FanAlignConfig()):
+    """2DR's shift (pixels): half the s component of the 2D correlation peak of
+    the sinogram with its reflected resampling at h = 0 (beta is discarded)."""
+    return 0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino, 0.0), cfg.upsample)
+
+
 def align_2dr(sino, cfg=FanAlignConfig()):
-    """Shift estimate from the 2D correlation of the sinogram with its
-    symmetry-reflected resampling; only the s component of the peak is used,
-    the beta component is discarded."""
-    z = reflected_resampling(sino, 0.0)
-    h = 0.5 * xcorr_shift_s_2d(sino.values, z, cfg.upsample)
+    """Shift estimate from the 2D correlation of the sinogram with its reflection (shift_2dr)."""
+    h = shift_2dr(sino, cfg)
     return _result(sino, h, "2DR")
 
 
@@ -215,11 +221,14 @@ def fixed_point_shift(lam, geom, sample, starts, cfg):
     return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, *_ in runs), runs
 
 
-def _fixed_point(sino, starts, method, cfg):
-    """fixed_point_shift on sino from the views in starts, converged if every returned run is."""
+def shift_fixed_point(sino, cfg=FanAlignConfig(), starts=None):
+    """(h, iterations, converged) of fixed_point_shift on sino from the views in
+    starts (the cfg.K FP_K starts if None); converged if every returned run is."""
+    if starts is None:
+        starts = fp_start_indices(sino.geometry.n_beta, cfg.K)
     sample = lambda s, b: sample_periodic(sino, s, b)
     h, iterations, runs = fixed_point_shift(sino.values, sino.geometry, sample, starts, cfg)
-    return _result(sino, h, method, iterations, all(conv for _, _, _, conv in runs))
+    return h, iterations, all(conv for _, _, _, conv in runs)
 
 
 def align_fp(sino, cfg=FanAlignConfig()):
@@ -232,15 +241,15 @@ def align_fp(sino, cfg=FanAlignConfig()):
     """
     if not 0 <= cfg.beta_index < sino.geometry.n_beta:
         raise ValueError("beta_index outside the view range")
-    return _fixed_point(sino, [cfg.beta_index], "FP", cfg)
+    h, iterations, converged = shift_fixed_point(sino, cfg, [cfg.beta_index])
+    return _result(sino, h, "FP", iterations, converged)
 
 
 def align_fp_k(sino, cfg=FanAlignConfig()):
-    """FP_K: fixed_point_shift from K starts spread uniformly in beta.
-
-    iterations is the largest per-run count; converged, that every returned run did.
-    """
-    return _fixed_point(sino, fp_start_indices(sino.geometry.n_beta, cfg.K), "FP_K", cfg)
+    """FP_K: fixed_point_shift from K starts spread uniformly in beta; iterations
+    is the largest per-run count; converged, that every returned run did."""
+    h, iterations, converged = shift_fixed_point(sino, cfg)
+    return _result(sino, h, "FP_K", iterations, converged)
 
 
 _ESTIMATORS = {

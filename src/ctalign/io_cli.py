@@ -13,6 +13,7 @@ sidecar, and RUN_OPTIONS every option of the command line and its config
 files.
 """
 
+import argparse
 import math
 from collections import namedtuple
 
@@ -45,8 +46,9 @@ class PayloadValueError(FormatError):
     """Payload contains NaN or Inf."""
 
 
-class ConfigError(Exception):
-    """Invalid run configuration or CLI usage (exit code 4)."""
+class ConfigError(argparse.ArgumentTypeError):
+    """Invalid run configuration or CLI usage (exit code 4); argparse reports
+    one raised by a flag's parser under the flag's name."""
 
 
 def format_value(value):
@@ -311,11 +313,11 @@ RUN_OPTIONS = {
     "method": Option(_method(FAN_METHODS), ("align-fan",), "estimator: yang, ly, 2dr, fp or fpk (default 2dr)"),
     "inner_method": Option(_method(INNER_METHODS), ("align-cone",), "inner shift solver: 2dr or fpk"),
     "eta0": Option(parse_angle, ("align-cone",), "starting angle with unit suffix"),
-    "delta_eta": Option(float, ("align-cone",), "finite-difference step in eta, radians"),
+    "delta_eta": Option(parse_angle, ("align-cone",), "finite-difference step in eta with unit suffix"),
     "gamma0": Option(float, ("align-cone",), "fallback step per unit gradient where the Newton step is unavailable"),
     "armijo_c": Option(float, ("align-cone",), "Armijo sufficient-decrease constant"),
     "max_outer": Option(int, ("align-cone",), "outer iteration cap"),
-    "tol_eta": Option(float, ("align-cone",), "Newton step in eta below which VP stops, radians"),
+    "tol_eta": Option(parse_angle, ("align-cone",), "Newton step in eta below which VP stops, with unit suffix"),
     "K": Option(int, _ALIGN, "FP_K start count"),
     "max_iter": Option(int, _ALIGN, "fixed-point iteration cap"),
     "tol_h": Option(float, _ALIGN, "fixed-point tolerance in pixels"),
@@ -344,6 +346,6 @@ class RunConfig(dict):
                 raise ConfigError(f"unknown config key {key!r}")
             try:
                 entries[key] = RUN_OPTIONS[key].parse(value.strip())
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ConfigError) as exc:
                 raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
         return entries

@@ -288,11 +288,12 @@ def sample_periodic(sino, s, beta, view_offset=None):
     return _sample(sino.values, specs, "s coordinates must be finite", beta, view_offset)
 
 
-def sample_detector(stack, u, v, beta, view_offset=None):
+def sample_detector(stack, u, v, beta):
     """Trilinear projection-stack lookup: linear with zero fill in u and v,
     linear and periodic in beta.  Scalar or broadcastable array coordinates;
-    beta=None and view_offset as in sample_periodic.
+    beta=None reads every stored view b_j: the (n_beta,) + shape array of
+    g(u, v, b_j).
     """
     geom = stack.geometry
     specs = [(v, -geom.v_max, geom.pixel_size_v, geom.n_v, geom.n_u), (u, -geom.u_max, geom.pixel_size, geom.n_u, 1)]
-    return _sample(stack.values, specs, "detector coordinates must be finite", beta, view_offset)
+    return _sample(stack.values, specs, "detector coordinates must be finite", beta, None)

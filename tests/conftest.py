@@ -143,13 +143,10 @@ def two_stage_periodic(sino, s, beta, view_offset=None):
     return grid if view_offset is None else shift_columns(grid, view_offset)
 
 
-def two_stage_detector(stack, u, v, beta, view_offset=None):
-    """sample_detector with the all-views read in two stages, as
-    two_stage_periodic; u and v are 1-D."""
-    if beta is not None:
-        return two_plane_detector(stack, u, v, beta)
-    grid = two_plane_detector(stack, u, v, stack.geometry.beta_axis()[:, None])
-    return grid if view_offset is None else shift_columns(grid, view_offset)
+def two_stage_detector(stack, u, v, beta):
+    """sample_detector with the all-views read as the two-plane read at every
+    stored view; u and v are 1-D."""
+    return two_plane_detector(stack, u, v, stack.geometry.beta_axis()[:, None] if beta is None else beta)
 
 
 def lockstep_median_fixed_point(lam, geom, sample, cfg):

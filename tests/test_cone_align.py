@@ -26,6 +26,7 @@ from ctalign import (
     reduced_gradient,
     reflected_resampling,
     sample_detector,
+    sample_periodic,
     symmetry_mse,
     unit_disk_half_width,
     variable_projection,
@@ -40,6 +41,7 @@ from conftest import (
     fan_geometry,
     lockstep_median_fixed_point,
     sequential_median_fixed_point,
+    shift_columns,
     two_plane_detector,
     two_stage_detector,
 )
@@ -115,6 +117,19 @@ class TestPiHEta:
         pi = pi_h_eta(ref_stack, H_TRUE, ETA_TRUE)
         assert np.linalg.norm(pi - lam) <= 1e-2 * np.linalg.norm(lam)
 
+    @pytest.mark.parametrize("stack", ["aligned_stack", "ref_stack"])
+    @pytest.mark.parametrize("eta", [0.0175, -0.03])
+    def test_off_grid_pivot_is_the_trilinear_read_to_interpolation(self, request, stack, eta):
+        """Away from h = 0 the bilinear reflection of lambda_eta and the
+        trilinear read of the stack along the reflected path differ by
+        interpolation only."""
+        stack = request.getfixturevalue(stack)
+        geom, h = stack.geometry, 3.1
+        q, h_u = geom.u_axis(), geom.px_to_u(h)
+        beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
+        trilinear = sample_detector(stack, h_u + (h_u - q) * math.cos(eta), (q - h_u) * math.sin(eta), beta)
+        assert np.max(np.abs(pi_h_eta(stack, h, eta) - trilinear)) <= 5e-3 * np.max(stack.values)
+
     def test_beta_independent_input_gives_beta_independent_output(self):
         half = unit_disk_half_width(SOURCE_RADIUS)
         geom = ConeGeometry(SOURCE_RADIUS, 17, 9, half, 0.8 * half, 12)
@@ -127,9 +142,10 @@ class TestPiHEta:
 
 
 class TestViewShiftPath:
-    """pi_h_eta reads the tilted detector path on the stored views and then
-    shifts each column along beta; it agrees with the full-grid formula, and
-    lambda_eta is that read with no shift."""
+    """lambda_eta reads the tilted detector path on the stored views, and
+    pi_h_eta is the fan reflection of that read: it agrees with the per-point
+    formula on the tilted sinogram, and at h = 0, where the reflected path is
+    on the detector grid, with the trilinear read of the stack."""
 
     @pytest.fixture(scope="class", params=[5, 7, 64, 256])
     def stack(self, request):
@@ -141,14 +157,32 @@ class TestViewShiftPath:
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     @pytest.mark.parametrize("h", [0.0, 2.37, -2.37, 0.6 * 33])
     def test_pi_matches_full_grid_formula(self, stack, h, eta):
-        """The reflected read on the axis tilted about (h, 0)."""
+        """The reflected read of the sinogram tilted about (h, 0), per point."""
         geom = stack.geometry
         q = geom.u_axis()
         h_u = geom.px_to_u(h)
+        lam = Sinogram(geom.central_fan(), lambda_eta(stack, h, eta))
         beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
-        want = sample_detector(stack, h_u + (h_u - q) * math.cos(eta), (q - h_u) * math.sin(eta), beta)
+        want = sample_periodic(lam, -q + 2.0 * h_u, beta)
         got = pi_h_eta(stack, h, eta)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(stack.values))
+
+    @pytest.mark.parametrize("eta", [0.02, -0.03])
+    @pytest.mark.parametrize("h", [2.37, 0.6 * 33])
+    def test_pi_is_the_reflection_of_lambda(self, stack, h, eta):
+        fan = Sinogram(stack.geometry.central_fan(), lambda_eta(stack, h, eta))
+        assert np.array_equal(pi_h_eta(stack, h, eta), reflected_resampling(fan, h))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.02, -0.03, 0.3])
+    def test_pi_at_zero_pivot_is_the_trilinear_read(self, stack, eta):
+        """At h = 0 the reflected path -q is on the grid of lambda_eta, so
+        reading it bilinearly is the trilinear read of the stack along the
+        reflected tilted path, each column shifted along the view axis."""
+        geom = stack.geometry
+        q = geom.u_axis()
+        grid = two_plane_detector(stack, -q * math.cos(eta), q * math.sin(eta), geom.beta_axis()[:, None])
+        want = shift_columns(grid, math.pi + 2.0 * np.arctan(q / geom.source_radius))
+        assert np.array_equal(pi_h_eta(stack, 0.0, eta), want)
 
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     def test_lambda_is_the_two_plane_read(self, stack, eta):
@@ -159,9 +193,9 @@ class TestViewShiftPath:
 
 
 class TestAllViewsRead:
-    """lambda_eta and pi_h_eta, each one blocked read of every stored view,
-    equal bit for bit their two-stage reference (the full-grid read at every
-    stored view, then for pi_h_eta each column shifted along the view axis)."""
+    """lambda_eta, one blocked read of every stored view, and pi_h_eta, its
+    reflection, equal bit for bit their reference through the two-plane
+    read at every stored view."""
 
     @pytest.fixture(scope="class", params=[16, 32])
     def stack(self, request):
@@ -223,13 +257,16 @@ def small_stack():
 
 
 def tilted_pair(stack, eta):
-    """The fixed_point_shift inputs of the fp_k inner solve at eta."""
-    return lambda_eta(stack, 0.0, eta), stack.geometry.central_fan(), cone_align._tilted(stack, eta)
+    """The fixed_point_shift inputs of the fp_k inner solve at eta: the tilted
+    read pivoted at 0 and its bilinear sampler."""
+    fan = Sinogram(stack.geometry.central_fan(), lambda_eta(stack, 0.0, eta))
+    return fan.values, fan.geometry, lambda s, b: sample_periodic(fan, s, b)
 
 
 class TestInnerFixedPoint:
     """The fp_k inner solve is the lockstep fixed_point_shift on the tilted
-    pair: the same runs as one after another, one reflection per iteration."""
+    sinogram: the same runs as one after another, one stack read per solve
+    and one reflection of the tilted sinogram per iteration."""
 
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     def test_equals_sequential_runs(self, small_stack, eta):
@@ -254,10 +291,12 @@ class TestInnerFixedPoint:
         iterations = [iters for _, _, iters, _ in runs]
         assert max(iterations) < sum(iterations)
         reads = count_calls(monkeypatch, cone_align, "sample_detector")
+        reflections = count_calls(monkeypatch, fan_align, "sample_periodic")
         correlations = count_calls(monkeypatch, fan_align, "xcorr_shift_rows")
         inner_h(small_stack, eta, cfg)
         assert len(correlations) == max(iterations)
-        assert len(reads) == 1 + max(iterations)  # the h-free read, then the reflections
+        assert len(reads) == 1  # the h-free read of the stack
+        assert len(reflections) == max(iterations)
 
 
 def fake_reduced_loss(monkeypatch, loss, lam=None):
@@ -401,6 +440,15 @@ class TestVariableProjection:
         assert set(pivoted) == {(h, eta) for eta, h in solved.items()} | stencils
         fan = Sinogram(ref_stack.geometry.central_fan(), lambda_eta(ref_stack, result.h, result.eta))
         assert result.mse == symmetry_mse(fan, result.h)
+
+    @pytest.mark.parametrize("method", INNER)
+    def test_stack_read_only_through_lambda_eta(self, method, small_stack, monkeypatch):
+        """Every reflection, loss and inner solve is a fan operation on a
+        lambda_eta read: the stack is read once per (h, eta) read."""
+        reads = count_calls(monkeypatch, cone_align, "lambda_eta")
+        stack_reads = count_calls(monkeypatch, cone_align, "sample_detector")
+        variable_projection(small_stack, VPConfig(inner_method=method))
+        assert reads and len(stack_reads) == len(reads)
 
     def test_descent_is_monotone(self, ref_stack):
         result = variable_projection(ref_stack, VPConfig(eta0=math.radians(0.5)))

@@ -98,6 +98,16 @@ class TestProfiles:
         d = xcorr_shift_1d(profile_p(ref_sino), profile_w(ref_sino))
         assert d == pytest.approx(2.0 * H_TRUE, abs=0.1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_scan_w_is_p_reversed_so_ly_is_yang(self, seed, alpha):
+        """A linear, periodic read in beta keeps each column's sum over the
+        full scan, so w is p reversed to rounding and LY returns Yang's h."""
+        sino = fan_project(make_disk_phantom(seed, n_disks=30), fan_geometry(256), H_TRUE, InstabilityModel(alpha))
+        p = profile_p(sino)
+        assert np.max(np.abs(profile_w(sino) - p[::-1])) <= 1.1e-14 * np.max(p)
+        assert align_ly(sino).h == align_yang(sino).h
+
 
 class TestAlignersOnCleanData:
     @pytest.mark.parametrize("aligner", ALL_ALIGNERS)

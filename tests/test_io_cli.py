@@ -426,13 +426,40 @@ class TestCliAlignCone:
     @pytest.mark.parametrize("key", ["delta_eta", "tol_eta"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_eta_step_rejected(self, tmp_path, capsys, key, value):
+        """The error names the option as it was given: its flag, or its config key."""
         out = str(tmp_path / "c.sino")
         main(["simulate", "--mode", "cone", "--n", "24", "--h", "2", "--eta", "1deg", "--features", "4", "--out", out])
         capsys.readouterr()
-        assert main(["align-cone", "--input", out, "--" + key.replace("_", "-"), value]) == 4
+        flag = "--" + key.replace("_", "-")
+        assert main(["align-cone", "--input", out, flag, value + "rad"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
+        assert "must be finite" in captured.err
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}: {value}rad\n")
+        assert main(["align-cone", "--input", out, "--config", str(config)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+        assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("key", ["delta_eta", "tol_eta"])
+    @pytest.mark.parametrize("value", ["1e-3rad", "0.05deg", "0.002"])
+    def test_eta_step_needs_a_unit_suffix(self, tmp_path, capsys, key, value):
+        """The eta steps are angles: a suffixed value is echoed in radians, a bare number is rejected."""
+        out = str(tmp_path / "c.sino")
+        main(["simulate", "--mode", "cone", "--n", "24", "--h", "2", "--eta", "1deg", "--features", "4", "--out", out])
+        capsys.readouterr()
+        code = main(["align-cone", "--input", out, "--" + key.replace("_", "-"), value])
+        captured = capsys.readouterr()
+        if value == "0.002":
+            assert code == 4
+            assert f"argument --{key.replace('_', '-')}: " in captured.err
+            assert "needs a 'deg' or 'rad' suffix" in captured.err
+        else:
+            assert code in (0, 2)  # ran: converged or not
+            assert float(report_value(captured.out, f"cfg_{key}_rad")) == parse_angle(value)
 
     def test_bad_eta0_suffix_rejected(self, tmp_path):
         out = str(tmp_path / "c.sino")
@@ -589,11 +616,11 @@ OPTION_SAMPLES = {
     "method": ("FPK", "ly"),
     "inner_method": ("fpk", "2dr"),
     "eta0": ("0.5deg", "0.001rad"),
-    "delta_eta": ("0.002", "0.003"),
+    "delta_eta": ("0.002rad", "0.1deg"),
     "gamma0": ("0.5", "2"),
     "armijo_c": ("0.001", "0.5"),
     "max_outer": ("3", "30"),
-    "tol_eta": ("0.001", "1e-6"),
+    "tol_eta": ("0.001rad", "1e-6rad"),
     "K": ("3", "12"),
     "max_iter": ("7", "50"),
     "tol_h": ("0.02", "0.5"),
@@ -651,8 +678,8 @@ FAN_REPORT_KEYS = [
 CONE_REPORT_KEYS = [
     "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
     "n_u", "n_v", "n_beta", "u_max", "v_max", "source_radius",
-    "cfg_inner_method", "cfg_eta0_rad", "cfg_delta_eta", "cfg_gamma0", "cfg_armijo_c", "cfg_max_outer",
-    "cfg_tol_eta", "cfg_K", "cfg_max_iter", "cfg_tol_h", "cfg_upsample",
+    "cfg_inner_method", "cfg_eta0_rad", "cfg_delta_eta_rad", "cfg_gamma0", "cfg_armijo_c", "cfg_max_outer",
+    "cfg_tol_eta_rad", "cfg_K", "cfg_max_iter", "cfg_tol_h", "cfg_upsample",
 ]  # fmt: skip
 
 

@@ -1,7 +1,10 @@
 """The contract between the package and the benchmark's tracer
-(perfbench.tracing): a traced run gives the same result as an untraced one,
-and every fixed-point solve shows up as one fan_align.fixed_point_shift span
-whose iteration count is the one the driver returned."""
+(perfbench.tracing): every layer function it rebinds exists, a traced run
+gives the same result as an untraced one, and every fixed-point solve shows
+up as one fan_align.fixed_point_shift span whose iteration count is the one
+that call returned."""
+
+import importlib
 
 import pytest
 
@@ -17,7 +20,7 @@ from ctalign import (
     make_sphere_phantom,
     variable_projection,
 )
-from ctalign import cone_align, fan_align
+from ctalign import fan_align
 from conftest import ETA_TRUE, cone_geometry, fan_geometry
 from perfbench import tracing
 from perfbench.tracing import ESTIMATE
@@ -36,8 +39,14 @@ def stack_32():
 CASES = {
     "FP": (fan_64, lambda sino: align_fp(sino, FanAlignConfig())),
     "FP_K": (fan_64, lambda sino: align_fp_k(sino, FanAlignConfig())),
+    "VP-2DR": (stack_32, lambda stack: variable_projection(stack, VPConfig(inner_method="2dr"))),
     "VP-FP_K": (stack_32, lambda stack: variable_projection(stack, VPConfig(inner_method="fp_k"))),
 }
+
+
+@pytest.mark.parametrize("name, module, attr", [entry[:3] for entry in tracing.LAYER_FUNCTIONS])
+def test_every_layer_function_resolves(name, module, attr):
+    assert callable(getattr(importlib.import_module(module), attr, None)), name
 
 
 @pytest.mark.parametrize("method", list(CASES))
@@ -55,15 +64,15 @@ def test_traced_run_matches_and_counts_iterations(method, monkeypatch):
         return result
 
     monkeypatch.setattr(fan_align, "fixed_point_shift", recording)
-    monkeypatch.setattr(cone_align, "fixed_point_shift", recording)
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         with tracer.span(ESTIMATE, method=method):
             traced = estimate(data)
 
     assert repr(traced) == repr(untraced)
-    assert returned and all(type(iterations) is int for iterations in returned)
+    assert bool(returned) == (method != "VP-2DR")  # the 2DR inner solve has no fixed point
+    assert all(type(iterations) is int for iterations in returned)
     spans = [span.info["iterations"] for span in tracer.spans if span.name == SPAN]
     assert spans == returned
-    if method != "VP-FP_K":
+    if not method.startswith("VP"):
         assert returned == [traced.iterations]
