@@ -34,7 +34,6 @@ from .fan_align import (
     align_ly,
     align_yang,
     profile_p,
-    profile_w,
     reflected_resampling,
     symmetry_mse,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "make_sphere_phantom",
     "pi_h_eta",
     "profile_p",
-    "profile_w",
     "read_sinogram",
     "reduced_gradient",
     "reflected_resampling",

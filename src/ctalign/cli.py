@@ -178,6 +178,8 @@ def cmd_metric(options):
     if input_path is None:
         raise ConfigError("an input file is required (--input)")
     h = options.get("h", 0.0)
+    if not math.isfinite(h):
+        raise ConfigError("h must be finite")
     eta = options.get("eta", 0.0)
     data = read_sinogram(input_path)
     if isinstance(data, Sinogram):
@@ -185,8 +187,7 @@ def cmd_metric(options):
             raise ConfigError("--eta applies to cone data only")
         fan = data
     else:
-        # the mid-plane pivoted at h, as in the mse that variable_projection reports
-        fan = Sinogram(data.geometry.central_fan(), lambda_eta(data, h, eta))
+        fan = lambda_eta(data, h, eta)  # the mid-plane pivoted at h, as in the mse variable_projection reports
     mse = symmetry_mse(fan, h)
     pairs = [("command", "metric"), ("input", str(input_path)), ("h_px", h), ("eta_rad", eta), ("mse", mse)]
     _emit_report(pairs, options.get("report"))

@@ -12,8 +12,9 @@ At the true misalignment Lambda is the mid-plane fan sinogram and both
 agree (the fan symmetry condition along the true horizontal axis), so
 L(h, eta) = |Lambda - Pi|^2 is minimized there.
 The reflection maps the tilted line through (h, 0) onto itself, q to 2h - q,
-so Pi_h_eta = Pi_h o Lambda_eta is the fan symmetry map of the tilted sinogram
-(read once per (h, eta)), and the fan estimators are the eta = 0, v = 0 case.
+so Pi_h_eta = Pi_h o Lambda_eta is the fan symmetry map of the tilted sinogram:
+lambda_eta reads the stack once per (h, eta) into a fan Sinogram of the
+central fan geometry, and the fan estimators are the eta = 0, v = 0 case.
 The inner variable h is eliminated by the fan 2DR or median-of-K fixed-point
 solve at fixed eta on the read pivoted at 0, which is free of h; the reduced
 loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.  Its
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import AlignmentResult, Sinogram
-from .fan_align import FanAlignConfig, reflected_resampling, shift_2dr, shift_fixed_point, symmetry_mse, symmetry_sse
+from .fan_align import FanAlignConfig, fixed_point_shift, reflected_resampling, shift_2dr, symmetry_mse, symmetry_sse
 from .registration import sample_detector
 
 ETA_BOUND = math.radians(45.0)  # far beyond any physical detector mounting error
@@ -78,7 +79,8 @@ class VPConfig:
 
 def lambda_eta(stack, h, eta):
     """Stack resampled along the axis tilted by eta about (h, 0), h in pixels:
-    (q_i, b_j) grid array of g(h + (q - h)cos(eta), -(q - h)sin(eta), b).
+    the Sinogram of the central fan geometry holding
+    g(h + (q - h)cos(eta), -(q - h)sin(eta), b) on the (q_i, b_j) grid.
     At the true (h, eta) this is the mid-plane fan sinogram.
     """
     geom = stack.geometry
@@ -86,12 +88,7 @@ def lambda_eta(stack, h, eta):
     cose, sine = math.cos(eta), math.sin(eta)
     q = geom.u_axis()
     pivot = h_u * (1.0 - cose)  # written so that eta = 0 reads q exactly
-    return sample_detector(stack, q * cose + pivot, (h_u - q) * sine, None)
-
-
-def _fan(stack, lam):
-    """A tilted read lam of the stack as a sinogram of its central fan."""
-    return Sinogram(stack.geometry.central_fan(), lam)
+    return Sinogram(geom.central_fan(), sample_detector(stack, q * cose + pivot, (h_u - q) * sine, None))
 
 
 def pi_h_eta(stack, h, eta):
@@ -100,22 +97,22 @@ def pi_h_eta(stack, h, eta):
     lam = lambda_eta(stack, h, eta), the (q_i, b_j) grid array of
     lam(2h - q, b + pi + 2*atan((q - h)/r)).
     """
-    return reflected_resampling(_fan(stack, lambda_eta(stack, h, eta)), h)
+    return reflected_resampling(lambda_eta(stack, h, eta), h)
 
 
 def loss_L(stack, h, eta, lam=None):
     """|lam - Pi_h lam|^2, the sum of squared differences of the two tilted
     resamplings at (h, eta); lam, if given, is lambda_eta(stack, h, eta)."""
-    return symmetry_sse(_fan(stack, lambda_eta(stack, h, eta) if lam is None else lam), h)
+    return symmetry_sse(lambda_eta(stack, h, eta) if lam is None else lam, h)
 
 
 def inner_h(stack, eta, cfg=VPConfig()):
     """Shift (pixels) minimizing the tilted-pair mismatch at fixed eta: the
     fan 2DR or FP_K shift solve on lambda_eta pivoted at 0, free of h."""
-    sino = _fan(stack, lambda_eta(stack, 0.0, eta))
+    sino = lambda_eta(stack, 0.0, eta)
     if cfg.inner_method == "2dr":
         return shift_2dr(sino, cfg.inner)
-    return shift_fixed_point(sino, cfg.inner)[0]
+    return fixed_point_shift(sino, cfg.inner)[0]
 
 
 def _pivoted_loss(stack, h, eta, cache):
@@ -202,7 +199,7 @@ def variable_projection(stack, cfg=VPConfig()):
     return AlignmentResult(
         h=float(h),
         eta=float(eta),
-        mse=symmetry_mse(_fan(stack, lam), h),
+        mse=symmetry_mse(lam, h),
         iterations=iterations,
         method=method,
         trace=tuple(trace),

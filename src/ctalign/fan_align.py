@@ -6,21 +6,23 @@ sinogram (or a profile of it) and its symmetry-reflected resampling; each
 estimator recovers h as half of a cross-correlation shift:
 
 * Yang: angular sum profile p against its reversal.
-* LY:   p against the reflected profile w (linear interpolation in beta).
+* LY:   p against the reflected profile w, linear in beta.  On a full scan
+        each column keeps its sum over the views, so w is p reversed and LY
+        is Yang's registration under its own tag.
 * 2DR:  the full sinogram against its reflected resampling, 2D correlation.
 * FP_K: median of K fixed-point runs h_{k+1} = h_k + shift/2, each on one
         view, started at views spread uniformly over beta and advanced in
-        lockstep: each iteration reflects every active run in one sampler
-        call and correlates them in one batched call (fixed_point_shift).
+        lockstep: each iteration reflects every active run in one read
+        and correlates them in one batched call (fixed_point_shift).
 * FP:   the one-start case of FP_K, started at the view beta_index.
 
-The symmetry map is written once, in reflect(); cone_align applies it and
-the 2DR and FP_K shift solves to the sinogram read along its tilted
-detector axis.  On every view at once the map is one
-sampler read of every stored view along the reflected detector path, each
-detector column at its own view offset pi + 2*atan((s - h)/r), since that
-offset depends on the column only.  All h values are in effective detector
-pixels.
+The symmetry map is written once, in reflect(), and reads a fan Sinogram
+through sample_periodic; cone_align applies it and the 2DR and FP_K shift
+solves to the tilted sinogram lambda_eta returns.  On every view at once
+the map is one read of every stored view along the reflected detector path,
+each detector column at its own view offset pi + 2*atan((s - h)/r), since
+that offset depends on the column only.  All h values are in effective
+detector pixels.
 """
 
 import math
@@ -70,49 +72,37 @@ class FanAlignConfig:
             raise ValueError("beta_index must be non-negative")
 
 
-def reflect(geom, sample, h_px, beta=None):
-    """The symmetry map at candidate shift h (pixels), read through a sampler.
+def reflect(sino, h_px, beta=None):
+    """The symmetry map of sino at candidate shift h (pixels).
 
-    Returns sample(-s + 2h, beta + pi + 2*atan((s - h)/r)) on the detector
-    axis s of geom.  sample(x, b) reads the data at detector coordinate x and
-    view angle b; beta is a view angle or an array of them.  beta=None takes
-    every view b_j of geom and returns the (n_beta, n_s) array
-    sample(x, None, offset): the stored views read along the reflected
-    detector path x, column i at view angle b_j + offset_i with
-    offset_i = pi + 2*atan((s_i - h)/r).
+    Returns g(-s + 2h, beta + pi + 2*atan((s - h)/r)) on the detector axis s,
+    read bilinearly and periodic in beta; beta is a view angle or an array
+    of them.  beta=None takes every view b_j and returns the (n_beta, n_s)
+    array of the stored views read along the reflected detector path x,
+    column i at view angle b_j + offset_i with offset_i = pi + 2*atan((s_i - h)/r).
     """
+    geom = sino.geometry
     s = geom.s_axis()
     h_s = geom.px_to_s(h_px)
     x = -s + 2.0 * h_s
     offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
     if beta is None:
-        return sample(x, None, math.pi + offset)
-    return sample(x, beta + math.pi + offset)
+        return sample_periodic(sino, x, None, math.pi + offset)
+    return sample_periodic(sino, x, beta + math.pi + offset)
 
 
 def reflected_resampling(sino, h_px=0.0):
     """The sinogram resampled through the symmetry map at candidate shift h.
 
     Returns the array z[j, i] = g(-s_i + 2h, b_j + pi + 2*atan((s_i - h)/r))
-    with h in pixels (h = 0 gives the reflection the LY/2DR estimators
-    correlate against).  Bilinear sampling, periodic in beta.
+    with h in pixels (h = 0 gives the reflection 2DR correlates against).
     """
-    return reflect(sino.geometry, lambda s, b, offset=None: sample_periodic(sino, s, b, offset), h_px)
+    return reflect(sino, h_px)
 
 
 def profile_p(sino):
     """Angular sum profile p_i = sum_j g(s_i, b_j); even in s for aligned data."""
     return sino.values.sum(axis=0)
-
-
-def profile_w(sino):
-    """Symmetry-reflected profile w_i = sum_j g(-s_i, b_j + pi + 2*atan(s_i/r)).
-
-    For data shifted by h the profiles satisfy p(s) ~= w(s - 2h).  On a full
-    scan the read is linear and periodic in beta, so each column's sum over
-    the views is kept: w is p reversed up to rounding, and LY returns Yang's h.
-    """
-    return reflected_resampling(sino, 0.0).sum(axis=0)
 
 
 def symmetry_sse(sino, h):
@@ -138,24 +128,24 @@ def _result(sino, h, method, iterations=0, converged=True):
     )
 
 
-def align_yang(sino, cfg=FanAlignConfig()):
-    """Shift estimate from the angular sum profile against its reversal.
-
-    The reversal is exact on the symmetric detector grid:
-    reverse(p)[i] = p[n_s - 1 - i].
-    """
+def _reversal_shift(sino, cfg):
+    """Half the shift of the angular sum profile p against its reversal,
+    exact on the symmetric detector grid: reverse(p)[i] = p[n_s - 1 - i]."""
     p = profile_p(sino)
-    h = 0.5 * xcorr_shift_1d(p, p[::-1], cfg.upsample)
-    return _result(sino, h, "Yang")
+    return 0.5 * xcorr_shift_1d(p, p[::-1], cfg.upsample)
+
+
+def align_yang(sino, cfg=FanAlignConfig()):
+    """Shift estimate from the angular sum profile against its reversal."""
+    return _result(sino, _reversal_shift(sino, cfg), "Yang")
 
 
 def align_ly(sino, cfg=FanAlignConfig()):
-    """Shift estimate from the angular sum profile against the reflected
-    profile w, which is translated by 2h relative to p."""
-    p = profile_p(sino)
-    w = profile_w(sino)
-    h = 0.5 * xcorr_shift_1d(p, w, cfg.upsample)
-    return _result(sino, h, "LY")
+    """Shift estimate from the angular sum profile p against the reflected
+    profile w_i = sum_j g(-s_i, b_j + pi + 2*atan(s_i/r)), translated by 2h
+    relative to p.  The read is linear and periodic in beta, so on a full
+    scan each column keeps its sum over the views and w is p reversed."""
+    return _result(sino, _reversal_shift(sino, cfg), "LY")
 
 
 def shift_2dr(sino, cfg=FanAlignConfig()):
@@ -180,31 +170,34 @@ def fp_start_indices(n_beta, K):
     return [int(round(j * n_beta / K)) % n_beta for j in range(K)]
 
 
-def fixed_point_shift(lam, geom, sample, starts, cfg):
-    """Median of the fixed-point runs h_{k+1} = h_k + shift(lam_j, pi_j(h_k)) / 2
-    started from h_0 = 0 at the views j in starts.
+def fixed_point_shift(sino, cfg=FanAlignConfig(), starts=None):
+    """Median of the fixed-point runs h_{k+1} = h_k + shift(g_j, pi_j(h_k)) / 2
+    started from h_0 = 0 at the views j in starts (the cfg.K FP_K starts if
+    None), g_j the stored view and pi_j(h) its reflection at shift h.
 
-    lam holds the reference views, one row per view of geom; sample(x, b)
-    reads the data the reflections pi_j(h) are taken from.  The runs advance
-    in lockstep, with the values of separate runs: each iteration reflects
-    every active run in one sampler call and correlates them in one
-    xcorr_shift_rows call.  A run stops when its update drops below cfg.tol_h
-    (converged) or after cfg.max_iter updates, and fails when its correlation
-    is identically zero (a defective view).  Failed runs are excluded from
-    the median; if every run fails, AmbiguousShiftError is raised.  For even
-    counts the lower-middle order statistic is taken, avoiding an average of
-    two modes.  Returns (h, iterations, runs): the median, the largest
-    iteration count, and per returned run (start number, h_j, iterations,
-    converged).
+    The runs advance in lockstep, with the values of separate runs: each
+    iteration reflects every active run in one sample_periodic call and
+    correlates them in one xcorr_shift_rows call.  A run stops when its update drops
+    below cfg.tol_h (converged) or after cfg.max_iter updates, and fails
+    when its correlation is identically zero (a defective view).  Failed
+    runs are excluded from the median; if every run fails,
+    AmbiguousShiftError is raised.  For even counts the lower-middle order
+    statistic is taken, avoiding an average of two modes.  Returns
+    (h, iterations, converged, runs): the median, the largest iteration
+    count, whether every returned run converged, and per returned run
+    (start number, h_j, iterations, converged).
     """
+    geom = sino.geometry
+    if starts is None:
+        starts = fp_start_indices(geom.n_beta, cfg.K)
     beta0 = np.asarray(starts) * geom.beta_step
-    lam = lam[starts]
+    lam = sino.values[starts]
     h = np.zeros(len(starts))
     runs = [None] * len(starts)
     active = np.arange(len(starts))
     for k in range(1, cfg.max_iter + 1):
         h_old = h[active]
-        pi = reflect(geom, sample, h_old[:, None], beta0[active, None])
+        pi = reflect(sino, h_old[:, None], beta0[active, None])
         h_new = h_old + 0.5 * xcorr_shift_rows(lam[active], pi, cfg.upsample)
         done = np.abs(h_new - h_old) < cfg.tol_h
         h[active] = h_new
@@ -218,17 +211,8 @@ def fixed_point_shift(lam, geom, sample, starts, cfg):
     if not runs:
         raise AmbiguousShiftError("every fixed-point start failed")
     ordered = sorted(h_j for _, h_j, *_ in runs)
-    return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, *_ in runs), runs
-
-
-def shift_fixed_point(sino, cfg=FanAlignConfig(), starts=None):
-    """(h, iterations, converged) of fixed_point_shift on sino from the views in
-    starts (the cfg.K FP_K starts if None); converged if every returned run is."""
-    if starts is None:
-        starts = fp_start_indices(sino.geometry.n_beta, cfg.K)
-    sample = lambda s, b: sample_periodic(sino, s, b)
-    h, iterations, runs = fixed_point_shift(sino.values, sino.geometry, sample, starts, cfg)
-    return h, iterations, all(conv for _, _, _, conv in runs)
+    converged = all(conv for *_, conv in runs)
+    return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, _ in runs), converged, runs
 
 
 def align_fp(sino, cfg=FanAlignConfig()):
@@ -241,14 +225,14 @@ def align_fp(sino, cfg=FanAlignConfig()):
     """
     if not 0 <= cfg.beta_index < sino.geometry.n_beta:
         raise ValueError("beta_index outside the view range")
-    h, iterations, converged = shift_fixed_point(sino, cfg, [cfg.beta_index])
+    h, iterations, converged, _ = fixed_point_shift(sino, cfg, [cfg.beta_index])
     return _result(sino, h, "FP", iterations, converged)
 
 
 def align_fp_k(sino, cfg=FanAlignConfig()):
     """FP_K: fixed_point_shift from K starts spread uniformly in beta; iterations
     is the largest per-run count; converged, that every returned run did."""
-    h, iterations, converged = shift_fixed_point(sino, cfg)
+    h, iterations, converged, _ = fixed_point_shift(sino, cfg)
     return _result(sino, h, "FP_K", iterations, converged)
 
 

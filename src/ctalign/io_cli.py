@@ -329,7 +329,7 @@ RUN_OPTIONS = {
 
 
 class RunConfig(dict):
-    """Validated `key: value` run configuration; unknown keys are rejected."""
+    """Validated `key: value` run configuration; unknown and repeated keys are rejected."""
 
     @classmethod
     def parse(cls, text):
@@ -344,6 +344,8 @@ class RunConfig(dict):
             key = key.strip()
             if key not in RUN_OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if key in entries:
+                raise ConfigError(f"duplicate config key {key!r}")
             try:
                 entries[key] = RUN_OPTIONS[key].parse(value.strip())
             except (TypeError, ValueError, ConfigError) as exc:

@@ -98,8 +98,8 @@ class InstabilityModel:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha >= 0.0:
-            raise ValueError("alpha must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError("alpha must be nonnegative and finite")
 
     def evaluate(self, s, beta, s_max):
         s = np.asarray(s, dtype=float)

@@ -76,7 +76,7 @@ def odd_row_stack():
 class TestLambdaEta:
     def test_eta_zero_is_central_row(self, odd_row_stack):
         out = lambda_eta(odd_row_stack, 0.0, 0.0)
-        assert np.array_equal(out, odd_row_stack.values[:, 32, :])
+        assert np.array_equal(out.values, odd_row_stack.values[:, 32, :])
 
     def test_pivoted_read_is_the_true_mid_plane(self):
         """Tilted about (h, 0) at the true (h, eta), the read is the fan
@@ -89,7 +89,7 @@ class TestLambdaEta:
         q = geom.u_axis()[None, :]
         beta = geom.beta_axis()[:, None]
         oracle = cone_line_integral(ph, SOURCE_RADIUS, q - geom.px_to_u(h), 0.0, beta)
-        error = lambda pivot: np.linalg.norm(lambda_eta(stack, pivot, eta) - oracle)
+        error = lambda pivot: np.linalg.norm(lambda_eta(stack, pivot, eta).values - oracle)
         assert error(h) <= 2.5e-3 * np.linalg.norm(oracle)
         assert error(0.0) > 2.0 * error(h)
 
@@ -99,7 +99,7 @@ class TestLambdaEta:
         ph = make_sphere_phantom(3, n_spheres=10)
         stack = cone_project(ph, geom)
         eta = math.radians(1.0)
-        lam = lambda_eta(stack, 0.0, eta)
+        lam = lambda_eta(stack, 0.0, eta).values
         q = geom.u_axis()[None, :]
         beta = geom.beta_axis()[:, None]
         oracle = cone_line_integral(ph, SOURCE_RADIUS, q * math.cos(eta), -q * math.sin(eta), beta)
@@ -108,12 +108,12 @@ class TestLambdaEta:
 
 class TestPiHEta:
     def test_equals_lambda_on_aligned_stack(self, aligned_stack):
-        lam = lambda_eta(aligned_stack, 0.0, 0.0)
+        lam = lambda_eta(aligned_stack, 0.0, 0.0).values
         pi = pi_h_eta(aligned_stack, 0.0, 0.0)
         assert np.linalg.norm(pi - lam) <= 1e-2 * np.linalg.norm(lam)
 
     def test_equals_lambda_at_true_misalignment(self, ref_stack):
-        lam = lambda_eta(ref_stack, H_TRUE, ETA_TRUE)
+        lam = lambda_eta(ref_stack, H_TRUE, ETA_TRUE).values
         pi = pi_h_eta(ref_stack, H_TRUE, ETA_TRUE)
         assert np.linalg.norm(pi - lam) <= 1e-2 * np.linalg.norm(lam)
 
@@ -161,7 +161,7 @@ class TestViewShiftPath:
         geom = stack.geometry
         q = geom.u_axis()
         h_u = geom.px_to_u(h)
-        lam = Sinogram(geom.central_fan(), lambda_eta(stack, h, eta))
+        lam = lambda_eta(stack, h, eta)
         beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
         want = sample_periodic(lam, -q + 2.0 * h_u, beta)
         got = pi_h_eta(stack, h, eta)
@@ -170,8 +170,7 @@ class TestViewShiftPath:
     @pytest.mark.parametrize("eta", [0.02, -0.03])
     @pytest.mark.parametrize("h", [2.37, 0.6 * 33])
     def test_pi_is_the_reflection_of_lambda(self, stack, h, eta):
-        fan = Sinogram(stack.geometry.central_fan(), lambda_eta(stack, h, eta))
-        assert np.array_equal(pi_h_eta(stack, h, eta), reflected_resampling(fan, h))
+        assert np.array_equal(pi_h_eta(stack, h, eta), reflected_resampling(lambda_eta(stack, h, eta), h))
 
     @pytest.mark.parametrize("eta", [0.0, 0.02, -0.03, 0.3])
     def test_pi_at_zero_pivot_is_the_trilinear_read(self, stack, eta):
@@ -189,7 +188,7 @@ class TestViewShiftPath:
         geom = stack.geometry
         q = geom.u_axis()
         want = two_plane_detector(stack, q * math.cos(eta), -q * math.sin(eta), geom.beta_axis()[:, None])
-        assert np.array_equal(lambda_eta(stack, 0.0, eta), want)
+        assert np.array_equal(lambda_eta(stack, 0.0, eta).values, want)
 
 
 class TestAllViewsRead:
@@ -206,9 +205,10 @@ class TestAllViewsRead:
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     @pytest.mark.parametrize("h", [0.0, 2.37])  # the pivot of the tilted axis
     def test_matches_two_stage_read(self, monkeypatch, stack, read, h, eta):
-        got = read(stack, h, eta)
+        values = lambda out: getattr(out, "values", out)  # lambda_eta returns a Sinogram
+        got = values(read(stack, h, eta))
         monkeypatch.setattr(cone_align, "sample_detector", two_stage_detector)
-        assert np.array_equal(got, read(stack, h, eta))
+        assert np.array_equal(got, values(read(stack, h, eta)))
 
     @pytest.mark.parametrize("read, h, eta", [(pi_h_eta, math.nan, 0.01), (lambda_eta, 0.0, math.nan)])
     def test_non_finite_input_rejected(self, stack, read, h, eta):
@@ -218,7 +218,7 @@ class TestAllViewsRead:
 
 class TestLossL:
     def test_aligned_loss_at_interpolation_floor(self, aligned_stack):
-        energy = float(np.sum(lambda_eta(aligned_stack, 0.0, 0.0) ** 2))
+        energy = float(np.sum(lambda_eta(aligned_stack, 0.0, 0.0).values ** 2))
         assert loss_L(aligned_stack, 0.0, 0.0) <= 1e-4 * energy
 
     def test_truth_beats_offset_probes(self, ref_stack):
@@ -256,13 +256,6 @@ def small_stack():
     return cone_project(make_sphere_phantom(1, n_spheres=20), cone_geometry(32), h=2.5, eta=ETA_TRUE)
 
 
-def tilted_pair(stack, eta):
-    """The fixed_point_shift inputs of the fp_k inner solve at eta: the tilted
-    read pivoted at 0 and its bilinear sampler."""
-    fan = Sinogram(stack.geometry.central_fan(), lambda_eta(stack, 0.0, eta))
-    return fan.values, fan.geometry, lambda s, b: sample_periodic(fan, s, b)
-
-
 class TestInnerFixedPoint:
     """The fp_k inner solve is the lockstep fixed_point_shift on the tilted
     sinogram: the same runs as one after another, one stack read per solve
@@ -270,10 +263,10 @@ class TestInnerFixedPoint:
 
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     def test_equals_sequential_runs(self, small_stack, eta):
-        args = tilted_pair(small_stack, eta)
+        tilted = lambda_eta(small_stack, 0.0, eta)  # the h-free read of the fp_k inner solve
         cfg = FanAlignConfig()
-        lockstep = lockstep_median_fixed_point(*args, cfg)
-        assert repr(lockstep) == repr(sequential_median_fixed_point(*args, cfg))
+        lockstep = lockstep_median_fixed_point(tilted, cfg)
+        assert repr(lockstep) == repr(sequential_median_fixed_point(tilted, cfg))
         assert inner_h(small_stack, eta, VPConfig(inner_method="fp_k", inner=cfg)) == lockstep[0]
 
     def test_k_exceeding_view_count_rejected(self, small_stack):
@@ -285,9 +278,8 @@ class TestInnerFixedPoint:
 
     def test_one_reflection_and_one_correlation_per_iteration(self, small_stack, monkeypatch):
         eta = 0.02
-        args = tilted_pair(small_stack, eta)
         cfg = VPConfig(inner_method="fp_k")
-        _, runs = lockstep_median_fixed_point(*args, cfg.inner)
+        _, runs = lockstep_median_fixed_point(lambda_eta(small_stack, 0.0, eta), cfg.inner)
         iterations = [iters for _, _, iters, _ in runs]
         assert max(iterations) < sum(iterations)
         reads = count_calls(monkeypatch, cone_align, "sample_detector")
@@ -438,8 +430,7 @@ class TestVariableProjection:
         assert not {eta for _, eta in stencils} & set(solved)  # no inner solve at a stencil point
         assert len(pivoted) == len(set(pivoted))
         assert set(pivoted) == {(h, eta) for eta, h in solved.items()} | stencils
-        fan = Sinogram(ref_stack.geometry.central_fan(), lambda_eta(ref_stack, result.h, result.eta))
-        assert result.mse == symmetry_mse(fan, result.h)
+        assert result.mse == symmetry_mse(lambda_eta(ref_stack, result.h, result.eta), result.h)
 
     @pytest.mark.parametrize("method", INNER)
     def test_stack_read_only_through_lambda_eta(self, method, small_stack, monkeypatch):
@@ -610,7 +601,7 @@ class TestFanIsEtaZeroCone:
 
     def test_lambda_is_the_sinogram(self, pair):
         sino, stack = pair
-        assert np.array_equal(lambda_eta(stack, 0.0, 0.0), sino.values)
+        assert np.array_equal(lambda_eta(stack, 0.0, 0.0).values, sino.values)
 
     def test_pi_is_the_reflected_resampling(self, pair):
         sino, stack = pair

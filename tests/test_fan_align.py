@@ -23,7 +23,6 @@ from ctalign import (
     fan_project,
     make_disk_phantom,
     profile_p,
-    profile_w,
     reflected_resampling,
     sample_periodic,
     symmetry_mse,
@@ -43,6 +42,12 @@ from conftest import (
 )
 
 ALL_ALIGNERS = [align_yang, align_ly, align_2dr, align_fp, align_fp_k]
+
+
+def profile_w(sino):
+    """Symmetry-reflected profile w_i = sum_j g(-s_i, b_j + pi + 2*atan(s_i/r)):
+    for data shifted by h, p(s) ~= w(s - 2h)."""
+    return reflected_resampling(sino, 0.0).sum(axis=0)
 
 
 def shifted_copy(sino, d):
@@ -98,7 +103,7 @@ class TestProfiles:
         d = xcorr_shift_1d(profile_p(ref_sino), profile_w(ref_sino))
         assert d == pytest.approx(2.0 * H_TRUE, abs=0.1)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    @pytest.mark.parametrize("alpha", [0.0, 0.004, 0.01])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_full_scan_w_is_p_reversed_so_ly_is_yang(self, seed, alpha):
         """A linear, periodic read in beta keeps each column's sum over the
@@ -249,15 +254,13 @@ class TestFixedPoint:
 
     def test_self_consistency_at_estimate(self, ref_sino):
         """At the returned h the update map moves by less than tol_h."""
-        from ctalign import sample_periodic, xcorr_shift_1d
+        from ctalign import xcorr_shift_1d
         from ctalign.fan_align import reflect
 
         cfg = FanAlignConfig()
         result = align_fp(ref_sino, cfg)
         lam = ref_sino.values[0]
-        geom = ref_sino.geometry
-        sample = lambda s, b: sample_periodic(ref_sino, s, b)
-        pi = reflect(geom, sample, result.h, cfg.beta_index * geom.beta_step)
+        pi = reflect(ref_sino, result.h, cfg.beta_index * ref_sino.geometry.beta_step)
         assert abs(0.5 * xcorr_shift_1d(lam, pi, cfg.upsample)) < cfg.tol_h
 
     def test_iteration_budget_respected(self, ref_sino):
@@ -305,18 +308,13 @@ def small_fan(alpha=0.0):
     return fan_project(make_disk_phantom(1), fan_geometry(64), h=2.5, instability=instability)
 
 
-def fan_sampler(sino):
-    return lambda s, b: sample_periodic(sino, s, b)
-
-
 class TestLockstepRuns:
     """fixed_point_shift advances its K runs together; each run must end as
     it would alone (sequential_median_fixed_point), bit for bit."""
 
     @staticmethod
     def both(sino, cfg):
-        args = (sino.values, sino.geometry, fan_sampler(sino), cfg)
-        lockstep, sequential = lockstep_median_fixed_point(*args), sequential_median_fixed_point(*args)
+        lockstep, sequential = lockstep_median_fixed_point(sino, cfg), sequential_median_fixed_point(sino, cfg)
         assert repr(lockstep) == repr(sequential)
         return lockstep[1]
 
@@ -342,7 +340,7 @@ class TestLockstepRuns:
     def test_one_reflection_and_one_correlation_per_iteration(self, monkeypatch):
         sino = small_fan(alpha=0.01)
         cfg = FanAlignConfig(method="FP_K")
-        _, runs = lockstep_median_fixed_point(sino.values, sino.geometry, fan_sampler(sino), cfg)
+        _, runs = lockstep_median_fixed_point(sino, cfg)
         iterations = [iters for _, _, iters, _ in runs]
         assert max(iterations) < sum(iterations)
         monkeypatch.setattr(fan_align, "symmetry_mse", lambda sino, h: 0.0)  # count the run reads only
@@ -360,6 +358,13 @@ class TestOneSymmetryRead:
         assert [h for _, h in reads] == [result.h]
         assert result.mse == symmetry_mse(ref_sino, result.h)
         assert result.trace == ()
+
+    def test_ly_reads_the_reflection_only_for_its_mse(self, ref_sino, monkeypatch):
+        """LY registers p against p reversed, which is w on a full scan: its one
+        reflected read is the one behind its mse."""
+        reads = count_calls(monkeypatch, fan_align, "reflected_resampling")
+        result = align_ly(ref_sino, FanAlignConfig())
+        assert [h for _, h in reads] == [result.h]
 
 
 class TestSymmetryMse:

@@ -267,10 +267,11 @@ class TestCliSimulate:
     def test_missing_mode_rejected(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x.sino")]) == 4
 
-    @pytest.mark.parametrize("alpha", ["-0.5", "nan"])
-    def test_bad_alpha_rejected_and_nothing_written(self, tmp_path, alpha):
+    @pytest.mark.parametrize("alpha", ["-0.5", "nan", "inf"])
+    def test_bad_alpha_rejected_and_nothing_written(self, tmp_path, capsys, alpha):
         rc = main(["simulate", "--mode", "fan", "--n", "32", "--alpha", alpha, "--out", str(tmp_path / "x.sino")])
         assert rc == 4
+        assert capsys.readouterr().err == "error: alpha must be nonnegative and finite\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
@@ -391,6 +392,15 @@ class TestCliAlignFan:
         cfg.write_text("mode: fan\nvoltage: 3\n")
         assert main(["simulate", "--config", str(cfg)]) == 4
 
+    def test_duplicate_config_key_rejected(self, cli_fan_files, tmp_path, capsys):
+        """A repeated key is an error, not the last value silently winning."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method: fp\nmethod: yang\n")
+        assert main(["align-fan", "--input", cli_fan_files[1], "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate config key 'method'\n"
+
 
 class TestCliAlignCone:
     def test_simulate_then_recover(self, tmp_path, capsys):
@@ -485,6 +495,24 @@ class TestCliMetric:
         _, shifted = cli_fan_files
         assert main(["metric", "--input", shifted, "--h", "1e300"]) == 0
         assert report_value(capsys.readouterr().out, "mse") == "1.0"
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["fan", "cone"])
+    def test_non_finite_h_rejected(self, cli_fan_files, tmp_path, capsys, kind, h, given):
+        data = cli_fan_files[1]
+        if kind == "cone":
+            data = str(tmp_path / "cone.sino")
+            assert main(["simulate", "--mode", "cone", "--n", "16", "--features", "4", "--out", data]) == 0
+            capsys.readouterr()
+        argv = ["metric", "--input", data]
+        if given == "flag":
+            argv += ["--h", h]
+        else:
+            (tmp_path / "run.cfg").write_text(f"h: {h}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 4
+        assert capsys.readouterr() == ("", "error: h must be finite\n")
 
     @pytest.mark.parametrize("inner", ["2dr", "fpk"])
     def test_cone_metric_matches_align_cone(self, tmp_path, capsys, inner):

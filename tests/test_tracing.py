@@ -63,7 +63,10 @@ def test_traced_run_matches_and_counts_iterations(method, monkeypatch):
         returned.append(result[1])
         return result
 
-    monkeypatch.setattr(fan_align, "fixed_point_shift", recording)
+    for name in tracing.MODULES:  # every binding of the driver, as tracing.installed rebinds them
+        module = importlib.import_module(name)
+        if getattr(module, "fixed_point_shift", None) is driver:
+            monkeypatch.setattr(module, "fixed_point_shift", recording)
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         with tracer.span(ESTIMATE, method=method):
