@@ -1,13 +1,14 @@
 """Command-line surface: simulate data, run estimators, evaluate metrics,
 emit plot-ready sweep tables.
 
-Subcommands: simulate, align-fan, align-cone, metric, sweep.  Every option
-is declared once, in io_cli.RUN_OPTIONS, and can come from a flag or from a
-`key: value` config file (--config); explicit flags win over the file, the
-file wins over built-in defaults.  Angles need an explicit unit suffix
-(`10deg`, `0.02rad`); internally everything is radians.  Exit codes:
-0 success, 2 estimator non-convergence or failure, 3 I/O or file-format
-error, 4 invalid configuration.
+Subcommands: simulate, align-fan, align-cone, metric, sweep; a call declares
+only the subcommand it runs.  Every option is declared once, in
+io_cli.RUN_OPTIONS, and can come from a flag or from a `key: value` config
+file (--config); explicit flags win over the file, the file wins over
+built-in defaults.  Angles need an explicit unit suffix (`10deg`,
+`0.02rad`); internally everything is radians.  Exit codes: 0 success, 2
+estimator non-convergence or failure, 3 I/O or file-format error, 4 invalid
+configuration.
 """
 
 import argparse
@@ -234,10 +235,12 @@ _COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
+    """The ctalign parser, declaring only the subcommand command if it names one, else all five."""
     parser = _Parser(prog="ctalign", description="Fan/cone-beam detector misalignment estimation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for command, (func, about) in _COMMANDS.items():
+    for command in [command] if command in _COMMANDS else _COMMANDS:
+        func, about = _COMMANDS[command]
         p = sub.add_parser(command, help=about)
         p.set_defaults(func=func)
         p.add_argument("--config", help="key: value config file; flags override it")
@@ -252,7 +255,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(_options(args))

@@ -192,10 +192,10 @@ def read_sinogram(path):
     expected = math.prod(geom.shape) * 4
     if len(payload) != expected:
         raise ShapeMismatchError(f"payload is {len(payload)} bytes, shape {geom.shape} needs {expected}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(geom.shape).astype(float)
+    values = np.frombuffer(payload, dtype="<f4").reshape(geom.shape)
     if not np.all(np.isfinite(values)):
         raise PayloadValueError("payload contains NaN or Inf")
-    return container(geom, values)
+    return container(geom, values)  # the container holds the one float64 copy
 
 
 def header_metadata(path):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .core import ConeGeometry, FanGeometry, ProjectionStack, Sinogram
+from .core import ProjectionStack, Sinogram
 from .registration import sample_detector
 
 

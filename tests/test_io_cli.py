@@ -1,8 +1,10 @@
 """File format round trips, config parsing, and the command-line surface
 (exit codes, reports, determinism)."""
 
+import argparse
 import io
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +164,33 @@ class TestSinogramFiles:
         path.write_bytes(bytes(blob))
         with pytest.raises(PayloadValueError):
             read_sinogram(path)
+
+    @pytest.mark.parametrize("sidecar", [False, True])
+    @pytest.mark.parametrize("make", [small_sino, small_stack])
+    def test_values_are_the_float32_payload_read_only(self, tmp_path, make, sidecar):
+        path = tmp_path / "d.sino"
+        write_sinogram(path, make(), sidecar=sidecar)
+        blob = (tmp_path / "d.sino.raw").read_bytes() if sidecar else path.read_bytes().split(b"\n\n", 1)[1]
+        payload = np.frombuffer(blob, dtype="<f4")
+        values = read_sinogram(path).values
+        assert values.dtype == np.float64
+        assert np.array_equal(values.ravel().view(np.uint64), payload.astype(np.float64).view(np.uint64))
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make,command", [(small_sino, "align-fan"), (small_stack, "metric")])
+    def test_non_finite_payload_rejected_and_exits_3(self, tmp_path, capsys, bad, make, command):
+        path = tmp_path / "d.sino"
+        write_sinogram(path, make())
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.float32(bad).tobytes()  # the last value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(PayloadValueError):
+            read_sinogram(path)
+        assert main([command, "--input", str(path)]) == 3
+        assert capsys.readouterr().err == "error: payload contains NaN or Inf\n"
 
     def test_duplicate_header_key_rejected(self, tmp_path):
         path = tmp_path / "fan.sino"
@@ -769,3 +798,142 @@ class TestReportKeys:
     def test_align_cone_pixel_size(self, root, capsys):
         keys, _ = self.report(capsys, ["align-cone", "--input", str(root / "cone_px.sino")])
         assert keys == with_h_mm(CONE_REPORT_KEYS)
+
+
+MAIN_HELP = """\
+usage: ctalign [-h] {simulate,align-fan,align-cone,metric,sweep} ...
+
+Fan/cone-beam detector misalignment estimation.
+
+positional arguments:
+  {simulate,align-fan,align-cone,metric,sweep}
+    simulate            generate misaligned data plus a ground-truth sidecar
+    align-fan           estimate the shift of a fan data file
+    align-cone          estimate shift and rotation of a cone data file
+    metric              symmetry MSE of a data file at a candidate (h, eta)
+    sweep               error table over an instability grid, CSV output
+
+options:
+  -h, --help            show this help message and exit
+"""
+ALIGN_FAN_HELP = """\
+usage: ctalign align-fan [-h] [--config CONFIG] [--input INPUT]
+                         [--report REPORT] [--method METHOD] [--k K]
+                         [--max-iter MAX_ITER] [--tol-h TOL_H]
+                         [--upsample UPSAMPLE] [--beta-index BETA_INDEX]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key: value config file; flags override it
+  --input INPUT         data file to read
+  --report REPORT       also write the report to this file
+  --method METHOD       estimator: yang, ly, 2dr, fp or fpk (default 2dr)
+  --k K                 FP_K start count
+  --max-iter MAX_ITER   fixed-point iteration cap
+  --tol-h TOL_H         fixed-point tolerance in pixels
+  --upsample UPSAMPLE   sub-pixel registration factor
+  --beta-index BETA_INDEX
+                        starting view of a single FP run
+"""
+METRIC_HELP = """\
+usage: ctalign metric [-h] [--config CONFIG] [--input INPUT] [--report REPORT]
+                      [--h H] [--eta ETA]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  key: value config file; flags override it
+  --input INPUT    data file to read
+  --report REPORT  also write the report to this file
+  --h H            detector shift in effective pixels
+  --eta ETA        in-plane rotation with unit suffix, e.g. 1deg (cone only)
+"""
+
+# argv: (SystemExit code or None, return code or None, stdout, stderr), at an 80-column terminal
+CLI_TEXTS = {
+    (): (None, 4, "", "error: the following arguments are required: subcommand\n"),
+    ("bogus",): (
+        None,
+        4,
+        "",
+        "error: argument subcommand: invalid choice: 'bogus' "
+        "(choose from 'simulate', 'align-fan', 'align-cone', 'metric', 'sweep')\n",
+    ),
+    ("--help",): (0, None, MAIN_HELP, ""),
+    ("-h", "align-fan"): (0, None, MAIN_HELP, ""),
+    ("align-fan", "--help"): (0, None, ALIGN_FAN_HELP, ""),
+    ("metric", "-h"): (0, None, METRIC_HELP, ""),
+    ("align-fan", "--bogus"): (None, 4, "", "error: unrecognized arguments: --bogus\n"),
+    ("sweep", "--h"): (None, 4, "", "error: argument --h: expected one argument\n"),
+    ("align-cone", "--eta0", "1"): (None, 4, "", "error: argument --eta0: angle '1' needs a 'deg' or 'rad' suffix\n"),
+    ("simulate", "--mode", "x"): (None, 4, "", "error: argument --mode: 'x' is not one of fan, cone\n"),
+    ("align-fan", "--meth", "yang"): (None, 4, "", "error: an input file is required (--input)\n"),
+}
+
+
+class TestCliTexts:
+    """Help, usage and error texts are pinned byte for byte, whichever
+    subparsers a call declares."""
+
+    @pytest.mark.parametrize("argv", list(CLI_TEXTS), ids=" ".join)
+    def test_exact_output_and_exit(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        exit_code, return_code, out, err = CLI_TEXTS[argv]
+        if exit_code is None:
+            assert main(list(argv)) == return_code
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == exit_code
+        assert capsys.readouterr() == (out, err)
+
+
+# add_argument calls a main call of each subcommand makes; 55 declare all five
+DECLARATIONS = {"simulate": 14, "align-fan": 11, "align-cone": 16, "metric": 7, "sweep": 11}
+# bare, each subcommand but sweep fails with exit 4 before any work
+CONFIG_ERRORS = {"sweep": ["--alphas", ""]}
+
+
+@pytest.fixture
+def declarations(monkeypatch):
+    """The running count of argparse add_argument calls."""
+    count = [0]
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    return count
+
+
+def subparser_options(parser, command):
+    sub = parser._subparsers._group_actions[0].choices[command]
+    return [(a.option_strings, a.dest, a.type, a.const, a.help) for a in sub._actions]
+
+
+class TestParserDeclarations:
+    """A call declares only the subparser it runs, and declares it again on
+    every call: nothing is cached across calls."""
+
+    @pytest.mark.parametrize("command", list(DECLARATIONS))
+    def test_a_call_declares_its_subcommand_only(self, declarations, capsys, command):
+        for _ in range(2):
+            assert main([command, *CONFIG_ERRORS.get(command, [])]) == 4
+        assert declarations[0] == 2 * DECLARATIONS[command]
+
+    def test_main_reads_sys_argv(self, declarations, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["ctalign", "metric", "--bogus"])
+        assert main() == 4
+        assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+        assert declarations[0] == DECLARATIONS["metric"]
+
+    def test_full_parser_declares_every_subcommand(self, declarations):
+        build_parser()
+        assert declarations[0] == 55 == 1 + sum(DECLARATIONS.values()) - len(DECLARATIONS)
+
+    @pytest.mark.parametrize("command", list(DECLARATIONS))
+    def test_subparser_options_equal_the_full_parsers(self, command):
+        parser = build_parser(command)
+        assert list(parser._subparsers._group_actions[0].choices) == [command]
+        assert subparser_options(parser, command) == subparser_options(build_parser(), command)
