@@ -20,7 +20,8 @@ solve at fixed eta on the read pivoted at 0, which is free of h; the reduced
 loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.  Its
 gradient is the partial one at the inner optimum (the envelope result of
 variable projection; Golub & Pereyra, Inverse Problems 19:R1, 2003), so h
-is solved only at the start, trial and accepted points, not on the stencil.
+is solved only at the start and trial points, not on the stencil.  The
+descent carries its accepted point (h, eta, loss, lam); nothing is cached.
 """
 
 import math
@@ -115,23 +116,25 @@ def inner_h(stack, eta, cfg=VPConfig()):
     return fixed_point_shift(sino, cfg.inner)[0]
 
 
-def _pivoted_loss(stack, h, eta, cache):
-    """(loss, lam) of the pair pivoted at (h, 0), lam its lambda_eta; cached per (h, eta)."""
-    if (h, eta) not in cache:
-        lam = lambda_eta(stack, h, eta)
-        cache[h, eta] = (loss_L(stack, h, eta, lam), lam)
-    return cache[h, eta]
+def _solve(stack, eta, cfg):
+    """(h, loss, lam) at eta: the inner solve, its read pivoted at (h, 0), its loss."""
+    h = inner_h(stack, eta, cfg)
+    lam = lambda_eta(stack, h, eta)
+    return h, loss_L(stack, h, eta, lam), lam
 
 
-def _reduced_loss(stack, eta, cfg, cache):
-    """(h, loss, lam) at eta, h from the inner solve; cached per eta."""
-    if eta not in cache:
-        h = inner_h(stack, eta, cfg)
-        cache[eta] = (h, *_pivoted_loss(stack, h, eta, cache))
-    return cache[eta]
+def _stencil(stack, h, eta, l0, cfg):
+    """(gradient, curvature) from l0 = L(h, eta) and loss_L(stack, h, eta -+ d)."""
+    d = cfg.delta_eta
+    if eta + d > ETA_BOUND:
+        return (l0 - loss_L(stack, h, eta - d)) / d, math.nan
+    if eta - d < -ETA_BOUND:
+        return (loss_L(stack, h, eta + d) - l0) / d, math.nan
+    lo, hi = loss_L(stack, h, eta - d), loss_L(stack, h, eta + d)
+    return (hi - lo) / (2.0 * d), (hi - 2.0 * l0 + lo) / (d * d)
 
 
-def reduced_gradient(stack, eta, cfg=VPConfig(), cache=None):
+def reduced_gradient(stack, eta, cfg=VPConfig()):
     """(gradient, curvature) in eta of the reduced loss L(h(eta), eta).
 
     Both come from the same three losses L-, L0, L+ at eta - d, eta, eta + d
@@ -140,67 +143,60 @@ def reduced_gradient(stack, eta, cfg=VPConfig(), cache=None):
     envelope result), so h is solved at eta only.  g = (L+ - L-)/2d and
     c = (L+ - 2 L0 + L-)/d^2; within one step of the search-domain edge the
     stencil is one-sided, g = (L0 - L-)/d or (L+ - L0)/d, and c is nan.
-    cache holds the solves per eta and the losses per (h, eta), across calls.
     """
-    cache = {} if cache is None else cache
-    d = cfg.delta_eta
-    h, l0, _ = _reduced_loss(stack, eta, cfg, cache)
-
-    def loss(at):
-        return _pivoted_loss(stack, h, at, cache)[0]
-
-    if eta + d > ETA_BOUND:
-        return (l0 - loss(eta - d)) / d, math.nan
-    if eta - d < -ETA_BOUND:
-        return (loss(eta + d) - l0) / d, math.nan
-    lo, hi = loss(eta - d), loss(eta + d)
-    return (hi - lo) / (2.0 * d), (hi - 2.0 * l0 + lo) / (d * d)
+    h, l0, _ = _solve(stack, eta, cfg)
+    return _stencil(stack, h, eta, l0, cfg)
 
 
 def variable_projection(stack, cfg=VPConfig()):
     """Joint (h, eta) estimate: safeguarded Newton descent on the reduced loss.
 
-    The inner shift is solved at eta0 and at each trial angle (cached per
-    eta; the inner solve is deterministic), and held at the centre's value
-    across the stencil.  Each outer iteration takes the Newton step g/c, or
-    gamma0 times g where c is not positive or the stencil is one-sided; the
-    step is halved until the Armijo sufficient-decrease test passes.
-    Descent stops as converged, with no new point, once c > 0 and the
-    Newton step is below tol_eta.  The iteration cap and backtracking
-    exhaustion return the last accepted point, flagged non-converged.
+    The loop carries its accepted point (h, eta, loss, lam).  The inner
+    shift is solved at eta0 and at each new trial angle, and held at the
+    centre's value across the stencil, which is read once per accepted
+    angle.  Each outer iteration takes the Newton step g/c, or gamma0 times
+    g where c is not positive or the stencil is one-sided; the step is
+    halved until the Armijo sufficient-decrease test passes.  A trial that
+    the domain clamp puts on the angle in hand (the carried point's or the
+    last rejected trial's) reuses that solve.  Descent stops as converged,
+    with no new point, once c > 0 and the Newton step is below tol_eta.
+    The iteration cap and backtracking exhaustion return the last accepted
+    point, flagged non-converged.
 
     The result's mse is the fan symmetry MSE of the accepted point's
     lambda_eta, the mid-plane fan sinogram at the estimate.
     """
-    cache = {}
-    eta = min(max(cfg.eta0, -ETA_BOUND), ETA_BOUND)
-    h, current, lam = _reduced_loss(stack, eta, cfg, cache)
+    eta = cfg.eta0
+    h, current, lam = _solve(stack, eta, cfg)
     trace = [(0, h, eta, current)]
     converged = False
-    iterations = 0
+    moved = True
     for k in range(1, cfg.max_outer + 1):
-        grad, curv = reduced_gradient(stack, eta, cfg, cache)
+        if moved:
+            grad, curv = _stencil(stack, h, eta, current, cfg)
         step = grad / curv if curv > 0.0 else cfg.gamma0 * grad
         if curv > 0.0 and abs(step) < cfg.tol_eta:
             converged = True
             break
+        at, trial = eta, (h, current, lam)
         for _ in range(MAX_BACKTRACK):
             eta_new = min(max(eta - step, -ETA_BOUND), ETA_BOUND)
-            h_new, loss_new, lam_new = _reduced_loss(stack, eta_new, cfg, cache)
-            if loss_new <= current - cfg.armijo_c * step * grad:
+            if eta_new != at:
+                at, trial = eta_new, _solve(stack, eta_new, cfg)
+            if trial[1] <= current - cfg.armijo_c * step * grad:
                 break
             step *= 0.5
         else:
             break
-        eta, h, current, lam = eta_new, h_new, loss_new, lam_new
-        iterations = k
+        moved = eta_new != eta
+        eta, (h, current, lam) = eta_new, trial
         trace.append((k, h, eta, current))
     method = "VP-2DR" if cfg.inner_method == "2dr" else "VP-FP_K"
     return AlignmentResult(
         h=float(h),
         eta=float(eta),
         mse=symmetry_mse(lam, h),
-        iterations=iterations,
+        iterations=len(trace) - 1,
         method=method,
         trace=tuple(trace),
         converged=converged,

@@ -119,7 +119,7 @@ def _place(seed, n, radius_range, region_radius, half_height=None):
     attempts = 0
     while len(placed) < n:
         if attempts >= max_attempts:
-            raise RuntimeError(f"could not place {n} non-overlapping {kind} in {max_attempts} attempts")
+            raise ValueError(f"could not place {n} non-overlapping {kind} in {max_attempts} attempts")
         attempts += 1
         radius = rng.uniform(lo, hi)
         reach = region_radius - radius
@@ -144,7 +144,7 @@ def make_disk_phantom(seed, n_disks=30, radius_range=(0.02, 0.08), density=1.0, 
     total attenuation inside a void is zero.  The enclosing radius is kept
     below 1 so that the shifted sinogram support stays on the detector.
 
-    Raises RuntimeError when rejection sampling cannot satisfy the
+    Raises ValueError when rejection sampling cannot satisfy the
     non-overlap constraint within a bounded number of attempts.
     """
     lo, hi = radius_range

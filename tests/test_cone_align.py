@@ -292,20 +292,29 @@ class TestInnerFixedPoint:
 
 
 def fake_reduced_loss(monkeypatch, loss, lam=None):
-    """Replace the reduced loss by loss(eta): every inner solve gives h = 0
-    and every pivoted loss is (loss(eta), lam); returns the distinct etas in
-    the order they are first probed."""
+    """Replace the reduced loss by loss(eta): every inner solve gives h = 0,
+    every tilted read is lam and every loss_L is loss(eta); returns the eta
+    of each loss_L call, in call order."""
     probed = []
 
-    def fake(stack, h, eta, cache):
-        if (h, eta) not in cache:
-            probed.append(eta)
-            cache[h, eta] = (loss(eta), lam)
-        return cache[h, eta]
+    def fake_loss(stack, h, eta, lam=None):
+        probed.append(eta)
+        return loss(eta)
 
     monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg: 0.0)
-    monkeypatch.setattr(cone_align, "_pivoted_loss", fake)
+    monkeypatch.setattr(cone_align, "lambda_eta", lambda stack, h, eta: lam)
+    monkeypatch.setattr(cone_align, "loss_L", fake_loss)
     return probed
+
+
+def solves_and_reads(monkeypatch, stack, loss, **kwargs):
+    """VP on the reduced loss loss(eta) of fake_reduced_loss: the result, the
+    eta of each inner solve and the (h, eta) of each loss_L, in call order."""
+    fake_reduced_loss(monkeypatch, loss, lambda_eta(stack, 0.0, 0.0))
+    solves = count_calls(monkeypatch, cone_align, "inner_h")
+    reads = count_calls(monkeypatch, cone_align, "loss_L")
+    result = variable_projection(stack, VPConfig(**kwargs))
+    return result, [args[1] for args in solves], [args[1:3] for args in reads]
 
 
 def gradient(stack, eta, cfg=VPConfig()):
@@ -347,9 +356,10 @@ class TestReducedGradient:
         assert (g, c) == ((hi - lo) / (2.0 * d), (hi - 2.0 * l0 + lo) / (d * d))
 
     @pytest.mark.parametrize("eta, probes", [(0.1, 3), (cone_align.ETA_BOUND, 2), (-cone_align.ETA_BOUND, 2)])
-    def test_one_stencil_of_cached_losses(self, monkeypatch, eta, probes):
-        """g and c come from the same cached losses: three central probes,
-        or two one-sided ones at the domain edge, where c is nan."""
+    def test_one_stencil_of_the_same_three_losses(self, monkeypatch, eta, probes):
+        """g and c come from the same three losses, each read once: the
+        centre and two central probes, or the centre and one one-sided
+        probe at the domain edge, where c is nan."""
         calls = fake_reduced_loss(monkeypatch, lambda e: 3.0 * e * e)
         d = VPConfig().delta_eta
         g, c = reduced_gradient(None, eta)
@@ -521,6 +531,37 @@ class TestNewtonStep:
     def test_nonpositive_curvature_never_converges(self, run, loss):
         result, _ = run(loss, eta0=1e-6)
         assert not result.converged
+
+    @pytest.mark.parametrize(
+        "loss, kwargs",
+        [
+            (lambda e: 1.0, {}),
+            (lambda e: -e * e, {"eta0": 0.1}),
+            (lambda e: -e, {"eta0": cone_align.ETA_BOUND}),
+            (lambda e: -e, {"eta0": 0.7, "gamma0": 1e4}),
+            (lambda e: e, {"eta0": cone_align.ETA_BOUND, "gamma0": 0.01}),
+        ],
+        ids=["flat", "concave", "outward-at-edge", "clamped-trials", "inward-to-cap"],
+    )
+    def test_no_point_solved_or_read_twice(self, small_stack, monkeypatch, loss, kwargs):
+        """The zero step of a flat loss re-accepts its point; the concave and
+        outward descents clamp their trials onto the edge, at the carried
+        point or at the same trial for several halvings; the capped run ends
+        on a step.  No eta is solved twice and no (h, eta) read twice."""
+        _, solved, read = solves_and_reads(monkeypatch, small_stack, loss, **kwargs)
+        assert len(set(solved)) == len(solved)
+        assert len(set(read)) == len(read)
+
+    def test_capped_run_reads_no_stencil_after_its_last_step(self, small_stack, monkeypatch):
+        """An inward descent run to max_outer = 20: the start and 20 trials
+        are solved and read, and 20 stencils are read, the first one-sided
+        at the edge; none at the point the cap returns."""
+        result, solved, read = solves_and_reads(
+            monkeypatch, small_stack, lambda e: e, eta0=cone_align.ETA_BOUND, gamma0=0.01
+        )
+        assert not result.converged
+        assert result.iterations == 20
+        assert (len(solved), len(read)) == (21, 21 + 1 + 2 * 19)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,10 @@
 import argparse
 import io
 import math
+import os
+import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from ctalign import (
     FanGeometry,
     ProjectionStack,
     Sinogram,
+    make_disk_phantom,
     read_sinogram,
     symmetry_mse,
     write_sinogram,
@@ -301,6 +305,18 @@ class TestCliSimulate:
         rc = main(["simulate", "--mode", "fan", "--n", "32", "--alpha", alpha, "--out", str(tmp_path / "x.sino")])
         assert rc == 4
         assert capsys.readouterr().err == "error: alpha must be nonnegative and finite\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["simulate", "--mode", "fan"], ["sweep"]], ids=["simulate", "sweep"])
+    def test_unplaceable_phantom_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        """Features that cannot be placed are a configuration error.  Disks of
+        radius 0.4 make 5 of them unplaceable in a few milliseconds."""
+        monkeypatch.setattr(cli, "make_disk_phantom", partial(make_disk_phantom, radius_range=(0.4, 0.4)))
+        rc = main(argv + ["--n", "32", "--features", "5", "--out", str(tmp_path / "x.sino")])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: could not place 5 non-overlapping disks in 10000 attempts\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
@@ -885,6 +901,24 @@ class TestCliTexts:
                 main(list(argv))
             assert exc.value.code == exit_code
         assert capsys.readouterr() == (out, err)
+
+
+class TestProcessExitCodes:
+    """`python -m ctalign.cli` exits with the code main returns."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["align-fan", "--bogus"], 4), (["align-fan", "--input", "missing.sino"], 3)],
+        ids=["help", "unknown-flag", "missing-input"],
+    )
+    def test_exit_code(self, tmp_path, argv, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "ctalign.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == code, done.stderr
+        assert done.stderr.startswith("error: ") == (code != 0)
 
 
 # add_argument calls a main call of each subcommand makes; 55 declare all five

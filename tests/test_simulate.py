@@ -134,7 +134,7 @@ class TestPhantomConstruction:
                 assert math.hypot(c1[0] - c2[0], c1[1] - c2[1]) > r1 + r2
 
     def test_make_disk_phantom_impossible_placement(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="could not place 5 non-overlapping disks"):
             make_disk_phantom(0, n_disks=5, radius_range=(0.4, 0.4))
 
     def test_make_sphere_phantom_deterministic_and_disjoint(self):
