@@ -33,7 +33,6 @@ from .io_cli import (
     format_value,
     geometry_fields,
     header_field,
-    header_metadata,
     parse_angle,
     parse_bool,
     positive_float,
@@ -137,8 +136,7 @@ def cmd_align(command, options):
     input_path = options.get("input")
     if input_path is None:
         raise ConfigError("an input file is required (--input)")
-    data = read_sinogram(input_path)
-    meta = header_metadata(input_path)
+    data, meta = read_sinogram(input_path, with_header=True)
     pixel_size_mm = header_field(meta, "pixel_size_mm", positive_float) if "pixel_size_mm" in meta else None
 
     if command == "align-fan":

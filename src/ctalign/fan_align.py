@@ -21,8 +21,9 @@ through sample_periodic; cone_align applies it and the 2DR and FP_K shift
 solves to the tilted sinogram lambda_eta returns.  On every view at once
 the map is one read of every stored view along the reflected detector path,
 each detector column at its own view offset pi + 2*atan((s - h)/r), since
-that offset depends on the column only.  All h values are in effective
-detector pixels.
+that offset depends on the column only.  symmetry_sse and symmetry_mse sum
+that read's residual block by block and build no reflected sinogram.  All h
+values are in effective detector pixels.
 """
 
 import math
@@ -72,7 +73,7 @@ class FanAlignConfig:
             raise ValueError("beta_index must be non-negative")
 
 
-def reflect(sino, h_px, beta=None):
+def reflect(sino, h_px, beta=None, against=None):
     """The symmetry map of sino at candidate shift h (pixels).
 
     Returns g(-s + 2h, beta + pi + 2*atan((s - h)/r)) on the detector axis s,
@@ -80,15 +81,18 @@ def reflect(sino, h_px, beta=None):
     of them.  beta=None takes every view b_j and returns the (n_beta, n_s)
     array of the stored views read along the reflected detector path x,
     column i at view angle b_j + offset_i with offset_i = pi + 2*atan((s_i - h)/r).
+    Given against, an array of that shape, returns sample_periodic's block sums instead.
     """
     geom = sino.geometry
     s = geom.s_axis()
     h_s = geom.px_to_s(h_px)
     x = -s + 2.0 * h_s
     offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
-    if beta is None:
-        return sample_periodic(sino, x, None, math.pi + offset)
-    return sample_periodic(sino, x, beta + math.pi + offset)
+    if beta is not None:
+        return sample_periodic(sino, x, beta + math.pi + offset)
+    if against is not None:
+        return sample_periodic(sino, x, None, math.pi + offset, against=against)
+    return sample_periodic(sino, x, None, math.pi + offset)
 
 
 def reflected_resampling(sino, h_px=0.0):
@@ -106,19 +110,18 @@ def profile_p(sino):
 
 
 def symmetry_sse(sino, h):
-    """|g - g_reflected(h)|_F^2, g resampled through the symmetry map at shift h (pixels)."""
-    residual = reflected_resampling(sino, h).ravel()  # a fresh array: work in place
-    residual -= sino.values.ravel()
-    return float(np.dot(residual, residual))
+    """|g - g_reflected(h)|_F^2, g resampled through the symmetry map at shift h (pixels),
+    summed block by block as the blocked read makes them: the reflected sinogram is never built."""
+    return reflect(sino, h, against=sino.values)[0]
 
 
 def symmetry_mse(sino, h):
-    """symmetry_sse(sino, h) / |g|_F^2: zero only for consistent data, minimized near the true shift."""
-    g = sino.values.ravel()
-    den = float(np.dot(g, g))
+    """symmetry_sse(sino, h) / |g|_F^2: zero only for consistent data, minimized near the true shift.
+    |g|^2 is summed on the same blocks in the same order: a reflection wholly off the detector gives 1."""
+    sse, den = reflect(sino, h, against=sino.values)
     if den == 0.0:
         raise ValueError("symmetry_mse undefined for an all-zero sinogram")
-    return symmetry_sse(sino, h) / den
+    return sse / den
 
 
 def _result(sino, h, method, iterations=0, converged=True):

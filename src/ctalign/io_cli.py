@@ -153,8 +153,8 @@ def header_field(entries, key, parse):
         raise HeaderFormatError(f"bad value for header key {key!r}: {entries[key]!r}") from None
 
 
-def read_sinogram(path):
-    """Read a data file back into a Sinogram or ProjectionStack.
+def read_sinogram(path, with_header=False):
+    """Read a data file back into a Sinogram or ProjectionStack (with_header: and its header entries).
 
     Raises HeaderFormatError / UnknownDtypeError / ShapeMismatchError /
     PayloadValueError for the distinct failure modes; the round trip with
@@ -195,7 +195,8 @@ def read_sinogram(path):
     values = np.frombuffer(payload, dtype="<f4").reshape(geom.shape)
     if not np.all(np.isfinite(values)):
         raise PayloadValueError("payload contains NaN or Inf")
-    return container(geom, values)  # the container holds the one float64 copy
+    data = container(geom, values)  # the container holds the one float64 copy
+    return (data, entries) if with_header else data
 
 
 def header_metadata(path):

@@ -12,12 +12,15 @@ one-row case.
 The samplers have one read: stored views at detector points, each point at
 its own view-angle offset.  Queried on every stored view (beta=None), they
 read cache-sized blocks of views, each corner gathered once per block and
-adjacent views blended per column: the fan symmetry map on every view.  A
-query at given view angles is the one-view case, stored view 0 read with
-the angles as offsets.  Interpolation weights are built per axis and corner
-values gathered from the flattened data, bitwise as full-grid formulas.  An
-axis whose weight is zero at every point (a detector axis, or the view axis
-when every angle is on a stored view) is not read.
+adjacent views blended per column: the fan symmetry map on every view.  The
+blocks have two consumers: the array of the read, or running sums of each
+block's squared residual against given rows and of those rows, so the
+symmetry mse is taken without building the reflected sinogram.  A query at
+given view angles is the one-view case, stored view 0 read with the angles
+as offsets.  Interpolation weights are built per axis and corner values
+gathered from the flattened data, bitwise as full-grid formulas.  An axis
+whose weight is zero at every point (a detector axis, or the view axis when
+every angle is on a stored view) is not read.
 """
 
 import numpy as np
@@ -123,11 +126,16 @@ def xcorr_shift_s_2d(a, b, upsample=20):
     The peak is located at integer resolution on the first (beta) axis,
     whose shift is discarded, and refined to 1/upsample along s by spectral
     zero-padding of the peak row.  Sign convention as in xcorr_shift_1d.
+    The correlation is irfft2(rfft2(a) * conj(rfft2(b))) bit for bit, one axis at a time, in place.
     """
     a, b, upsample = _check_pair(a, b, upsample)
     if a.ndim != 2 or min(a.shape) < 2:
         raise ValueError("inputs must be 2D with at least 2 samples per axis")
-    corr = np.fft.irfft2(np.fft.rfft2(a) * np.conj(np.fft.rfft2(b)), s=a.shape)
+    fa, fb = np.fft.rfft(a, axis=1), np.fft.rfft(b, axis=1)
+    for f in (fa, fb):
+        np.fft.fft(f, axis=0, out=f)
+    fa *= np.conjugate(fb, out=fb)
+    corr = np.fft.irfft(np.fft.ifft(fa, axis=0, out=fa), n=a.shape[1], axis=1)
     if not np.any(corr):
         raise AmbiguousShiftError("zero cross-correlation")
     row = corr[np.unravel_index(np.argmax(corr), corr.shape)[0]]
@@ -224,7 +232,7 @@ def _read(flat, rows, cell):
 _BLOCK = 1 << 14  # output points per block of the all-views read: they stay in cache
 
 
-def _all_views(flat, n, views, axes, view_offset):
+def _all_views(flat, n, views, axes, view_offset, against=None):
     """The (views, m) read of the stored views j < views at the m detector
     points of axes, column i at view angle b_j + view_offset_i (b_j if None),
     which is one (whole views k_i, weight f_i) pair.  Each block of views
@@ -232,7 +240,8 @@ def _all_views(flat, n, views, axes, view_offset):
     offset (j + k_i)*stride + corner (corner < stride: the index modulo is
     the view modulo), applies the detector lerps, then blends adjacent rows
     with f_i unless every f_i is 0: bit for bit the full-grid read, then the
-    blend."""
+    blend.  Each block goes to the (views, m) array, or, given a (views, m)
+    array against, to the running sums (|read - against|^2, |against|^2)."""
     m, stride = axes[0][2].size, flat.size // n
     k, blend = 0, False
     if view_offset is not None:
@@ -240,23 +249,27 @@ def _all_views(flat, n, views, axes, view_offset):
         blend = bool(f.any())
     cell = _cell(axes, k)
     rows = max(1, _BLOCK // m)
-    out = np.empty((views, m))
+    out = np.empty((views if against is None else min(rows, views), m))
+    sse = norm = 0.0
     for a in range(0, views, rows):
         b = min(a + rows, views)
         v = _read(flat, np.arange(a * stride, (b + blend) * stride, stride)[:, None], cell)
-        if blend:
-            _lerp(v[:-1], v[1:], f, out[a:b])  # v[:-1] is read before v[1:] is scaled
-        else:
+        if blend:  # v[:-1] is read before v[1:] is scaled
+            v = _lerp(v[:-1], v[1:], f, out[a:b] if against is None else out[: b - a])
+        elif against is None:
             out[a:b] = v
-    return out
+        if against is not None:
+            v -= against[a:b]
+            sse, norm = sse + np.vdot(v, v), norm + np.vdot(against[a:b], against[a:b])
+    return out if against is None else (float(sse), float(norm))
 
 
-def _sample(values, specs, message, beta, view_offset):
+def _sample(values, specs, message, beta, view_offset, against=None):
     """The samplers' read of values (n views 2*pi/n apart on the first axis)
     at detector coordinates, specs one (coordinate, origin, step, count,
     stride) per axis, outermost first; message: the non-finite error.  A
     query at view angles beta is the all-views read of stored view 0 (at
-    angle 0) with view offset beta."""
+    angle 0) with view offset beta; against as in sample_periodic."""
     n, flat = values.shape[0], values.ravel()
     views = n
     if beta is not None:
@@ -267,25 +280,29 @@ def _sample(values, specs, message, beta, view_offset):
     *coords, offset = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (*(s[0] for s in specs), offset)))
     shape = offset.shape if beta is not None else (n,) + offset.shape
     if 0 in shape:
-        return np.zeros(shape)  # an empty query reads, and checks, no point
+        return np.zeros(shape) if against is None else (0.0, 0.0)  # an empty query reads, and checks, no point
     coords = [c.ravel() for c in coords]
     if not all(np.all(np.isfinite(c)) for c in coords):
         raise ValueError(message)
     axes = [_axis_weights(c, *spec[1:]) for c, spec in zip(coords, specs)]
-    out = _all_views(flat, n, views, axes, None if view_offset is None else offset.ravel())
+    view_offset = None if view_offset is None else offset.ravel()
+    if against is not None:
+        return _all_views(flat, n, views, axes, view_offset, np.broadcast_to(against, shape).reshape(views, -1))
+    out = _all_views(flat, n, views, axes, view_offset)
     return float(out[0, 0]) if shape == () else out.reshape(shape)
 
 
-def sample_periodic(sino, s, beta, view_offset=None):
+def sample_periodic(sino, s, beta, view_offset=None, against=None):
     """Bilinear sinogram lookup: linear in s (zero outside the detector),
     linear and 2*pi-periodic in beta.  Accepts scalars or broadcastable
     arrays; grid-point queries reproduce stored values bit-exactly.
     beta=None reads every stored view b_j: the (n_beta,) + shape array of
     g(s, b_j + view_offset), view_offset broadcast with s (0 if None).
+    Given against (the read's shape), returns (|read - against|^2, |against|^2), summed per block.
     """
     geom = sino.geometry
     specs = [(s, -geom.s_max, geom.pixel_size, geom.n_s, 1)]
-    return _sample(sino.values, specs, "s coordinates must be finite", beta, view_offset)
+    return _sample(sino.values, specs, "s coordinates must be finite", beta, view_offset, against)
 
 
 def sample_detector(stack, u, v, beta):

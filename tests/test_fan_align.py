@@ -361,8 +361,8 @@ class TestOneSymmetryRead:
 
     def test_ly_reads_the_reflection_only_for_its_mse(self, ref_sino, monkeypatch):
         """LY registers p against p reversed, which is w on a full scan: its one
-        reflected read is the one behind its mse."""
-        reads = count_calls(monkeypatch, fan_align, "reflected_resampling")
+        reflected read is the one behind its mse, summed block by block."""
+        reads = count_calls(monkeypatch, fan_align, "reflect")
         result = align_ly(ref_sino, FanAlignConfig())
         assert [h for _, h in reads] == [result.h]
 
@@ -389,6 +389,42 @@ class TestSymmetryMse:
         best = grid[int(np.argmin(losses))]
         result = aligner(ref_sino, FanAlignConfig())
         assert abs(result.h - best) <= 0.25
+
+
+class TestBlockSummedResidual:
+    """symmetry_sse sums the residual block by block as the blocked read
+    makes the reflection, and builds no reflected sinogram."""
+
+    @pytest.fixture(scope="class", params=[(255, 97), (5, registration._BLOCK + 11)], ids=["partial-last-block", "view-per-block"])
+    def sino(self, request):
+        n_beta, n_s = request.param
+        geom = FanGeometry(SOURCE_RADIUS, n_s, unit_disk_half_width(SOURCE_RADIUS), n_beta)
+        return Sinogram(geom, np.random.default_rng(n_s).uniform(0.5, 2.0, size=(n_beta, n_s)))
+
+    @pytest.mark.parametrize("h", [0.0, 3.0, 2.37, -7.81, 1e6])
+    def test_matches_the_full_reflection(self, sino, h):
+        want = np.sum((reflected_resampling(sino, h) - sino.values) ** 2)
+        assert fan_align.symmetry_sse(sino, h) == pytest.approx(want, rel=1e-12)
+
+    def test_off_the_detector_is_exactly_one(self, sino):
+        """|g|^2 is summed on the residual's blocks: a reflection that reads
+        only zeros gives |g|^2 / |g|^2 with the same float sums."""
+        assert symmetry_mse(sino, 1e6) == 1.0
+
+    @pytest.mark.parametrize("h", [0.0, 17.3])
+    def test_peak_memory_below_one_sinogram(self, h):
+        sino = Sinogram(fan_geometry(512), np.random.default_rng(4).uniform(0.5, 2.0, size=(512, 512)))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fan_align.symmetry_sse(sino, h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < sino.values.nbytes
 
 
 class TestInvariances:

@@ -95,6 +95,14 @@ class TestSinogramFiles:
         write_sinogram(path, small_sino(), pixel_size_mm=0.127)
         assert float(header_metadata(path)["pixel_size_mm"]) == 0.127
 
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_read_with_header_gives_the_header_entries(self, tmp_path, sidecar):
+        path = tmp_path / "fan.sino"
+        write_sinogram(path, small_sino(), sidecar=sidecar, pixel_size_mm=0.127)
+        data, entries = read_sinogram(path, with_header=True)
+        assert np.array_equal(data.values, read_sinogram(path).values)
+        assert entries == header_metadata(path)
+
     @pytest.mark.parametrize("pixel_size_mm", [0.0, -2.0, math.nan, math.inf])
     @pytest.mark.parametrize("sidecar", [False, True])
     def test_bad_pixel_size_rejected_before_writing(self, tmp_path, pixel_size_mm, sidecar):
@@ -387,6 +395,17 @@ class TestCliAlignFan:
         main(["simulate", "--mode", "fan", "--n", "128", "--h", "10", "--seed", "1", "--pixel-size-mm", "0.2", "--out", out])
         capsys.readouterr()
         assert main(["align-fan", "--input", out, "--method", "fp"]) == 0
+        text = capsys.readouterr().out
+        assert float(report_value(text, "h_mm")) == pytest.approx(0.2 * float(report_value(text, "h_px")), rel=1e-12)
+
+    def test_header_parsed_once(self, tmp_path, capsys, monkeypatch):
+        """h_mm comes from the one header parse that reads the data."""
+        path = tmp_path / "p.sino"
+        write_sinogram(path, small_sino(), pixel_size_mm=0.2)
+        parses, parse = [], io_cli._parse_header
+        monkeypatch.setattr(io_cli, "_parse_header", lambda text: parses.append(text) or parse(text))
+        assert main(["align-fan", "--input", str(path), "--method", "yang"]) == 0
+        assert len(parses) == 1
         text = capsys.readouterr().out
         assert float(report_value(text, "h_mm")) == pytest.approx(0.2 * float(report_value(text, "h_px")), rel=1e-12)
 

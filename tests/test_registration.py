@@ -248,6 +248,26 @@ class TestXcorrS2D:
             assert got == complex_formula(a, b, 20)
             assert got == pytest.approx(ds, abs=0.05)
 
+    @pytest.mark.parametrize("shape", [(3, 5), (7, 4), (255, 257), (361, 200)])
+    def test_correlation_is_the_2d_real_formula_bit_for_bit(self, monkeypatch, shape):
+        """The axis-by-axis correlation is irfft2(rfft2(a) * conj(rfft2(b)))
+        bit for bit, so neither its peak row nor the shift can drift."""
+        rng = np.random.default_rng(shape[0] * shape[1])
+        b = rng.normal(size=shape)
+        a = np.roll(delay(b, 1.5), 1, axis=0) + 0.1 * rng.normal(size=shape)
+        want = np.fft.irfft2(np.fft.rfft2(a) * np.conj(np.fft.rfft2(b)), s=shape)
+        inverses, irfft = [], np.fft.irfft
+
+        def recording_irfft(*args, **kwargs):
+            inverses.append(irfft(*args, **kwargs))
+            return inverses[-1]
+
+        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+        got = xcorr_shift_s_2d(a, b, upsample=20)
+        assert np.array_equal(inverses[0], want)
+        row = want[np.unravel_index(np.argmax(want), shape)[0]]
+        assert got == _peak_shift(_spectral_upsample(row, 20), 20)
+
 
 def assert_matches_broadcast_copies(sample, data, *coords):
     """sample on the coordinates as given equals, bit for bit, sample on
