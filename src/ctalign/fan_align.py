@@ -111,7 +111,7 @@ def profile_p(sino):
 
 def symmetry_sse(sino, h):
     """|g - g_reflected(h)|_F^2, g resampled through the symmetry map at shift h (pixels),
-    summed block by block as the blocked read makes them: the reflected sinogram is never built."""
+    summed block by block as the blocked read makes the reflection, which is never built whole."""
     return reflect(sino, h, against=sino.values)[0]
 
 

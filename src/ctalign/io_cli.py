@@ -154,7 +154,7 @@ def header_field(entries, key, parse):
 
 
 def read_sinogram(path, with_header=False):
-    """Read a data file back into a Sinogram or ProjectionStack (with_header: and its header entries).
+    """Read a data file back into a Sinogram or ProjectionStack; with_header: (data, header entries).
 
     Raises HeaderFormatError / UnknownDtypeError / ShapeMismatchError /
     PayloadValueError for the distinct failure modes; the round trip with

@@ -259,8 +259,9 @@ def _all_views(flat, n, views, axes, view_offset, against=None):
         elif against is None:
             out[a:b] = v
         if against is not None:
-            v -= against[a:b]
-            sse, norm = sse + np.vdot(v, v), norm + np.vdot(against[a:b], against[a:b])
+            g = against[a:b]
+            v -= g
+            sse, norm = sse + np.vdot(v, v), norm + np.vdot(g, g)
     return out if against is None else (float(sse), float(norm))
 
 

@@ -297,6 +297,19 @@ def small_sino():
 
 
 class TestSamplePeriodic:
+    @pytest.mark.parametrize("offset", [None, 0.3])
+    def test_against_sums_the_residual_of_the_read(self, small_sino, offset):
+        s = small_sino.geometry.s_axis() + 0.37
+        read = sample_periodic(small_sino, s, None, offset)
+        against = np.random.default_rng(3).uniform(0.5, 2.0, size=read.shape)
+        sse, norm = sample_periodic(small_sino, s, None, offset, against=against)
+        assert sse == pytest.approx(np.sum((read - against) ** 2), rel=1e-12)
+        assert norm == pytest.approx(np.sum(against**2), rel=1e-12)
+
+    def test_against_of_another_shape_rejected(self, small_sino):
+        with pytest.raises(ValueError):
+            sample_periodic(small_sino, small_sino.geometry.s_axis(), None, against=np.ones((3, 9)))
+
     def test_grid_points_bit_exact(self, small_sino):
         geom = small_sino.geometry
         s = geom.s_axis()[None, :]
