@@ -8,8 +8,12 @@ the separate resampling path used on measured data.
 
 Chord lengths are closed-form: a ray at distance d from the center of a
 disk or sphere of radius R intersects it over a length 2*sqrt(R**2 - d**2).
+The line integrals evaluate it for every feature at every point.  The
+projectors read each feature only on its shadow, through the same code, so
+they skip only density * 0.0 terms and equal the line integrals bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +21,10 @@ from dataclasses import dataclass
 
 from .core import ProjectionStack, Sinogram
 from .registration import sample_detector
+
+_BLOCK_POINTS = 1 << 14  # points per block of views in fan_project: bounds its memory
+_MARGIN, _SLACK = 2, 1e-12  # shadow widening: samples per side; rounding allowance on R**2 per (r + |c - S|)**2
+_MAX_REJECTS = 1000  # rejected draws in a row after which _place gives up
 
 
 @dataclass(frozen=True)
@@ -114,13 +122,12 @@ def _place(seed, n, radius_range, region_radius, half_height=None):
     rng = np.random.default_rng(seed)
     lo, hi = radius_range
     kind = "disks" if half_height is None else "spheres"
-    max_attempts = 2000 * max(n, 1)
     placed = []
-    attempts = 0
+    rejects = 0
     while len(placed) < n:
-        if attempts >= max_attempts:
-            raise ValueError(f"could not place {n} non-overlapping {kind} in {max_attempts} attempts")
-        attempts += 1
+        if rejects >= _MAX_REJECTS:
+            raise ValueError(f"could not place {n} non-overlapping {kind}: {_MAX_REJECTS} draws in a row were rejected")
+        rejects += 1
         radius = rng.uniform(lo, hi)
         reach = region_radius - radius
         ymax = math.inf if half_height is None else half_height - radius
@@ -133,6 +140,7 @@ def _place(seed, n, radius_range, region_radius, half_height=None):
         center = (x, z) if half_height is None else (x, rng.uniform(-ymax, ymax), z)
         if all(math.dist(center, c) > radius + r for c, r in placed):
             placed.append((center, radius))
+            rejects = 0
     return placed
 
 
@@ -145,7 +153,7 @@ def make_disk_phantom(seed, n_disks=30, radius_range=(0.02, 0.08), density=1.0, 
     below 1 so that the shifted sinogram support stays on the detector.
 
     Raises ValueError when rejection sampling cannot satisfy the
-    non-overlap constraint within a bounded number of attempts.
+    non-overlap constraint within _MAX_REJECTS draws in a row.
     """
     lo, hi = radius_range
     if not (0.0 < lo <= hi < 1.0):
@@ -177,33 +185,53 @@ def make_sphere_phantom(
     return Phantom3D(spheres=spheres, cylinder=(cylinder_radius, half_height, density))
 
 
+def _chord(out, source, direction, center, radius, density, where=...):
+    """out[where] += density * the chord that each line (source point, unit
+    direction) cuts from the ball: the one chord formula of disks and spheres."""
+    m = [p[where] - c for p, c in zip(source, center)]
+    d = [q[where] for q in direction]
+    tproj = sum((mi * di for mi, di in zip(m[1:], d[1:])), m[0] * d[0])
+    under = radius * radius - (sum((mi * mi for mi in m[1:]), m[0] * m[0]) - tproj * tproj)
+    out[where] += density * (2.0 * np.sqrt(np.maximum(under, 0.0)))
+
+
+def _shadow(axis, r, a, b, radius, off=0.0):
+    """(first, last) on the increasing detector axis bounding the lines from
+    the source, at distance r, that meet a ball at depth a, offset b along the
+    axis and off across it: the roots s of (a*s - b*r)**2 = R**2 * (r*r + s*s),
+    widened.  The whole axis where the roots bound none."""
+    reach2 = radius * radius + _SLACK * (r + np.sqrt(a * a + b * b + off * off)) ** 2
+    den = a * a - reach2
+    half = np.sqrt(reach2 * np.maximum(a * a + b * b - reach2, 0.0))
+    lo = np.where(den > 0.0, r * (a * b - half) / np.where(den > 0.0, den, 1.0), -np.inf)
+    hi = np.where(den > 0.0, r * (a * b + half) / np.where(den > 0.0, den, 1.0), np.inf)
+    first = np.maximum(np.searchsorted(axis, lo) - _MARGIN, 0)
+    return first, np.minimum(np.searchsorted(axis, hi, "right") + _MARGIN, len(axis))
+
+
+def _fan_sum(phantom, r, s, beta, wheres=None):
+    """fan_line_integral as an array, component k read on window wheres[k]."""
+    s, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float))
+    cosb, sinb = np.cos(beta), np.sin(beta)
+    srcx, srcy = r * cosb, r * sinb
+    dx, dy = s * sinb - srcx, -s * cosb - srcy
+    norm = np.hypot(dx, dy)
+    source, direction = (srcx, srcy), (dx / norm, dy / norm)
+    out = np.zeros(s.shape, dtype=float)
+    for ball, where in zip(zip(*phantom.component_arrays()), wheres or itertools.repeat(...)):
+        _chord(out, source, direction, *ball, where)
+    return out
+
+
 def fan_line_integral(phantom, source_radius, s, beta):
     """Exact fan-beam line integral of a Phantom2D at coordinates (s, beta).
 
     The ray runs from the source r*(cos b, sin b) through the detector point
-    s*(sin b, -cos b); s and beta broadcast.  This is the analytic reference
-    the sampled projectors and the symmetry tests are built on.
+    s*(sin b, -cos b); s and beta broadcast.  Every disk is evaluated at every
+    point: the full-grid reference that fan_project equals bit for bit.
     """
-    s, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float))
-    r = float(source_radius)
-    cosb, sinb = np.cos(beta), np.sin(beta)
-    srcx, srcy = r * cosb, r * sinb
-    detx, dety = s * sinb, -s * cosb
-    dx, dy = detx - srcx, dety - srcy
-    norm = np.hypot(dx, dy)
-    dx, dy = dx / norm, dy / norm
-    out = np.zeros(s.shape, dtype=float)
-    centers, radii, densities = phantom.component_arrays()
-    for (cx, cy), radius, density in zip(centers, radii, densities):
-        mx, my = srcx - cx, srcy - cy
-        tproj = mx * dx + my * dy
-        dist2 = mx * mx + my * my - tproj * tproj
-        under = radius * radius - dist2
-        chord = 2.0 * np.sqrt(np.maximum(under, 0.0))
-        out += density * chord
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _fan_sum(phantom, float(source_radius), s, beta)
+    return float(out) if out.ndim == 0 else out
 
 
 def fan_project(phantom, geom, h=0.0, instability=None):
@@ -212,16 +240,24 @@ def fan_project(phantom, geom, h=0.0, instability=None):
     h is the detector shift in effective pixels; the value recorded at grid
     coordinate s_i is the exact line integral through true coordinate
     s_i - h (shift applied in the geometry, not by resampling).  The beam
-    instability, if given, is added on the recorded grid afterwards.
+    instability, if given, is added on the recorded grid afterwards.  Each
+    disk is read on its shadow only, in blocks of _BLOCK_POINTS points.
     """
     if not math.isfinite(h):
         raise ValueError("h must be finite")
-    h_s = geom.px_to_s(h)
-    s = geom.s_axis()
-    beta = geom.beta_axis()
-    values = fan_line_integral(phantom, geom.source_radius, (s - h_s)[None, :], beta[:, None])
+    s_true, beta, r = geom.s_axis() - geom.px_to_s(h), geom.beta_axis(), float(geom.source_radius)
+    centers, radii, _ = phantom.component_arrays()
+    cosb, sinb = np.cos(beta)[:, None], np.sin(beta)[:, None]
+    a, b = r - (centers[:, 0] * cosb + centers[:, 1] * sinb), centers[:, 0] * sinb - centers[:, 1] * cosb
+    first, last = _shadow(s_true, r, a, b, radii)
+    values = np.empty(geom.shape, dtype=float)
+    step = max(1, _BLOCK_POINTS // geom.n_s)
+    for j in range(0, geom.n_beta, step):
+        rows = slice(j, j + step)  # each disk on the columns of its shadow in any of these views
+        wheres = [(..., slice(*cols)) for cols in zip(first[rows].min(axis=0), last[rows].max(axis=0))]
+        values[rows] = _fan_sum(phantom, r, s_true[None, :], beta[rows, None], wheres)
     if instability is not None and instability.alpha > 0.0:
-        values = values + instability.evaluate(s[None, :], beta[:, None], geom.s_max)
+        values = values + instability.evaluate(geom.s_axis()[None, :], beta[:, None], geom.s_max)
     return Sinogram(geom, values)
 
 
@@ -259,34 +295,32 @@ def _cylinder_chords(cyl, ax, ay, az, dx, dy, dz):
     return np.where(miss, 0.0, chord)
 
 
-def cone_line_integral(phantom, source_radius, u, v, beta):
-    """Exact cone-beam line integral of a Phantom3D at coordinates (u, v, beta).
-
-    The ray runs from the source r*(cos b, 0, sin b) through the detector
-    point u*e_u(b) + v*e_v with e_u(b) = (sin b, 0, -cos b), e_v = (0, 1, 0).
-    """
-    u, v, beta = np.broadcast_arrays(
-        np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.asarray(beta, dtype=float)
-    )
-    r = float(source_radius)
+def _cone_sum(phantom, r, u, v, beta, wheres=None):
+    """cone_line_integral as an array, sphere k read on window wheres[k]."""
+    u, v, beta = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (u, v, beta)))
     cosb, sinb = np.cos(beta), np.sin(beta)
     ax, ay, az = r * cosb, np.zeros_like(cosb), r * sinb
     px, py, pz = u * sinb, v * np.ones_like(u), -u * cosb
     dx, dy, dz = px - ax, py - ay, pz - az
     norm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    dx, dy, dz = dx / norm, dy / norm, dz / norm
+    source, direction = (ax, ay, az), (dx / norm, dy / norm, dz / norm)
     out = np.zeros(u.shape, dtype=float)
     if phantom.cylinder is not None:
-        out += phantom.cylinder[2] * _cylinder_chords(phantom.cylinder, ax, ay, az, dx, dy, dz)
-    for (cx, cy, cz), radius, density in phantom.spheres:
-        mx, my, mz = ax - cx, ay - cy, az - cz
-        tproj = mx * dx + my * dy + mz * dz
-        dist2 = mx * mx + my * my + mz * mz - tproj * tproj
-        under = radius * radius - dist2
-        out += density * 2.0 * np.sqrt(np.maximum(under, 0.0))
-    if out.ndim == 0:
-        return float(out)
+        out += phantom.cylinder[2] * _cylinder_chords(phantom.cylinder, *source, *direction)
+    for ball, where in zip(phantom.spheres, wheres or itertools.repeat(...)):
+        _chord(out, source, direction, *ball, where)
     return out
+
+
+def cone_line_integral(phantom, source_radius, u, v, beta):
+    """Exact cone-beam line integral of a Phantom3D at coordinates (u, v, beta).
+
+    The ray runs from the source r*(cos b, 0, sin b) through the detector
+    point u*e_u(b) + v*e_v with e_u(b) = (sin b, 0, -cos b), e_v = (0, 1, 0).
+    Every feature at every point: the reference cone_project equals bit for bit.
+    """
+    out = _cone_sum(phantom, float(source_radius), u, v, beta)
+    return float(out) if out.ndim == 0 else out
 
 
 def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
@@ -296,25 +330,29 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
     rotation) are applied in the geometry: the value recorded at (u_i, v_k)
     is the line integral through the true detector point
     R_eta @ (u_i - h, v_k).  Instability, if given, is added per (u, beta),
-    constant in v.
+    constant in v.  Each sphere is read on its shadow's rows and columns only.
     """
     if not -math.pi / 2 < eta < math.pi / 2:
         raise ValueError("eta must lie in (-pi/2, pi/2)")
     if not math.isfinite(h):
         raise ValueError("h must be finite")
-    h_u = geom.px_to_u(h)
-    u = geom.u_axis()
-    v = geom.v_axis()
-    beta = geom.beta_axis()
+    u, v, beta = geom.u_axis() - geom.px_to_u(h), geom.v_axis(), geom.beta_axis()
+    r = float(geom.source_radius)
     cose, sine = math.cos(eta), math.sin(eta)
     # true detector coordinates seen by recorded pixel (u_i, v_k)
-    ut = (u[None, :] - h_u) * cose - v[:, None] * sine
-    vt = (u[None, :] - h_u) * sine + v[:, None] * cose
+    ut = u[None, :] * cose - v[:, None] * sine
+    vt = u[None, :] * sine + v[:, None] * cose
+    x, y, z, radii = np.array([(*c, rad) for c, rad, _ in phantom.spheres], dtype=float).reshape(-1, 4).T
+    cosb, sinb = np.cos(beta)[:, None], np.sin(beta)[:, None]
+    a, b = r - (x * cosb + z * sinb), x * sinb - z * cosb
+    # recorded u, v run along cose*e_u + sine*e_v, cose*e_v - sine*e_u
+    bu, bv = b * cose + y * sine, y * cose - b * sine
+    rows, cols = np.stack(_shadow(v, r, a, bv, radii, bu), axis=-1), np.stack(_shadow(u, r, a, bu, radii, bv), axis=-1)
     values = np.empty((geom.n_beta, geom.n_v, geom.n_u), dtype=float)
-    for j, b in enumerate(beta):  # view by view to bound memory
-        values[j] = cone_line_integral(phantom, geom.source_radius, ut, vt, b)
+    for j, angle in enumerate(beta):  # view by view to bound memory
+        values[j] = _cone_sum(phantom, r, ut, vt, angle, [(slice(*k), slice(*i)) for k, i in zip(rows[j], cols[j])])
     if instability is not None and instability.alpha > 0.0:
-        bump = instability.evaluate(u[None, :], beta[:, None], geom.u_max)
+        bump = instability.evaluate(geom.u_axis()[None, :], beta[:, None], geom.u_max)
         values = values + bump[:, None, :]
     return ProjectionStack(geom, values)
 

@@ -324,7 +324,7 @@ class TestCliSimulate:
         assert rc == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: could not place 5 non-overlapping disks in 10000 attempts\n"
+        assert captured.err == "error: could not place 5 non-overlapping disks: 1000 draws in a row were rejected\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")

@@ -1,12 +1,17 @@
-"""Analytic projectors against an independent quadrature oracle, phantom
-construction invariants, and the resampling path."""
+"""Analytic projectors against an independent quadrature oracle and, bit for
+bit, against the full-grid line integrals; phantom construction invariants,
+and the resampling path."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctalign import (
+    ConeGeometry,
+    FanGeometry,
     InstabilityModel,
     Phantom2D,
     Phantom3D,
@@ -18,6 +23,8 @@ from ctalign import (
     make_sphere_phantom,
     resample_shift_rotate,
     sample_detector,
+    simulate,
+    unit_disk_half_width,
 )
 from conftest import SOURCE_RADIUS, cone_geometry, fan_geometry
 
@@ -46,6 +53,39 @@ ORACLE_RAYS_3D = [
     (-0.5, -0.35, 2.9, 1.290536115),
     (0.8, 0.45, 4.2, 0.607053150),
 ]
+
+
+# Features the shadow bounds must handle: a disk touching the unit circle
+# that holds the source for views near beta = 0 when the source radius is 0.5
+# or 0.95, a background that holds it at 0.5, and small and large disks.
+EDGE_PHANTOM_2D = Phantom2D(
+    disks=(((0.7, 0.0), 0.3, -1.0), ((-0.3, 0.5), 0.05, -0.5), ((0.0, -0.6), 0.12, 2.0), ((-0.5, -0.3), 0.02, -1.0)),
+    background=((0.0, 0.0), 0.85, 1.0),
+)
+EDGE_PHANTOM_3D = Phantom3D(
+    spheres=(((0.7, 0.0, 0.0), 0.3, -1.0), ((-0.3, 0.4, 0.5), 0.05, -0.5), ((0.0, -0.5, -0.6), 0.12, 2.0)),
+    cylinder=(0.85, 0.6, 1.0),
+)
+SOURCE_RADII = [0.5, 0.95, 1.05, 2.0, 10.0]
+
+
+def half_width(source_radius):
+    """Detector half-width: tangent to the unit disk when the source lies outside it."""
+    return unit_disk_half_width(source_radius) if source_radius > 1.0 else 1.5
+
+
+def full_grid_fan(phantom, geom, h):
+    """fan_line_integral at every recorded (s - h, beta) point."""
+    s = geom.s_axis() - geom.px_to_s(h)
+    return fan_line_integral(phantom, geom.source_radius, s[None, :], geom.beta_axis()[:, None])
+
+
+def full_grid_cone(phantom, geom, h, eta):
+    """cone_line_integral at every recorded pixel's true (u, v), view by view."""
+    u, v = geom.u_axis() - geom.px_to_u(h), geom.v_axis()
+    ut = u[None, :] * math.cos(eta) - v[:, None] * math.sin(eta)
+    vt = u[None, :] * math.sin(eta) + v[:, None] * math.cos(eta)
+    return np.stack([cone_line_integral(phantom, geom.source_radius, ut, vt, b) for b in geom.beta_axis()])
 
 
 class TestFanLineIntegral:
@@ -137,6 +177,24 @@ class TestPhantomConstruction:
         with pytest.raises(ValueError, match="could not place 5 non-overlapping disks"):
             make_disk_phantom(0, n_disks=5, radius_range=(0.4, 0.4))
 
+    def test_unplaceable_phantom_fails_fast(self):
+        """Placement gives up after a run of rejected draws, not after a
+        budget that grows with the feature count."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="could not place 500 non-overlapping disks: 1000 draws in a row"):
+            make_disk_phantom(0, n_disks=500)
+        assert time.perf_counter() - start < 5.0
+
+    def test_phantoms_keep_their_random_stream(self):
+        assert make_disk_phantom(1).disks[-1] == ((-0.3646840380209633, 0.3997743238543247), 0.04190043581051353, -1.0)
+        assert make_sphere_phantom(1).spheres[-1] == (
+            (0.3142280282792345, 0.3516894823939615, -0.5996061293159707),
+            0.09387679097223511,
+            -1.0,
+        )
+        dense = make_disk_phantom(1, n_disks=50, radius_range=(0.01, 0.1))
+        assert dense.disks[-1] == ((0.42400624967453476, 0.05753133374872293), 0.08960693784563017, -1.0)
+
     def test_make_sphere_phantom_deterministic_and_disjoint(self):
         ph = make_sphere_phantom(3)
         assert ph.spheres == make_sphere_phantom(3).spheres
@@ -213,6 +271,51 @@ class TestFanProject:
         with pytest.raises(ValueError, match="h must be finite"):
             fan_project(make_disk_phantom(9, n_disks=8), fan_geometry(16), h=h)
 
+    @pytest.mark.parametrize(
+        "n, source_radius, h",
+        [(33, r, h) for r in SOURCE_RADII for h in (0.0, 4.0, -7.3, 20.0)]
+        + [(17, 2.0, h) for h in (0.0, -7.3, 9.0)]
+        + [(256, 2.0, h) for h in (4.0, -7.3, 150.0)],
+    )
+    def test_equals_full_grid_line_integral(self, n, source_radius, h):
+        """Each disk read on its shadow only, bit for bit the full grid; the
+        largest shifts push part of the support off the detector."""
+        geom = FanGeometry(source_radius, n, half_width(source_radius), n)
+        for ph in (EDGE_PHANTOM_2D, make_disk_phantom(2)):
+            assert np.array_equal(fan_project(ph, geom, h=h).values, full_grid_fan(ph, geom, h))
+
+    def test_far_source_rounding_stays_inside_the_bound(self):
+        """With the source 1e5 away, the full-grid formula's cancellation gives
+        a 1e-6 disk nonzero chords beyond its exact shadow and margin."""
+        ph = Phantom2D(disks=(((-0.15, -0.18), 1e-6, 0.6), ((0.3, 0.1), 0.01, -1.0)))
+        geom = FanGeometry(1e5, 75, 0.02, 39)
+        assert np.array_equal(fan_project(ph, geom, h=14.8).values, full_grid_fan(ph, geom, 14.8))
+
+    @pytest.mark.parametrize("source_radius", [0.5, 2.0])
+    def test_blocks_of_views_join_exactly(self, monkeypatch, source_radius):
+        """Blocks of 3 views, the last one short, give the full grid."""
+        monkeypatch.setattr(simulate, "_BLOCK_POINTS", 100)
+        geom = FanGeometry(source_radius, 33, half_width(source_radius), 32)
+        ph = make_disk_phantom(4)
+        assert np.array_equal(fan_project(ph, geom, h=-2.5).values, full_grid_fan(ph, geom, -2.5))
+
+    def test_peak_memory_near_the_output(self):
+        """Blocks of views bound the working memory: a 1024^2 projection
+        allocates at most 4 times its output, the output included."""
+        geom = fan_geometry(1024)
+        ph = make_disk_phantom(1)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fan_project(ph, geom, h=40.0).values
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 4 * out.nbytes
+
 
 def equatorial_slice(ph3):
     """The 2D phantom seen by the v = 0 fan of a 3D phantom."""
@@ -257,6 +360,26 @@ class TestConeProject:
         assert np.allclose(diff, diff[:, :1, :], atol=1e-14)
         expected = inst.evaluate(geom3.u_axis()[None, :], geom3.beta_axis()[:, None], geom3.u_max)
         assert np.allclose(diff[:, 0, :], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("cylinder", [True, False], ids=["cylinder", "spheres_only"])
+    @pytest.mark.parametrize("eta", [0.0, math.radians(5.0), math.radians(-30.0)])
+    @pytest.mark.parametrize("h", [0.0, 3.5, -6.0])
+    def test_equals_full_grid_line_integral(self, cylinder, eta, h):
+        """Each sphere read on its window only, bit for bit the full views."""
+        ph = make_sphere_phantom(4, n_spheres=12)
+        if not cylinder:
+            ph = Phantom3D(spheres=ph.spheres)
+        geom = cone_geometry(17)
+        assert np.array_equal(cone_project(ph, geom, h=h, eta=eta).values, full_grid_cone(ph, geom, h, eta))
+
+    @pytest.mark.parametrize("source_radius", SOURCE_RADII)
+    def test_equals_full_grid_line_integral_any_source(self, source_radius):
+        """Sources inside the cylinder and inside a sphere included."""
+        width = half_width(source_radius)
+        geom = ConeGeometry(source_radius, 19, 15, width, width, 16)
+        for h, eta in ((0.0, 0.0), (-6.0, math.radians(-30.0)), (2.5, math.radians(5.0))):
+            got = cone_project(EDGE_PHANTOM_3D, geom, h=h, eta=eta).values
+            assert np.array_equal(got, full_grid_cone(EDGE_PHANTOM_3D, geom, h, eta))
 
     def test_rotation_mixes_axes(self):
         geom3 = cone_geometry(24)
