@@ -258,16 +258,13 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(_options(args))
-    except ConfigError as exc:
+    except AmbiguousShiftError as exc:  # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except AmbiguousShiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         # invariant violations from validated types are configuration problems
         print(f"error: {exc}", file=sys.stderr)
         return 4

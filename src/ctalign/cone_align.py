@@ -27,7 +27,7 @@ descent carries its accepted point (h, eta, loss, lam); nothing is cached.
 import math
 from dataclasses import dataclass, field
 
-from .core import AlignmentResult, Sinogram
+from .core import AlignmentResult, Sinogram, positive_finite
 from .fan_align import FanAlignConfig, fixed_point_shift, reflected_resampling, shift_2dr, symmetry_mse, symmetry_sse
 from .registration import sample_detector
 
@@ -64,16 +64,13 @@ class VPConfig:
     def __post_init__(self):
         if self.inner_method not in INNER_METHODS:
             raise ValueError(f"inner_method must be one of {INNER_METHODS}")
-        if not (math.isfinite(self.delta_eta) and self.delta_eta > 0):
-            raise ValueError("delta_eta must be positive and finite")
-        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
-            raise ValueError("gamma0 must be positive and finite")
+        positive_finite("delta_eta", self.delta_eta)
+        positive_finite("gamma0", self.gamma0)
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if not (math.isfinite(self.tol_eta) and self.tol_eta > 0):
-            raise ValueError("tol_eta must be positive and finite")
+        positive_finite("tol_eta", self.tol_eta)
         if not -ETA_BOUND <= self.eta0 <= ETA_BOUND:
             raise ValueError("eta0 outside the search domain")
 

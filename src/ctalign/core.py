@@ -46,6 +46,13 @@ def wrap_angle(beta):
     return wrapped
 
 
+def positive_finite(name, value):
+    """value, which must be positive and finite (else ValueError naming it)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
 def unit_disk_half_width(source_radius):
     """Detector half-width s_max = r / sqrt(r**2 - 1) tangent to the unit disk.
 
@@ -84,10 +91,8 @@ class FanGeometry:
     n_beta: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.source_radius) and self.source_radius > 0):
-            raise ValueError("source_radius must be positive and finite")
-        if not (math.isfinite(self.s_max) and self.s_max > 0):
-            raise ValueError("s_max must be positive and finite")
+        positive_finite("source_radius", self.source_radius)
+        positive_finite("s_max", self.s_max)
         if self.n_s < 2 or self.n_beta < 2:
             raise ValueError("need at least 2 samples per axis")
 
@@ -135,12 +140,9 @@ class ConeGeometry:
     n_beta: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.source_radius) and self.source_radius > 0):
-            raise ValueError("source_radius must be positive and finite")
-        if not (math.isfinite(self.u_max) and self.u_max > 0):
-            raise ValueError("u_max must be positive and finite")
-        if not (math.isfinite(self.v_max) and self.v_max > 0):
-            raise ValueError("v_max must be positive and finite")
+        positive_finite("source_radius", self.source_radius)
+        positive_finite("u_max", self.u_max)
+        positive_finite("v_max", self.v_max)
         if self.n_u < 2 or self.n_v < 2 or self.n_beta < 2:
             raise ValueError("need at least 2 samples per axis")
 

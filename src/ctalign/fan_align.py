@@ -31,7 +31,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .core import FAN_METHODS, AlignmentResult
+from .core import FAN_METHODS, AlignmentResult, positive_finite
 from .registration import (
     AmbiguousShiftError,
     sample_periodic,
@@ -65,8 +65,7 @@ class FanAlignConfig:
             raise ValueError("K must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (math.isfinite(self.tol_h) and self.tol_h > 0):
-            raise ValueError("tol_h must be positive and finite")
+        positive_finite("tol_h", self.tol_h)
         if self.upsample < 1:
             raise ValueError("upsample must be at least 1")
         if self.beta_index < 0:

@@ -7,10 +7,10 @@ sibling file named by a `payload` header key (sidecar mode).  Headers are
 greppable text; all in-memory computation is double precision, float32 is
 only the storage type.
 
-Each `key: value` format is one table of keys and parsers: KINDS holds the
-geometry header keys of each data kind, TRUTH_KEYS the ground-truth
-sidecar, and RUN_OPTIONS every option of the command line and its config
-files.
+Each `key: value` format is one table of keys and parsers, its lines read by
+one reader, _parse_header: KINDS holds the geometry header keys of each data
+kind, TRUTH_KEYS the ground-truth sidecar, and RUN_OPTIONS every option of
+the command line and its config files.
 """
 
 import argparse
@@ -121,17 +121,19 @@ def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
     return path
 
 
-def _parse_header(text):
+def _parse_header(text, error=HeaderFormatError, noun="header"):
+    """The entries of `key: value` lines, as text; blank and `#` lines are
+    skipped.  A line without a colon or a repeated key raises error."""
     entries = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         if ":" not in line:
-            raise HeaderFormatError(f"header line {lineno} is not 'key: value': {line!r}")
+            raise error(f"{noun} line {lineno} is not 'key: value': {line!r}")
         key, value = line.split(":", 1)
         key = key.strip()
         if key in entries:
-            raise HeaderFormatError(f"duplicate header key {key!r}")
+            raise error(f"duplicate {noun} key {key!r}")
         entries[key] = value.strip()
     return entries
 
@@ -335,20 +337,11 @@ class RunConfig(dict):
     @classmethod
     def parse(cls, text):
         entries = cls()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if ":" not in stripped:
-                raise ConfigError(f"config line {lineno} is not 'key: value': {line!r}")
-            key, value = stripped.split(":", 1)
-            key = key.strip()
+        for key, value in _parse_header(text, ConfigError, "config").items():
             if key not in RUN_OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key in entries:
-                raise ConfigError(f"duplicate config key {key!r}")
             try:
-                entries[key] = RUN_OPTIONS[key].parse(value.strip())
+                entries[key] = RUN_OPTIONS[key].parse(value)
             except (TypeError, ValueError, ConfigError) as exc:
                 raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
         return entries

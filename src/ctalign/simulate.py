@@ -7,7 +7,8 @@ estimator error free of interpolation error; resample_shift_rotate provides
 the separate resampling path used on measured data.
 
 Chord lengths are closed-form: a ray at distance d from the center of a
-disk or sphere of radius R intersects it over a length 2*sqrt(R**2 - d**2).
+disk or sphere of radius R intersects it over a length 2*sqrt(R**2 - d**2);
+a cylinder's chord is its lateral root interval clipped to its slab.
 The line integrals evaluate it for every feature at every point.  The
 projectors read each feature only on its shadow, through the same code, so
 they skip only density * 0.0 terms and equal the line integrals bit for bit.
@@ -19,7 +20,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .core import ProjectionStack, Sinogram
+from .core import ProjectionStack, Sinogram, positive_finite
 from .registration import sample_detector
 
 _BLOCK_POINTS = 1 << 14  # points per block of views in fan_project: bounds its memory
@@ -228,9 +229,10 @@ def fan_line_integral(phantom, source_radius, s, beta):
 
     The ray runs from the source r*(cos b, sin b) through the detector point
     s*(sin b, -cos b); s and beta broadcast.  Every disk is evaluated at every
-    point: the full-grid reference that fan_project equals bit for bit.
+    point: the full-grid reference that fan_project equals bit for bit.  Any
+    finite source_radius > 0, inside the phantom too; else ValueError.
     """
-    out = _fan_sum(phantom, float(source_radius), s, beta)
+    out = _fan_sum(phantom, positive_finite("source_radius", float(source_radius)), s, beta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -261,38 +263,21 @@ def fan_project(phantom, geom, h=0.0, instability=None):
     return Sinogram(geom, values)
 
 
-def _cylinder_chords(cyl, ax, ay, az, dx, dy, dz):
-    """Intersection lengths of unit-direction rays with a y-axis cylinder."""
-    radius, half_height, _ = cyl
-    # lateral surface: quadratic in the (x, z) plane
-    qa = dx * dx + dz * dz
+def _cylinder_chords(cylinder, source, direction):
+    """Chord that each line (source on the plane y = 0, unit direction) cuts from
+    the y-axis cylinder: the lateral roots clipped to the slab |t| <= half_height / |dy|
+    (unbounded at dy = 0); a missed or tangent line has root 0, so no chord."""
+    radius, half_height, _ = cylinder
+    (ax, _, az), (dx, dy, dz) = source, direction
+    qa = dx * dx + dz * dz  # (u**2 + r**2) / |ray|**2: positive for r > 0
     qb = 2.0 * (ax * dx + az * dz)
     qc = ax * ax + az * az - radius * radius
-    tiny = qa < 1e-30
-    qa_safe = np.where(tiny, 1.0, qa)
-    disc = qb * qb - 4.0 * qa_safe * qc
-    root = np.sqrt(np.maximum(disc, 0.0))
-    t_lo = (-qb - root) / (2.0 * qa_safe)
-    t_hi = (-qb + root) / (2.0 * qa_safe)
-    inf = np.inf
-    # a ray parallel to the axis is inside laterally iff qc < 0
-    t_lo = np.where(tiny, np.where(qc < 0.0, -inf, inf), t_lo)
-    t_hi = np.where(tiny, np.where(qc < 0.0, inf, -inf), t_hi)
-    miss = (~tiny) & (disc <= 0.0)
-    # slab |y| <= half_height
-    dy_tiny = np.abs(dy) < 1e-30
-    dy_safe = np.where(dy_tiny, 1.0, dy)
-    u1 = (-half_height - ay) / dy_safe
-    u2 = (half_height - ay) / dy_safe
-    u_lo = np.minimum(u1, u2)
-    u_hi = np.maximum(u1, u2)
-    inside_slab = np.abs(ay) <= half_height
-    u_lo = np.where(dy_tiny, np.where(inside_slab, -inf, inf), u_lo)
-    u_hi = np.where(dy_tiny, np.where(inside_slab, inf, -inf), u_hi)
-    lo = np.maximum(t_lo, u_lo)
-    hi = np.minimum(t_hi, u_hi)
-    chord = np.maximum(hi - lo, 0.0)
-    return np.where(miss, 0.0, chord)
+    root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+    with np.errstate(divide="ignore"):
+        slab = half_height / np.abs(dy)
+    lo = np.maximum((-qb - root) / (2.0 * qa), -slab)
+    hi = np.minimum((-qb + root) / (2.0 * qa), slab)
+    return np.maximum(hi - lo, 0.0)
 
 
 def _cone_sum(phantom, r, u, v, beta, wheres=None):
@@ -300,13 +285,12 @@ def _cone_sum(phantom, r, u, v, beta, wheres=None):
     u, v, beta = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (u, v, beta)))
     cosb, sinb = np.cos(beta), np.sin(beta)
     ax, ay, az = r * cosb, np.zeros_like(cosb), r * sinb
-    px, py, pz = u * sinb, v * np.ones_like(u), -u * cosb
-    dx, dy, dz = px - ax, py - ay, pz - az
+    dx, dy, dz = u * sinb - ax, v - ay, -u * cosb - az
     norm = np.sqrt(dx * dx + dy * dy + dz * dz)
     source, direction = (ax, ay, az), (dx / norm, dy / norm, dz / norm)
     out = np.zeros(u.shape, dtype=float)
     if phantom.cylinder is not None:
-        out += phantom.cylinder[2] * _cylinder_chords(phantom.cylinder, *source, *direction)
+        out += phantom.cylinder[2] * _cylinder_chords(phantom.cylinder, source, direction)
     for ball, where in zip(phantom.spheres, wheres or itertools.repeat(...)):
         _chord(out, source, direction, *ball, where)
     return out
@@ -318,8 +302,9 @@ def cone_line_integral(phantom, source_radius, u, v, beta):
     The ray runs from the source r*(cos b, 0, sin b) through the detector
     point u*e_u(b) + v*e_v with e_u(b) = (sin b, 0, -cos b), e_v = (0, 1, 0).
     Every feature at every point: the reference cone_project equals bit for bit.
+    Any finite source_radius > 0, inside the phantom too; else ValueError.
     """
-    out = _cone_sum(phantom, float(source_radius), u, v, beta)
+    out = _cone_sum(phantom, positive_finite("source_radius", float(source_radius)), u, v, beta)
     return float(out) if out.ndim == 0 else out
 
 

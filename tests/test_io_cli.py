@@ -211,6 +211,16 @@ class TestSinogramFiles:
         with pytest.raises(HeaderFormatError):
             read_sinogram(path)
 
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_comment_lines_in_header_are_skipped(self, tmp_path, sidecar):
+        sino = small_sino()
+        path = tmp_path / "fan.sino"
+        write_sinogram(path, sino, sidecar=sidecar)
+        path.write_bytes(b"# written by hand\n" + path.read_bytes().replace(b"n_beta: 8\n", b"n_beta: 8\n  # n_beta: 9\n"))
+        back = read_sinogram(path)
+        assert back.geometry == sino.geometry
+        assert np.array_equal(back.values, sino.values)
+
     def test_missing_sidecar_payload(self, tmp_path):
         path = tmp_path / "fan.sino"
         write_sinogram(path, small_sino(), sidecar=True)
@@ -243,6 +253,12 @@ class TestRunConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.parse("n: many\n")
+
+    def test_line_grammar_checked_before_values(self):
+        with pytest.raises(ConfigError, match="config line 2 is not 'key: value'"):
+            RunConfig.parse("n: many\nno colon here\n")
+        with pytest.raises(ConfigError, match="duplicate config key 'wavelength'"):
+            RunConfig.parse("wavelength: 1\nwavelength: 2\n")
 
     def test_booleans(self):
         assert RunConfig.parse("sidecar: true\n").get("sidecar") is True

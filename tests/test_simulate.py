@@ -118,6 +118,11 @@ class TestFanLineIntegral:
         got = fan_line_integral(ORACLE_PHANTOM_2D, SOURCE_RADIUS, s, beta)
         assert got == pytest.approx(quad, abs=2e-4)
 
+    @pytest.mark.parametrize("source_radius", [0.0, -1.0, math.nan, math.inf])
+    def test_source_radius_must_be_positive_and_finite(self, source_radius):
+        with pytest.raises(ValueError, match="source_radius must be positive and finite"):
+            fan_line_integral(ORACLE_PHANTOM_2D, source_radius, 0.0, 0.0)
+
     def test_broadcasting(self):
         s = np.linspace(-1.0, 1.0, 5)[None, :]
         beta = np.linspace(0.0, 6.0, 3)[:, None]
@@ -138,6 +143,45 @@ class TestConeLineIntegral:
     def test_ray_parallel_to_cylinder_wall_region(self):
         # far off-detector ray misses the cylinder entirely
         assert cone_line_integral(ORACLE_PHANTOM_3D, SOURCE_RADIUS, 1.15, 0.0, 0.7) == 0.0
+
+    @pytest.mark.parametrize("source_radius", [0.0, -1.0, math.nan, math.inf])
+    def test_source_radius_must_be_positive_and_finite(self, source_radius):
+        with pytest.raises(ValueError, match="source_radius must be positive and finite"):
+            cone_line_integral(ORACLE_PHANTOM_3D, source_radius, 0.0, 0.0, 0.0)
+
+
+CYLINDER = (0.8, 0.55, 1.0)  # (radius R, half height hh, density)
+
+
+class TestCylinderChord:
+    """The lone cylinder against closed forms.  The ray from the source
+    (r, 0, 0) through the detector point (0, v, 0) meets the axis; at
+    distance t from the source it is at x = r - t*r/L, y = t*v/L with
+    L = hypot(r, v), so |x| <= R is (r - R)*L/r <= t <= (r + R)*L/r and
+    |y| <= hh is |t| <= hh*L/|v|."""
+
+    @pytest.mark.parametrize("source_radius", [2.0, 10.0])
+    @pytest.mark.parametrize("v", [0.0, 0.2, -0.2, 0.5, 0.8, 1.0])
+    def test_ray_through_the_axis(self, source_radius, v):
+        radius, half_height, _ = CYLINDER
+        r, length = source_radius, math.hypot(source_radius, v)
+        slab = half_height * length / abs(v) if v else math.inf
+        want = max(0.0, min((r + radius) * length / r, slab) - (r - radius) * length / r)
+        got = cone_line_integral(Phantom3D(spheres=(), cylinder=CYLINDER), r, 0.0, v, 0.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("source_radius", [0.5, 0.95, 2.0, 10.0])
+    def test_central_row_is_the_fan_disk(self, source_radius):
+        u = np.linspace(-1.5, 1.5, 31)[None, :]
+        beta = np.linspace(0.0, 6.0, 7)[:, None]
+        got = cone_line_integral(Phantom3D(spheres=(), cylinder=CYLINDER), source_radius, u, 0.0, beta)
+        disk = Phantom2D(disks=(((0.0, 0.0), CYLINDER[0], 1.0),))
+        want = fan_line_integral(disk, source_radius, u, beta)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_source_inside_the_cylinder(self):
+        got = cone_line_integral(Phantom3D(spheres=(), cylinder=CYLINDER), 0.5, 0.0, 0.0, 0.0)
+        assert got == pytest.approx(2.0 * CYLINDER[0], rel=1e-12, abs=1e-12)
 
 
 class TestPhantomConstruction:
