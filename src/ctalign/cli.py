@@ -64,6 +64,9 @@ def _options(args):
     options = RunConfig()
     if args.config is not None:
         options = RunConfig.parse(Path(args.config).read_text(encoding="ascii"))
+        for key in options:
+            if args.subcommand not in RUN_OPTIONS[key].commands:
+                raise ConfigError(f"config key {key!r} does not apply to {args.subcommand}")
     options.update((key, getattr(args, key)) for key in RUN_OPTIONS if getattr(args, key, None) is not None)
     return options
 
@@ -101,18 +104,18 @@ def cmd_simulate(options):
     eta = options.get("eta", 0.0)
     alpha = options.get("alpha", 0.0)
     source_radius = options.get("source_radius", 2.0)
-    features = options.get("features")
+    counts = [options["features"]] if "features" in options else []  # the builders hold the default counts
     out = options.get("output", f"{mode}_n{n}_seed{seed}.sino")
     instability = InstabilityModel(alpha)
     width = unit_disk_half_width(source_radius)
     if mode == "fan":
         if eta != 0.0:
             raise ConfigError("--eta applies to cone simulations only")
-        phantom = make_disk_phantom(seed, n_disks=30 if features is None else features)
+        phantom = make_disk_phantom(seed, *counts)
         geom = FanGeometry(source_radius, n, width, n)
         data = fan_project(phantom, geom, h=h, instability=instability)
     else:
-        phantom = make_sphere_phantom(seed, n_spheres=20 if features is None else features)
+        phantom = make_sphere_phantom(seed, *counts)
         geom = ConeGeometry(source_radius, n, n, width, width, n)
         data = cone_project(phantom, geom, h=h, eta=eta, instability=instability)
     write_sinogram(out, data, sidecar=options.get("sidecar", False), pixel_size_mm=options.get("pixel_size_mm"))
@@ -203,7 +206,8 @@ def cmd_sweep(options):
     configs = [_config(FanAlignConfig, options, method=method) for method in methods]
     source_radius = options.get("source_radius", 2.0)
     n = options.get("n", 256)
-    phantom = make_disk_phantom(options.get("seed", 0), n_disks=options.get("features", 30))
+    counts = [options["features"]] if "features" in options else []
+    phantom = make_disk_phantom(options.get("seed", 0), *counts)
     geom = FanGeometry(source_radius, n, unit_disk_half_width(source_radius), n)
     lines = ["alpha,method,abs_error_px,seconds"]
     for instability in instabilities:

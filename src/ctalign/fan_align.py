@@ -194,22 +194,20 @@ def fixed_point_shift(sino, cfg=FanAlignConfig(), starts=None):
         starts = fp_start_indices(geom.n_beta, cfg.K)
     beta0 = np.asarray(starts) * geom.beta_step
     lam = sino.values[starts]
-    h = np.zeros(len(starts))
-    runs = [None] * len(starts)
-    active = np.arange(len(starts))
+    n = len(starts)
+    h, iterations, converged = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    active = np.arange(n)
     for k in range(1, cfg.max_iter + 1):
         h_old = h[active]
         pi = reflect(sino, h_old[:, None], beta0[active, None])
         h_new = h_old + 0.5 * xcorr_shift_rows(lam[active], pi, cfg.upsample)
         done = np.abs(h_new - h_old) < cfg.tol_h
-        h[active] = h_new
-        for j, h_j, conv in zip(active.tolist(), h_new.tolist(), done.tolist()):
-            if (conv or k == cfg.max_iter) and not math.isnan(h_j):  # NaN: zero correlation, the run fails
-                runs[j] = (j, h_j, k, conv)
+        h[active], iterations[active], converged[active] = h_new, k, done
         active = active[~np.isnan(h_new) & ~done]
         if not active.size:
             break
-    runs = [run for run in runs if run is not None]
+    state = zip(h.tolist(), iterations.tolist(), converged.tolist())
+    runs = [(j, *run) for j, run in enumerate(state) if not math.isnan(run[0])]  # NaN: zero correlation, the run fails
     if not runs:
         raise AmbiguousShiftError("every fixed-point start failed")
     ordered = sorted(h_j for _, h_j, *_ in runs)

@@ -236,7 +236,7 @@ def write_truth(path, **truth):
 
 
 def read_truth(path):
-    entries = _parse_header(Path(path).read_text(encoding="ascii"))
+    entries = _parse_header(_decode_header(Path(path).read_bytes()))
     return {key: header_field(entries, key, parse) for key, parse in TRUTH_KEYS.items()}
 
 

@@ -26,6 +26,9 @@ from .registration import sample_detector
 _BLOCK_POINTS = 1 << 14  # points per block of views in fan_project: bounds its memory
 _MARGIN, _SLACK = 2, 1e-12  # shadow widening: samples per side; rounding allowance on R**2 per (r + |c - S|)**2
 _MAX_REJECTS = 1000  # rejected draws in a row after which _place gives up
+# seeded phantoms: enclosing disk radius (below 1, so the shifted sinogram support stays
+# on the detector), sphere radius range, enclosing cylinder (radius, half_height, density)
+_DISK_RADIUS, _SPHERE_RADII, _CYLINDER = 0.85, (0.04, 0.12), (0.8, 0.55, 1.0)
 
 
 @dataclass(frozen=True)
@@ -117,12 +120,16 @@ class InstabilityModel:
 
 
 def _place(seed, n, radius_range, region_radius, half_height=None):
-    """Rejection-sample n pairwise-disjoint disks inside a disk of
-    region_radius or, given half_height, n spheres inside the cylinder of that
-    radius and half height about the y axis (the disk lies in its x-z plane)."""
-    rng = np.random.default_rng(seed)
+    """Rejection-sample n pairwise-disjoint voids (center, radius, -1.0): disks
+    inside a disk of region_radius or, given half_height, spheres inside the cylinder
+    of that radius and half height about the y axis (the disk lies in its x-z plane)."""
     lo, hi = radius_range
+    if not (0.0 < lo <= hi < 1.0):
+        raise ValueError("radius_range must satisfy 0 < lo <= hi < 1")
     kind = "disks" if half_height is None else "spheres"
+    if n < 0:
+        raise ValueError(f"n_{kind} must be nonnegative")
+    rng = np.random.default_rng(seed)
     placed = []
     rejects = 0
     while len(placed) < n:
@@ -142,48 +149,27 @@ def _place(seed, n, radius_range, region_radius, half_height=None):
         if all(math.dist(center, c) > radius + r for c, r in placed):
             placed.append((center, radius))
             rejects = 0
-    return placed
+    return tuple((center, radius, -1.0) for center, radius in placed)
 
 
-def make_disk_phantom(seed, n_disks=30, radius_range=(0.02, 0.08), density=1.0, enclosing_radius=0.85):
+def make_disk_phantom(seed, n_disks=30, radius_range=(0.02, 0.08)):
     """Seeded random phantom: void disks inside an enclosing solid disk.
 
     Deterministic for a fixed seed.  Disks are pairwise non-overlapping and
-    fully inside the enclosing disk; each carries density -density so the
-    total attenuation inside a void is zero.  The enclosing radius is kept
-    below 1 so that the shifted sinogram support stays on the detector.
-
-    Raises ValueError when rejection sampling cannot satisfy the
-    non-overlap constraint within _MAX_REJECTS draws in a row.
+    fully inside the enclosing disk of density 1, each of density -1 so the
+    total attenuation inside a void is zero.  Raises ValueError when
+    rejection sampling gives up (_MAX_REJECTS rejected draws in a row).
     """
-    lo, hi = radius_range
-    if not (0.0 < lo <= hi < 1.0):
-        raise ValueError("radius_range must satisfy 0 < lo <= hi < 1")
-    if n_disks < 0:
-        raise ValueError("n_disks must be nonnegative")
-    if not 0.0 < enclosing_radius <= 1.0:
-        raise ValueError("enclosing_radius must lie in (0, 1]")
-    placed = _place(seed, n_disks, radius_range, enclosing_radius)
-    disks = tuple((center, radius, -density) for center, radius in placed)
-    return Phantom2D(disks=disks, background=((0.0, 0.0), enclosing_radius, density))
+    return Phantom2D(_place(seed, n_disks, radius_range, _DISK_RADIUS), ((0.0, 0.0), _DISK_RADIUS, 1.0))
 
 
-def make_sphere_phantom(
-    seed, n_spheres=20, radius_range=(0.04, 0.12), density=1.0, cylinder_radius=0.8, half_height=0.55
-):
+def make_sphere_phantom(seed, n_spheres=20):
     """Seeded random phantom: void spheres inside an enclosing solid cylinder.
 
     3D analogue of make_disk_phantom; spheres are pairwise disjoint and fully
     inside the cylinder (axis y, centered at the origin).
     """
-    lo, hi = radius_range
-    if not (0.0 < lo <= hi < 1.0):
-        raise ValueError("radius_range must satisfy 0 < lo <= hi < 1")
-    if n_spheres < 0:
-        raise ValueError("n_spheres must be nonnegative")
-    placed = _place(seed, n_spheres, radius_range, cylinder_radius, half_height)
-    spheres = tuple((center, radius, -density) for center, radius in placed)
-    return Phantom3D(spheres=spheres, cylinder=(cylinder_radius, half_height, density))
+    return Phantom3D(_place(seed, n_spheres, _SPHERE_RADII, *_CYLINDER[:2]), _CYLINDER)
 
 
 def _chord(out, source, direction, center, radius, density, where=...):

@@ -144,6 +144,10 @@ class TestConeGeometry:
         assert geom.pixel_size == pytest.approx(0.2)
         assert geom.pixel_size_v == pytest.approx(0.5)
 
+    def test_single_row_rejected(self):
+        with pytest.raises(ValueError, match="need at least 2 samples per axis"):
+            ConeGeometry(2.0, 11, 1, 1.0, 1.0, 8)
+
 
 class TestContainers:
     def test_sinogram_shape_enforced(self):
@@ -183,6 +187,10 @@ class TestAlignmentResult:
     def test_negative_mse_rejected(self):
         with pytest.raises(ValueError):
             AlignmentResult(h=0.0, eta=0.0, mse=-1.0, iterations=0, method="FP")
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iterations must be nonnegative"):
+            AlignmentResult(h=0.0, eta=0.0, mse=0.0, iterations=-1, method="FP")
 
     def test_eta_domain(self):
         with pytest.raises(ValueError):

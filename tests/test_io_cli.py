@@ -221,6 +221,27 @@ class TestSinogramFiles:
         assert back.geometry == sino.geometry
         assert np.array_equal(back.values, sino.values)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b"kind: fan", b"kind: f\xe4n", "header is not ASCII text"),
+            (b"format_version: 1", b"format_version: 2", "unsupported format_version 2"),
+            (b"byte_order: little-endian", b"byte_order: big-endian", "unsupported byte_order 'big-endian'"),
+            (b"kind: fan", b"kind: helix", "kind must be 'fan' or 'cone', got 'helix'"),
+        ],
+        ids=["non-ascii", "format-version", "byte-order", "kind"],
+    )
+    def test_bad_header_rejected_and_exits_3(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "fan.sino"
+        write_sinogram(path, small_sino())
+        path.write_bytes(path.read_bytes().replace(old, new))
+        with pytest.raises(HeaderFormatError, match=message):
+            read_sinogram(path)
+        assert main(["align-fan", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_missing_sidecar_payload(self, tmp_path):
         path = tmp_path / "fan.sino"
         write_sinogram(path, small_sino(), sidecar=True)
@@ -236,6 +257,13 @@ class TestSinogramFiles:
         assert float(truth["h_px"]) == 10.0
         assert float(truth["eta_rad"]) == 0.5
         assert int(truth["seed"]) == 7
+
+    def test_non_ascii_truth_sidecar_is_a_header_error(self, tmp_path):
+        path = tmp_path / "x.truth"
+        write_truth(path, kind="cone", h_px=10.0, eta_rad=0.5, alpha=0.01, seed=7, features=20, source_radius=2.0)
+        path.write_bytes(path.read_bytes().replace(b"kind: cone", b"kind: c\xf6ne"))
+        with pytest.raises(HeaderFormatError, match="header is not ASCII text"):
+            read_truth(path)
 
 
 class TestRunConfig:
@@ -263,6 +291,8 @@ class TestRunConfig:
     def test_booleans(self):
         assert RunConfig.parse("sidecar: true\n").get("sidecar") is True
         assert RunConfig.parse("sidecar: false\n").get("sidecar") is False
+        with pytest.raises(ConfigError, match="bad value for config key 'sidecar': cannot parse boolean 'maybe'"):
+            RunConfig.parse("sidecar: maybe\n")
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -274,6 +304,10 @@ class TestRunConfig:
     def test_angle_without_unit_rejected(self):
         with pytest.raises(ConfigError):
             parse_angle("1.0")
+
+    def test_unparseable_angle_rejected(self):
+        with pytest.raises(ConfigError, match="cannot parse angle value 'xdeg'"):
+            parse_angle("xdeg")
 
     @pytest.mark.parametrize("text", ["infdeg", "-inf deg", "nanrad", "1e400deg"])
     def test_non_finite_angle_rejected(self, text):
@@ -365,6 +399,14 @@ class TestCliSimulate:
         argv = ["--mode", "fan"] if command == "simulate" else []
         assert main([command, *argv, "--n", "32", "--report", "r.txt", "--out", "f.sino"]) == 4
         assert list(tmp_path.iterdir()) == []
+
+    def test_report_config_key_rejected_and_nothing_written(self, tmp_path, monkeypatch, capsys):
+        """A config key is scoped like its flag: simulate takes no report."""
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("mode: fan\nn: 32\nreport: r.txt\noutput: f.sino\n")
+        assert main(["simulate", "--config", "run.cfg"]) == 4
+        assert capsys.readouterr() == ("", "error: config key 'report' does not apply to simulate\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 class TestCliAlignFan:
@@ -481,6 +523,17 @@ class TestCliAlignFan:
         assert captured.out == ""
         assert captured.err == "error: duplicate config key 'method'\n"
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [(m, "zero cross-correlation") for m in ("yang", "ly", "2dr")]
+        + [(m, "every fixed-point start failed") for m in ("fp", "fpk")],
+    )
+    def test_all_zero_data_exits_2(self, tmp_path, capsys, method, message):
+        path = tmp_path / "zero.sino"
+        write_sinogram(path, Sinogram(FanGeometry(SOURCE_RADIUS, 16, 1.0, 16), np.zeros((16, 16))))
+        assert main(["align-fan", "--input", str(path), "--method", method]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestCliAlignCone:
     def test_simulate_then_recover(self, tmp_path, capsys):
@@ -550,6 +603,19 @@ class TestCliAlignCone:
         else:
             assert code in (0, 2)  # ran: converged or not
             assert float(report_value(captured.out, f"cfg_{key}_rad")) == parse_angle(value)
+
+    @pytest.mark.parametrize("line", ["method: yang", "beta_index: 3", "h: 5"])
+    def test_config_key_of_another_command_rejected(self, tmp_path, capsys, line):
+        """A config key is scoped like its flag: align-cone takes no method,
+        beta_index or h, and runs nothing when its config file sets one."""
+        out = str(tmp_path / "c.sino")
+        main(["simulate", "--mode", "cone", "--n", "24", "--seed", "0", "--features", "4", "--out", out])
+        capsys.readouterr()
+        config = tmp_path / "run.cfg"
+        config.write_text(f"max_outer: 2\n{line}\n")
+        assert main(["align-cone", "--input", out, "--config", str(config)]) == 4
+        key = line.split(":")[0]
+        assert capsys.readouterr() == ("", f"error: config key {key!r} does not apply to align-cone\n")
 
     def test_bad_eta0_suffix_rejected(self, tmp_path):
         out = str(tmp_path / "c.sino")

@@ -69,6 +69,10 @@ class TestXcorr1D:
         with pytest.raises(ValueError):
             xcorr_shift_1d(np.ones(8), np.ones(9))
 
+    def test_2d_input_rejected(self):
+        with pytest.raises(ValueError, match="inputs must be 1D with at least 2 samples"):
+            xcorr_shift_1d(np.ones((2, 8)), np.ones((2, 8)))
+
     def test_non_finite_rejected(self):
         a = np.ones(8)
         b = a.copy()
@@ -310,6 +314,12 @@ class TestSamplePeriodic:
         with pytest.raises(ValueError):
             sample_periodic(small_sino, small_sino.geometry.s_axis(), None, against=np.ones((3, 9)))
 
+    def test_empty_query_reads_no_point(self, small_sino):
+        empty = np.zeros(0)
+        assert sample_periodic(small_sino, empty, empty).shape == (0,)
+        assert sample_periodic(small_sino, empty, None).shape == (12, 0)
+        assert sample_periodic(small_sino, empty, None, against=np.zeros((12, 0))) == (0.0, 0.0)
+
     def test_grid_points_bit_exact(self, small_sino):
         geom = small_sino.geometry
         s = geom.s_axis()[None, :]
@@ -404,6 +414,11 @@ class TestSampleDetector:
         v = geom.v_axis()[None, :, None]
         beta = geom.beta_axis()[:, None, None]
         assert np.array_equal(sample_detector(small_stack, u, v, beta), small_stack.values)
+
+    def test_empty_query_reads_no_point(self, small_stack):
+        empty = np.zeros(0)
+        assert sample_detector(small_stack, empty, empty, empty).shape == (0,)
+        assert sample_detector(small_stack, empty, 0.0, None).shape == (6, 0)
 
     def test_v_outside_is_zero(self, small_stack):
         assert sample_detector(small_stack, 0.0, 2.0, 0.0) == 0.0

@@ -197,6 +197,44 @@ class TestPhantomConstruction:
         with pytest.raises(ValueError):
             Phantom3D(spheres=(((0.95, 0.0, 0.0), 0.2, 1.0),))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Phantom2D(disks=(((0.0, 0.0), 0.1, math.inf),)), "densities must be finite"),
+            (lambda: Phantom2D(disks=(), background=((0.0, 0.0), 0.85, math.nan)), "densities must be finite"),
+            (lambda: Phantom3D(spheres=(((0.0, 0.0, 0.0), 0.1, -math.inf),)), "densities must be finite"),
+            (lambda: Phantom3D(spheres=(), cylinder=(0.8, 0.55, math.nan)), "densities must be finite"),
+            (lambda: Phantom3D(spheres=(), cylinder=(1.2, 0.55, 1.0)), "cylinder needs 0 < radius <= 1"),
+            (lambda: Phantom3D(spheres=(), cylinder=(0.8, 0.0, 1.0)), "cylinder needs 0 < radius <= 1"),
+            (lambda: Phantom3D(spheres=(((0.0, 0.0, 0.0), 0.0, 1.0),)), "sphere radii must be positive"),
+        ],
+    )
+    def test_invalid_features_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: make_disk_phantom(0, n_disks=-1), "n_disks must be nonnegative"),
+            (lambda: make_sphere_phantom(0, n_spheres=-1), "n_spheres must be nonnegative"),
+            (lambda: make_disk_phantom(0, radius_range=(0.0, 0.1)), "radius_range must satisfy 0 < lo <= hi < 1"),
+            (lambda: make_disk_phantom(0, radius_range=(0.2, 0.1)), "radius_range must satisfy 0 < lo <= hi < 1"),
+        ],
+    )
+    def test_builder_arguments_checked(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_radius_that_cannot_fit_is_redrawn(self):
+        """A drawn radius at or past the enclosing radius (0.85) is skipped:
+        the placed disk is one that fits, or placement gives up."""
+        for seed in range(5):
+            ((center, radius, _),) = make_disk_phantom(seed, n_disks=1, radius_range=(0.5, 0.95)).disks
+            assert 0.5 <= radius < 0.85 and math.hypot(*center) + radius <= 0.85 + 1e-12
+        with pytest.raises(ValueError, match="could not place 1 non-overlapping disks"):
+            make_disk_phantom(0, n_disks=1, radius_range=(0.9, 0.99))
+
     def test_make_disk_phantom_zero_disks(self):
         ph = make_disk_phantom(0, n_disks=0)
         assert ph.disks == ()
