@@ -29,6 +29,7 @@ from .io_cli import (
     ConfigError,
     FormatError,
     RunConfig,
+    decode_ascii,
     format_lines,
     format_value,
     geometry_fields,
@@ -63,7 +64,7 @@ def _options(args):
     """The run options: the config file's entries, then the flags that were set."""
     options = RunConfig()
     if args.config is not None:
-        options = RunConfig.parse(Path(args.config).read_text(encoding="ascii"))
+        options = RunConfig.parse(decode_ascii(Path(args.config).read_bytes(), ConfigError, "config file"))
         for key in options:
             if args.subcommand not in RUN_OPTIONS[key].commands:
                 raise ConfigError(f"config key {key!r} does not apply to {args.subcommand}")

@@ -73,6 +73,13 @@ def positive_float(text):
     return value
 
 
+def nonnegative_int(text):
+    """int(text), which must not be negative (else ValueError)."""
+    if (value := int(text)) < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 # each data kind: its geometry, its container, and the geometry's header keys
 # in file order with their parsers; the keys are the geometry's field names
 KINDS = {
@@ -138,11 +145,11 @@ def _parse_header(text, error=HeaderFormatError, noun="header"):
     return entries
 
 
-def _decode_header(header_bytes):
+def decode_ascii(raw, error=HeaderFormatError, noun="header"):
     try:
-        return header_bytes.decode("ascii")
+        return raw.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise HeaderFormatError(f"header is not ASCII text: {exc}") from None
+        raise error(f"{noun} is not ASCII text: {exc}") from None
 
 
 def header_field(entries, key, parse):
@@ -169,7 +176,7 @@ def read_sinogram(path, with_header=False):
         header_bytes, payload = blob[:sep + 1], blob[sep + 2:]
     else:
         header_bytes, payload = blob, b""
-    entries = _parse_header(_decode_header(header_bytes))
+    entries = _parse_header(decode_ascii(header_bytes))
     if header_field(entries, "format_version", int) != FORMAT_VERSION:
         raise HeaderFormatError(f"unsupported format_version {entries['format_version']}")
     dtype = entries.get("value_dtype", "")
@@ -213,7 +220,7 @@ def header_metadata(path):
             if sep >= 0:
                 del head[sep + 1 :]
                 break
-    return _parse_header(_decode_header(head))
+    return _parse_header(decode_ascii(head))
 
 
 # the keys of the ground-truth sidecar written next to simulated data, in
@@ -236,7 +243,7 @@ def write_truth(path, **truth):
 
 
 def read_truth(path):
-    entries = _parse_header(_decode_header(Path(path).read_bytes()))
+    entries = _parse_header(decode_ascii(Path(path).read_bytes()))
     return {key: header_field(entries, key, parse) for key, parse in TRUTH_KEYS.items()}
 
 
@@ -309,7 +316,7 @@ RUN_OPTIONS = {
     "h": Option(float, ("simulate", "metric", "sweep"), "detector shift in effective pixels"),
     "eta": Option(parse_angle, ("simulate", "metric"), "in-plane rotation with unit suffix, e.g. 1deg (cone only)"),
     "alpha": Option(float, ("simulate",), "beam instability amplitude"),
-    "features": Option(int, _MAKE, "number of random voids in the phantom"),
+    "features": Option(nonnegative_int, _MAKE, "number of random voids in the phantom"),
     "sidecar": Option(parse_bool, ("simulate",), "write the payload to a sibling .raw file"),
     "source_radius": Option(float, _MAKE, "source circle radius; the object fits in the unit disk"),
     "pixel_size_mm": Option(positive_float, ("simulate",), "detector pixel size recorded in the header"),

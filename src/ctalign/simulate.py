@@ -6,10 +6,15 @@ s - h (and, for cone data, through the in-plane-rotated (u, v)).  This keeps
 estimator error free of interpolation error; resample_shift_rotate provides
 the separate resampling path used on measured data.
 
-Chord lengths are closed-form: a ray at distance d from the center of a
-disk or sphere of radius R intersects it over a length 2*sqrt(R**2 - d**2);
-a cylinder's chord is its lateral root interval clipped to its slab.
-The line integrals evaluate it for every feature at every point.  The
+Rays are traced in the source frame, that of view 0, with the source at
+(r, 0[, 0]): the ray to detector point s or (u, v) runs along (-r, -s) or
+(-r, v, -u), so the rays are built once per grid and each view rotates the
+features by -beta.  A ray at distance d from the center of a ball of radius R
+cuts a chord 2*sqrt(R**2 - d**2), which neither reversing the ray nor
+mirroring it in y = 0 changes, so rays run along (r, s) and (r, v, u).  A
+cylinder's chord is its lateral root interval clipped to its slab; the
+centred cylinder looks the same from every view, so it is traced once per
+stack.  The line integrals evaluate every feature at every point; the
 projectors read each feature only on its shadow, through the same code, so
 they skip only density * 0.0 terms and equal the line integrals bit for bit.
 """
@@ -172,14 +177,25 @@ def make_sphere_phantom(seed, n_spheres=20):
     return Phantom3D(_place(seed, n_spheres, _SPHERE_RADII, *_CYLINDER[:2]), _CYLINDER)
 
 
-def _chord(out, source, direction, center, radius, density, where=...):
-    """out[where] += density * the chord that each line (source point, unit
-    direction) cuts from the ball: the one chord formula of disks and spheres."""
-    m = [p[where] - c for p, c in zip(source, center)]
-    d = [q[where] for q in direction]
-    tproj = sum((mi * di for mi, di in zip(m[1:], d[1:])), m[0] * d[0])
-    under = radius * radius - (sum((mi * mi for mi in m[1:]), m[0] * m[0]) - tproj * tproj)
-    out[where] += density * (2.0 * np.sqrt(np.maximum(under, 0.0)))
+def _offsets(r, beta, x, z):
+    """(a, b), views first and features last: the source minus each centre (x, ., z) in
+    the source frame of view beta, along the source axis and the detector's s or u axis."""
+    cosb, sinb = np.cos(beta)[..., None], np.sin(beta)[..., None]
+    return r - (x * cosb + z * sinb), x * sinb - z * cosb
+
+
+def _rays(r, *axes):
+    """Unit directions (r, *axes) / |.| of the lines from the source to the detector points."""
+    norm = np.sqrt(sum((c * c for c in axes), r * r))
+    return tuple(c / norm for c in (r, *axes))
+
+
+def _chord(offset, ray, radius):
+    """Chord that each line, given by the source minus the ball's centre (offset) and
+    its unit direction (ray), cuts from the ball: the one formula of disks and spheres."""
+    along = sum((o * d for o, d in zip(offset[1:], ray[1:])), offset[0] * ray[0])
+    under = radius * radius - (sum((o * o for o in offset[1:]), offset[0] * offset[0]) - along * along)
+    return 2.0 * np.sqrt(np.maximum(under, 0.0))
 
 
 def _shadow(axis, r, a, b, radius, off=0.0):
@@ -196,20 +212,6 @@ def _shadow(axis, r, a, b, radius, off=0.0):
     return first, np.minimum(np.searchsorted(axis, hi, "right") + _MARGIN, len(axis))
 
 
-def _fan_sum(phantom, r, s, beta, wheres=None):
-    """fan_line_integral as an array, component k read on window wheres[k]."""
-    s, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float))
-    cosb, sinb = np.cos(beta), np.sin(beta)
-    srcx, srcy = r * cosb, r * sinb
-    dx, dy = s * sinb - srcx, -s * cosb - srcy
-    norm = np.hypot(dx, dy)
-    source, direction = (srcx, srcy), (dx / norm, dy / norm)
-    out = np.zeros(s.shape, dtype=float)
-    for ball, where in zip(zip(*phantom.component_arrays()), wheres or itertools.repeat(...)):
-        _chord(out, source, direction, *ball, where)
-    return out
-
-
 def fan_line_integral(phantom, source_radius, s, beta):
     """Exact fan-beam line integral of a Phantom2D at coordinates (s, beta).
 
@@ -218,7 +220,13 @@ def fan_line_integral(phantom, source_radius, s, beta):
     point: the full-grid reference that fan_project equals bit for bit.  Any
     finite source_radius > 0, inside the phantom too; else ValueError.
     """
-    out = _fan_sum(phantom, positive_finite("source_radius", float(source_radius)), s, beta)
+    r = positive_finite("source_radius", float(source_radius))
+    s, beta = np.asarray(s, dtype=float), np.asarray(beta, dtype=float)
+    centers, radii, densities = phantom.component_arrays()
+    a, b = _offsets(r, beta, *centers.T)
+    ray, out = _rays(r, s), np.zeros(np.broadcast_shapes(s.shape, beta.shape))
+    for k, (radius, density) in enumerate(zip(radii, densities)):
+        out += density * _chord((a[..., k], b[..., k]), ray, radius)
     return float(out) if out.ndim == 0 else out
 
 
@@ -234,30 +242,30 @@ def fan_project(phantom, geom, h=0.0, instability=None):
     if not math.isfinite(h):
         raise ValueError("h must be finite")
     s_true, beta, r = geom.s_axis() - geom.px_to_s(h), geom.beta_axis(), float(geom.source_radius)
-    centers, radii, _ = phantom.component_arrays()
-    cosb, sinb = np.cos(beta)[:, None], np.sin(beta)[:, None]
-    a, b = r - (centers[:, 0] * cosb + centers[:, 1] * sinb), centers[:, 0] * sinb - centers[:, 1] * cosb
+    centers, radii, densities = phantom.component_arrays()
+    a, b = _offsets(r, beta, *centers.T)
     first, last = _shadow(s_true, r, a, b, radii)
-    values = np.empty(geom.shape, dtype=float)
+    ray, values = _rays(r, s_true), np.zeros(geom.shape)
     step = max(1, _BLOCK_POINTS // geom.n_s)
     for j in range(0, geom.n_beta, step):
         rows = slice(j, j + step)  # each disk on the columns of its shadow in any of these views
-        wheres = [(..., slice(*cols)) for cols in zip(first[rows].min(axis=0), last[rows].max(axis=0))]
-        values[rows] = _fan_sum(phantom, r, s_true[None, :], beta[rows, None], wheres)
+        for k, cols in enumerate(itertools.starmap(slice, zip(first[rows].min(axis=0), last[rows].max(axis=0)))):
+            chord = _chord((a[rows, k, None], b[rows, k, None]), [d[cols] for d in ray], radii[k])
+            values[rows, cols] += densities[k] * chord
     if instability is not None and instability.alpha > 0.0:
         values = values + instability.evaluate(geom.s_axis()[None, :], beta[:, None], geom.s_max)
     return Sinogram(geom, values)
 
 
-def _cylinder_chords(cylinder, source, direction):
-    """Chord that each line (source on the plane y = 0, unit direction) cuts from
-    the y-axis cylinder: the lateral roots clipped to the slab |t| <= half_height / |dy|
+def _cylinder_chords(cylinder, r, ray):
+    """Chord that each line (source (r, 0, 0), unit direction ray) cuts from the
+    y-axis cylinder: the lateral roots clipped to the slab |t| <= half_height / |dy|
     (unbounded at dy = 0); a missed or tangent line has root 0, so no chord."""
     radius, half_height, _ = cylinder
-    (ax, _, az), (dx, dy, dz) = source, direction
-    qa = dx * dx + dz * dz  # (u**2 + r**2) / |ray|**2: positive for r > 0
-    qb = 2.0 * (ax * dx + az * dz)
-    qc = ax * ax + az * az - radius * radius
+    dx, dy, dz = ray
+    qa = dx * dx + dz * dz  # r**2 + u**2 over the squared ray length: positive for r > 0
+    qb = 2.0 * r * dx
+    qc = r * r - radius * radius
     root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
     with np.errstate(divide="ignore"):
         slab = half_height / np.abs(dy)
@@ -266,20 +274,14 @@ def _cylinder_chords(cylinder, source, direction):
     return np.maximum(hi - lo, 0.0)
 
 
-def _cone_sum(phantom, r, u, v, beta, wheres=None):
-    """cone_line_integral as an array, sphere k read on window wheres[k]."""
-    u, v, beta = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (u, v, beta)))
-    cosb, sinb = np.cos(beta), np.sin(beta)
-    ax, ay, az = r * cosb, np.zeros_like(cosb), r * sinb
-    dx, dy, dz = u * sinb - ax, v - ay, -u * cosb - az
-    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    source, direction = (ax, ay, az), (dx / norm, dy / norm, dz / norm)
-    out = np.zeros(u.shape, dtype=float)
+def _cone_terms(phantom, r, u, v, beta):
+    """Rays through (u, v); the spheres' (a, b, y, radius, density) per view beta; the cylinder's image."""
+    ray = _rays(r, v, u)
+    x, y, z, radii, densities = np.array([(*c, *rd) for c, *rd in phantom.spheres], dtype=float).reshape(-1, 5).T
+    image = np.zeros(np.broadcast_shapes(u.shape, v.shape))
     if phantom.cylinder is not None:
-        out += phantom.cylinder[2] * _cylinder_chords(phantom.cylinder, source, direction)
-    for ball, where in zip(phantom.spheres, wheres or itertools.repeat(...)):
-        _chord(out, source, direction, *ball, where)
-    return out
+        image += phantom.cylinder[2] * _cylinder_chords(phantom.cylinder, r, ray)
+    return ray, (*_offsets(r, beta, x, z), y, radii, densities), image
 
 
 def cone_line_integral(phantom, source_radius, u, v, beta):
@@ -290,7 +292,12 @@ def cone_line_integral(phantom, source_radius, u, v, beta):
     Every feature at every point: the reference cone_project equals bit for bit.
     Any finite source_radius > 0, inside the phantom too; else ValueError.
     """
-    out = _cone_sum(phantom, positive_finite("source_radius", float(source_radius)), u, v, beta)
+    r = positive_finite("source_radius", float(source_radius))
+    u, v, beta = (np.asarray(c, dtype=float) for c in (u, v, beta))
+    ray, (a, b, y, radii, densities), cylinder = _cone_terms(phantom, r, u, v, beta)
+    out = cylinder + np.zeros(beta.shape)
+    for k, (radius, density) in enumerate(zip(radii, densities)):
+        out += density * _chord((a[..., k], y[k], b[..., k]), ray, radius)
     return float(out) if out.ndim == 0 else out
 
 
@@ -301,7 +308,8 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
     rotation) are applied in the geometry: the value recorded at (u_i, v_k)
     is the line integral through the true detector point
     R_eta @ (u_i - h, v_k).  Instability, if given, is added per (u, beta),
-    constant in v.  Each sphere is read on its shadow's rows and columns only.
+    constant in v.  The cylinder's view is computed once and copied into
+    every view; each sphere is read on its shadow's rows and columns only.
     """
     if not -math.pi / 2 < eta < math.pi / 2:
         raise ValueError("eta must lie in (-pi/2, pi/2)")
@@ -313,15 +321,14 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
     # true detector coordinates seen by recorded pixel (u_i, v_k)
     ut = u[None, :] * cose - v[:, None] * sine
     vt = u[None, :] * sine + v[:, None] * cose
-    x, y, z, radii = np.array([(*c, rad) for c, rad, _ in phantom.spheres], dtype=float).reshape(-1, 4).T
-    cosb, sinb = np.cos(beta)[:, None], np.sin(beta)[:, None]
-    a, b = r - (x * cosb + z * sinb), x * sinb - z * cosb
+    ray, (a, b, y, radii, densities), cylinder = _cone_terms(phantom, r, ut, vt, beta)
     # recorded u, v run along cose*e_u + sine*e_v, cose*e_v - sine*e_u
     bu, bv = b * cose + y * sine, y * cose - b * sine
     rows, cols = np.stack(_shadow(v, r, a, bv, radii, bu), axis=-1), np.stack(_shadow(u, r, a, bu, radii, bv), axis=-1)
-    values = np.empty((geom.n_beta, geom.n_v, geom.n_u), dtype=float)
-    for j, angle in enumerate(beta):  # view by view to bound memory
-        values[j] = _cone_sum(phantom, r, ut, vt, angle, [(slice(*k), slice(*i)) for k, i in zip(rows[j], cols[j])])
+    values = np.repeat(cylinder[None], geom.n_beta, axis=0)
+    for j, k in itertools.product(range(geom.n_beta), range(len(radii))):
+        window = (slice(*rows[j, k]), slice(*cols[j, k]))
+        values[(j, *window)] += densities[k] * _chord((a[j, k], y[k], b[j, k]), [d[window] for d in ray], radii[k])
     if instability is not None and instability.alpha > 0.0:
         bump = instability.evaluate(geom.u_axis()[None, :], beta[:, None], geom.u_max)
         values = values + bump[:, None, :]

@@ -578,8 +578,9 @@ def sweep_stacks():
 def test_sweep_within_gate_in_few_steps(sweep_stacks, monkeypatch, capsys):
     """VP on every sweep stack with both inner solvers (30 runs): the gate
     is |h error| <= 0.15 px and |eta error| <= 0.05 degrees.  Runs outside
-    it that report converged are the small-N mid-plane interpolation bias
-    (N = 64 seeds 2-4, N = 96 seeds 2-3), not the descent."""
+    it that report converged come from VP reading eta off one detector line:
+    the eta error follows the sub-row phase of that line, not the descent (a
+    row on v = 0 or a cubic in v does not remove it)."""
     solves = count_calls(monkeypatch, cone_align, "inner_h")
     within = wrong = 0
     iterations = []

@@ -408,6 +408,41 @@ class TestCliSimulate:
         assert capsys.readouterr() == ("", "error: config key 'report' does not apply to simulate\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    FLAG = "argument --features: invalid nonnegative_int value:"
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["simulate", "--mode", "fan", "--features", "-1"], None, f"{FLAG} '-1'"),
+            (["simulate", "--mode", "cone", "--features", "-1"], None, f"{FLAG} '-1'"),
+            (["sweep", "--features", "-2", "--alphas", "0"], None, f"{FLAG} '-2'"),
+            (["simulate", "--mode", "cone"], "features: -1\n", "bad value for config key 'features': '-1' is negative"),
+            (["sweep", "--alphas", "0"], "features: -2\n", "bad value for config key 'features': '-2' is negative"),
+        ],
+    )
+    def test_negative_feature_count_rejected_and_nothing_written(
+        self, tmp_path, monkeypatch, capsys, argv, config, message
+    ):
+        """The error names the option as it was given, not n_disks or n_spheres."""
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
+        assert main([*argv, "--n", "16", "--out", "f.sino"]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["run.cfg"])
+
+    def test_non_ascii_config_rejected_and_nothing_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_bytes(b"mode: fan\nn: 32\nm\xe4de: fan\n")
+        assert main(["simulate", "--config", "run.cfg"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "error: config file is not ASCII text: 'ascii' codec can't decode byte 0xe4 in position 17:"
+            " ordinal not in range(128)\n",
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
 
 class TestCliAlignFan:
     @pytest.mark.parametrize("method", ["yang", "ly", "2dr", "fp", "fpk"])

@@ -2,6 +2,7 @@
 bit, against the full-grid line integrals; phantom construction invariants,
 and the resampling path."""
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -86,6 +87,98 @@ def full_grid_cone(phantom, geom, h, eta):
     ut = u[None, :] * math.cos(eta) - v[:, None] * math.sin(eta)
     vt = u[None, :] * math.sin(eta) + v[:, None] * math.cos(eta)
     return np.stack([cone_line_integral(phantom, geom.source_radius, ut, vt, b) for b in geom.beta_axis()])
+
+
+# The lab-frame per-ray formulas the projectors used before they moved to the
+# source frame, kept as a test-only reference: every ray is rebuilt from its
+# view angle and every feature is offset from the source in the lab frame.
+def lab_ball(out, source, direction, center, radius, density):
+    m = [p - c for p, c in zip(source, center)]
+    tproj = sum((mi * di for mi, di in zip(m[1:], direction[1:])), m[0] * direction[0])
+    under = radius * radius - (sum((mi * mi for mi in m[1:]), m[0] * m[0]) - tproj * tproj)
+    out += density * (2.0 * np.sqrt(np.maximum(under, 0.0)))
+
+
+def lab_fan(phantom, r, s, beta):
+    s, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float))
+    cosb, sinb = np.cos(beta), np.sin(beta)
+    srcx, srcy = r * cosb, r * sinb
+    dx, dy = s * sinb - srcx, -s * cosb - srcy
+    norm = np.hypot(dx, dy)
+    out = np.zeros(s.shape)
+    for ball in zip(*phantom.component_arrays()):
+        lab_ball(out, (srcx, srcy), (dx / norm, dy / norm), *ball)
+    return out
+
+
+def lab_cylinder(cylinder, source, direction):
+    radius, half_height, _ = cylinder
+    (ax, _, az), (dx, dy, dz) = source, direction
+    qa = dx * dx + dz * dz
+    qb = 2.0 * (ax * dx + az * dz)
+    qc = ax * ax + az * az - radius * radius
+    root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+    with np.errstate(divide="ignore"):
+        slab = half_height / np.abs(dy)
+    lo = np.maximum((-qb - root) / (2.0 * qa), -slab)
+    hi = np.minimum((-qb + root) / (2.0 * qa), slab)
+    return np.maximum(hi - lo, 0.0)
+
+
+def lab_cone(phantom, r, u, v, beta):
+    u, v, beta = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (u, v, beta)))
+    cosb, sinb = np.cos(beta), np.sin(beta)
+    ax, ay, az = r * cosb, np.zeros_like(cosb), r * sinb
+    dx, dy, dz = u * sinb - ax, v - ay, -u * cosb - az
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+    source, direction = (ax, ay, az), (dx / norm, dy / norm, dz / norm)
+    out = np.zeros(u.shape)
+    if phantom.cylinder is not None:
+        out += phantom.cylinder[2] * lab_cylinder(phantom.cylinder, source, direction)
+    for ball in phantom.spheres:
+        lab_ball(out, source, direction, *ball)
+    return out
+
+
+def tangent_columns(r, a, b, y, v, rho):
+    """The detector columns u on row v whose rays pass at distance rho from a
+    ball centre at depth a, offset b along u and height y in the source frame:
+    the roots of |(a, y, b) x (r, v, u)|**2 = rho**2 * (r*r + v*v + u*u), a
+    quadratic in u.  At v = y = 0 it is the fan's (a*u - b*r)**2 =
+    rho**2 * (r*r + u*u), whose rho = R roots _shadow widens."""
+    qa = a * a + y * y - rho * rho
+    qb = -2.0 * b * (y * v + a * r)
+    qc = b * b * (v * v + r * r) + (a * v - y * r) ** 2 - rho * rho * (r * r + v * v)
+    disc = qb * qb - 4.0 * qa * qc
+    return [] if qa <= 0.0 or disc < 0.0 else [(-qb + sign * math.sqrt(disc)) / (2.0 * qa) for sign in (-1.0, 1.0)]
+
+
+def balls_and_cylinder(phantom):
+    """The balls ((x, y, z), R) of a phantom, a disk (x, z) as a ball at y = 0,
+    and its cylinder or None."""
+    if isinstance(phantom, Phantom2D):
+        centers, radii, _ = phantom.component_arrays()
+        return [((x, 0.0, z), radius) for (x, z), radius in zip(centers, radii)], None
+    return [(c, radius) for c, radius, _ in phantom.spheres], phantom.cylinder
+
+
+def near_tangent(phantom, r, u, v, beta, band=0.1):
+    """Whether each ray from the source at (r, beta) through detector point
+    (u, v) passes within band * R of the tangent of some ball of radius R or
+    of the cylinder's wall: there the chord amplifies rounding (TestSourceFrame)."""
+    balls, cylinder = balls_and_cylinder(phantom)
+    u, v, beta = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (u, v, beta)))
+    source = np.stack([r * np.cos(beta), np.zeros_like(beta), r * np.sin(beta)], axis=-1)
+    direction = np.stack([u * np.sin(beta), v, -u * np.cos(beta)], axis=-1) - source
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    near = np.zeros(u.shape, dtype=bool)
+    for center, radius in balls:
+        d = np.linalg.norm(np.cross(np.asarray(center) - source, direction), axis=-1)
+        near |= np.abs(d - radius) < band * radius
+    if cylinder is not None:  # the wall's distance from the axis against that of the line's x-z shadow
+        (sx, _, sz), (dx, _, dz) = np.moveaxis(source, -1, 0), np.moveaxis(direction, -1, 0)
+        near |= np.abs(np.abs(sx * dz - sz * dx) / np.hypot(dx, dz) - cylinder[0]) < band * cylinder[0]
+    return near
 
 
 class TestFanLineIntegral:
@@ -469,6 +562,108 @@ class TestConeProject:
         plain = cone_project(ph3, geom3, h=0.0, eta=0.0)
         tilted = cone_project(ph3, geom3, h=0.0, eta=math.radians(5.0))
         assert not np.allclose(plain.values, tilted.values, atol=1e-3)
+
+
+class TestSourceFrame:
+    """The source-frame projectors and line integrals against the lab-frame
+    reference.  Both frames round R**2 - d**2 to a few ulps of |source -
+    centre|**2 <= (r + 1)**2, and the chord 2*sqrt(R**2 - d**2) turns that
+    into an error of about eps * (r + 1)**2 / sqrt(R**2 - d**2).  Away from the
+    tangents the two agree within 1e-12; on rays just inside a tangent they part
+    by that bound instead (up to 1e-10 at r = 10)."""
+
+    @pytest.mark.parametrize("source_radius", [0.5, 2.0])
+    def test_fan_line_integral_on_random_rays(self, source_radius):
+        rng = np.random.default_rng(7)
+        s, beta = rng.uniform(-1.5, 1.5, 4000), rng.uniform(0.0, 2.0 * math.pi, 4000)
+        for ph in (EDGE_PHANTOM_2D, make_disk_phantom(1)):
+            keep = ~near_tangent(ph, source_radius, s, 0.0, beta)
+            got = fan_line_integral(ph, source_radius, s[keep], beta[keep])
+            np.testing.assert_allclose(got, lab_fan(ph, source_radius, s[keep], beta[keep]), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("source_radius", [0.5, 2.0])
+    def test_cone_line_integral_on_random_rays(self, source_radius):
+        rng = np.random.default_rng(8)
+        u, v, beta = rng.uniform(-1.5, 1.5, 4000), rng.uniform(-1.2, 1.2, 4000), rng.uniform(0.0, 2.0 * math.pi, 4000)
+        for ph in (EDGE_PHANTOM_3D, make_sphere_phantom(1)):
+            keep = ~near_tangent(ph, source_radius, u, v, beta)
+            got = cone_line_integral(ph, source_radius, u[keep], v[keep], beta[keep])
+            want = lab_cone(ph, source_radius, u[keep], v[keep], beta[keep])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("eta", [math.radians(5.0), math.radians(-30.0)])
+    def test_tilted_cone_project(self, eta):
+        """A rotated detector: every recorded pixel away from a tangent."""
+        ph, geom, h = make_sphere_phantom(4, n_spheres=12), cone_geometry(24), 3.5
+        u, v = geom.u_axis() - geom.px_to_u(h), geom.v_axis()
+        ut = u[None, :] * math.cos(eta) - v[:, None] * math.sin(eta)
+        vt = u[None, :] * math.sin(eta) + v[:, None] * math.cos(eta)
+        beta = geom.beta_axis()[:, None, None]
+        keep = ~near_tangent(ph, geom.source_radius, ut, vt, beta)
+        got = cone_project(ph, geom, h=h, eta=eta).values
+        want = lab_cone(ph, geom.source_radius, ut, vt, beta)
+        assert keep.mean() > 0.5
+        np.testing.assert_allclose(got[keep], want[keep], rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def near_tangent_rays(phantom, r, rows):
+        """(u, v, beta, half chord) of rays at distance R * (1 -+ 1e-3) from
+        each ball's centre or from the cylinder's axis, in 13 views.  Ball rays
+        lie on the given rows, as fractions of the row r * y / a of the centre
+        at depth a and height y; cylinder rays on the rows 0 and 0.2."""
+        balls, cylinder = balls_and_cylinder(phantom)
+        rays = []
+        for beta, depth in itertools.product(np.linspace(0.1, 6.1, 13), (1e-3, -1e-3)):
+            for (x, y, z), radius in balls:
+                a, b = r - (x * math.cos(beta) + z * math.sin(beta)), x * math.sin(beta) - z * math.cos(beta)
+                rho = radius * (1.0 - depth)
+                half = math.sqrt(max(radius * radius - rho * rho, 0.0))
+                for v in (row * r * y / a for row in rows):
+                    rays += [(u, v, beta, half) for u in tangent_columns(r, a, b, y, v, rho)]
+            if cylinder is not None and r > cylinder[0]:  # r * |u| / hypot(r, u) = rho
+                rho = cylinder[0] * (1.0 - depth)
+                half, u = math.sqrt(max(cylinder[0] ** 2 - rho * rho, 0.0)), rho * r / math.sqrt(r * r - rho * rho)
+                rays += [(sign * u, v, beta, half) for sign, v in itertools.product((-1.0, 1.0), (0.0, 0.2))]
+        return np.array(rays).T
+
+    @pytest.mark.parametrize("source_radius", [0.5, 2.0])
+    def test_near_tangent_rays(self, source_radius):
+        """Just outside a tangent both frames read no chord of that ball, and
+        agree within 1e-12; just inside, within the rounding bound."""
+        r = source_radius
+        for ph, rows in ((EDGE_PHANTOM_2D, [0.0]), (EDGE_PHANTOM_3D, [0.0, 0.5, 1.0, 1.5])):
+            u, v, beta, half = self.near_tangent_rays(ph, r, rows)
+            if isinstance(ph, Phantom2D):
+                got, want = fan_line_integral(ph, r, u, beta), lab_fan(ph, r, u, beta)
+            else:
+                got, want = cone_line_integral(ph, r, u, v, beta), lab_cone(ph, r, u, v, beta)
+            outside = half == 0.0
+            assert outside.sum() >= 50 and (~outside).sum() >= 50
+            np.testing.assert_allclose(got[outside], want[outside], rtol=0.0, atol=1e-12)
+            bound = 1e-12 + 8.0 * np.finfo(float).eps * (r + 1.0) ** 2 / half[~outside]
+            assert np.all(np.abs(got - want)[~outside] <= bound)
+
+    @pytest.mark.parametrize("h, eta", [(0.0, 0.0), (2.5, math.radians(-30.0))])
+    def test_cylinder_view_is_the_same_in_every_view(self, h, eta):
+        stack = cone_project(Phantom3D(spheres=(), cylinder=CYLINDER), cone_geometry(17), h=h, eta=eta).values
+        assert stack[0].max() > 1.0
+        assert all(view.tobytes() == stack[0].tobytes() for view in stack)
+
+    @pytest.mark.parametrize("seed, h", [(1, 0.0), (2, 3.5), (3, -6.0)])
+    def test_fan_is_the_mid_plane_row_of_cone(self, seed, h):
+        """Disks (x, z) as spheres at y = 0 and the background as a cylinder:
+        the v = 0 row of the cone stack (odd row count) is the fan sinogram."""
+        disks = make_disk_phantom(seed)
+        _, background_radius, density = disks.background
+        spheres = Phantom3D(
+            spheres=tuple(((x, 0.0, z), radius, d) for (x, z), radius, d in disks.disks),
+            cylinder=(background_radius, 0.55, density),
+        )
+        geom = cone_geometry(33)
+        mid = geom.n_v // 2
+        assert geom.v_axis()[mid] == 0.0
+        fan = fan_project(disks, geom.central_fan(), h=h).values
+        np.testing.assert_allclose(cone_project(spheres, geom, h=h).values[:, mid, :], fan, rtol=0.0, atol=1e-12)
 
 
 def per_view_resample_shift_rotate(stack, h, eta, rotate_first=False):
