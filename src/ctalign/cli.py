@@ -94,7 +94,7 @@ def _emit_report(pairs, report_path):
     text = format_lines(pairs)
     sys.stdout.write(text)
     if report_path is not None:
-        Path(report_path).write_text(text, encoding="ascii")
+        Path(report_path).write_text(text, encoding="utf-8")
 
 
 def cmd_simulate(options):

@@ -35,28 +35,26 @@ ETA_BOUND = math.radians(45.0)  # far beyond any physical detector mounting erro
 
 INNER_METHODS = ("2dr", "fp_k")
 
+DELTA_ETA = 0.001  # finite-difference step in eta (radians)
+GAMMA0 = 1.0  # fallback step per unit gradient where the curvature is not positive
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking
 MAX_BACKTRACK = 30  # step halvings before a line search gives up
 
 
 @dataclass(frozen=True)
 class VPConfig:
-    """Variable-projection knobs.
+    """Variable-projection settings.
 
     inner_method selects the shift solver on the tilted fan pair; eta0 is
-    the starting angle (radians); delta_eta the finite-difference step;
-    gamma0 the fallback step length per unit gradient, taken instead of the
-    Newton step where the curvature is not positive or the stencil is
-    one-sided; armijo_c the sufficient-decrease constant of the
-    backtracking, which halves the step on each rejection; max_outer caps
-    the steps; tol_eta is the Newton step (radians) below which the descent
-    stops as converged.  inner carries the fan-solver configuration.
+    the starting angle (radians); max_outer caps the steps; tol_eta is the
+    Newton step (radians) below which the descent stops as converged.
+    inner carries the fan-solver configuration.  The stencil step, the
+    fallback step and the Armijo constant are the module constants
+    DELTA_ETA, GAMMA0 and ARMIJO_C.
     """
 
     inner_method: str = "2dr"
     eta0: float = 0.0
-    delta_eta: float = 0.001
-    gamma0: float = 1.0
-    armijo_c: float = 1e-4
     max_outer: int = 20
     tol_eta: float = 1e-4
     inner: FanAlignConfig = field(default_factory=FanAlignConfig)
@@ -64,10 +62,6 @@ class VPConfig:
     def __post_init__(self):
         if self.inner_method not in INNER_METHODS:
             raise ValueError(f"inner_method must be one of {INNER_METHODS}")
-        positive_finite("delta_eta", self.delta_eta)
-        positive_finite("gamma0", self.gamma0)
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         positive_finite("tol_eta", self.tol_eta)
@@ -120,29 +114,24 @@ def _solve(stack, eta, cfg):
     return h, loss_L(stack, h, eta, lam), lam
 
 
-def _stencil(stack, h, eta, l0, cfg):
-    """(gradient, curvature) from l0 = L(h, eta) and loss_L(stack, h, eta -+ d)."""
-    d = cfg.delta_eta
-    if eta + d > ETA_BOUND:
-        return (l0 - loss_L(stack, h, eta - d)) / d, math.nan
-    if eta - d < -ETA_BOUND:
-        return (loss_L(stack, h, eta + d) - l0) / d, math.nan
-    lo, hi = loss_L(stack, h, eta - d), loss_L(stack, h, eta + d)
-    return (hi - lo) / (2.0 * d), (hi - 2.0 * l0 + lo) / (d * d)
+def _stencil(stack, h, eta, l0):
+    """(gradient, curvature) from l0 = L(h, eta) and loss_L(stack, h, eta -+ DELTA_ETA)."""
+    lo, hi = loss_L(stack, h, eta - DELTA_ETA), loss_L(stack, h, eta + DELTA_ETA)
+    return (hi - lo) / (2.0 * DELTA_ETA), (hi - 2.0 * l0 + lo) / (DELTA_ETA * DELTA_ETA)
 
 
 def reduced_gradient(stack, eta, cfg=VPConfig()):
     """(gradient, curvature) in eta of the reduced loss L(h(eta), eta).
 
     Both come from the same three losses L-, L0, L+ at eta - d, eta, eta + d
-    (d = cfg.delta_eta), pivoted at the centre's h = h(eta): the partial
+    (d = DELTA_ETA), pivoted at the centre's h = h(eta): the partial
     derivatives at the inner optimum, which are the reduced ones (the
     envelope result), so h is solved at eta only.  g = (L+ - L-)/2d and
-    c = (L+ - 2 L0 + L-)/d^2; within one step of the search-domain edge the
-    stencil is one-sided, g = (L0 - L-)/d or (L+ - L0)/d, and c is nan.
+    c = (L+ - 2 L0 + L-)/d^2, also at the search-domain edge, where the
+    stencil reads just past it.
     """
     h, l0, _ = _solve(stack, eta, cfg)
-    return _stencil(stack, h, eta, l0, cfg)
+    return _stencil(stack, h, eta, l0)
 
 
 def variable_projection(stack, cfg=VPConfig()):
@@ -151,11 +140,12 @@ def variable_projection(stack, cfg=VPConfig()):
     The loop carries its accepted point (h, eta, loss, lam).  The inner
     shift is solved at eta0 and at each new trial angle, and held at the
     centre's value across the stencil, which is read once per accepted
-    angle.  Each outer iteration takes the Newton step g/c, or gamma0 times
-    g where c is not positive or the stencil is one-sided; the step is
-    halved until the Armijo sufficient-decrease test passes.  A trial that
-    the domain clamp puts on the angle in hand (the carried point's or the
-    last rejected trial's) reuses that solve.  Descent stops as converged,
+    angle.  Each outer iteration takes the Newton step g/c, or GAMMA0 times
+    g where c is not positive; the step is halved until the Armijo
+    sufficient-decrease test (constant ARMIJO_C) passes.  Trials are
+    clamped to [-ETA_BOUND, ETA_BOUND]; one that the clamp puts on the
+    angle in hand (the carried point's or the last rejected trial's) reuses
+    that solve.  Descent stops as converged,
     with no new point, once c > 0 and the Newton step is below tol_eta.
     The iteration cap and backtracking exhaustion return the last accepted
     point, flagged non-converged.
@@ -170,8 +160,8 @@ def variable_projection(stack, cfg=VPConfig()):
     moved = True
     for k in range(1, cfg.max_outer + 1):
         if moved:
-            grad, curv = _stencil(stack, h, eta, current, cfg)
-        step = grad / curv if curv > 0.0 else cfg.gamma0 * grad
+            grad, curv = _stencil(stack, h, eta, current)
+        step = grad / curv if curv > 0.0 else GAMMA0 * grad
         if curv > 0.0 and abs(step) < cfg.tol_eta:
             converged = True
             break
@@ -180,7 +170,7 @@ def variable_projection(stack, cfg=VPConfig()):
             eta_new = min(max(eta - step, -ETA_BOUND), ETA_BOUND)
             if eta_new != at:
                 at, trial = eta_new, _solve(stack, eta_new, cfg)
-            if trial[1] <= current - cfg.armijo_c * step * grad:
+            if trial[1] <= current - ARMIJO_C * step * grad:
                 break
             step *= 0.5
         else:

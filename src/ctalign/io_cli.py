@@ -107,8 +107,8 @@ def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
     sidecar=False puts header and payload in one file separated by a blank
     line; sidecar=True writes the header to `path` and the raw payload to
     `path + '.raw'`, recording the payload file name in the header.  A
-    pixel_size_mm that is not positive and finite is a ValueError, raised
-    before anything is written.
+    pixel_size_mm that is not positive and finite, or a sidecar payload name
+    that is not ASCII, is a ValueError, raised before anything is written.
     """
     path = Path(path)
     pairs = [("format_version", FORMAT_VERSION), ("kind", _kind(obj)), *geometry_fields(obj.geometry)]
@@ -117,6 +117,8 @@ def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
     pairs += [("value_dtype", "float32"), ("byte_order", "little-endian"), ("layout", "row-major view-outermost")]
     payload_name = path.name + ".raw"
     if sidecar:
+        if not payload_name.isascii():
+            raise ValueError(f"sidecar payload name {payload_name!r} is not ASCII")
         pairs.append(("payload", payload_name))
     header = format_lines(pairs).encode("ascii")
     payload = np.ascontiguousarray(obj.values, dtype="<f4").tobytes()
@@ -167,7 +169,8 @@ def read_sinogram(path, with_header=False):
 
     Raises HeaderFormatError / UnknownDtypeError / ShapeMismatchError /
     PayloadValueError for the distinct failure modes; the round trip with
-    write_sinogram is byte-exact.
+    write_sinogram is byte-exact.  A `payload` key must name a file next to
+    the header: a bare file name, not a path.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -185,7 +188,10 @@ def read_sinogram(path, with_header=False):
     if entries.get("byte_order", "") != "little-endian":
         raise HeaderFormatError(f"unsupported byte_order {entries.get('byte_order')!r}")
     if "payload" in entries:
-        payload_path = path.parent / entries["payload"]
+        name = entries["payload"]
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise HeaderFormatError(f"payload must be a file name next to the header, got {name!r}")
+        payload_path = path.parent / name
         try:
             payload = payload_path.read_bytes()
         except OSError as exc:
@@ -263,15 +269,6 @@ def parse_angle(text):
     raise ConfigError(f"angle {text!r} needs a 'deg' or 'rad' suffix")
 
 
-def parse_bool(text):
-    value = str(text).strip().lower()
-    if value in ("true", "yes", "1", "on"):
-        return True
-    if value in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
-
-
 def _choice(spellings):
     """Parser of one of the keys of spellings, to the value it spells."""
 
@@ -281,6 +278,9 @@ def _choice(spellings):
         return spellings[text]
 
     return parse_choice
+
+
+parse_bool = _choice({"true": True, "false": False})
 
 
 def _method(tags):
@@ -323,9 +323,6 @@ RUN_OPTIONS = {
     "method": Option(_method(FAN_METHODS), ("align-fan",), "estimator: yang, ly, 2dr, fp or fpk (default 2dr)"),
     "inner_method": Option(_method(INNER_METHODS), ("align-cone",), "inner shift solver: 2dr or fpk"),
     "eta0": Option(parse_angle, ("align-cone",), "starting angle with unit suffix"),
-    "delta_eta": Option(parse_angle, ("align-cone",), "finite-difference step in eta with unit suffix"),
-    "gamma0": Option(float, ("align-cone",), "fallback step per unit gradient where the Newton step is unavailable"),
-    "armijo_c": Option(float, ("align-cone",), "Armijo sufficient-decrease constant"),
     "max_outer": Option(int, ("align-cone",), "outer iteration cap"),
     "tol_eta": Option(parse_angle, ("align-cone",), "Newton step in eta below which VP stops, with unit suffix"),
     "K": Option(int, _ALIGN, "FP_K start count"),

@@ -307,9 +307,11 @@ def fake_reduced_loss(monkeypatch, loss, lam=None):
     return probed
 
 
-def solves_and_reads(monkeypatch, stack, loss, **kwargs):
-    """VP on the reduced loss loss(eta) of fake_reduced_loss: the result, the
-    eta of each inner solve and the (h, eta) of each loss_L, in call order."""
+def solves_and_reads(monkeypatch, stack, loss, gamma0=cone_align.GAMMA0, **kwargs):
+    """VP on the reduced loss loss(eta) of fake_reduced_loss, with GAMMA0 set
+    to gamma0: the result, the eta of each inner solve and the (h, eta) of
+    each loss_L, in call order."""
+    monkeypatch.setattr(cone_align, "GAMMA0", gamma0)
     fake_reduced_loss(monkeypatch, loss, lambda_eta(stack, 0.0, 0.0))
     solves = count_calls(monkeypatch, cone_align, "inner_h")
     reads = count_calls(monkeypatch, cone_align, "loss_L")
@@ -331,12 +333,13 @@ class TestReducedGradient:
         assert at_truth < abs(gradient(ref_stack, ETA_TRUE - 0.01))
         assert at_truth < abs(gradient(ref_stack, ETA_TRUE + 0.01))
 
-    def test_step_halving_consistency(self, ref_stack):
+    def test_step_halving_consistency(self, ref_stack, monkeypatch):
         """Near the minimum the finite-difference estimate is already
         converged: halving the step changes it by under 10 percent."""
         at = ETA_TRUE + 0.01
         coarse = gradient(ref_stack, at)
-        fine = gradient(ref_stack, at, VPConfig(delta_eta=0.0005))
+        monkeypatch.setattr(cone_align, "DELTA_ETA", 0.0005)
+        fine = gradient(ref_stack, at)
         assert abs(fine - coarse) <= 0.10 * abs(coarse)
 
     def test_curvature_positive_at_truth(self, ref_stack):
@@ -347,7 +350,7 @@ class TestReducedGradient:
     def test_stencil_is_the_pivoted_loss_at_the_centre_solve(self, ref_stack, monkeypatch, eta):
         """The envelope result: h is solved once, at eta, and the stencil is
         loss_L at that h, bit for bit."""
-        d = VPConfig().delta_eta
+        d = cone_align.DELTA_ETA
         h = inner_h(ref_stack, eta)
         lo, l0, hi = (loss_L(ref_stack, h, eta + k * d) for k in (-1, 0, 1))
         solves = count_calls(monkeypatch, cone_align, "inner_h")
@@ -355,21 +358,25 @@ class TestReducedGradient:
         assert [args[1] for args in solves] == [eta]
         assert (g, c) == ((hi - lo) / (2.0 * d), (hi - 2.0 * l0 + lo) / (d * d))
 
-    @pytest.mark.parametrize("eta, probes", [(0.1, 3), (cone_align.ETA_BOUND, 2), (-cone_align.ETA_BOUND, 2)])
-    def test_one_stencil_of_the_same_three_losses(self, monkeypatch, eta, probes):
+    @pytest.mark.parametrize("eta", [0.1, cone_align.ETA_BOUND, -cone_align.ETA_BOUND])
+    def test_one_stencil_of_the_same_three_losses(self, monkeypatch, eta):
         """g and c come from the same three losses, each read once: the
-        centre and two central probes, or the centre and one one-sided
-        probe at the domain edge, where c is nan."""
+        centre and two central probes, also at the domain edge."""
         calls = fake_reduced_loss(monkeypatch, lambda e: 3.0 * e * e)
-        d = VPConfig().delta_eta
         g, c = reduced_gradient(None, eta)
-        assert len(calls) == probes
-        if probes == 3:
-            assert g == pytest.approx(6.0 * eta, rel=1e-9)
-            assert c == pytest.approx(6.0, rel=1e-6)
-        else:
-            assert math.isnan(c)
-            assert g == pytest.approx(6.0 * eta - math.copysign(3.0 * d, eta), rel=1e-9)
+        assert len(calls) == 3
+        assert g == pytest.approx(6.0 * eta, rel=1e-9)
+        assert c == pytest.approx(6.0, rel=1e-6)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_domain_edge_stencil_reads_past_the_edge(self, small_stack, monkeypatch, sign):
+        """At +-ETA_BOUND the stencil is central: loss_L is read at the
+        centre and one DELTA_ETA to either side, and the curvature is finite."""
+        bound, d = sign * cone_align.ETA_BOUND, cone_align.DELTA_ETA
+        reads = count_calls(monkeypatch, cone_align, "loss_L")
+        _, c = reduced_gradient(small_stack, bound)
+        assert [args[2] for args in reads] == [bound, bound - d, bound + d]
+        assert math.isfinite(c)
 
 
 def grid_oracle(stack, h_grid, e_grid):
@@ -431,7 +438,7 @@ class TestVariableProjection:
         monkeypatch.setattr(cone_align, "inner_h", solve)
         reads = count_calls(monkeypatch, cone_align, "lambda_eta")
         result = variable_projection(ref_stack, VPConfig())
-        d = VPConfig().delta_eta
+        d = cone_align.DELTA_ETA
         assert 0.0 not in solved.values()  # so h == 0 marks the h-free reads
         assert [args[2] for args in reads if args[1] == 0.0] == list(solved)
         pivoted = [(args[1], args[2]) for args in reads if args[1] != 0.0]
@@ -484,14 +491,15 @@ class TestVariableProjection:
 
 class TestNewtonStep:
     """The outer step on synthetic reduced losses: the Newton step g/c where
-    the central stencil is convex, gamma0 times g elsewhere, Armijo
-    backtracking on both, and a stop only on a short Newton step."""
+    the stencil is convex, GAMMA0 times g elsewhere, Armijo backtracking on
+    both, and a stop only on a short Newton step."""
 
     @pytest.fixture
     def run(self, monkeypatch, small_stack):
         lam = lambda_eta(small_stack, 0.0, 0.0)
 
-        def run(loss, **kwargs):
+        def run(loss, gamma0=cone_align.GAMMA0, **kwargs):
+            monkeypatch.setattr(cone_align, "GAMMA0", gamma0)
             probed = fake_reduced_loss(monkeypatch, loss, lam)
             return variable_projection(small_stack, VPConfig(**kwargs)), probed
 
@@ -506,7 +514,7 @@ class TestNewtonStep:
         assert len(probed) == 6  # start and its stencil, vertex and its stencil
 
     def test_concave_stencil_takes_gamma0_step_and_backtracks(self, run):
-        eta0, gamma0, d = 0.1, 4.0, VPConfig().delta_eta
+        eta0, gamma0, d = 0.1, 4.0, cone_align.DELTA_ETA
         loss = lambda e: -e * e + 10.0 * e**4
         assert loss(eta0 + d) - 2.0 * loss(eta0) + loss(eta0 - d) < 0.0
         g = (loss(eta0 + d) - loss(eta0 - d)) / (2.0 * d)
@@ -518,14 +526,14 @@ class TestNewtonStep:
         assert result.iterations == 1
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_one_sided_stencil_falls_back_to_gamma0(self, run, sign):
-        bound, gamma0, d = sign * cone_align.ETA_BOUND, 0.1, VPConfig().delta_eta
-        loss = lambda e: (e - sign * 0.5) ** 2
-        result, probed = run(loss, eta0=bound, gamma0=gamma0, max_outer=1)
-        g = sign * (loss(bound) - loss(bound - sign * d)) / d
-        assert probed[:2] == [bound, bound - sign * d]
-        assert probed[2] == pytest.approx(bound - gamma0 * g, abs=1e-15)
-        assert result.eta == probed[2]
+    def test_edge_start_takes_the_newton_step(self, run, sign):
+        """The stencil at the domain edge is central, so a convex loss takes
+        the Newton step from there."""
+        bound, d = sign * cone_align.ETA_BOUND, cone_align.DELTA_ETA
+        result, probed = run(lambda e: (e - sign * 0.5) ** 2, eta0=bound, max_outer=1)
+        assert probed[:3] == [bound, bound - d, bound + d]
+        assert probed[3] == pytest.approx(sign * 0.5, abs=1e-9)
+        assert result.eta == probed[3]
 
     @pytest.mark.parametrize("loss", [lambda e: 1.0, lambda e: -1e-9 * e * e], ids=["flat", "concave"])
     def test_nonpositive_curvature_never_converges(self, run, loss):
@@ -554,14 +562,14 @@ class TestNewtonStep:
 
     def test_capped_run_reads_no_stencil_after_its_last_step(self, small_stack, monkeypatch):
         """An inward descent run to max_outer = 20: the start and 20 trials
-        are solved and read, and 20 stencils are read, the first one-sided
-        at the edge; none at the point the cap returns."""
+        are solved and read, and 20 central stencils are read, the first at
+        the edge; none at the point the cap returns."""
         result, solved, read = solves_and_reads(
             monkeypatch, small_stack, lambda e: e, eta0=cone_align.ETA_BOUND, gamma0=0.01
         )
         assert not result.converged
         assert result.iterations == 20
-        assert (len(solved), len(read)) == (21, 21 + 1 + 2 * 19)
+        assert (len(solved), len(read)) == (21, 21 + 2 * 20)
 
 
 @pytest.fixture(scope="module")
@@ -607,20 +615,11 @@ class TestVPConfigValidation:
         "kwargs",
         [
             {"inner_method": "newton"},
-            {"delta_eta": 0.0},
-            {"delta_eta": math.inf},
-            {"delta_eta": math.nan},
-            {"armijo_c": 0.0},
-            {"armijo_c": 1.0},
             {"max_outer": 0},
             {"tol_eta": 0.0},
             {"tol_eta": math.inf},
             {"tol_eta": math.nan},
             {"eta0": math.radians(60.0)},
-            {"gamma0": 0.0},
-            {"gamma0": -1.0},
-            {"gamma0": math.nan},
-            {"gamma0": math.inf},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
