@@ -14,9 +14,12 @@ cuts a chord 2*sqrt(R**2 - d**2), which neither reversing the ray nor
 mirroring it in y = 0 changes, so rays run along (r, s) and (r, v, u).  A
 cylinder's chord is its lateral root interval clipped to its slab; the
 centred cylinder looks the same from every view, so it is traced once per
-stack.  The line integrals evaluate every feature at every point; the
-projectors read each feature only on its shadow, through the same code, so
+stack.  The line integrals evaluate every feature at every point; both
+projectors evaluate a feature only on its shadow, through the same code, so
 they skip only density * 0.0 terms and equal the line integrals bit for bit.
+fan_project works through blocks of views; cone_project evaluates each sphere
+once per chunk of at most _BLOCK_POINTS points of its shadow windows, whole
+views per chunk.
 """
 
 import itertools
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from .core import ProjectionStack, Sinogram, positive_finite
 from .registration import sample_detector
 
-_BLOCK_POINTS = 1 << 14  # points per block of views in fan_project: bounds its memory
+_BLOCK_POINTS = 1 << 14  # points per fan_project block of views and cone_project chunk: bounds their memory
 _MARGIN, _SLACK = 2, 1e-12  # shadow widening: samples per side; rounding allowance on R**2 per (r + |c - S|)**2
 _MAX_REJECTS = 1000  # rejected draws in a row after which _place gives up
 # seeded phantoms: enclosing disk radius (below 1, so the shifted sinogram support stays
@@ -198,6 +201,12 @@ def _chord(offset, ray, radius):
     return 2.0 * np.sqrt(np.maximum(under, 0.0))
 
 
+def _spans(starts, lengths):
+    """The indices of the runs [start, start + length) laid end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+
+
 def _shadow(axis, r, a, b, radius, off=0.0):
     """(first, last) on the increasing detector axis bounding the lines from
     the source, at distance r, that meet a ball at depth a, offset b along the
@@ -309,7 +318,8 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
     is the line integral through the true detector point
     R_eta @ (u_i - h, v_k).  Instability, if given, is added per (u, beta),
     constant in v.  The cylinder's view is computed once and copied into
-    every view; each sphere is read on its shadow's rows and columns only.
+    every view; each sphere is evaluated only on its shadow's window in each
+    view, in chunks of at most _BLOCK_POINTS points (whole views per chunk).
     """
     if not -math.pi / 2 < eta < math.pi / 2:
         raise ValueError("eta must lie in (-pi/2, pi/2)")
@@ -326,9 +336,19 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
     bu, bv = b * cose + y * sine, y * cose - b * sine
     rows, cols = np.stack(_shadow(v, r, a, bv, radii, bu), axis=-1), np.stack(_shadow(u, r, a, bu, radii, bv), axis=-1)
     values = np.repeat(cylinder[None], geom.n_beta, axis=0)
-    for j, k in itertools.product(range(geom.n_beta), range(len(radii))):
-        window = (slice(*rows[j, k]), slice(*cols[j, k]))
-        values[(j, *window)] += densities[k] * _chord((a[j, k], y[k], b[j, k]), [d[window] for d in ray], radii[k])
+    flat, ray, view_size = values.reshape(-1), [d.reshape(-1) for d in ray], geom.n_v * geom.n_u
+    for k in range(len(radii)):  # sphere k over the union of its windows, in chunks of whole views
+        (top, bottom), (left, right) = rows[:, k].T, cols[:, k].T
+        heights, sizes = bottom - top, (bottom - top) * (right - left)
+        ends, j = np.cumsum(sizes), 0
+        while j < geom.n_beta:  # at most _BLOCK_POINTS points, or one view that holds more
+            stop = max(j + 1, int(np.searchsorted(ends, ends[j] - sizes[j] + _BLOCK_POINTS, "right")))
+            view = np.repeat(np.arange(j, stop), heights[j:stop])  # the view of each window row
+            pixels = _spans(_spans(top[j:stop], heights[j:stop]) * geom.n_u + left[view], right[view] - left[view])
+            points = pixels + np.repeat(np.arange(j, stop) * view_size, sizes[j:stop])
+            offset = (np.repeat(a[j:stop, k], sizes[j:stop]), y[k], np.repeat(b[j:stop, k], sizes[j:stop]))
+            flat[points] += densities[k] * _chord(offset, [d[pixels] for d in ray], radii[k])
+            j = stop
     if instability is not None and instability.alpha > 0.0:
         bump = instability.evaluate(geom.u_axis()[None, :], beta[:, None], geom.u_max)
         values = values + bump[:, None, :]

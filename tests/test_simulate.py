@@ -556,6 +556,34 @@ class TestConeProject:
             got = cone_project(EDGE_PHANTOM_3D, geom, h=h, eta=eta).values
             assert np.array_equal(got, full_grid_cone(EDGE_PHANTOM_3D, geom, h, eta))
 
+    @pytest.mark.parametrize("block_points", [50, 2000])
+    def test_chunks_of_views_join_exactly(self, monkeypatch, block_points):
+        """Chunks of whole views give the full grid: at 50 points nearly every
+        view holds more and is a chunk of its own; at 2000 a chunk spans many
+        views and each sphere's last one is short.  h = -6 pushes the large
+        sphere's shadow off the detector edge in some views."""
+        monkeypatch.setattr(simulate, "_BLOCK_POINTS", block_points)
+        geom, h, eta = cone_geometry(24), -6.0, math.radians(-7.0)
+        got = cone_project(EDGE_PHANTOM_3D, geom, h=h, eta=eta).values
+        assert np.array_equal(got, full_grid_cone(EDGE_PHANTOM_3D, geom, h, eta))
+
+    def test_peak_memory_near_the_output(self):
+        """Chunks of points bound the working memory: a 128^3 stack allocates
+        at most 2.5 times its output, the output and its frozen copy included."""
+        geom = cone_geometry(128)
+        ph = make_sphere_phantom(1)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = cone_project(ph, geom, h=10.0, eta=math.radians(1.0)).values
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes
+
     def test_rotation_mixes_axes(self):
         geom3 = cone_geometry(24)
         ph3 = make_sphere_phantom(2, n_spheres=6)
