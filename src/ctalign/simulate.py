@@ -7,22 +7,21 @@ estimator error free of interpolation error; resample_shift_rotate provides
 the separate resampling path used on measured data.
 
 Rays are traced in the source frame, that of view 0, with the source at
-(r, 0[, 0]): the ray to detector point s or (u, v) runs along (-r, -s) or
-(-r, v, -u), so the rays are built once per grid and each view rotates the
-features by -beta.  A ray at distance d from the center of a ball of radius R
-cuts a chord 2*sqrt(R**2 - d**2), which neither reversing the ray nor
-mirroring it in y = 0 changes, so rays run along (r, s) and (r, v, u).  A
-cylinder's chord is its lateral root interval clipped to its slab; the
-centred cylinder looks the same from every view, so it is traced once per
-stack.  The line integrals evaluate every feature at every point; both
-projectors evaluate a feature only on its shadow, through the same code, so
+(r, 0, 0): the ray to detector point (u, v) runs along (-r, v, -u), so the
+rays are built once per grid and each view rotates the features by -beta.  A
+ray at distance d from the center of a ball of radius R cuts a chord
+2*sqrt(R**2 - d**2), which neither reversing the ray nor mirroring it in
+y = 0 changes, so rays run along (r, v, u).  A cylinder's chord is its
+lateral root interval clipped to its slab; the centred cylinder looks the
+same from every view, so it is traced once per stack.  The fan is the v = 0
+row of the cone: a Phantom2D's background and disks (x, z) are spheres at
+y = 0, on which the cone formulas only add exact zeros.  The line integrals
+evaluate every feature at every point; both projectors run one shadow path
+that evaluates each sphere once per chunk of at most _BLOCK_POINTS points of
+its per-view shadow windows, whole views per chunk, through the same code, so
 they skip only density * 0.0 terms and equal the line integrals bit for bit.
-fan_project works through blocks of views; cone_project evaluates each sphere
-once per chunk of at most _BLOCK_POINTS points of its shadow windows, whole
-views per chunk.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from .core import ProjectionStack, Sinogram, positive_finite
 from .registration import sample_detector
 
-_BLOCK_POINTS = 1 << 14  # points per fan_project block of views and cone_project chunk: bounds their memory
+_BLOCK_POINTS = 1 << 14  # points per chunk of the projectors' one shadow path: bounds their memory
 _MARGIN, _SLACK = 2, 1e-12  # shadow widening: samples per side; rounding allowance on R**2 per (r + |c - S|)**2
 _MAX_REJECTS = 1000  # rejected draws in a row after which _place gives up
 # seeded phantoms: enclosing disk radius (below 1, so the shifted sinogram support stays
@@ -69,14 +68,6 @@ class Phantom2D:
         if self.background is not None:
             yield self.background
         yield from self.disks
-
-    def component_arrays(self):
-        """(centers (m, 2), radii (m,), densities (m,)) over background + disks."""
-        comps = list(self._components())
-        centers = np.array([c for c, _, _ in comps], dtype=float).reshape(-1, 2)
-        radii = np.array([r for _, r, _ in comps], dtype=float)
-        densities = np.array([d for _, _, d in comps], dtype=float)
-        return centers, radii, densities
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,7 @@ def make_sphere_phantom(seed, n_spheres=20):
 
 def _offsets(r, beta, x, z):
     """(a, b), views first and features last: the source minus each centre (x, ., z) in
-    the source frame of view beta, along the source axis and the detector's s or u axis."""
+    the source frame of view beta, along the source axis and the detector's u axis."""
     cosb, sinb = np.cos(beta)[..., None], np.sin(beta)[..., None]
     return r - (x * cosb + z * sinb), x * sinb - z * cosb
 
@@ -219,51 +210,6 @@ def _shadow(axis, r, a, b, radius, off=0.0):
     hi = np.where(den > 0.0, r * (a * b + half) / np.where(den > 0.0, den, 1.0), np.inf)
     first = np.maximum(np.searchsorted(axis, lo) - _MARGIN, 0)
     return first, np.minimum(np.searchsorted(axis, hi, "right") + _MARGIN, len(axis))
-
-
-def fan_line_integral(phantom, source_radius, s, beta):
-    """Exact fan-beam line integral of a Phantom2D at coordinates (s, beta).
-
-    The ray runs from the source r*(cos b, sin b) through the detector point
-    s*(sin b, -cos b); s and beta broadcast.  Every disk is evaluated at every
-    point: the full-grid reference that fan_project equals bit for bit.  Any
-    finite source_radius > 0, inside the phantom too; else ValueError.
-    """
-    r = positive_finite("source_radius", float(source_radius))
-    s, beta = np.asarray(s, dtype=float), np.asarray(beta, dtype=float)
-    centers, radii, densities = phantom.component_arrays()
-    a, b = _offsets(r, beta, *centers.T)
-    ray, out = _rays(r, s), np.zeros(np.broadcast_shapes(s.shape, beta.shape))
-    for k, (radius, density) in enumerate(zip(radii, densities)):
-        out += density * _chord((a[..., k], b[..., k]), ray, radius)
-    return float(out) if out.ndim == 0 else out
-
-
-def fan_project(phantom, geom, h=0.0, instability=None):
-    """Exact misaligned fan-beam sinogram of a Phantom2D.
-
-    h is the detector shift in effective pixels; the value recorded at grid
-    coordinate s_i is the exact line integral through true coordinate
-    s_i - h (shift applied in the geometry, not by resampling).  The beam
-    instability, if given, is added on the recorded grid afterwards.  Each
-    disk is read on its shadow only, in blocks of _BLOCK_POINTS points.
-    """
-    if not math.isfinite(h):
-        raise ValueError("h must be finite")
-    s_true, beta, r = geom.s_axis() - geom.px_to_s(h), geom.beta_axis(), float(geom.source_radius)
-    centers, radii, densities = phantom.component_arrays()
-    a, b = _offsets(r, beta, *centers.T)
-    first, last = _shadow(s_true, r, a, b, radii)
-    ray, values = _rays(r, s_true), np.zeros(geom.shape)
-    step = max(1, _BLOCK_POINTS // geom.n_s)
-    for j in range(0, geom.n_beta, step):
-        rows = slice(j, j + step)  # each disk on the columns of its shadow in any of these views
-        for k, cols in enumerate(itertools.starmap(slice, zip(first[rows].min(axis=0), last[rows].max(axis=0)))):
-            chord = _chord((a[rows, k, None], b[rows, k, None]), [d[cols] for d in ray], radii[k])
-            values[rows, cols] += densities[k] * chord
-    if instability is not None and instability.alpha > 0.0:
-        values = values + instability.evaluate(geom.s_axis()[None, :], beta[:, None], geom.s_max)
-    return Sinogram(geom, values)
 
 
 def _cylinder_chords(cylinder, r, ray):
@@ -310,23 +256,29 @@ def cone_line_integral(phantom, source_radius, u, v, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
-    """Exact misaligned cone-beam projection stack of a Phantom3D.
+def _mid_plane(phantom):
+    """A Phantom2D's background and disks (x, z), in that order, as spheres at y = 0."""
+    return Phantom3D(tuple(((x, 0.0, z), radius, density) for (x, z), radius, density in phantom._components()))
 
-    h (effective pixels, u axis) and eta (radians, in-plane detector
-    rotation) are applied in the geometry: the value recorded at (u_i, v_k)
-    is the line integral through the true detector point
-    R_eta @ (u_i - h, v_k).  Instability, if given, is added per (u, beta),
-    constant in v.  The cylinder's view is computed once and copied into
-    every view; each sphere is evaluated only on its shadow's window in each
-    view, in chunks of at most _BLOCK_POINTS points (whole views per chunk).
+
+def fan_line_integral(phantom, source_radius, s, beta):
+    """Exact fan-beam line integral of a Phantom2D at coordinates (s, beta).
+
+    The ray runs from the source r*(cos b, sin b) through the detector point
+    s*(sin b, -cos b); s and beta broadcast.  It is cone_line_integral of the
+    disks as spheres at y = 0 on the row v = 0, so every disk is evaluated at
+    every point: the full-grid reference that fan_project equals bit for bit.
+    Any finite source_radius > 0, inside the phantom too; else ValueError.
     """
-    if not -math.pi / 2 < eta < math.pi / 2:
-        raise ValueError("eta must lie in (-pi/2, pi/2)")
-    if not math.isfinite(h):
-        raise ValueError("h must be finite")
-    u, v, beta = geom.u_axis() - geom.px_to_u(h), geom.v_axis(), geom.beta_axis()
-    r = float(geom.source_radius)
+    return cone_line_integral(_mid_plane(phantom), source_radius, s, 0.0, beta)
+
+
+def _project(phantom, r, u, v, beta, eta):
+    """The (views, rows, columns) line integrals of a Phantom3D in views beta:
+    recorded pixel (u_i, v_k) reads the line through the true detector point
+    R_eta @ (u_i, v_k).  The cylinder's view is computed once and copied into
+    every view; each sphere is evaluated only on its shadow's window in each
+    view, in chunks of at most _BLOCK_POINTS points (whole views per chunk)."""
     cose, sine = math.cos(eta), math.sin(eta)
     # true detector coordinates seen by recorded pixel (u_i, v_k)
     ut = u[None, :] * cose - v[:, None] * sine
@@ -335,20 +287,57 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
     # recorded u, v run along cose*e_u + sine*e_v, cose*e_v - sine*e_u
     bu, bv = b * cose + y * sine, y * cose - b * sine
     rows, cols = np.stack(_shadow(v, r, a, bv, radii, bu), axis=-1), np.stack(_shadow(u, r, a, bu, radii, bv), axis=-1)
-    values = np.repeat(cylinder[None], geom.n_beta, axis=0)
-    flat, ray, view_size = values.reshape(-1), [d.reshape(-1) for d in ray], geom.n_v * geom.n_u
+    values = np.repeat(cylinder[None], len(beta), axis=0)
+    flat, ray, view_size = values.reshape(-1), [d.reshape(-1) for d in ray], cylinder.size
     for k in range(len(radii)):  # sphere k over the union of its windows, in chunks of whole views
         (top, bottom), (left, right) = rows[:, k].T, cols[:, k].T
         heights, sizes = bottom - top, (bottom - top) * (right - left)
         ends, j = np.cumsum(sizes), 0
-        while j < geom.n_beta:  # at most _BLOCK_POINTS points, or one view that holds more
+        while j < len(beta):  # at most _BLOCK_POINTS points, or one view that holds more
             stop = max(j + 1, int(np.searchsorted(ends, ends[j] - sizes[j] + _BLOCK_POINTS, "right")))
             view = np.repeat(np.arange(j, stop), heights[j:stop])  # the view of each window row
-            pixels = _spans(_spans(top[j:stop], heights[j:stop]) * geom.n_u + left[view], right[view] - left[view])
+            pixels = _spans(_spans(top[j:stop], heights[j:stop]) * len(u) + left[view], right[view] - left[view])
             points = pixels + np.repeat(np.arange(j, stop) * view_size, sizes[j:stop])
             offset = (np.repeat(a[j:stop, k], sizes[j:stop]), y[k], np.repeat(b[j:stop, k], sizes[j:stop]))
             flat[points] += densities[k] * _chord(offset, [d[pixels] for d in ray], radii[k])
             j = stop
+    return values
+
+
+def fan_project(phantom, geom, h=0.0, instability=None):
+    """Exact misaligned fan-beam sinogram of a Phantom2D.
+
+    h is the detector shift in effective pixels; the value recorded at grid
+    coordinate s_i is the exact line integral through true coordinate
+    s_i - h (shift applied in the geometry, not by resampling).  The beam
+    instability, if given, is added on the recorded grid afterwards.  The
+    sinogram is the v = 0 row of the cone projector's shadow path run on the
+    disks as spheres at y = 0, so each disk is read on its shadow only.
+    """
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
+    s_true, beta = geom.s_axis() - geom.px_to_s(h), geom.beta_axis()
+    values = _project(_mid_plane(phantom), float(geom.source_radius), s_true, np.zeros(1), beta, 0.0)[:, 0]
+    if instability is not None and instability.alpha > 0.0:
+        values = values + instability.evaluate(geom.s_axis()[None, :], beta[:, None], geom.s_max)
+    return Sinogram(geom, values)
+
+
+def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
+    """Exact misaligned cone-beam projection stack of a Phantom3D.
+
+    h (effective pixels, u axis) and eta (radians, in-plane detector
+    rotation) are applied in the geometry: the value recorded at (u_i, v_k)
+    is the line integral through the true detector point
+    R_eta @ (u_i - h, v_k).  Instability, if given, is added per (u, beta),
+    constant in v.  Each sphere is read on its shadow only (_project).
+    """
+    if not -math.pi / 2 < eta < math.pi / 2:
+        raise ValueError("eta must lie in (-pi/2, pi/2)")
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
+    u, beta = geom.u_axis() - geom.px_to_u(h), geom.beta_axis()
+    values = _project(phantom, float(geom.source_radius), u, geom.v_axis(), beta, eta)
     if instability is not None and instability.alpha > 0.0:
         bump = instability.evaluate(geom.u_axis()[None, :], beta[:, None], geom.u_max)
         values = values + bump[:, None, :]

@@ -99,6 +99,12 @@ def lab_ball(out, source, direction, center, radius, density):
     out += density * (2.0 * np.sqrt(np.maximum(under, 0.0)))
 
 
+def background_and_disks(phantom):
+    """A Phantom2D's (center, radius, density) features in the order the
+    projectors add them: the background, if any, then the disks."""
+    return ((phantom.background,) if phantom.background is not None else ()) + phantom.disks
+
+
 def lab_fan(phantom, r, s, beta):
     s, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float))
     cosb, sinb = np.cos(beta), np.sin(beta)
@@ -106,7 +112,7 @@ def lab_fan(phantom, r, s, beta):
     dx, dy = s * sinb - srcx, -s * cosb - srcy
     norm = np.hypot(dx, dy)
     out = np.zeros(s.shape)
-    for ball in zip(*phantom.component_arrays()):
+    for ball in background_and_disks(phantom):
         lab_ball(out, (srcx, srcy), (dx / norm, dy / norm), *ball)
     return out
 
@@ -157,8 +163,7 @@ def balls_and_cylinder(phantom):
     """The balls ((x, y, z), R) of a phantom, a disk (x, z) as a ball at y = 0,
     and its cylinder or None."""
     if isinstance(phantom, Phantom2D):
-        centers, radii, _ = phantom.component_arrays()
-        return [((x, 0.0, z), radius) for (x, z), radius in zip(centers, radii)], None
+        return [((x, 0.0, z), radius) for (x, z), radius, _ in background_and_disks(phantom)], None
     return [(c, radius) for c, radius, _ in phantom.spheres], phantom.cylinder
 
 
@@ -204,7 +209,7 @@ class TestFanLineIntegral:
         direction = (det - src) / np.linalg.norm(det - src)
         t = 0.5 + (np.arange(100_000) + 0.5) * 3.0 / 100_000
         pts = src[None, :] + t[:, None] * direction[None, :]
-        centers, radii, densities = ORACLE_PHANTOM_2D.component_arrays()
+        centers, radii, densities = (np.array(column) for column in zip(*background_and_disks(ORACLE_PHANTOM_2D)))
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         total = (d2 <= radii[None, :] ** 2) @ densities
         quad = float(total.sum() * 3.0 / 100_000)
@@ -466,17 +471,26 @@ class TestFanProject:
         geom = FanGeometry(1e5, 75, 0.02, 39)
         assert np.array_equal(fan_project(ph, geom, h=14.8).values, full_grid_fan(ph, geom, 14.8))
 
+    @pytest.mark.parametrize("h", [-2.5, 9.0])
     @pytest.mark.parametrize("source_radius", [0.5, 2.0])
-    def test_blocks_of_views_join_exactly(self, monkeypatch, source_radius):
-        """Blocks of 3 views, the last one short, give the full grid."""
-        monkeypatch.setattr(simulate, "_BLOCK_POINTS", 100)
-        geom = FanGeometry(source_radius, 33, half_width(source_radius), 32)
+    @pytest.mark.parametrize("block_points", [50, 2000])
+    def test_chunks_of_views_join_exactly(self, monkeypatch, block_points, source_radius, h):
+        """Chunks of whole views give the full grid: at 50 points each view of
+        the background (23 to 33 columns) is a chunk of its own and a small
+        disk's chunks hold a few views; at 2000 the background's 96 views fill
+        two chunks, the last one short.  h = 9 pushes the background's shadow
+        past the last column; at r = 0.5 the source lies inside the background."""
+        monkeypatch.setattr(simulate, "_BLOCK_POINTS", block_points)
+        geom = FanGeometry(source_radius, 33, half_width(source_radius), 96)
         ph = make_disk_phantom(4)
-        assert np.array_equal(fan_project(ph, geom, h=-2.5).values, full_grid_fan(ph, geom, -2.5))
+        want = full_grid_fan(ph, geom, h)
+        assert h < 0.0 or np.all(want[:, -1] != 0.0)
+        assert np.array_equal(fan_project(ph, geom, h=h).values, want)
 
     def test_peak_memory_near_the_output(self):
-        """Blocks of views bound the working memory: a 1024^2 projection
-        allocates at most 4 times its output, the output included."""
+        """Chunks of points bound the working memory: a 1024^2 projection
+        allocates at most 2.5 times its output, the output and its frozen copy
+        included."""
         geom = fan_geometry(1024)
         ph = make_disk_phantom(1)
         started = not tracemalloc.is_tracing()
@@ -489,7 +503,7 @@ class TestFanProject:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 4 * out.nbytes
+        assert peak <= 2.5 * out.nbytes
 
 
 def equatorial_slice(ph3):
@@ -679,19 +693,22 @@ class TestSourceFrame:
 
     @pytest.mark.parametrize("seed, h", [(1, 0.0), (2, 3.5), (3, -6.0)])
     def test_fan_is_the_mid_plane_row_of_cone(self, seed, h):
-        """Disks (x, z) as spheres at y = 0 and the background as a cylinder:
-        the v = 0 row of the cone stack (odd row count) is the fan sinogram."""
+        """Disks (x, z) as spheres at y = 0: the v = 0 row of the cone stack
+        (odd row count) is the fan sinogram, bit for bit with the background
+        as a sphere too, and within 1e-12 with it as a cylinder."""
         disks = make_disk_phantom(seed)
-        _, background_radius, density = disks.background
-        spheres = Phantom3D(
-            spheres=tuple(((x, 0.0, z), radius, d) for (x, z), radius, d in disks.disks),
-            cylinder=(background_radius, 0.55, density),
-        )
-        geom = cone_geometry(33)
-        mid = geom.n_v // 2
-        assert geom.v_axis()[mid] == 0.0
-        fan = fan_project(disks, geom.central_fan(), h=h).values
-        np.testing.assert_allclose(cone_project(spheres, geom, h=h).values[:, mid, :], fan, rtol=0.0, atol=1e-12)
+        (cx, cz), background_radius, density = disks.background
+        mid_plane = tuple(((x, 0.0, z), radius, d) for (x, z), radius, d in disks.disks)
+        spheres = Phantom3D(spheres=(((cx, 0.0, cz), background_radius, density), *mid_plane))
+        cylinder = Phantom3D(spheres=mid_plane, cylinder=(background_radius, 0.55, density))
+        for n in (33, 65):
+            geom = cone_geometry(n)
+            mid = geom.n_v // 2
+            assert geom.v_axis()[mid] == 0.0
+            fan = fan_project(disks, geom.central_fan(), h=h).values
+            assert np.array_equal(cone_project(spheres, geom, h=h).values[:, mid, :], fan)
+            got = cone_project(cylinder, geom, h=h).values[:, mid, :]
+            np.testing.assert_allclose(got, fan, rtol=0.0, atol=1e-12)
 
 
 def per_view_resample_shift_rotate(stack, h, eta, rotate_first=False):
