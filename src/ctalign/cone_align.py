@@ -27,7 +27,7 @@ descent carries its accepted point (h, eta, loss, lam); nothing is cached.
 import math
 from dataclasses import dataclass, field
 
-from .core import AlignmentResult, Sinogram, positive_finite
+from .core import AlignmentResult, Sinogram, count_at_least_one, positive_finite
 from .fan_align import FanAlignConfig, fixed_point_shift, reflected_resampling, shift_2dr, symmetry_mse, symmetry_sse
 from .registration import sample_detector
 
@@ -48,7 +48,7 @@ class VPConfig:
     inner_method selects the shift solver on the tilted fan pair; eta0 is
     the starting angle (radians); max_outer caps the steps; tol_eta is the
     Newton step (radians) below which the descent stops as converged.
-    inner carries the fan-solver configuration.  The stencil step, the
+    inner carries K and max_iter of the fp_k solver.  The stencil step, the
     fallback step and the Armijo constant are the module constants
     DELTA_ETA, GAMMA0 and ARMIJO_C.
     """
@@ -62,8 +62,7 @@ class VPConfig:
     def __post_init__(self):
         if self.inner_method not in INNER_METHODS:
             raise ValueError(f"inner_method must be one of {INNER_METHODS}")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        count_at_least_one("max_outer", self.max_outer)
         positive_finite("tol_eta", self.tol_eta)
         if not -ETA_BOUND <= self.eta0 <= ETA_BOUND:
             raise ValueError("eta0 outside the search domain")
@@ -103,7 +102,7 @@ def inner_h(stack, eta, cfg=VPConfig()):
     fan 2DR or FP_K shift solve on lambda_eta pivoted at 0, free of h."""
     sino = lambda_eta(stack, 0.0, eta)
     if cfg.inner_method == "2dr":
-        return shift_2dr(sino, cfg.inner)
+        return shift_2dr(sino)
     return fixed_point_shift(sino, cfg.inner)[0]
 
 

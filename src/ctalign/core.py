@@ -17,6 +17,7 @@ Coordinate conventions used throughout the package:
 """
 
 import math
+import numbers
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -50,6 +51,13 @@ def positive_finite(name, value):
     """value, which must be positive and finite (else ValueError naming it)."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def count_at_least_one(name, value):
+    """value, which must be an integer of at least 1 (else ValueError naming it)."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1")
     return value
 
 

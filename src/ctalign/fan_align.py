@@ -13,8 +13,10 @@ estimator recovers h as half of a cross-correlation shift:
 * FP_K: median of K fixed-point runs h_{k+1} = h_k + shift/2, each on one
         view, started at views spread uniformly over beta and advanced in
         lockstep: each iteration reflects every active run in one read
-        and correlates them in one batched call (fixed_point_shift).
-* FP:   the one-start case of FP_K, started at the view beta_index.
+        and correlates them in one batched call (fixed_point_shift).  A
+        run converges when its shift is exactly 0: every shift is on the
+        1/20-px grid of the registration kernels' default upsample = 20.
+* FP:   FP_K with K = 1, its one start at view 0.
 
 The symmetry map is written once, in reflect(), and reads a fan Sinogram
 through sample_periodic; cone_align applies it and the 2DR and FP_K shift
@@ -29,9 +31,9 @@ values are in effective detector pixels.
 import math
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import FAN_METHODS, AlignmentResult, positive_finite
+from .core import FAN_METHODS, AlignmentResult, count_at_least_one
 from .registration import (
     AmbiguousShiftError,
     sample_periodic,
@@ -43,33 +45,23 @@ from .registration import (
 
 @dataclass(frozen=True)
 class FanAlignConfig:
-    """Knobs shared by the fan estimators.
+    """Settings of the fan estimators.
 
     method: estimator selected by align_fan (the align_* functions themselves
-    ignore it); K: number of FP starts for FP_K; max_iter/tol_h: FP iteration
-    cap and convergence threshold in pixels; upsample: sub-pixel registration
-    factor; beta_index: starting view of a single FP run.
+    ignore it); K: number of FP_K starts (FP is K = 1); max_iter: cap on the
+    updates of each fixed-point run.  Registration is refined to 1/20 px,
+    the kernels' default upsample, and a run converges at an exactly zero shift.
     """
 
     method: str = "2DR"
     K: int = 10
     max_iter: int = 20
-    tol_h: float = 0.01
-    upsample: int = 20
-    beta_index: int = 0
 
     def __post_init__(self):
         if self.method not in FAN_METHODS:
             raise ValueError(f"method must be one of {FAN_METHODS}")
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        positive_finite("tol_h", self.tol_h)
-        if self.upsample < 1:
-            raise ValueError("upsample must be at least 1")
-        if self.beta_index < 0:
-            raise ValueError("beta_index must be non-negative")
+        count_at_least_one("K", self.K)
+        count_at_least_one("max_iter", self.max_iter)
 
 
 def reflect(sino, h_px, beta=None, against=None):
@@ -130,16 +122,16 @@ def _result(sino, h, method, iterations=0, converged=True):
     )
 
 
-def _reversal_shift(sino, cfg):
+def _reversal_shift(sino):
     """Half the shift of the angular sum profile p against its reversal,
     exact on the symmetric detector grid: reverse(p)[i] = p[n_s - 1 - i]."""
     p = profile_p(sino)
-    return 0.5 * xcorr_shift_1d(p, p[::-1], cfg.upsample)
+    return 0.5 * xcorr_shift_1d(p, p[::-1])
 
 
 def align_yang(sino, cfg=FanAlignConfig()):
     """Shift estimate from the angular sum profile against its reversal."""
-    return _result(sino, _reversal_shift(sino, cfg), "Yang")
+    return _result(sino, _reversal_shift(sino), "Yang")
 
 
 def align_ly(sino, cfg=FanAlignConfig()):
@@ -147,19 +139,18 @@ def align_ly(sino, cfg=FanAlignConfig()):
     profile w_i = sum_j g(-s_i, b_j + pi + 2*atan(s_i/r)), translated by 2h
     relative to p.  The read is linear and periodic in beta, so on a full
     scan each column keeps its sum over the views and w is p reversed."""
-    return _result(sino, _reversal_shift(sino, cfg), "LY")
+    return _result(sino, _reversal_shift(sino), "LY")
 
 
-def shift_2dr(sino, cfg=FanAlignConfig()):
+def shift_2dr(sino):
     """2DR's shift (pixels): half the s component of the 2D correlation peak of
     the sinogram with its reflected resampling at h = 0 (beta is discarded)."""
-    return 0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino, 0.0), cfg.upsample)
+    return 0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino, 0.0))
 
 
 def align_2dr(sino, cfg=FanAlignConfig()):
     """Shift estimate from the 2D correlation of the sinogram with its reflection (shift_2dr)."""
-    h = shift_2dr(sino, cfg)
-    return _result(sino, h, "2DR")
+    return _result(sino, shift_2dr(sino), "2DR")
 
 
 def fp_start_indices(n_beta, K):
@@ -172,15 +163,17 @@ def fp_start_indices(n_beta, K):
     return [int(round(j * n_beta / K)) % n_beta for j in range(K)]
 
 
-def fixed_point_shift(sino, cfg=FanAlignConfig(), starts=None):
+def fixed_point_shift(sino, cfg=FanAlignConfig()):
     """Median of the fixed-point runs h_{k+1} = h_k + shift(g_j, pi_j(h_k)) / 2
-    started from h_0 = 0 at the views j in starts (the cfg.K FP_K starts if
-    None), g_j the stored view and pi_j(h) its reflection at shift h.
+    started from h_0 = 0 at the cfg.K views j of fp_start_indices, g_j the
+    stored view and pi_j(h) its reflection at shift h.
 
     The runs advance in lockstep, with the values of separate runs: each
     iteration reflects every active run in one sample_periodic call and
-    correlates them in one xcorr_shift_rows call.  A run stops when its update drops
-    below cfg.tol_h (converged) or after cfg.max_iter updates, and fails
+    correlates them in one xcorr_shift_rows call.  A run converges when its
+    shift is exactly 0 (h is a fixed point of the update on the 1/20-px
+    registration grid, where any other shift moves h by at least 0.025 px),
+    stops unconverged after cfg.max_iter updates, and fails
     when its correlation is identically zero (a defective view).  Failed
     runs are excluded from the median; if every run fails,
     AmbiguousShiftError is raised.  For even counts the lower-middle order
@@ -190,8 +183,7 @@ def fixed_point_shift(sino, cfg=FanAlignConfig(), starts=None):
     (start number, h_j, iterations, converged).
     """
     geom = sino.geometry
-    if starts is None:
-        starts = fp_start_indices(geom.n_beta, cfg.K)
+    starts = fp_start_indices(geom.n_beta, cfg.K)
     beta0 = np.asarray(starts) * geom.beta_step
     lam = sino.values[starts]
     n = len(starts)
@@ -200,8 +192,9 @@ def fixed_point_shift(sino, cfg=FanAlignConfig(), starts=None):
     for k in range(1, cfg.max_iter + 1):
         h_old = h[active]
         pi = reflect(sino, h_old[:, None], beta0[active, None])
-        h_new = h_old + 0.5 * xcorr_shift_rows(lam[active], pi, cfg.upsample)
-        done = np.abs(h_new - h_old) < cfg.tol_h
+        shift = xcorr_shift_rows(lam[active], pi)
+        h_new = h_old + 0.5 * shift
+        done = shift == 0.0
         h[active], iterations[active], converged[active] = h_new, k, done
         active = active[~np.isnan(h_new) & ~done]
         if not active.size:
@@ -216,16 +209,14 @@ def fixed_point_shift(sino, cfg=FanAlignConfig(), starts=None):
 
 
 def align_fp(sino, cfg=FanAlignConfig()):
-    """FP: fixed_point_shift with the one start cfg.beta_index.
+    """FP: fixed_point_shift with K = 1, its one start at view 0.
 
     The reference Lambda_i = g(s_i, b_0) is the view itself; each iteration
     correlates it against Pi_k(s_i) = g(-s_i + 2h_k, b_0 + pi +
     2*atan((s_i - h_k)/r)) and advances h by half the measured shift.
     Non-convergence within max_iter is flagged on the result, not fatal.
     """
-    if not 0 <= cfg.beta_index < sino.geometry.n_beta:
-        raise ValueError("beta_index outside the view range")
-    h, iterations, converged, _ = fixed_point_shift(sino, cfg, [cfg.beta_index])
+    h, iterations, converged, _ = fixed_point_shift(sino, replace(cfg, K=1))
     return _result(sino, h, "FP", iterations, converged)
 
 

@@ -327,9 +327,6 @@ RUN_OPTIONS = {
     "tol_eta": Option(parse_angle, ("align-cone",), "Newton step in eta below which VP stops, with unit suffix"),
     "K": Option(int, _ALIGN, "FP_K start count"),
     "max_iter": Option(int, _ALIGN, "fixed-point iteration cap"),
-    "tol_h": Option(float, _ALIGN, "fixed-point tolerance in pixels"),
-    "upsample": Option(int, _ALIGN, "sub-pixel registration factor"),
-    "beta_index": Option(int, ("align-fan",), "starting view of a single FP run"),
     "alphas": Option(_list(float), ("sweep",), "comma-separated instability amplitudes"),
     "methods": Option(_list(_method(FAN_METHODS)), ("sweep",), "comma-separated estimator names"),
 }

@@ -159,8 +159,9 @@ def lockstep_median_fixed_point(sino, cfg):
 
 def sequential_median_fixed_point(sino, cfg):
     """fixed_point_shift from the cfg.K FP_K starts with its runs one after
-    another, each a scalar fixed-point loop on one view: the reference for
-    the lockstep runs."""
+    another, each a scalar fixed-point loop on one view that stops when an
+    update moves h by less than 0.01 px: the reference for the lockstep
+    runs and their exact-zero stop rule."""
     geom = sino.geometry
     runs = []
     for j, idx in enumerate(fp_start_indices(geom.n_beta, cfg.K)):
@@ -168,8 +169,9 @@ def sequential_median_fixed_point(sino, cfg):
         h = 0.0
         try:
             for k in range(1, cfg.max_iter + 1):
-                h_new = h + 0.5 * xcorr_shift_1d(sino.values[idx], reflect(sino, h, beta0), cfg.upsample)
-                converged = abs(h_new - h) < cfg.tol_h
+                # the stop rule in literals, apart from the package: an update under 0.01 px
+                h_new = h + 0.5 * xcorr_shift_1d(sino.values[idx], reflect(sino, h, beta0), upsample=20)
+                converged = abs(h_new - h) < 0.01
                 h = h_new
                 if converged:
                     break

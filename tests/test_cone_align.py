@@ -620,11 +620,16 @@ class TestVPConfigValidation:
             {"tol_eta": math.inf},
             {"tol_eta": math.nan},
             {"eta0": math.radians(60.0)},
+            {"max_outer": 2.5},
+            {"max_outer": 20.0},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             VPConfig(**kwargs)
+
+    def test_integer_max_outer_of_any_integer_type_accepted(self):
+        assert VPConfig(max_outer=np.int64(3)).max_outer == 3
 
 
 class TestFanIsEtaZeroCone:

@@ -515,13 +515,20 @@ class TestCliAlignFan:
         assert rc == 2
         assert report_value(capsys.readouterr().out, "converged") == "false"
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_non_finite_tol_h_rejected(self, cli_fan_files, capsys, value):
+    @pytest.mark.parametrize("key,value", [("tol_h", "0.01"), ("upsample", "20"), ("beta_index", "0")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_removed_fixed_point_option_rejected(self, cli_fan_files, tmp_path, capsys, key, value, source):
+        """FP stops at an exact fixed point on the 1/20-px grid from view 0:
+        no tolerance, registration factor or start view is an option."""
         _, shifted = cli_fan_files
-        assert main(["align-fan", "--input", shifted, "--method", "fp", "--tol-h", value]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "tol_h" in captured.err
+        if source == "flag":
+            flag = "--" + key.replace("_", "-")
+            extra, error = [flag, value], f"error: unrecognized arguments: {flag} {value}\n"
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key}: {value}\n")
+            extra, error = ["--config", str(tmp_path / "run.cfg")], f"error: unknown config key {key!r}\n"
+        assert main(["align-fan", "--input", shifted, "--method", "fp", *extra]) == 4
+        assert capsys.readouterr() == ("", error)
 
     def test_pixel_size_gives_millimetres(self, tmp_path, capsys):
         out = str(tmp_path / "p.sino")
@@ -671,10 +678,10 @@ class TestCliAlignCone:
             assert code in (0, 2)  # ran: converged or not
             assert float(report_value(captured.out, f"cfg_{key}_rad")) == parse_angle(value)
 
-    @pytest.mark.parametrize("line", ["method: yang", "beta_index: 3", "h: 5"])
+    @pytest.mark.parametrize("line", ["method: yang", "h: 5"])
     def test_config_key_of_another_command_rejected(self, tmp_path, capsys, line):
-        """A config key is scoped like its flag: align-cone takes no method,
-        beta_index or h, and runs nothing when its config file sets one."""
+        """A config key is scoped like its flag: align-cone takes no method
+        or h, and runs nothing when its config file sets one."""
         out = str(tmp_path / "c.sino")
         main(["simulate", "--mode", "cone", "--n", "24", "--seed", "0", "--features", "4", "--out", out])
         capsys.readouterr()
@@ -861,9 +868,6 @@ OPTION_SAMPLES = {
     "tol_eta": ("0.001rad", "1e-6rad"),
     "K": ("3", "12"),
     "max_iter": ("7", "50"),
-    "tol_h": ("0.02", "0.5"),
-    "upsample": ("8", "16"),
-    "beta_index": ("2", "5"),
     "alphas": ("0,0.01", "0.004"),
     "methods": ("yang, FP_K", "2dr"),
 }
@@ -911,13 +915,12 @@ class TestRunOptionTable:
 FAN_REPORT_KEYS = [
     "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
     "n_s", "n_beta", "s_max", "source_radius",
-    "cfg_method", "cfg_K", "cfg_max_iter", "cfg_tol_h", "cfg_upsample", "cfg_beta_index",
+    "cfg_method", "cfg_K", "cfg_max_iter",
 ]  # fmt: skip
 CONE_REPORT_KEYS = [
     "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
     "n_u", "n_v", "n_beta", "u_max", "v_max", "source_radius",
-    "cfg_inner_method", "cfg_eta0_rad", "cfg_max_outer", "cfg_tol_eta_rad", "cfg_K", "cfg_max_iter", "cfg_tol_h",
-    "cfg_upsample",
+    "cfg_inner_method", "cfg_eta0_rad", "cfg_max_outer", "cfg_tol_eta_rad", "cfg_K", "cfg_max_iter",
 ]  # fmt: skip
 
 
@@ -1010,21 +1013,16 @@ options:
 ALIGN_FAN_HELP = """\
 usage: ctalign align-fan [-h] [--config CONFIG] [--input INPUT]
                          [--report REPORT] [--method METHOD] [--k K]
-                         [--max-iter MAX_ITER] [--tol-h TOL_H]
-                         [--upsample UPSAMPLE] [--beta-index BETA_INDEX]
+                         [--max-iter MAX_ITER]
 
 options:
-  -h, --help            show this help message and exit
-  --config CONFIG       key: value config file; flags override it
-  --input INPUT         data file to read
-  --report REPORT       also write the report to this file
-  --method METHOD       estimator: yang, ly, 2dr, fp or fpk (default 2dr)
-  --k K                 FP_K start count
-  --max-iter MAX_ITER   fixed-point iteration cap
-  --tol-h TOL_H         fixed-point tolerance in pixels
-  --upsample UPSAMPLE   sub-pixel registration factor
-  --beta-index BETA_INDEX
-                        starting view of a single FP run
+  -h, --help           show this help message and exit
+  --config CONFIG      key: value config file; flags override it
+  --input INPUT        data file to read
+  --report REPORT      also write the report to this file
+  --method METHOD      estimator: yang, ly, 2dr, fp or fpk (default 2dr)
+  --k K                FP_K start count
+  --max-iter MAX_ITER  fixed-point iteration cap
 """
 METRIC_HELP = """\
 usage: ctalign metric [-h] [--config CONFIG] [--input INPUT] [--report REPORT]
@@ -1096,8 +1094,8 @@ class TestProcessExitCodes:
         assert done.stderr.startswith("error: ") == (code != 0)
 
 
-# add_argument calls a main call of each subcommand makes; 52 declare all five
-DECLARATIONS = {"simulate": 14, "align-fan": 11, "align-cone": 13, "metric": 7, "sweep": 11}
+# add_argument calls a main call of each subcommand makes; 47 declare all five
+DECLARATIONS = {"simulate": 14, "align-fan": 8, "align-cone": 11, "metric": 7, "sweep": 11}
 # bare, each subcommand but sweep fails with exit 4 before any work
 CONFIG_ERRORS = {"sweep": ["--alphas", ""]}
 
@@ -1139,7 +1137,7 @@ class TestParserDeclarations:
 
     def test_full_parser_declares_every_subcommand(self, declarations):
         build_parser()
-        assert declarations[0] == 52 == 1 + sum(DECLARATIONS.values()) - len(DECLARATIONS)
+        assert declarations[0] == 47 == 1 + sum(DECLARATIONS.values()) - len(DECLARATIONS)
 
     @pytest.mark.parametrize("command", list(DECLARATIONS))
     def test_subparser_options_equal_the_full_parsers(self, command):
