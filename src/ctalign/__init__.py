@@ -54,15 +54,12 @@ from .registration import (
 )
 from .simulate import (
     InstabilityModel,
-    Phantom2D,
     Phantom3D,
-    cone_project,
-    fan_line_integral,
     cone_line_integral,
+    cone_project,
     fan_project,
     make_disk_phantom,
     make_sphere_phantom,
-    resample_shift_rotate,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +73,6 @@ __all__ = [
     "FanGeometry",
     "FormatError",
     "InstabilityModel",
-    "Phantom2D",
     "Phantom3D",
     "ProjectionStack",
     "RunConfig",
@@ -90,7 +86,6 @@ __all__ = [
     "align_yang",
     "cone_line_integral",
     "cone_project",
-    "fan_line_integral",
     "fan_project",
     "inner_h",
     "lambda_eta",
@@ -102,7 +97,6 @@ __all__ = [
     "read_sinogram",
     "reduced_gradient",
     "reflected_resampling",
-    "resample_shift_rotate",
     "sample_detector",
     "sample_periodic",
     "symmetry_mse",

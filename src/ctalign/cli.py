@@ -128,7 +128,7 @@ def cmd_simulate(options):
         eta_rad=eta,
         alpha=alpha,
         seed=seed,
-        features=len(phantom.disks) if mode == "fan" else len(phantom.spheres),
+        features=sum(density < 0.0 for _, _, density in phantom.spheres),
         source_radius=source_radius,
     )
     print(f"wrote: {out}")
@@ -156,7 +156,7 @@ def cmd_align(command, options):
         config = _config(VPConfig, options, inner=_config(FanAlignConfig, options))
         start = time.perf_counter()
         result = variable_projection(data, config)
-        configs = (config, config.inner)
+        configs = (config, config.inner) if config.inner_method == "fp_k" else (config,)  # only fp_k reads inner
     seconds = time.perf_counter() - start
 
     pairs = [("command", command), ("input", str(input_path)), ("method", result.method), ("h_px", result.h)]

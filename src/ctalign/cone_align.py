@@ -27,7 +27,7 @@ descent carries its accepted point (h, eta, loss, lam); nothing is cached.
 import math
 from dataclasses import dataclass, field
 
-from .core import AlignmentResult, Sinogram, count_at_least_one, positive_finite
+from .core import AlignmentResult, Sinogram, count_at_least, positive_finite
 from .fan_align import FanAlignConfig, fixed_point_shift, reflected_resampling, shift_2dr, symmetry_mse, symmetry_sse
 from .registration import sample_detector
 
@@ -62,7 +62,7 @@ class VPConfig:
     def __post_init__(self):
         if self.inner_method not in INNER_METHODS:
             raise ValueError(f"inner_method must be one of {INNER_METHODS}")
-        count_at_least_one("max_outer", self.max_outer)
+        count_at_least("max_outer", self.max_outer)
         positive_finite("tol_eta", self.tol_eta)
         if not -ETA_BOUND <= self.eta0 <= ETA_BOUND:
             raise ValueError("eta0 outside the search domain")

@@ -54,10 +54,10 @@ def positive_finite(name, value):
     return value
 
 
-def count_at_least_one(name, value):
-    """value, which must be an integer of at least 1 (else ValueError naming it)."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1")
+def count_at_least(name, value, least=1):
+    """value, which must be an integer no less than least (else ValueError naming it)."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
     return value
 
 
@@ -101,8 +101,8 @@ class FanGeometry:
     def __post_init__(self):
         positive_finite("source_radius", self.source_radius)
         positive_finite("s_max", self.s_max)
-        if self.n_s < 2 or self.n_beta < 2:
-            raise ValueError("need at least 2 samples per axis")
+        count_at_least("n_s", self.n_s, 2)
+        count_at_least("n_beta", self.n_beta, 2)
 
     @property
     def shape(self):
@@ -151,8 +151,9 @@ class ConeGeometry:
         positive_finite("source_radius", self.source_radius)
         positive_finite("u_max", self.u_max)
         positive_finite("v_max", self.v_max)
-        if self.n_u < 2 or self.n_v < 2 or self.n_beta < 2:
-            raise ValueError("need at least 2 samples per axis")
+        count_at_least("n_u", self.n_u, 2)
+        count_at_least("n_v", self.n_v, 2)
+        count_at_least("n_beta", self.n_beta, 2)
 
     @property
     def shape(self):

@@ -33,7 +33,7 @@ import math
 import numpy as np
 from dataclasses import dataclass, replace
 
-from .core import FAN_METHODS, AlignmentResult, count_at_least_one
+from .core import FAN_METHODS, AlignmentResult, count_at_least
 from .registration import (
     AmbiguousShiftError,
     sample_periodic,
@@ -60,8 +60,8 @@ class FanAlignConfig:
     def __post_init__(self):
         if self.method not in FAN_METHODS:
             raise ValueError(f"method must be one of {FAN_METHODS}")
-        count_at_least_one("K", self.K)
-        count_at_least_one("max_iter", self.max_iter)
+        count_at_least("K", self.K)
+        count_at_least("max_iter", self.max_iter)
 
 
 def reflect(sino, h_px, beta=None, against=None):

@@ -3,8 +3,7 @@
 Misalignment is injected in the geometry: the value recorded at detector
 coordinate s is the exact line integral through the true detector point
 s - h (and, for cone data, through the in-plane-rotated (u, v)).  This keeps
-estimator error free of interpolation error; resample_shift_rotate provides
-the separate resampling path used on measured data.
+estimator error free of interpolation error.
 
 Rays are traced in the source frame, that of view 0, with the source at
 (r, 0, 0): the ray to detector point (u, v) runs along (-r, v, -u), so the
@@ -14,12 +13,12 @@ ray at distance d from the center of a ball of radius R cuts a chord
 y = 0 changes, so rays run along (r, v, u).  A cylinder's chord is its
 lateral root interval clipped to its slab; the centred cylinder looks the
 same from every view, so it is traced once per stack.  The fan is the v = 0
-row of the cone: a Phantom2D's background and disks (x, z) are spheres at
-y = 0, on which the cone formulas only add exact zeros.  The line integrals
-evaluate every feature at every point; both projectors run one shadow path
-that evaluates each sphere once per chunk of at most _BLOCK_POINTS points of
-its per-view shadow windows, whole views per chunk, through the same code, so
-they skip only density * 0.0 terms and equal the line integrals bit for bit.
+row of the cone: a fan phantom is a Phantom3D of spheres at y = 0, on which
+the cone formulas only add exact zeros.  The line integrals evaluate every
+feature at every point; both projectors run one shadow path that evaluates
+each sphere once per chunk of at most _BLOCK_POINTS points of its per-view
+shadow windows, whole views per chunk, through the same code, so they skip
+only density * 0.0 terms and equal the line integrals bit for bit.
 """
 
 import math
@@ -27,47 +26,15 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .core import ProjectionStack, Sinogram, positive_finite
-from .registration import sample_detector
+from .core import ProjectionStack, Sinogram, count_at_least, positive_finite
 
 _BLOCK_POINTS = 1 << 14  # points per chunk of the projectors' one shadow path: bounds their memory
 _MARGIN, _SLACK = 2, 1e-12  # shadow widening: samples per side; rounding allowance on R**2 per (r + |c - S|)**2
 _MAX_REJECTS = 1000  # rejected draws in a row after which _place gives up
-# seeded phantoms: enclosing disk radius (below 1, so the shifted sinogram support stays
-# on the detector), sphere radius range, enclosing cylinder (radius, half_height, density)
-_DISK_RADIUS, _SPHERE_RADII, _CYLINDER = 0.85, (0.04, 0.12), (0.8, 0.55, 1.0)
-
-
-@dataclass(frozen=True)
-class Phantom2D:
-    """Disks with additive densities inside the unit disk.
-
-    disks is a tuple of (center (x, y), radius, density); background, if
-    present, is an enclosing (center, radius, density) disk.  Void features
-    carry negative density against a positive background; values are summed
-    without clipping so projection is exactly linear in density.
-    """
-
-    disks: tuple
-    background: tuple = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "disks", tuple((tuple(map(float, c)), float(r), float(d)) for c, r, d in self.disks))
-        if self.background is not None:
-            c, r, d = self.background
-            object.__setattr__(self, "background", (tuple(map(float, c)), float(r), float(d)))
-        for center, radius, density in self._components():
-            if not radius > 0:
-                raise ValueError("disk radii must be positive")
-            if not math.isfinite(density):
-                raise ValueError("densities must be finite")
-            if math.hypot(*center) + radius > 1.0 + 1e-12:
-                raise ValueError("phantom support must stay inside the unit disk")
-
-    def _components(self):
-        if self.background is not None:
-            yield self.background
-        yield from self.disks
+# seeded phantoms: the fan's enclosing sphere radius (below 1, so the shifted sinogram
+# support stays on the detector), disk and sphere radius ranges, enclosing cylinder
+# (radius, half_height, density)
+_BACKGROUND_RADIUS, _DISK_RADII, _SPHERE_RADII, _CYLINDER = 0.85, (0.02, 0.08), (0.04, 0.12), (0.8, 0.55, 1.0)
 
 
 @dataclass(frozen=True)
@@ -76,7 +43,10 @@ class Phantom3D:
 
     spheres is a tuple of (center (x, y, z), radius, density); cylinder, if
     present, is (radius, half_height, density) centered at the origin with
-    axis y.
+    axis y.  Void features carry negative density against a positive
+    background; values are summed without clipping so projection is exactly
+    linear in density.  A fan phantom is spheres at y = 0, background first:
+    its fan sinogram is the v = 0 row of its cone stack.
     """
 
     spheres: tuple
@@ -119,15 +89,11 @@ class InstabilityModel:
 
 
 def _place(seed, n, radius_range, region_radius, half_height=None):
-    """Rejection-sample n pairwise-disjoint voids (center, radius, -1.0): disks
-    inside a disk of region_radius or, given half_height, spheres inside the cylinder
-    of that radius and half height about the y axis (the disk lies in its x-z plane)."""
-    lo, hi = radius_range
-    if not (0.0 < lo <= hi < 1.0):
-        raise ValueError("radius_range must satisfy 0 < lo <= hi < 1")
+    """Rejection-sample n pairwise-disjoint void spheres (center, radius, -1.0)
+    inside the cylinder of region_radius and half_height about the y axis or,
+    without half_height, at y = 0 inside the disk of region_radius: disks (x, z)."""
     kind = "disks" if half_height is None else "spheres"
-    if n < 0:
-        raise ValueError(f"n_{kind} must be nonnegative")
+    count_at_least(f"n_{kind}", n, 0)
     rng = np.random.default_rng(seed)
     placed = []
     rejects = 0
@@ -135,31 +101,29 @@ def _place(seed, n, radius_range, region_radius, half_height=None):
         if rejects >= _MAX_REJECTS:
             raise ValueError(f"could not place {n} non-overlapping {kind}: {_MAX_REJECTS} draws in a row were rejected")
         rejects += 1
-        radius = rng.uniform(lo, hi)
-        reach = region_radius - radius
-        ymax = math.inf if half_height is None else half_height - radius
-        if reach <= 0 or ymax <= 0:
-            continue
+        radius = rng.uniform(*radius_range)
         # uniform over the admissible center disk
-        rho = reach * math.sqrt(rng.uniform())
+        rho = (region_radius - radius) * math.sqrt(rng.uniform())
         phi = rng.uniform(0.0, 2.0 * math.pi)
         x, z = rho * math.cos(phi), rho * math.sin(phi)
-        center = (x, z) if half_height is None else (x, rng.uniform(-ymax, ymax), z)
-        if all(math.dist(center, c) > radius + r for c, r in placed):
-            placed.append((center, radius))
+        y = 0.0 if half_height is None else rng.uniform(radius - half_height, half_height - radius)
+        if all(math.dist((x, y, z), c) > radius + r for c, r in placed):
+            placed.append(((x, y, z), radius))
             rejects = 0
     return tuple((center, radius, -1.0) for center, radius in placed)
 
 
-def make_disk_phantom(seed, n_disks=30, radius_range=(0.02, 0.08)):
-    """Seeded random phantom: void disks inside an enclosing solid disk.
+def make_disk_phantom(seed, n_disks=30):
+    """Seeded random fan phantom: void disks inside an enclosing solid disk.
 
-    Deterministic for a fixed seed.  Disks are pairwise non-overlapping and
-    fully inside the enclosing disk of density 1, each of density -1 so the
-    total attenuation inside a void is zero.  Raises ValueError when
+    A Phantom3D of spheres at y = 0, the enclosing one of density 1 first,
+    then the voids.  Deterministic for a fixed seed.  The voids are pairwise
+    non-overlapping and fully inside the enclosing one, each of density -1
+    so the total attenuation inside a void is zero.  Raises ValueError when
     rejection sampling gives up (_MAX_REJECTS rejected draws in a row).
     """
-    return Phantom2D(_place(seed, n_disks, radius_range, _DISK_RADIUS), ((0.0, 0.0), _DISK_RADIUS, 1.0))
+    background = ((0.0, 0.0, 0.0), _BACKGROUND_RADIUS, 1.0)
+    return Phantom3D((background, *_place(seed, n_disks, _DISK_RADII, _BACKGROUND_RADIUS)))
 
 
 def make_sphere_phantom(seed, n_spheres=20):
@@ -256,23 +220,6 @@ def cone_line_integral(phantom, source_radius, u, v, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def _mid_plane(phantom):
-    """A Phantom2D's background and disks (x, z), in that order, as spheres at y = 0."""
-    return Phantom3D(tuple(((x, 0.0, z), radius, density) for (x, z), radius, density in phantom._components()))
-
-
-def fan_line_integral(phantom, source_radius, s, beta):
-    """Exact fan-beam line integral of a Phantom2D at coordinates (s, beta).
-
-    The ray runs from the source r*(cos b, sin b) through the detector point
-    s*(sin b, -cos b); s and beta broadcast.  It is cone_line_integral of the
-    disks as spheres at y = 0 on the row v = 0, so every disk is evaluated at
-    every point: the full-grid reference that fan_project equals bit for bit.
-    Any finite source_radius > 0, inside the phantom too; else ValueError.
-    """
-    return cone_line_integral(_mid_plane(phantom), source_radius, s, 0.0, beta)
-
-
 def _project(phantom, r, u, v, beta, eta):
     """The (views, rows, columns) line integrals of a Phantom3D in views beta:
     recorded pixel (u_i, v_k) reads the line through the true detector point
@@ -305,19 +252,19 @@ def _project(phantom, r, u, v, beta, eta):
 
 
 def fan_project(phantom, geom, h=0.0, instability=None):
-    """Exact misaligned fan-beam sinogram of a Phantom2D.
+    """Exact misaligned fan-beam sinogram of a Phantom3D: its v = 0 row.
 
     h is the detector shift in effective pixels; the value recorded at grid
     coordinate s_i is the exact line integral through true coordinate
     s_i - h (shift applied in the geometry, not by resampling).  The beam
     instability, if given, is added on the recorded grid afterwards.  The
-    sinogram is the v = 0 row of the cone projector's shadow path run on the
-    disks as spheres at y = 0, so each disk is read on its shadow only.
+    sinogram is the v = 0 row of the cone projector's shadow path, so each
+    sphere is read on its shadow only; a fan phantom's spheres lie at y = 0.
     """
     if not math.isfinite(h):
         raise ValueError("h must be finite")
     s_true, beta = geom.s_axis() - geom.px_to_s(h), geom.beta_axis()
-    values = _project(_mid_plane(phantom), float(geom.source_radius), s_true, np.zeros(1), beta, 0.0)[:, 0]
+    values = _project(phantom, float(geom.source_radius), s_true, np.zeros(1), beta, 0.0)[:, 0]
     if instability is not None and instability.alpha > 0.0:
         values = values + instability.evaluate(geom.s_axis()[None, :], beta[:, None], geom.s_max)
     return Sinogram(geom, values)
@@ -342,29 +289,3 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
         bump = instability.evaluate(geom.u_axis()[None, :], beta[:, None], geom.u_max)
         values = values + bump[:, None, :]
     return ProjectionStack(geom, values)
-
-
-def resample_shift_rotate(stack, h, eta, rotate_first=False):
-    """Apply detector shift and in-plane rotation to a stack by resampling.
-
-    With rotate_first=False (default) the view is resampled under the
-    misalignment map: out(u, v) = in((u-h)cos(eta) - v sin(eta),
-    (u-h)sin(eta) + v cos(eta)).  With rotate_first=True the rotation acts
-    first: out(u, v) = in(u cos(eta) - v sin(eta) - h, u sin(eta) + v
-    cos(eta)).  A default-order call followed by a rotate_first call with
-    (-h, -eta) is an exact inverse map pair, so the round trip differs from
-    the original only by interpolation error.  Bilinear per view, zero fill
-    off the detector.
-    """
-    geom = stack.geometry
-    h_u = geom.px_to_u(h)
-    cose, sine = math.cos(eta), math.sin(eta)
-    u = geom.u_axis()[None, :]
-    v = geom.v_axis()[:, None]
-    if rotate_first:
-        uq = u * cose - v * sine - h_u
-        vq = u * sine + v * cose
-    else:
-        uq = (u - h_u) * cose - v * sine
-        vq = (u - h_u) * sine + v * cose
-    return ProjectionStack(geom, sample_detector(stack, uq, vq, None))

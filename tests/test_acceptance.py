@@ -18,7 +18,7 @@ from ctalign import (
     align_fp_k,
     align_ly,
     align_yang,
-    fan_line_integral,
+    cone_line_integral,
     fan_project,
     make_disk_phantom,
     symmetry_mse,
@@ -139,8 +139,8 @@ def test_criterion_06_simulator_symmetry_identity(capsys):
         aligned = fan_project(phantom, geom, h=0.0)
         s = geom.s_axis()[None, :]
         beta = geom.beta_axis()[:, None]
-        reflected = fan_line_integral(
-            phantom, SOURCE_RADIUS, -s, beta + math.pi + 2.0 * np.arctan(s / SOURCE_RADIUS)
+        reflected = cone_line_integral(
+            phantom, SOURCE_RADIUS, -s, 0.0, beta + math.pi + 2.0 * np.arctan(s / SOURCE_RADIUS)
         )
         scale = np.abs(aligned.values).max()
         assert np.abs(aligned.values - reflected).max() <= 1e-3 * scale

@@ -129,6 +129,19 @@ class TestFanGeometry:
         with pytest.raises(ValueError):
             FanGeometry(**kwargs)
 
+    @pytest.mark.parametrize(
+        "n_s, n_beta, name", [(64.5, 64, "n_s"), (64, 64.5, "n_beta"), (64.0, 64, "n_s"), (64, "64", "n_beta")]
+    )
+    def test_non_integer_counts_rejected(self, n_s, n_beta, name):
+        """A count that is no integer fails when the geometry is built, not
+        with a TypeError in the projector."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 2"):
+            FanGeometry(2.0, n_s, 1.1547, n_beta)
+
+    def test_counts_of_any_integer_type_accepted(self):
+        geom = FanGeometry(2.0, np.int64(8), 1.0, np.int32(6))
+        assert geom.shape == (6, 8)
+
 
 class TestConeGeometry:
     def test_central_fan_matches_equatorial_grid(self):
@@ -145,8 +158,14 @@ class TestConeGeometry:
         assert geom.pixel_size_v == pytest.approx(0.5)
 
     def test_single_row_rejected(self):
-        with pytest.raises(ValueError, match="need at least 2 samples per axis"):
+        with pytest.raises(ValueError, match="n_v must be an integer of at least 2"):
             ConeGeometry(2.0, 11, 1, 1.0, 1.0, 8)
+
+    @pytest.mark.parametrize("name", ["n_u", "n_v", "n_beta"])
+    def test_non_integer_counts_rejected(self, name):
+        counts = dict(n_u=8, n_v=8, n_beta=8) | {name: 8.5}
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 2"):
+            ConeGeometry(2.0, u_max=1.0, v_max=1.0, **counts)
 
 
 class TestContainers:

@@ -72,19 +72,19 @@ class TestProfiles:
 
     def test_profile_p_even_for_centered_disk(self):
         # rotationally symmetric object: evenness holds to roundoff
-        from ctalign import Phantom2D
+        from ctalign import Phantom3D
 
         geom = fan_geometry(256)
-        sino = fan_project(Phantom2D(disks=(((0.0, 0.0), 0.5, 1.0),)), geom)
+        sino = fan_project(Phantom3D(spheres=(((0.0, 0.0, 0.0), 0.5, 1.0),)), geom)
         p = profile_p(sino)
         assert np.abs(p - p[::-1]).max() <= 1e-6 * p.max()
 
     def test_profile_p_even_for_offcenter_disk(self):
         # generic aligned object: evenness to view-discretization tolerance
-        from ctalign import Phantom2D
+        from ctalign import Phantom3D
 
         geom = fan_geometry(256)
-        sino = fan_project(Phantom2D(disks=(((0.3, -0.2), 0.25, 1.0),)), geom)
+        sino = fan_project(Phantom3D(spheres=(((0.3, 0.0, -0.2), 0.25, 1.0),)), geom)
         p = profile_p(sino)
         assert np.abs(p - p[::-1]).max() <= 1e-3 * p.max()
 

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +17,11 @@ from ctalign import (
     FanGeometry,
     ProjectionStack,
     Sinogram,
-    make_disk_phantom,
     read_sinogram,
     symmetry_mse,
     write_sinogram,
 )
-from ctalign import cli
+from ctalign import cli, simulate
 from ctalign.cli import build_parser, main
 from ctalign.io_cli import (
     ConfigError,
@@ -385,6 +383,16 @@ class TestCliSimulate:
         assert truth["kind"] == "fan"
         assert read_sinogram(out).geometry.n_s == 64
 
+    @pytest.mark.parametrize("mode, voids", [("fan", 30), ("cone", 20)])
+    @pytest.mark.parametrize("features", [None, 3])
+    def test_truth_features_count_the_voids(self, tmp_path, mode, voids, features):
+        """A fan phantom's enclosing sphere is no feature: features counts the
+        spheres of negative density in both modes, default counts included."""
+        out = str(tmp_path / "x.sino")
+        argv = ["simulate", "--mode", mode, "--n", "16", "--out", out]
+        assert main(argv if features is None else [*argv, "--features", str(features)]) == 0
+        assert read_truth(out + ".truth")["features"] == (voids if features is None else features)
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "a.sino"), str(tmp_path / "b.sino")
         for out in (a, b):
@@ -409,7 +417,7 @@ class TestCliSimulate:
     def test_unplaceable_phantom_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
         """Features that cannot be placed are a configuration error.  Disks of
         radius 0.4 make 5 of them unplaceable in a few milliseconds."""
-        monkeypatch.setattr(cli, "make_disk_phantom", partial(make_disk_phantom, radius_range=(0.4, 0.4)))
+        monkeypatch.setattr(simulate, "_DISK_RADII", (0.4, 0.4))
         rc = main(argv + ["--n", "32", "--features", "5", "--out", str(tmp_path / "x.sino")])
         assert rc == 4
         captured = capsys.readouterr()
@@ -920,8 +928,9 @@ FAN_REPORT_KEYS = [
 CONE_REPORT_KEYS = [
     "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
     "n_u", "n_v", "n_beta", "u_max", "v_max", "source_radius",
-    "cfg_inner_method", "cfg_eta0_rad", "cfg_max_outer", "cfg_tol_eta_rad", "cfg_K", "cfg_max_iter",
+    "cfg_inner_method", "cfg_eta0_rad", "cfg_max_outer", "cfg_tol_eta_rad",
 ]  # fmt: skip
+CONE_FPK_REPORT_KEYS = CONE_REPORT_KEYS + ["cfg_K", "cfg_max_iter"]  # only the fp_k inner solver reads them
 
 
 def with_h_mm(keys):
@@ -975,9 +984,20 @@ class TestReportKeys:
         cfg = root / "cone.cfg"
         cfg.write_text(f"input: {root / 'cone.sino'}\ninner_method: FPK\neta0: 0.3deg\nK: 5\nmax_outer: 9\n")
         keys, out = self.report(capsys, ["align-cone", "--config", str(cfg), "--max-outer", "4"])
-        assert keys == CONE_REPORT_KEYS
+        assert keys == CONE_FPK_REPORT_KEYS
         got = [report_value(out, k) for k in ("cfg_inner_method", "cfg_eta0_rad", "cfg_K", "cfg_max_outer")]
         assert got == ["fp_k", repr(math.radians(0.3)), "5", "4"]
+
+    def test_align_cone_2dr_echoes_no_fp_k_setting(self, root, capsys):
+        """--k and --max-iter do nothing under the 2dr inner solver, so the
+        report does not echo them as if they had been used."""
+        runs = []
+        for k, max_iter in (("1", "1"), ("50", "60")):
+            argv = ["align-cone", "--input", str(root / "cone.sino"), "--inner-method", "2dr", "--k", k]
+            keys, out = self.report(capsys, [*argv, "--max-iter", max_iter])
+            assert keys == CONE_REPORT_KEYS
+            runs.append([report_value(out, key) for key in ("h_px", "eta_rad", "iterations", "mse")])
+        assert runs[0] == runs[1]
 
     def test_align_cone_pixel_size(self, root, capsys):
         keys, _ = self.report(capsys, ["align-cone", "--input", str(root / "cone_px.sino")])

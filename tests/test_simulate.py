@@ -1,6 +1,6 @@
 """Analytic projectors against an independent quadrature oracle and, bit for
 bit, against the full-grid line integrals; phantom construction invariants,
-and the resampling path."""
+and the detector sampler's resampling of a stack under the misalignment map."""
 
 import itertools
 import math
@@ -14,15 +14,13 @@ from ctalign import (
     ConeGeometry,
     FanGeometry,
     InstabilityModel,
-    Phantom2D,
     Phantom3D,
+    ProjectionStack,
     cone_line_integral,
     cone_project,
-    fan_line_integral,
     fan_project,
     make_disk_phantom,
     make_sphere_phantom,
-    resample_shift_rotate,
     sample_detector,
     simulate,
     unit_disk_half_width,
@@ -31,10 +29,10 @@ from conftest import SOURCE_RADIUS, cone_geometry, fan_geometry
 
 # Frozen oracle: 2e7-point midpoint quadrature of the phantom indicator along
 # each ray, computed once with an independent code path (no chord formulas).
-# Quadrature residual is below 2e-7 at this density.
-ORACLE_PHANTOM_2D = Phantom2D(
-    disks=(((0.3, -0.2), 0.1, -1.0), ((-0.4, 0.25), 0.15, 0.5)),
-    background=((0.0, 0.0), 0.85, 1.0),
+# Quadrature residual is below 2e-7 at this density.  A fan phantom is spheres
+# at y = 0, the background first; its fan rays are the cone rays at v = 0.
+ORACLE_PHANTOM_2D = Phantom3D(
+    spheres=(((0.0, 0.0, 0.0), 0.85, 1.0), ((0.3, 0.0, -0.2), 0.1, -1.0), ((-0.4, 0.0, 0.25), 0.15, 0.5)),
 )
 ORACLE_RAYS_2D = [
     (0.0, 0.0, 1.700000100),
@@ -59,9 +57,14 @@ ORACLE_RAYS_3D = [
 # Features the shadow bounds must handle: a disk touching the unit circle
 # that holds the source for views near beta = 0 when the source radius is 0.5
 # or 0.95, a background that holds it at 0.5, and small and large disks.
-EDGE_PHANTOM_2D = Phantom2D(
-    disks=(((0.7, 0.0), 0.3, -1.0), ((-0.3, 0.5), 0.05, -0.5), ((0.0, -0.6), 0.12, 2.0), ((-0.5, -0.3), 0.02, -1.0)),
-    background=((0.0, 0.0), 0.85, 1.0),
+EDGE_PHANTOM_2D = Phantom3D(
+    spheres=(
+        ((0.0, 0.0, 0.0), 0.85, 1.0),
+        ((0.7, 0.0, 0.0), 0.3, -1.0),
+        ((-0.3, 0.0, 0.5), 0.05, -0.5),
+        ((0.0, 0.0, -0.6), 0.12, 2.0),
+        ((-0.5, 0.0, -0.3), 0.02, -1.0),
+    ),
 )
 EDGE_PHANTOM_3D = Phantom3D(
     spheres=(((0.7, 0.0, 0.0), 0.3, -1.0), ((-0.3, 0.4, 0.5), 0.05, -0.5), ((0.0, -0.5, -0.6), 0.12, 2.0)),
@@ -76,9 +79,9 @@ def half_width(source_radius):
 
 
 def full_grid_fan(phantom, geom, h):
-    """fan_line_integral at every recorded (s - h, beta) point."""
+    """cone_line_integral at every recorded (s - h, v = 0, beta) point."""
     s = geom.s_axis() - geom.px_to_s(h)
-    return fan_line_integral(phantom, geom.source_radius, s[None, :], geom.beta_axis()[:, None])
+    return cone_line_integral(phantom, geom.source_radius, s[None, :], 0.0, geom.beta_axis()[:, None])
 
 
 def full_grid_cone(phantom, geom, h, eta):
@@ -99,10 +102,11 @@ def lab_ball(out, source, direction, center, radius, density):
     out += density * (2.0 * np.sqrt(np.maximum(under, 0.0)))
 
 
-def background_and_disks(phantom):
-    """A Phantom2D's (center, radius, density) features in the order the
-    projectors add them: the background, if any, then the disks."""
-    return ((phantom.background,) if phantom.background is not None else ()) + phantom.disks
+def disks(phantom):
+    """A fan phantom's spheres at y = 0 as disks ((x, z), radius, density) of
+    the fan plane, in the order the projectors add them."""
+    assert phantom.cylinder is None and all(y == 0.0 for (_, y, _), _, _ in phantom.spheres)
+    return [((x, z), radius, density) for (x, _, z), radius, density in phantom.spheres]
 
 
 def lab_fan(phantom, r, s, beta):
@@ -112,8 +116,8 @@ def lab_fan(phantom, r, s, beta):
     dx, dy = s * sinb - srcx, -s * cosb - srcy
     norm = np.hypot(dx, dy)
     out = np.zeros(s.shape)
-    for ball in background_and_disks(phantom):
-        lab_ball(out, (srcx, srcy), (dx / norm, dy / norm), *ball)
+    for disk in disks(phantom):
+        lab_ball(out, (srcx, srcy), (dx / norm, dy / norm), *disk)
     return out
 
 
@@ -160,10 +164,7 @@ def tangent_columns(r, a, b, y, v, rho):
 
 
 def balls_and_cylinder(phantom):
-    """The balls ((x, y, z), R) of a phantom, a disk (x, z) as a ball at y = 0,
-    and its cylinder or None."""
-    if isinstance(phantom, Phantom2D):
-        return [((x, 0.0, z), radius) for (x, z), radius, _ in background_and_disks(phantom)], None
+    """The balls ((x, y, z), R) of a phantom and its cylinder or None."""
     return [(c, radius) for c, radius, _ in phantom.spheres], phantom.cylinder
 
 
@@ -187,17 +188,19 @@ def near_tangent(phantom, r, u, v, beta, band=0.1):
 
 
 class TestFanLineIntegral:
+    """Fan rays: cone_line_integral on the row v = 0 of y = 0 spheres."""
+
     def test_central_chord_of_centered_disk(self):
-        ph = Phantom2D(disks=(((0.0, 0.0), 0.5, 1.0),))
-        assert fan_line_integral(ph, SOURCE_RADIUS, 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+        ph = Phantom3D(spheres=(((0.0, 0.0, 0.0), 0.5, 1.0),))
+        assert cone_line_integral(ph, SOURCE_RADIUS, 0.0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_ray_beyond_tangent_is_zero(self):
-        ph = Phantom2D(disks=(((0.0, 0.0), 0.5, 1.0),))
-        assert fan_line_integral(ph, SOURCE_RADIUS, 1.1, 2.0) == 0.0
+        ph = Phantom3D(spheres=(((0.0, 0.0, 0.0), 0.5, 1.0),))
+        assert cone_line_integral(ph, SOURCE_RADIUS, 1.1, 0.0, 2.0) == 0.0
 
     @pytest.mark.parametrize("s,beta,expected", ORACLE_RAYS_2D)
     def test_frozen_quadrature_oracle(self, s, beta, expected):
-        got = fan_line_integral(ORACLE_PHANTOM_2D, SOURCE_RADIUS, s, beta)
+        got = cone_line_integral(ORACLE_PHANTOM_2D, SOURCE_RADIUS, s, 0.0, beta)
         assert got == pytest.approx(expected, abs=1e-6)
 
     def test_live_midpoint_quadrature(self):
@@ -209,22 +212,22 @@ class TestFanLineIntegral:
         direction = (det - src) / np.linalg.norm(det - src)
         t = 0.5 + (np.arange(100_000) + 0.5) * 3.0 / 100_000
         pts = src[None, :] + t[:, None] * direction[None, :]
-        centers, radii, densities = (np.array(column) for column in zip(*background_and_disks(ORACLE_PHANTOM_2D)))
+        centers, radii, densities = (np.array(column) for column in zip(*disks(ORACLE_PHANTOM_2D)))
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         total = (d2 <= radii[None, :] ** 2) @ densities
         quad = float(total.sum() * 3.0 / 100_000)
-        got = fan_line_integral(ORACLE_PHANTOM_2D, SOURCE_RADIUS, s, beta)
+        got = cone_line_integral(ORACLE_PHANTOM_2D, SOURCE_RADIUS, s, 0.0, beta)
         assert got == pytest.approx(quad, abs=2e-4)
 
     @pytest.mark.parametrize("source_radius", [0.0, -1.0, math.nan, math.inf])
     def test_source_radius_must_be_positive_and_finite(self, source_radius):
         with pytest.raises(ValueError, match="source_radius must be positive and finite"):
-            fan_line_integral(ORACLE_PHANTOM_2D, source_radius, 0.0, 0.0)
+            cone_line_integral(ORACLE_PHANTOM_2D, source_radius, 0.0, 0.0, 0.0)
 
     def test_broadcasting(self):
         s = np.linspace(-1.0, 1.0, 5)[None, :]
         beta = np.linspace(0.0, 6.0, 3)[:, None]
-        out = fan_line_integral(ORACLE_PHANTOM_2D, SOURCE_RADIUS, s, beta)
+        out = cone_line_integral(ORACLE_PHANTOM_2D, SOURCE_RADIUS, s, 0.0, beta)
         assert out.shape == (3, 5)
 
 
@@ -273,8 +276,8 @@ class TestCylinderChord:
         u = np.linspace(-1.5, 1.5, 31)[None, :]
         beta = np.linspace(0.0, 6.0, 7)[:, None]
         got = cone_line_integral(Phantom3D(spheres=(), cylinder=CYLINDER), source_radius, u, 0.0, beta)
-        disk = Phantom2D(disks=(((0.0, 0.0), CYLINDER[0], 1.0),))
-        want = fan_line_integral(disk, source_radius, u, beta)
+        disk = Phantom3D(spheres=(((0.0, 0.0, 0.0), CYLINDER[0], 1.0),))
+        want = cone_line_integral(disk, source_radius, u, 0.0, beta)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_source_inside_the_cylinder(self):
@@ -284,12 +287,12 @@ class TestCylinderChord:
 
 class TestPhantomConstruction:
     def test_disk_outside_unit_disk_rejected(self):
-        with pytest.raises(ValueError):
-            Phantom2D(disks=(((0.8, 0.8), 0.3, 1.0),))
+        with pytest.raises(ValueError, match="phantom support must stay inside the unit cylinder"):
+            Phantom3D(spheres=(((0.8, 0.0, 0.8), 0.3, 1.0),))
 
     def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            Phantom2D(disks=(((0.0, 0.0), 0.0, 1.0),))
+        with pytest.raises(ValueError, match="sphere radii must be positive"):
+            Phantom3D(spheres=(((0.0, 0.0, 0.0), -0.1, 1.0),))
 
     def test_sphere_outside_unit_cylinder_rejected(self):
         with pytest.raises(ValueError):
@@ -298,8 +301,7 @@ class TestPhantomConstruction:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: Phantom2D(disks=(((0.0, 0.0), 0.1, math.inf),)), "densities must be finite"),
-            (lambda: Phantom2D(disks=(), background=((0.0, 0.0), 0.85, math.nan)), "densities must be finite"),
+            (lambda: Phantom3D(spheres=(((0.0, 0.0, 0.0), 0.85, math.nan),)), "densities must be finite"),
             (lambda: Phantom3D(spheres=(((0.0, 0.0, 0.0), 0.1, -math.inf),)), "densities must be finite"),
             (lambda: Phantom3D(spheres=(), cylinder=(0.8, 0.55, math.nan)), "densities must be finite"),
             (lambda: Phantom3D(spheres=(), cylinder=(1.2, 0.55, 1.0)), "cylinder needs 0 < radius <= 1"),
@@ -314,48 +316,44 @@ class TestPhantomConstruction:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: make_disk_phantom(0, n_disks=-1), "n_disks must be nonnegative"),
-            (lambda: make_sphere_phantom(0, n_spheres=-1), "n_spheres must be nonnegative"),
-            (lambda: make_disk_phantom(0, radius_range=(0.0, 0.1)), "radius_range must satisfy 0 < lo <= hi < 1"),
-            (lambda: make_disk_phantom(0, radius_range=(0.2, 0.1)), "radius_range must satisfy 0 < lo <= hi < 1"),
+            (lambda: make_disk_phantom(0, n_disks=-1), "n_disks must be an integer of at least 0"),
+            (lambda: make_sphere_phantom(0, n_spheres=-1), "n_spheres must be an integer of at least 0"),
+            (lambda: make_disk_phantom(1, n_disks=2.5), "n_disks must be an integer of at least 0"),
+            (lambda: make_sphere_phantom(1, n_spheres=2.5), "n_spheres must be an integer of at least 0"),
+            (lambda: make_disk_phantom(1, n_disks=3.0), "n_disks must be an integer of at least 0"),
         ],
     )
     def test_builder_arguments_checked(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
 
-    def test_radius_that_cannot_fit_is_redrawn(self):
-        """A drawn radius at or past the enclosing radius (0.85) is skipped:
-        the placed disk is one that fits, or placement gives up."""
-        for seed in range(5):
-            ((center, radius, _),) = make_disk_phantom(seed, n_disks=1, radius_range=(0.5, 0.95)).disks
-            assert 0.5 <= radius < 0.85 and math.hypot(*center) + radius <= 0.85 + 1e-12
-        with pytest.raises(ValueError, match="could not place 1 non-overlapping disks"):
-            make_disk_phantom(0, n_disks=1, radius_range=(0.9, 0.99))
-
     def test_make_disk_phantom_zero_disks(self):
         ph = make_disk_phantom(0, n_disks=0)
-        assert ph.disks == ()
-        assert ph.background is not None
+        assert ph.spheres == (((0.0, 0.0, 0.0), 0.85, 1.0),)
+        assert ph.cylinder is None
 
     def test_make_disk_phantom_deterministic(self):
-        assert make_disk_phantom(42).disks == make_disk_phantom(42).disks
+        assert make_disk_phantom(42).spheres == make_disk_phantom(42).spheres
 
-    def test_make_disk_phantom_disjoint_50(self):
-        ph = make_disk_phantom(1, n_disks=50, radius_range=(0.01, 0.1))
-        disks = ph.disks
-        assert len(disks) == 50
-        for i in range(len(disks)):
-            (c1, r1, d1) = disks[i]
-            assert math.hypot(*c1) + r1 <= 0.85 + 1e-12
+    def test_make_disk_phantom_disjoint_50(self, monkeypatch):
+        """Spheres at y = 0, the enclosing one first, then disjoint voids inside it."""
+        monkeypatch.setattr(simulate, "_DISK_RADII", (0.01, 0.1))
+        background, *voids = make_disk_phantom(1, n_disks=50).spheres
+        assert background == ((0.0, 0.0, 0.0), 0.85, 1.0)
+        assert len(voids) == 50
+        for i in range(len(voids)):
+            ((x1, y1, z1), r1, d1) = voids[i]
+            assert y1 == 0.0
+            assert math.hypot(x1, z1) + r1 <= 0.85 + 1e-12
             assert d1 == -1.0
-            for j in range(i + 1, len(disks)):
-                (c2, r2, _) = disks[j]
-                assert math.hypot(c1[0] - c2[0], c1[1] - c2[1]) > r1 + r2
+            for j in range(i + 1, len(voids)):
+                (c2, r2, _) = voids[j]
+                assert math.dist((x1, y1, z1), c2) > r1 + r2
 
-    def test_make_disk_phantom_impossible_placement(self):
+    def test_make_disk_phantom_impossible_placement(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_DISK_RADII", (0.4, 0.4))
         with pytest.raises(ValueError, match="could not place 5 non-overlapping disks"):
-            make_disk_phantom(0, n_disks=5, radius_range=(0.4, 0.4))
+            make_disk_phantom(0, n_disks=5)
 
     def test_unplaceable_phantom_fails_fast(self):
         """Placement gives up after a run of rejected draws, not after a
@@ -365,15 +363,17 @@ class TestPhantomConstruction:
             make_disk_phantom(0, n_disks=500)
         assert time.perf_counter() - start < 5.0
 
-    def test_phantoms_keep_their_random_stream(self):
-        assert make_disk_phantom(1).disks[-1] == ((-0.3646840380209633, 0.3997743238543247), 0.04190043581051353, -1.0)
+    def test_phantoms_keep_their_random_stream(self, monkeypatch):
+        last = make_disk_phantom(1).spheres[-1]
+        assert last == ((-0.3646840380209633, 0.0, 0.3997743238543247), 0.04190043581051353, -1.0)
         assert make_sphere_phantom(1).spheres[-1] == (
             (0.3142280282792345, 0.3516894823939615, -0.5996061293159707),
             0.09387679097223511,
             -1.0,
         )
-        dense = make_disk_phantom(1, n_disks=50, radius_range=(0.01, 0.1))
-        assert dense.disks[-1] == ((0.42400624967453476, 0.05753133374872293), 0.08960693784563017, -1.0)
+        monkeypatch.setattr(simulate, "_DISK_RADII", (0.01, 0.1))
+        dense = make_disk_phantom(1, n_disks=50)
+        assert dense.spheres[-1] == ((0.42400624967453476, 0.0, 0.05753133374872293), 0.08960693784563017, -1.0)
 
     def test_make_sphere_phantom_deterministic_and_disjoint(self):
         ph = make_sphere_phantom(3)
@@ -423,17 +423,14 @@ class TestFanProject:
     def test_linear_in_density(self):
         geom = fan_geometry(32)
         ph = ORACLE_PHANTOM_2D
-        doubled = Phantom2D(
-            disks=tuple((c, r, 2 * d) for c, r, d in ph.disks),
-            background=(ph.background[0], ph.background[1], 2 * ph.background[2]),
-        )
+        doubled = Phantom3D(spheres=tuple((c, r, 2 * d) for c, r, d in ph.spheres))
         assert np.allclose(fan_project(doubled, geom).values, 2.0 * fan_project(ph, geom).values, rtol=1e-13)
 
     def test_sum_of_phantoms_projects_to_sum(self):
         geom = fan_geometry(32)
-        pa = Phantom2D(disks=(((0.2, 0.1), 0.2, 1.0),))
-        pb = Phantom2D(disks=(((-0.3, -0.2), 0.25, 0.7),))
-        both = Phantom2D(disks=pa.disks + pb.disks)
+        pa = Phantom3D(spheres=(((0.2, 0.0, 0.1), 0.2, 1.0),))
+        pb = Phantom3D(spheres=(((-0.3, 0.0, -0.2), 0.25, 0.7),))
+        both = Phantom3D(spheres=pa.spheres + pb.spheres)
         assert np.allclose(
             fan_project(both, geom).values,
             fan_project(pa, geom).values + fan_project(pb, geom).values,
@@ -467,7 +464,7 @@ class TestFanProject:
     def test_far_source_rounding_stays_inside_the_bound(self):
         """With the source 1e5 away, the full-grid formula's cancellation gives
         a 1e-6 disk nonzero chords beyond its exact shadow and margin."""
-        ph = Phantom2D(disks=(((-0.15, -0.18), 1e-6, 0.6), ((0.3, 0.1), 0.01, -1.0)))
+        ph = Phantom3D(spheres=(((-0.15, 0.0, -0.18), 1e-6, 0.6), ((0.3, 0.0, 0.1), 0.01, -1.0)))
         geom = FanGeometry(1e5, 75, 0.02, 39)
         assert np.array_equal(fan_project(ph, geom, h=14.8).values, full_grid_fan(ph, geom, 14.8))
 
@@ -507,15 +504,16 @@ class TestFanProject:
 
 
 def equatorial_slice(ph3):
-    """The 2D phantom seen by the v = 0 fan of a 3D phantom."""
-    disks = []
+    """The fan phantom seen by the v = 0 fan of a 3D phantom: each sphere
+    that meets y = 0 as a y = 0 sphere of its cross-section's radius
+    sqrt(R**2 - y**2), and the cylinder as a sphere of its radius, first."""
+    spheres = []
+    if ph3.cylinder is not None:
+        spheres.append(((0.0, 0.0, 0.0), ph3.cylinder[0], ph3.cylinder[2]))
     for (cx, cy, cz), radius, density in ph3.spheres:
         if abs(cy) < radius:
-            disks.append(((cx, cz), math.sqrt(radius * radius - cy * cy), density))
-    background = None
-    if ph3.cylinder is not None:
-        background = ((0.0, 0.0), ph3.cylinder[0], ph3.cylinder[2])
-    return Phantom2D(disks=tuple(disks), background=background)
+            spheres.append(((cx, 0.0, cz), math.sqrt(radius * radius - cy * cy), density))
+    return Phantom3D(spheres=tuple(spheres))
 
 
 class TestConeProject:
@@ -620,7 +618,7 @@ class TestSourceFrame:
         s, beta = rng.uniform(-1.5, 1.5, 4000), rng.uniform(0.0, 2.0 * math.pi, 4000)
         for ph in (EDGE_PHANTOM_2D, make_disk_phantom(1)):
             keep = ~near_tangent(ph, source_radius, s, 0.0, beta)
-            got = fan_line_integral(ph, source_radius, s[keep], beta[keep])
+            got = cone_line_integral(ph, source_radius, s[keep], 0.0, beta[keep])
             np.testing.assert_allclose(got, lab_fan(ph, source_radius, s[keep], beta[keep]), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("source_radius", [0.5, 2.0])
@@ -675,10 +673,8 @@ class TestSourceFrame:
         r = source_radius
         for ph, rows in ((EDGE_PHANTOM_2D, [0.0]), (EDGE_PHANTOM_3D, [0.0, 0.5, 1.0, 1.5])):
             u, v, beta, half = self.near_tangent_rays(ph, r, rows)
-            if isinstance(ph, Phantom2D):
-                got, want = fan_line_integral(ph, r, u, beta), lab_fan(ph, r, u, beta)
-            else:
-                got, want = cone_line_integral(ph, r, u, v, beta), lab_cone(ph, r, u, v, beta)
+            got = cone_line_integral(ph, r, u, v, beta)
+            want = lab_fan(ph, r, u, beta) if ph is EDGE_PHANTOM_2D else lab_cone(ph, r, u, v, beta)
             outside = half == 0.0
             assert outside.sum() >= 50 and (~outside).sum() >= 50
             np.testing.assert_allclose(got[outside], want[outside], rtol=0.0, atol=1e-12)
@@ -693,67 +689,96 @@ class TestSourceFrame:
 
     @pytest.mark.parametrize("seed, h", [(1, 0.0), (2, 3.5), (3, -6.0)])
     def test_fan_is_the_mid_plane_row_of_cone(self, seed, h):
-        """Disks (x, z) as spheres at y = 0: the v = 0 row of the cone stack
-        (odd row count) is the fan sinogram, bit for bit with the background
-        as a sphere too, and within 1e-12 with it as a cylinder."""
-        disks = make_disk_phantom(seed)
-        (cx, cz), background_radius, density = disks.background
-        mid_plane = tuple(((x, 0.0, z), radius, d) for (x, z), radius, d in disks.disks)
-        spheres = Phantom3D(spheres=(((cx, 0.0, cz), background_radius, density), *mid_plane))
-        cylinder = Phantom3D(spheres=mid_plane, cylinder=(background_radius, 0.55, density))
+        """A fan phantom, spheres at y = 0: the v = 0 row of its cone stack
+        (odd row count) is its fan sinogram, bit for bit with the background
+        as a sphere, and within 1e-12 with the background as a cylinder."""
+        spheres = make_disk_phantom(seed)
+        ((_, background_radius, density), *voids) = spheres.spheres
+        cylinder = Phantom3D(spheres=tuple(voids), cylinder=(background_radius, 0.55, density))
         for n in (33, 65):
             geom = cone_geometry(n)
             mid = geom.n_v // 2
             assert geom.v_axis()[mid] == 0.0
-            fan = fan_project(disks, geom.central_fan(), h=h).values
+            fan = fan_project(spheres, geom.central_fan(), h=h).values
             assert np.array_equal(cone_project(spheres, geom, h=h).values[:, mid, :], fan)
             got = cone_project(cylinder, geom, h=h).values[:, mid, :]
             np.testing.assert_allclose(got, fan, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [33, 65])
+    @pytest.mark.parametrize("h", [0.0, 3.5, -6.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fan_of_any_phantom_is_the_v0_row_of_its_cone(self, seed, h, n):
+        """fan_project takes any Phantom3D: a cylinder and spheres off y = 0
+        give the v = 0 row of the cone stack bit for bit."""
+        ph, geom = make_sphere_phantom(seed), cone_geometry(n)
+        mid = geom.n_v // 2
+        assert geom.v_axis()[mid] == 0.0
+        fan = fan_project(ph, geom.central_fan(), h=h).values
+        assert np.array_equal(fan, cone_project(ph, geom, h=h).values[:, mid, :])
 
-def per_view_resample_shift_rotate(stack, h, eta, rotate_first=False):
-    """resample_shift_rotate as a loop of one per-point sampler read per
-    stored view: the reference for its one all-views read."""
-    geom = stack.geometry
+
+def misaligned_grid(geom, h, eta, rotate_first=False):
+    """The detector points (uq, vq) that recorded pixel (u, v) reads under a
+    shift h (pixels) and an in-plane rotation eta.  Default order, the
+    misalignment map: uq + i*vq = ((u - h) + i*v) * exp(i*eta).  With
+    rotate_first the rotation acts first, then the shift; a default-order map
+    followed by a rotate_first map with (-h, -eta) is the identity."""
     h_u = geom.px_to_u(h)
     cose, sine = math.cos(eta), math.sin(eta)
     u = geom.u_axis()[None, :]
     v = geom.v_axis()[:, None]
     if rotate_first:
-        uq, vq = u * cose - v * sine - h_u, u * sine + v * cose
-    else:
-        uq, vq = (u - h_u) * cose - v * sine, (u - h_u) * sine + v * cose
+        return u * cose - v * sine - h_u, u * sine + v * cose
+    return (u - h_u) * cose - v * sine, (u - h_u) * sine + v * cose
+
+
+def resample(stack, h, eta, rotate_first=False):
+    """The stack resampled under misaligned_grid by the detector sampler's
+    one all-views read: bilinear per view, zero fill off the detector."""
+    uq, vq = misaligned_grid(stack.geometry, h, eta, rotate_first)
+    return ProjectionStack(stack.geometry, sample_detector(stack, uq, vq, None))
+
+
+def per_view_resample_shift_rotate(stack, h, eta, rotate_first=False):
+    """resample as a loop of one per-point sampler read per stored view: the
+    reference for its one all-views read."""
+    uq, vq = misaligned_grid(stack.geometry, h, eta, rotate_first)
     values = np.empty_like(stack.values)
-    for j, b in enumerate(geom.beta_axis()):
+    for j, b in enumerate(stack.geometry.beta_axis()):
         values[j] = sample_detector(stack, uq, vq, b)
     return values
 
 
 class TestResampleShiftRotate:
+    """Resampling a stack under a detector shift and rotation, which the
+    package does only through sample_detector: its all-views read against
+    per-view reads, its exact cases, and its agreement with the projector's
+    geometric misalignment."""
+
     @pytest.mark.parametrize("rotate_first", [False, True])
     @pytest.mark.parametrize("h, eta", [(0.0, 0.0), (3.0, 0.0), (2.5, math.radians(2.0)), (-1.7, -0.3)])
     def test_matches_per_view_reads(self, rotate_first, h, eta):
         stack = cone_project(make_sphere_phantom(3, n_spheres=6), cone_geometry(24))
-        out = resample_shift_rotate(stack, h, eta, rotate_first=rotate_first)
+        out = resample(stack, h, eta, rotate_first=rotate_first)
         want = per_view_resample_shift_rotate(stack, h, eta, rotate_first=rotate_first)
         assert out.values.tobytes() == want.tobytes()
 
     def test_identity(self, ref_stack):
-        out = resample_shift_rotate(ref_stack, 0.0, 0.0)
+        out = resample(ref_stack, 0.0, 0.0)
         assert np.array_equal(out.values, ref_stack.values)
 
     def test_integer_shift_exact_with_zero_fill(self):
         geom3 = cone_geometry(16)
         ph3 = make_sphere_phantom(1, n_spheres=4)
         stack = cone_project(ph3, geom3)
-        out = resample_shift_rotate(stack, 3.0, 0.0)
+        out = resample(stack, 3.0, 0.0)
         assert np.array_equal(out.values[:, :, 3:], stack.values[:, :, :-3])
         assert np.all(out.values[:, :, :3] == 0.0)
 
     def test_round_trip_interior(self, ref_stack):
         """Misalign then invert: interior returns to 1e-2 relative (L2)."""
-        fwd = resample_shift_rotate(ref_stack, 2.5, math.radians(2.0))
-        back = resample_shift_rotate(fwd, -2.5, math.radians(-2.0), rotate_first=True)
+        fwd = resample(ref_stack, 2.5, math.radians(2.0))
+        back = resample(fwd, -2.5, math.radians(-2.0), rotate_first=True)
         margin = 12
         inner = (slice(None), slice(margin, -margin), slice(margin, -margin))
         diff = back.values[inner] - ref_stack.values[inner]
@@ -765,8 +790,8 @@ class TestResampleShiftRotate:
         ph3 = make_sphere_phantom(6, n_spheres=10)
         aligned = cone_project(ph3, geom3)
         in_geometry = cone_project(ph3, geom3, h=2.0, eta=math.radians(1.0))
-        by_resampling = resample_shift_rotate(aligned, 2.0, math.radians(1.0))
+        by_resampling = per_view_resample_shift_rotate(aligned, 2.0, math.radians(1.0))
         margin = 8
         inner = (slice(None), slice(margin, -margin), slice(margin, -margin))
-        diff = by_resampling.values[inner] - in_geometry.values[inner]
+        diff = by_resampling[inner] - in_geometry.values[inner]
         assert np.linalg.norm(diff) <= 1e-2 * np.linalg.norm(in_geometry.values[inner])
