@@ -13,7 +13,6 @@ from .cone_align import (
     lambda_eta,
     loss_L,
     pi_h_eta,
-    reduced_gradient,
     variable_projection,
 )
 from .core import (
@@ -95,7 +94,6 @@ __all__ = [
     "pi_h_eta",
     "profile_p",
     "read_sinogram",
-    "reduced_gradient",
     "reflected_resampling",
     "sample_detector",
     "sample_periodic",

@@ -46,6 +46,8 @@ from .simulate import InstabilityModel, cone_project, fan_project, make_disk_pha
 
 # flags not spelled --<key with dashes>
 _FLAGS = {"K": "--k", "output": "--out"}
+# the FanAlignConfig settings each fan shift solver reads besides its method
+_READS = {"FP": {"max_iter"}, "FP_K": {"K", "max_iter"}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,13 +80,14 @@ def _config(cls, options, **fixed):
     return cls(**(given | fixed))
 
 
-def _config_echo(command, *configs):
-    """cfg_<key> pairs of the options of command held by configs, in table
-    order; angles are in radians."""
+def _config_echo(command, solver, *configs):
+    """cfg_<key> pairs of the options of command held by configs, in table order,
+    K and max_iter only if the fan shift solver (FAN_METHODS tag) reads them; angles in radians."""
+    unread = {"K", "max_iter"} - _READS.get(solver, set())
     return [
         (f"cfg_{key}_rad" if option.parse is parse_angle else f"cfg_{key}", getattr(config, key))
         for key, option in RUN_OPTIONS.items()
-        if command in option.commands
+        if command in option.commands and key not in unread
         for config in configs
         if hasattr(config, key)
     ]
@@ -149,14 +152,14 @@ def cmd_align(command, options):
         config = _config(FanAlignConfig, options)
         start = time.perf_counter()
         result = align_fan(data, config)
-        configs = (config,)
+        configs, solver = (config,), config.method
     else:
         if isinstance(data, Sinogram):
             raise ConfigError("align-cone needs cone data; this file holds a fan sinogram")
         config = _config(VPConfig, options, inner=_config(FanAlignConfig, options))
         start = time.perf_counter()
         result = variable_projection(data, config)
-        configs = (config, config.inner) if config.inner_method == "fp_k" else (config,)  # only fp_k reads inner
+        configs, solver = (config, config.inner), config.inner_method.upper()
     seconds = time.perf_counter() - start
 
     pairs = [("command", command), ("input", str(input_path)), ("method", result.method), ("h_px", result.h)]
@@ -171,7 +174,7 @@ def cmd_align(command, options):
         ("seconds", float(f"{seconds:.3f}")),
     ]
     pairs += geometry_fields(data.geometry)
-    pairs += _config_echo(command, *configs)
+    pairs += _config_echo(command, solver, *configs)
     _emit_report(pairs, options.get("report"))
     return 0 if result.converged else 2
 

@@ -45,16 +45,15 @@ MAX_BACKTRACK = 30  # step halvings before a line search gives up
 class VPConfig:
     """Variable-projection settings.
 
-    inner_method selects the shift solver on the tilted fan pair; eta0 is
-    the starting angle (radians); max_outer caps the steps; tol_eta is the
-    Newton step (radians) below which the descent stops as converged.
-    inner carries K and max_iter of the fp_k solver.  The stencil step, the
-    fallback step and the Armijo constant are the module constants
-    DELTA_ETA, GAMMA0 and ARMIJO_C.
+    inner_method selects the shift solver on the tilted fan pair; max_outer
+    caps the steps; tol_eta is the Newton step (radians) below which the
+    descent stops as converged.  inner carries K and max_iter of the fp_k
+    solver.  The descent starts at the nominal mounting, eta = 0.  The
+    stencil step, the fallback step and the Armijo constant are the module
+    constants DELTA_ETA, GAMMA0 and ARMIJO_C.
     """
 
     inner_method: str = "2dr"
-    eta0: float = 0.0
     max_outer: int = 20
     tol_eta: float = 1e-4
     inner: FanAlignConfig = field(default_factory=FanAlignConfig)
@@ -64,8 +63,6 @@ class VPConfig:
             raise ValueError(f"inner_method must be one of {INNER_METHODS}")
         count_at_least("max_outer", self.max_outer)
         positive_finite("tol_eta", self.tol_eta)
-        if not -ETA_BOUND <= self.eta0 <= ETA_BOUND:
-            raise ValueError("eta0 outside the search domain")
 
 
 def lambda_eta(stack, h, eta):
@@ -114,45 +111,34 @@ def _solve(stack, eta, cfg):
 
 
 def _stencil(stack, h, eta, l0):
-    """(gradient, curvature) from l0 = L(h, eta) and loss_L(stack, h, eta -+ DELTA_ETA)."""
+    """(gradient, curvature) in eta of the reduced loss at h, the inner solve
+    at eta, and l0 = L(h, eta): the central differences of l0 and loss_L at
+    h, eta -+ DELTA_ETA (the envelope result), also at the search-domain
+    edge, where the stencil reads just past it."""
     lo, hi = loss_L(stack, h, eta - DELTA_ETA), loss_L(stack, h, eta + DELTA_ETA)
     return (hi - lo) / (2.0 * DELTA_ETA), (hi - 2.0 * l0 + lo) / (DELTA_ETA * DELTA_ETA)
-
-
-def reduced_gradient(stack, eta, cfg=VPConfig()):
-    """(gradient, curvature) in eta of the reduced loss L(h(eta), eta).
-
-    Both come from the same three losses L-, L0, L+ at eta - d, eta, eta + d
-    (d = DELTA_ETA), pivoted at the centre's h = h(eta): the partial
-    derivatives at the inner optimum, which are the reduced ones (the
-    envelope result), so h is solved at eta only.  g = (L+ - L-)/2d and
-    c = (L+ - 2 L0 + L-)/d^2, also at the search-domain edge, where the
-    stencil reads just past it.
-    """
-    h, l0, _ = _solve(stack, eta, cfg)
-    return _stencil(stack, h, eta, l0)
 
 
 def variable_projection(stack, cfg=VPConfig()):
     """Joint (h, eta) estimate: safeguarded Newton descent on the reduced loss.
 
-    The loop carries its accepted point (h, eta, loss, lam).  The inner
-    shift is solved at eta0 and at each new trial angle, and held at the
-    centre's value across the stencil, which is read once per accepted
-    angle.  Each outer iteration takes the Newton step g/c, or GAMMA0 times
-    g where c is not positive; the step is halved until the Armijo
-    sufficient-decrease test (constant ARMIJO_C) passes.  Trials are
+    The loop carries its accepted point (h, eta, loss, lam), starting at
+    eta = 0.  The inner shift is solved there and at each new trial angle,
+    and held at the centre's value across the stencil, which is read once
+    per accepted angle.  Each outer iteration takes the Newton step g/c,
+    or GAMMA0 times g where c is not positive; the step is halved until the
+    Armijo sufficient-decrease test (constant ARMIJO_C) passes.  Trials are
     clamped to [-ETA_BOUND, ETA_BOUND]; one that the clamp puts on the
     angle in hand (the carried point's or the last rejected trial's) reuses
-    that solve.  Descent stops as converged,
-    with no new point, once c > 0 and the Newton step is below tol_eta.
+    that solve.  Descent stops as converged, with no new point, once c > 0
+    and the Newton step is below tol_eta.
     The iteration cap and backtracking exhaustion return the last accepted
     point, flagged non-converged.
 
     The result's mse is the fan symmetry MSE of the accepted point's
     lambda_eta, the mid-plane fan sinogram at the estimate.
     """
-    eta = cfg.eta0
+    eta = 0.0
     h, current, lam = _solve(stack, eta, cfg)
     trace = [(0, h, eta, current)]
     converged = False

@@ -15,7 +15,7 @@ estimator recovers h as half of a cross-correlation shift:
         lockstep: each iteration reflects every active run in one read
         and correlates them in one batched call (fixed_point_shift).  A
         run converges when its shift is exactly 0: every shift is on the
-        1/20-px grid of the registration kernels' default upsample = 20.
+        1/20-px grid of the registration kernels (registration.UPSAMPLE).
 * FP:   FP_K with K = 1, its one start at view 0.
 
 The symmetry map is written once, in reflect(), and reads a fan Sinogram
@@ -49,8 +49,8 @@ class FanAlignConfig:
 
     method: estimator selected by align_fan (the align_* functions themselves
     ignore it); K: number of FP_K starts (FP is K = 1); max_iter: cap on the
-    updates of each fixed-point run.  Registration is refined to 1/20 px,
-    the kernels' default upsample, and a run converges at an exactly zero shift.
+    updates of each fixed-point run.  Registration is refined to 1/20 px
+    (registration.UPSAMPLE), and a run converges at an exactly zero shift.
     """
 
     method: str = "2DR"

@@ -322,7 +322,6 @@ RUN_OPTIONS = {
     "pixel_size_mm": Option(positive_float, ("simulate",), "detector pixel size recorded in the header"),
     "method": Option(_method(FAN_METHODS), ("align-fan",), "estimator: yang, ly, 2dr, fp or fpk (default 2dr)"),
     "inner_method": Option(_method(INNER_METHODS), ("align-cone",), "inner shift solver: 2dr or fpk"),
-    "eta0": Option(parse_angle, ("align-cone",), "starting angle with unit suffix"),
     "max_outer": Option(int, ("align-cone",), "outer iteration cap"),
     "tol_eta": Option(parse_angle, ("align-cone",), "Newton step in eta below which VP stops, with unit suffix"),
     "K": Option(int, _ALIGN, "FP_K start count"),

@@ -27,6 +27,8 @@ import numpy as np
 
 from .core import TWO_PI, wrap_angle
 
+UPSAMPLE = 20  # correlation peaks are refined to 1/UPSAMPLE of a sample
+
 
 class AmbiguousShiftError(ValueError):
     """Cross-correlation is identically zero; no shift can be estimated."""
@@ -61,22 +63,20 @@ def _peak_shift(fine, upsample):
     return peak / upsample
 
 
-def _check_pair(a, b, upsample):
+def _check_pair(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise ValueError("inputs must be finite")
-    if int(upsample) != upsample or upsample < 1:
-        raise ValueError("upsample must be a positive integer")
-    return a, b, int(upsample)
+    return a, b
 
 
-def xcorr_shift_1d(a, b, upsample=20):
+def xcorr_shift_1d(a, b):
     """Displacement d maximizing the circular cross-correlation of a and b.
 
-    Computed in the frequency domain and refined to 1/upsample of a sample
+    Computed in the frequency domain and refined to 1/UPSAMPLE of a sample
     by zero-padding the correlation spectrum.  Sign: a(i) ~= b(i - d) gives
     +d; the result lies in (-N/2, N/2].  Swapping the inputs negates the
     result exactly (modulo N at the N/2 boundary).  The one-row case of
@@ -88,13 +88,13 @@ def xcorr_shift_1d(a, b, upsample=20):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape[0] < 2:
         raise ValueError("inputs must be 1D with at least 2 samples")
-    d = xcorr_shift_rows(a[None], b[None], upsample)[0]
+    d = xcorr_shift_rows(a[None], b[None])[0]
     if np.isnan(d):
         raise AmbiguousShiftError("zero cross-correlation")
     return float(d)
 
 
-def xcorr_shift_rows(a, b, upsample=20):
+def xcorr_shift_rows(a, b):
     """xcorr_shift_1d(a[i], b[i]) for every row pair of two (K, n) arrays,
     with one batched FFT per step.
 
@@ -103,7 +103,7 @@ def xcorr_shift_rows(a, b, upsample=20):
     other rows as they are.  Each row keeps its own canonical input order and
     N/2 rule, so row i equals xcorr_shift_1d(a[i], b[i]) bit for bit.
     """
-    a, b, upsample = _check_pair(a, b, upsample)
+    a, b = _check_pair(a, b)
     if a.ndim != 2 or a.shape[1] < 2:
         raise ValueError("inputs must be 2D (rows, samples) with at least 2 samples")
     n = a.shape[1]
@@ -112,23 +112,22 @@ def xcorr_shift_rows(a, b, upsample=20):
     swap = np.array([x.tobytes() > y.tobytes() for x, y in zip(a, b)], dtype=bool)
     first, second = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
     corr = np.fft.irfft(np.fft.rfft(first) * np.conj(np.fft.rfft(second)), n=n)
-    fine = _spectral_upsample(corr, upsample) if upsample > 1 else corr
-    d = _peak_shift(fine, upsample)
+    d = _peak_shift(_spectral_upsample(corr, UPSAMPLE), UPSAMPLE)
     d[swap] = 0.0 - d[swap]  # 0.0 - x: no -0.0 for a zero shift
     d[2 * d == -n] = n / 2
     d[~corr.any(axis=1)] = np.nan
     return d
 
 
-def xcorr_shift_s_2d(a, b, upsample=20):
+def xcorr_shift_s_2d(a, b):
     """Shift along the last (s) axis of the 2D circular correlation peak.
 
     The peak is located at integer resolution on the first (beta) axis,
-    whose shift is discarded, and refined to 1/upsample along s by spectral
+    whose shift is discarded, and refined to 1/UPSAMPLE along s by spectral
     zero-padding of the peak row.  Sign convention as in xcorr_shift_1d.
     The correlation is irfft2(rfft2(a) * conj(rfft2(b))) bit for bit, one axis at a time, in place.
     """
-    a, b, upsample = _check_pair(a, b, upsample)
+    a, b = _check_pair(a, b)
     if a.ndim != 2 or min(a.shape) < 2:
         raise ValueError("inputs must be 2D with at least 2 samples per axis")
     fa, fb = np.fft.rfft(a, axis=1), np.fft.rfft(b, axis=1)
@@ -139,8 +138,7 @@ def xcorr_shift_s_2d(a, b, upsample=20):
     if not np.any(corr):
         raise AmbiguousShiftError("zero cross-correlation")
     row = corr[np.unravel_index(np.argmax(corr), corr.shape)[0]]
-    fine = _spectral_upsample(row, upsample) if upsample > 1 else row
-    return float(_peak_shift(fine, upsample))
+    return float(_peak_shift(_spectral_upsample(row, UPSAMPLE), UPSAMPLE))
 
 
 _SNAP = 1e-9  # index units; collapses float dirt on exact grid queries

@@ -170,7 +170,7 @@ def sequential_median_fixed_point(sino, cfg):
         try:
             for k in range(1, cfg.max_iter + 1):
                 # the stop rule in literals, apart from the package: an update under 0.01 px
-                h_new = h + 0.5 * xcorr_shift_1d(sino.values[idx], reflect(sino, h, beta0), upsample=20)
+                h_new = h + 0.5 * xcorr_shift_1d(sino.values[idx], reflect(sino, h, beta0))
                 converged = abs(h_new - h) < 0.01
                 h = h_new
                 if converged:

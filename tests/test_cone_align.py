@@ -23,7 +23,6 @@ from ctalign import (
     make_disk_phantom,
     make_sphere_phantom,
     pi_h_eta,
-    reduced_gradient,
     reflected_resampling,
     sample_detector,
     sample_periodic,
@@ -319,6 +318,13 @@ def solves_and_reads(monkeypatch, stack, loss, gamma0=cone_align.GAMMA0, **kwarg
     return result, [args[1] for args in solves], [args[1:3] for args in reads]
 
 
+def reduced_gradient(stack, eta, cfg=VPConfig()):
+    """(gradient, curvature) of the reduced loss at eta as VP takes them: the
+    stencil at the inner solve."""
+    h, l0, _ = cone_align._solve(stack, eta, cfg)
+    return cone_align._stencil(stack, h, eta, l0)
+
+
 def gradient(stack, eta, cfg=VPConfig()):
     return reduced_gradient(stack, eta, cfg)[0]
 
@@ -459,7 +465,8 @@ class TestVariableProjection:
         assert reads and len(stack_reads) == len(reads)
 
     def test_descent_is_monotone(self, ref_stack):
-        result = variable_projection(ref_stack, VPConfig(eta0=math.radians(0.5)))
+        result = variable_projection(ref_stack, VPConfig())
+        assert result.iterations >= 1
         losses = [entry[3] for entry in result.trace]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -478,11 +485,12 @@ class TestVariableProjection:
         assert abs(vp.h - fan_aligner(fan, FanAlignConfig()).h) <= 0.1
 
     def test_iteration_cap_flags_non_convergence(self, ref_stack):
-        result = variable_projection(ref_stack, VPConfig(max_outer=1, eta0=0.1))
+        result = variable_projection(ref_stack, VPConfig(max_outer=1))
         assert not result.converged
         assert result.iterations == 1
 
     def test_trace_starts_at_eta0_and_ends_at_result(self, ref_stack):
+        """VP starts at the nominal mounting, eta0 = 0."""
         result = variable_projection(ref_stack, VPConfig())
         assert result.trace[0][0] == 0
         assert result.trace[0][2] == 0.0
@@ -514,40 +522,43 @@ class TestNewtonStep:
         assert len(probed) == 6  # start and its stencil, vertex and its stencil
 
     def test_concave_stencil_takes_gamma0_step_and_backtracks(self, run):
-        eta0, gamma0, d = 0.1, 4.0, cone_align.DELTA_ETA
-        loss = lambda e: -e * e + 10.0 * e**4
-        assert loss(eta0 + d) - 2.0 * loss(eta0) + loss(eta0 - d) < 0.0
-        g = (loss(eta0 + d) - loss(eta0 - d)) / (2.0 * d)
-        result, probed = run(loss, eta0=eta0, gamma0=gamma0, max_outer=1)
+        """-e^2 + 10 e^4 translated so that the start 0 is its concave point 0.1."""
+        gamma0, d = 4.0, cone_align.DELTA_ETA
+        loss = lambda e: -((e + 0.1) ** 2) + 10.0 * (e + 0.1) ** 4
+        assert loss(d) - 2.0 * loss(0.0) + loss(-d) < 0.0
+        g = (loss(d) - loss(-d)) / (2.0 * d)
+        result, probed = run(loss, gamma0=gamma0, max_outer=1)
         trials = probed[3:]
         assert len(trials) == 3
-        assert trials == pytest.approx([eta0 - gamma0 * g / 2**k for k in range(3)], abs=1e-15)
+        assert trials == pytest.approx([-gamma0 * g / 2**k for k in range(3)], abs=1e-15)
         assert result.eta == trials[-1]
         assert result.iterations == 1
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_edge_start_takes_the_newton_step(self, run, sign):
         """The stencil at the domain edge is central, so a convex loss takes
-        the Newton step from there."""
+        the Newton step from there.  The loss is concave and falls towards
+        the edge at the start 0, so its GAMMA0 step is clamped onto the edge."""
         bound, d = sign * cone_align.ETA_BOUND, cone_align.DELTA_ETA
-        result, probed = run(lambda e: (e - sign * 0.5) ** 2, eta0=bound, max_outer=1)
-        assert probed[:3] == [bound, bound - d, bound + d]
-        assert probed[3] == pytest.approx(sign * 0.5, abs=1e-9)
-        assert result.eta == probed[3]
+        loss = lambda e: (e - sign * 0.5) ** 2 if abs(e) > 0.1 else 10.0 - sign * e - e * e
+        result, probed = run(loss, max_outer=2)
+        assert probed[3:6] == [bound, bound - d, bound + d]
+        assert probed[6] == pytest.approx(sign * 0.5, abs=1e-9)
+        assert result.eta == probed[6]
 
-    @pytest.mark.parametrize("loss", [lambda e: 1.0, lambda e: -1e-9 * e * e], ids=["flat", "concave"])
+    @pytest.mark.parametrize("loss", [lambda e: 1.0, lambda e: -1e-9 * (e + 1e-6) ** 2], ids=["flat", "concave"])
     def test_nonpositive_curvature_never_converges(self, run, loss):
-        result, _ = run(loss, eta0=1e-6)
+        result, _ = run(loss)
         assert not result.converged
 
     @pytest.mark.parametrize(
         "loss, kwargs",
         [
             (lambda e: 1.0, {}),
-            (lambda e: -e * e, {"eta0": 0.1}),
-            (lambda e: -e, {"eta0": cone_align.ETA_BOUND}),
-            (lambda e: -e, {"eta0": 0.7, "gamma0": 1e4}),
-            (lambda e: e, {"eta0": cone_align.ETA_BOUND, "gamma0": 0.01}),
+            (lambda e: -((e + 0.1) ** 2), {}),
+            (lambda e: -e, {}),
+            (lambda e: -e, {"gamma0": 1e4}),
+            (lambda e: e, {"gamma0": 0.01}),
         ],
         ids=["flat", "concave", "outward-at-edge", "clamped-trials", "inward-to-cap"],
     )
@@ -555,18 +566,18 @@ class TestNewtonStep:
         """The zero step of a flat loss re-accepts its point; the concave and
         outward descents clamp their trials onto the edge, at the carried
         point or at the same trial for several halvings; the capped run ends
-        on a step.  No eta is solved twice and no (h, eta) read twice."""
+        on a step.  No eta is solved twice and no (h, eta) read twice.  The
+        start is 0: the concave loss is translated, and the GAMMA0 steps of
+        the falling lines are clamped onto the edge."""
         _, solved, read = solves_and_reads(monkeypatch, small_stack, loss, **kwargs)
         assert len(set(solved)) == len(solved)
         assert len(set(read)) == len(read)
 
     def test_capped_run_reads_no_stencil_after_its_last_step(self, small_stack, monkeypatch):
-        """An inward descent run to max_outer = 20: the start and 20 trials
-        are solved and read, and 20 central stencils are read, the first at
-        the edge; none at the point the cap returns."""
-        result, solved, read = solves_and_reads(
-            monkeypatch, small_stack, lambda e: e, eta0=cone_align.ETA_BOUND, gamma0=0.01
-        )
+        """A descent run to max_outer = 20: the start and 20 trials are
+        solved and read, and 20 central stencils are read; none at the point
+        the cap returns."""
+        result, solved, read = solves_and_reads(monkeypatch, small_stack, lambda e: e, gamma0=0.01)
         assert not result.converged
         assert result.iterations == 20
         assert (len(solved), len(read)) == (21, 21 + 2 * 20)
@@ -619,7 +630,7 @@ class TestVPConfigValidation:
             {"tol_eta": 0.0},
             {"tol_eta": math.inf},
             {"tol_eta": math.nan},
-            {"eta0": math.radians(60.0)},
+            {"tol_eta": -1e-4},
             {"max_outer": 2.5},
             {"max_outer": 20.0},
         ],

@@ -523,11 +523,21 @@ class TestCliAlignFan:
         assert rc == 2
         assert report_value(capsys.readouterr().out, "converged") == "false"
 
-    @pytest.mark.parametrize("key,value", [("tol_h", "0.01"), ("upsample", "20"), ("beta_index", "0")])
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            pytest.param("align-fan", "tol_h", "0.01", id="tol_h-0.01"),
+            pytest.param("align-fan", "upsample", "20", id="upsample-20"),
+            pytest.param("align-fan", "beta_index", "0", id="beta_index-0"),
+            pytest.param("align-cone", "eta0", "0.3rad", id="eta0-0.3rad"),
+        ],
+    )
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_removed_fixed_point_option_rejected(self, cli_fan_files, tmp_path, capsys, key, value, source):
-        """FP stops at an exact fixed point on the 1/20-px grid from view 0:
-        no tolerance, registration factor or start view is an option."""
+    def test_removed_fixed_point_option_rejected(self, cli_fan_files, tmp_path, capsys, command, key, value, source):
+        """FP stops at an exact fixed point on the 1/20-px grid from view 0,
+        and VP starts at eta = 0: no tolerance, registration factor, start
+        view or start angle is an option.  The options are rejected before
+        the input is read."""
         _, shifted = cli_fan_files
         if source == "flag":
             flag = "--" + key.replace("_", "-")
@@ -535,7 +545,7 @@ class TestCliAlignFan:
         else:
             (tmp_path / "run.cfg").write_text(f"{key}: {value}\n")
             extra, error = ["--config", str(tmp_path / "run.cfg")], f"error: unknown config key {key!r}\n"
-        assert main(["align-fan", "--input", shifted, "--method", "fp", *extra]) == 4
+        assert main([command, "--input", shifted, *extra]) == 4
         assert capsys.readouterr() == ("", error)
 
     def test_pixel_size_gives_millimetres(self, tmp_path, capsys):
@@ -699,11 +709,6 @@ class TestCliAlignCone:
         key = line.split(":")[0]
         assert capsys.readouterr() == ("", f"error: config key {key!r} does not apply to align-cone\n")
 
-    def test_bad_eta0_suffix_rejected(self, tmp_path):
-        out = str(tmp_path / "c.sino")
-        main(["simulate", "--mode", "cone", "--n", "24", "--seed", "0", "--features", "4", "--out", out])
-        assert main(["align-cone", "--input", out, "--eta0", "0.5"]) == 4
-
 
 class TestCliMetric:
     def test_fan_metric_matches_library(self, cli_fan_files, capsys):
@@ -765,8 +770,6 @@ class TestCliNegativeValues:
         assert main(["simulate", *argv, "--eta", "-1deg"]) == 0
         assert float(read_truth(out + ".truth")["eta_rad"]) == pytest.approx(math.radians(-1.0))
         capsys.readouterr()
-        assert main(["align-cone", "--input", out, "--eta0", "-0.5deg"]) in (0, 2)  # ran: converged or not
-        assert float(report_value(capsys.readouterr().out, "cfg_eta0_rad")) == pytest.approx(math.radians(-0.5))
         assert main(["metric", "--input", out, "--h", "-1e-3"]) == 0
         assert report_value(capsys.readouterr().out, "h_px") == "-0.001"
         assert main(["metric", "--input", out, "--eta", "-1e-3rad"]) == 0
@@ -871,7 +874,6 @@ OPTION_SAMPLES = {
     "pixel_size_mm": ("0.2", "1e-3"),
     "method": ("FPK", "ly"),
     "inner_method": ("fpk", "2dr"),
-    "eta0": ("0.5deg", "0.001rad"),
     "max_outer": ("3", "30"),
     "tol_eta": ("0.001rad", "1e-6rad"),
     "K": ("3", "12"),
@@ -920,15 +922,19 @@ class TestRunOptionTable:
         assert cli._options(parser.parse_args(argv))["inner_method"] == "fp_k"
 
 
-FAN_REPORT_KEYS = [
-    "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
-    "n_s", "n_beta", "s_max", "source_radius",
-    "cfg_method", "cfg_K", "cfg_max_iter",
-]  # fmt: skip
+# per kind of fan method: only FP and FP_K read max_iter, only FP_K reads K
+FAN_REPORT_KEYS = {
+    kind: [
+        "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
+        "n_s", "n_beta", "s_max", "source_radius",
+        "cfg_method", *echo,
+    ]
+    for kind, echo in {"one-pass": [], "FP": ["cfg_max_iter"], "FP_K": ["cfg_K", "cfg_max_iter"]}.items()
+}  # fmt: skip
 CONE_REPORT_KEYS = [
     "command", "input", "method", "h_px", "eta_deg", "eta_rad", "iterations", "mse", "converged", "seconds",
     "n_u", "n_v", "n_beta", "u_max", "v_max", "source_radius",
-    "cfg_inner_method", "cfg_eta0_rad", "cfg_max_outer", "cfg_tol_eta_rad",
+    "cfg_inner_method", "cfg_max_outer", "cfg_tol_eta_rad",
 ]  # fmt: skip
 CONE_FPK_REPORT_KEYS = CONE_REPORT_KEYS + ["cfg_K", "cfg_max_iter"]  # only the fp_k inner solver reads them
 
@@ -961,31 +967,45 @@ class TestReportKeys:
 
     def test_align_fan_default(self, root, capsys):
         keys, out = self.report(capsys, ["align-fan", "--input", str(root / "fan.sino")])
-        assert keys == FAN_REPORT_KEYS
+        assert keys == FAN_REPORT_KEYS["one-pass"]
         assert report_value(out, "cfg_method") == "2DR"
 
     def test_align_fan_config_and_flag(self, root, capsys):
+        """The flag wins over the file; FP (K = 1) echoes max_iter, FP_K echoes K and max_iter."""
         cfg = root / "fan.cfg"
-        cfg.write_text(f"input: {root / 'fan.sino'}\nmethod: fp\nK: 7\nmax_iter: 9\n")
-        keys, out = self.report(capsys, ["align-fan", "--config", str(cfg), "--k", "4"])
-        assert keys == FAN_REPORT_KEYS
-        assert [report_value(out, k) for k in ("cfg_method", "cfg_K", "cfg_max_iter")] == ["FP", "4", "9"]
+        for method, tag, echo in (("fp", "FP", ["FP", "9"]), ("fpk", "FP_K", ["FP_K", "4", "9"])):
+            cfg.write_text(f"input: {root / 'fan.sino'}\nmethod: {method}\nK: 7\nmax_iter: 9\n")
+            keys, out = self.report(capsys, ["align-fan", "--config", str(cfg), "--k", "4"])
+            assert keys == FAN_REPORT_KEYS[tag]
+            assert [report_value(out, k) for k in keys if k.startswith("cfg_")] == echo
+
+    @pytest.mark.parametrize("method", ["yang", "ly", "2dr"])
+    def test_align_fan_one_pass_echoes_no_fixed_point_setting(self, root, capsys, method):
+        """--k and --max-iter do nothing under Yang, LY and 2DR, so the
+        report does not echo them as if they had been used."""
+        runs = []
+        for k, max_iter in (("1", "1"), ("50", "3")):
+            argv = ["align-fan", "--input", str(root / "fan.sino"), "--method", method, "--k", k]
+            keys, out = self.report(capsys, [*argv, "--max-iter", max_iter])
+            assert keys == FAN_REPORT_KEYS["one-pass"]
+            runs.append([report_value(out, key) for key in ("h_px", "iterations", "mse")])
+        assert runs[0] == runs[1]
 
     def test_align_fan_pixel_size(self, root, capsys):
         keys, _ = self.report(capsys, ["align-fan", "--input", str(root / "fan_px.sino"), "--method", "fp"])
-        assert keys == with_h_mm(FAN_REPORT_KEYS)
+        assert keys == with_h_mm(FAN_REPORT_KEYS["FP"])
 
     def test_align_cone_default(self, root, capsys):
         keys, out = self.report(capsys, ["align-cone", "--input", str(root / "cone.sino")])
         assert keys == CONE_REPORT_KEYS
-        assert report_value(out, "cfg_eta0_rad") == "0.0"
+        assert report_value(out, "cfg_inner_method") == "2dr"
 
     def test_align_cone_config_and_flag(self, root, capsys):
         cfg = root / "cone.cfg"
-        cfg.write_text(f"input: {root / 'cone.sino'}\ninner_method: FPK\neta0: 0.3deg\nK: 5\nmax_outer: 9\n")
+        cfg.write_text(f"input: {root / 'cone.sino'}\ninner_method: FPK\ntol_eta: 0.3deg\nK: 5\nmax_outer: 9\n")
         keys, out = self.report(capsys, ["align-cone", "--config", str(cfg), "--max-outer", "4"])
         assert keys == CONE_FPK_REPORT_KEYS
-        got = [report_value(out, k) for k in ("cfg_inner_method", "cfg_eta0_rad", "cfg_K", "cfg_max_outer")]
+        got = [report_value(out, k) for k in ("cfg_inner_method", "cfg_tol_eta_rad", "cfg_K", "cfg_max_outer")]
         assert got == ["fp_k", repr(math.radians(0.3)), "5", "4"]
 
     def test_align_cone_2dr_echoes_no_fp_k_setting(self, root, capsys):
@@ -1073,7 +1093,7 @@ CLI_TEXTS = {
     ("metric", "-h"): (0, None, METRIC_HELP, ""),
     ("align-fan", "--bogus"): (None, 4, "", "error: unrecognized arguments: --bogus\n"),
     ("sweep", "--h"): (None, 4, "", "error: argument --h: expected one argument\n"),
-    ("align-cone", "--eta0", "1"): (None, 4, "", "error: argument --eta0: angle '1' needs a 'deg' or 'rad' suffix\n"),
+    ("align-cone", "--tol-eta", "1"): (None, 4, "", "error: argument --tol-eta: angle '1' needs a 'deg' or 'rad' suffix\n"),
     ("simulate", "--mode", "x"): (None, 4, "", "error: argument --mode: 'x' is not one of fan, cone\n"),
     ("align-fan", "--meth", "yang"): (None, 4, "", "error: an input file is required (--input)\n"),
 }
@@ -1114,8 +1134,8 @@ class TestProcessExitCodes:
         assert done.stderr.startswith("error: ") == (code != 0)
 
 
-# add_argument calls a main call of each subcommand makes; 47 declare all five
-DECLARATIONS = {"simulate": 14, "align-fan": 8, "align-cone": 11, "metric": 7, "sweep": 11}
+# add_argument calls a main call of each subcommand makes; 46 declare all five
+DECLARATIONS = {"simulate": 14, "align-fan": 8, "align-cone": 10, "metric": 7, "sweep": 11}
 # bare, each subcommand but sweep fails with exit 4 before any work
 CONFIG_ERRORS = {"sweep": ["--alphas", ""]}
 
@@ -1157,7 +1177,7 @@ class TestParserDeclarations:
 
     def test_full_parser_declares_every_subcommand(self, declarations):
         build_parser()
-        assert declarations[0] == 47 == 1 + sum(DECLARATIONS.values()) - len(DECLARATIONS)
+        assert declarations[0] == 46 == 1 + sum(DECLARATIONS.values()) - len(DECLARATIONS)
 
     @pytest.mark.parametrize("command", list(DECLARATIONS))
     def test_subparser_options_equal_the_full_parsers(self, command):

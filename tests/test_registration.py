@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctalign import (
     AmbiguousShiftError,
@@ -53,7 +53,7 @@ class TestXcorr1D:
 
     def test_spectral_shift_2p3(self):
         a = bump(128, 40.0, 6.0)
-        assert xcorr_shift_1d(delay(a, 2.3), a, upsample=10) == pytest.approx(2.3, abs=0.05)
+        assert xcorr_shift_1d(delay(a, 2.3), a) == pytest.approx(2.3, abs=0.05)
 
     def test_result_range_unwraps(self):
         a = bump(64, 32.0, 3.0)
@@ -80,38 +80,30 @@ class TestXcorr1D:
         with pytest.raises(ValueError):
             xcorr_shift_1d(a, b)
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5])
-    def test_bad_upsample_rejected(self, bad):
-        with pytest.raises(ValueError):
-            xcorr_shift_1d(np.ones(8), np.arange(8.0), upsample=bad)
-
     @given(
         n=st.integers(16, 128),
         center=st.floats(0.0, 127.0),
         width=st.floats(1.0, 10.0),
         shift=st.integers(-4, 4),
-        upsample=st.sampled_from([1, 4, 20]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_integer_shifts_exact(self, n, center, width, shift, upsample):
+    def test_integer_shifts_exact(self, n, center, width, shift):
         """Compactly supported signal away from the wrap boundary: exact."""
         a = bump(n, center % n, min(width, n / 8))
-        assert xcorr_shift_1d(np.roll(a, shift), a, upsample) == float(shift)
+        assert xcorr_shift_1d(np.roll(a, shift), a) == float(shift)
 
     @given(
         n=st.integers(8, 96),
         c1=st.floats(0.0, 95.0),
         c2=st.floats(0.0, 95.0),
         w=st.floats(1.0, 8.0),
-        upsample=st.sampled_from([1, 20]),
     )
-    @example(n=8, c1=0.0, c2=1.5, w=1.0, upsample=1)  # tied peaks at shifts -1 and -2
     @settings(max_examples=60, deadline=None)
-    def test_antisymmetry(self, n, c1, c2, w, upsample):
+    def test_antisymmetry(self, n, c1, c2, w):
         """shift(a, b) == -shift(b, a), up to the n-periodic boundary case."""
         a = bump(n, c1 % n, min(w, n / 6))
         b = bump(n, c2 % n, min(w, n / 6))
-        total = xcorr_shift_1d(a, b, upsample) + xcorr_shift_1d(b, a, upsample)
+        total = xcorr_shift_1d(a, b) + xcorr_shift_1d(b, a)
         assert total == 0.0 or abs(total) == n
 
     @given(k=st.integers(-6, 12))
@@ -133,12 +125,12 @@ def bump_rows(rng, k, n):
     return np.array([bump(n, rng.uniform(0.0, n), rng.uniform(1.0, n / 6)) for _ in range(k)])
 
 
-def shifts_1d(a, b, upsample):
+def shifts_1d(a, b):
     """xcorr_shift_1d row by row, NaN where it raises AmbiguousShiftError."""
     out = []
     for x, y in zip(a, b):
         try:
-            out.append(xcorr_shift_1d(x, y, upsample))
+            out.append(xcorr_shift_1d(x, y))
         except AmbiguousShiftError:
             out.append(math.nan)
     return np.array(out)
@@ -151,27 +143,26 @@ def same_bits(x, y):
 class TestXcorrRows:
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("n", [64, 33])
-    @pytest.mark.parametrize("upsample", [1, 20])
-    def test_rows_are_the_1d_shifts(self, k, n, upsample):
-        rng = np.random.default_rng(100 * k + n + upsample)
+    def test_rows_are_the_1d_shifts(self, k, n):
+        rng = np.random.default_rng(100 * k + n + 20)
         a, b = bump_rows(rng, k, n), bump_rows(rng, k, n)
         b[::2] = a[::2] + 1e-3 * rng.normal(size=(len(a[::2]), n))  # small shifts too
-        assert same_bits(xcorr_shift_rows(a, b, upsample), shifts_1d(a, b, upsample))
-        assert same_bits(xcorr_shift_rows(b, a, upsample), shifts_1d(b, a, upsample))
+        assert same_bits(xcorr_shift_rows(a, b), shifts_1d(a, b))
+        assert same_bits(xcorr_shift_rows(b, a), shifts_1d(b, a))
 
     def test_pinned_half_sample_tie_per_row(self):
-        a, b = bump(8, 0.0, 1.0), bump(8, 1.5, 1.0)  # tied peaks at shifts -1 and -2
-        rows = xcorr_shift_rows(np.array([a, b, a]), np.array([b, a, a]), upsample=1)
-        assert same_bits(rows, [xcorr_shift_1d(a, b, 1), xcorr_shift_1d(b, a, 1), 0.0])
+        a = bump(9, 0.0, 1.0)
+        b = delay(a, 1.525)  # tied peaks at the 1/20-sample shifts 1.5 and 1.55
+        rows = xcorr_shift_rows(np.array([a, b, a]), np.array([b, a, a]))
+        assert same_bits(rows, [xcorr_shift_1d(a, b), xcorr_shift_1d(b, a), 0.0])
         assert rows[0] + rows[1] == 0.0
 
-    @pytest.mark.parametrize("upsample", [1, 20])
-    def test_shift_of_exactly_half_the_length(self, upsample):
+    def test_shift_of_exactly_half_the_length(self):
         b = bump_rows(np.random.default_rng(7), 3, 32)
         a = np.roll(b, 16, axis=1)
         for x, y in ((a, b), (b, a)):
-            rows = xcorr_shift_rows(x, y, upsample)
-            assert same_bits(rows, shifts_1d(x, y, upsample))
+            rows = xcorr_shift_rows(x, y)
+            assert same_bits(rows, shifts_1d(x, y))
             assert np.all(rows == 16.0)
 
     def test_zero_row_is_flagged_alone(self):
@@ -224,7 +215,7 @@ class TestXcorrS2D:
     def test_spectral_shift_4p5(self):
         _, base = self._pair(0, 0)
         shifted = np.roll(delay(base, 4.5), 2, axis=0)
-        assert xcorr_shift_s_2d(shifted, base, upsample=10) == pytest.approx(4.5, abs=0.05)
+        assert xcorr_shift_s_2d(shifted, base) == pytest.approx(4.5, abs=0.05)
 
     def test_all_zero_raises(self):
         with pytest.raises(AmbiguousShiftError):
@@ -248,7 +239,7 @@ class TestXcorrS2D:
         for _ in range(3):
             b = rng.normal(size=shape)
             a = np.roll(delay(b, ds), 5, axis=0) + 0.1 * rng.normal(size=shape)
-            got = xcorr_shift_s_2d(a, b, upsample=20)
+            got = xcorr_shift_s_2d(a, b)
             assert got == complex_formula(a, b, 20)
             assert got == pytest.approx(ds, abs=0.05)
 
@@ -267,7 +258,7 @@ class TestXcorrS2D:
             return inverses[-1]
 
         monkeypatch.setattr(np.fft, "irfft", recording_irfft)
-        got = xcorr_shift_s_2d(a, b, upsample=20)
+        got = xcorr_shift_s_2d(a, b)
         assert np.array_equal(inverses[0], want)
         row = want[np.unravel_index(np.argmax(want), shape)[0]]
         assert got == _peak_shift(_spectral_upsample(row, 20), 20)
