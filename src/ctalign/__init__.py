@@ -26,12 +26,7 @@ from .core import (
 )
 from .fan_align import (
     FanAlignConfig,
-    align_2dr,
     align_fan,
-    align_fp,
-    align_fp_k,
-    align_ly,
-    align_yang,
     profile_p,
     reflected_resampling,
     symmetry_mse,
@@ -77,12 +72,7 @@ __all__ = [
     "RunConfig",
     "Sinogram",
     "VPConfig",
-    "align_2dr",
     "align_fan",
-    "align_fp",
-    "align_fp_k",
-    "align_ly",
-    "align_yang",
     "cone_line_integral",
     "cone_project",
     "fan_project",

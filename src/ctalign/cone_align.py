@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import AlignmentResult, Sinogram, count_at_least, positive_finite
-from .fan_align import FanAlignConfig, fixed_point_shift, reflected_resampling, shift_2dr, symmetry_mse, symmetry_sse
+from .fan_align import FanAlignConfig, fixed_point_shift, reflect, reflected_resampling, shift_2dr, symmetry_mse
 from .registration import sample_detector
 
 ETA_BOUND = math.radians(45.0)  # far beyond any physical detector mounting error
@@ -90,8 +90,10 @@ def pi_h_eta(stack, h, eta):
 
 def loss_L(stack, h, eta, lam=None):
     """|lam - Pi_h lam|^2, the sum of squared differences of the two tilted
-    resamplings at (h, eta); lam, if given, is lambda_eta(stack, h, eta)."""
-    return symmetry_sse(lambda_eta(stack, h, eta) if lam is None else lam, h)
+    resamplings at (h, eta); lam, if given, is lambda_eta(stack, h, eta).
+    It is summed block by block; the reflection is never built whole."""
+    lam = lambda_eta(stack, h, eta) if lam is None else lam
+    return reflect(lam, h, against=lam.values)[0]
 
 
 def inner_h(stack, eta, cfg=VPConfig()):

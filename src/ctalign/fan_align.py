@@ -3,7 +3,8 @@ condition g(s, b) = g(-s, b + pi + 2*atan(s/r)).
 
 A detector shift h turns that identity into a translation between a
 sinogram (or a profile of it) and its symmetry-reflected resampling; each
-estimator recovers h as half of a cross-correlation shift:
+estimator is a shift solve in _ESTIMATORS that recovers h as half of a
+cross-correlation shift, and align_fan runs the one cfg.method names:
 
 * Yang: angular sum profile p against its reversal.
 * LY:   p against the reflected profile w, linear in beta.  On a full scan
@@ -23,9 +24,9 @@ through sample_periodic; cone_align applies it and the 2DR and FP_K shift
 solves to the tilted sinogram lambda_eta returns.  On every view at once
 the map is one read of every stored view along the reflected detector path,
 each detector column at its own view offset pi + 2*atan((s - h)/r), since
-that offset depends on the column only.  symmetry_sse and symmetry_mse sum
-that read's residual block by block and build no reflected sinogram.  All h
-values are in effective detector pixels.
+that offset depends on the column only.  symmetry_mse and cone_align.loss_L
+sum that read's residual block by block and build no reflected sinogram.
+All h values are in effective detector pixels.
 """
 
 import math
@@ -47,10 +48,10 @@ from .registration import (
 class FanAlignConfig:
     """Settings of the fan estimators.
 
-    method: estimator selected by align_fan (the align_* functions themselves
-    ignore it); K: number of FP_K starts (FP is K = 1); max_iter: cap on the
-    updates of each fixed-point run.  Registration is refined to 1/20 px
-    (registration.UPSAMPLE), and a run converges at an exactly zero shift.
+    method: the estimator align_fan runs; K: number of FP_K starts (FP is
+    K = 1); max_iter: cap on the updates of each fixed-point run.
+    Registration is refined to 1/20 px (registration.UPSAMPLE), and a run
+    converges at an exactly zero shift.
     """
 
     method: str = "2DR"
@@ -79,11 +80,9 @@ def reflect(sino, h_px, beta=None, against=None):
     h_s = geom.px_to_s(h_px)
     x = -s + 2.0 * h_s
     offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
-    if beta is not None:
-        return sample_periodic(sino, x, beta + math.pi + offset)
-    if against is not None:
+    if beta is None:
         return sample_periodic(sino, x, None, math.pi + offset, against=against)
-    return sample_periodic(sino, x, None, math.pi + offset)
+    return sample_periodic(sino, x, beta + math.pi + offset)
 
 
 def reflected_resampling(sino, h_px=0.0):
@@ -100,57 +99,31 @@ def profile_p(sino):
     return sino.values.sum(axis=0)
 
 
-def symmetry_sse(sino, h):
-    """|g - g_reflected(h)|_F^2, g resampled through the symmetry map at shift h (pixels),
-    summed block by block as the blocked read makes the reflection, which is never built whole."""
-    return reflect(sino, h, against=sino.values)[0]
-
-
 def symmetry_mse(sino, h):
-    """symmetry_sse(sino, h) / |g|_F^2: zero only for consistent data, minimized near the true shift.
-    |g|^2 is summed on the same blocks in the same order: a reflection wholly off the detector gives 1."""
+    """|g - g_reflected(h)|_F^2 / |g|_F^2 at shift h (pixels): zero only for consistent data, minimized
+    near the true shift.  Both sums are taken on the same blocks of the reflected read, which is never
+    built whole, in the same order: a reflection wholly off the detector gives 1."""
     sse, den = reflect(sino, h, against=sino.values)
     if den == 0.0:
         raise ValueError("symmetry_mse undefined for an all-zero sinogram")
     return sse / den
 
 
-def _result(sino, h, method, iterations=0, converged=True):
-    """The fan result at h, with its symmetry MSE; fan results keep no trace."""
-    return AlignmentResult(
-        h=float(h), eta=0.0, mse=symmetry_mse(sino, h), iterations=iterations, method=method, converged=converged
-    )
-
-
-def _reversal_shift(sino):
-    """Half the shift of the angular sum profile p against its reversal,
-    exact on the symmetric detector grid: reverse(p)[i] = p[n_s - 1 - i]."""
+def _reversal_shift(sino, cfg):
+    """Yang's and LY's solve: half the shift of the angular sum profile p
+    against its reversal, exact on the symmetric detector grid:
+    reverse(p)[i] = p[n_s - 1 - i].  LY registers p against the reflected
+    profile w_i = sum_j g(-s_i, b_j + pi + 2*atan(s_i/r)); the read is linear
+    and periodic in beta, so on a full scan each column keeps its sum over
+    the views and w is p reversed."""
     p = profile_p(sino)
-    return 0.5 * xcorr_shift_1d(p, p[::-1])
-
-
-def align_yang(sino, cfg=FanAlignConfig()):
-    """Shift estimate from the angular sum profile against its reversal."""
-    return _result(sino, _reversal_shift(sino), "Yang")
-
-
-def align_ly(sino, cfg=FanAlignConfig()):
-    """Shift estimate from the angular sum profile p against the reflected
-    profile w_i = sum_j g(-s_i, b_j + pi + 2*atan(s_i/r)), translated by 2h
-    relative to p.  The read is linear and periodic in beta, so on a full
-    scan each column keeps its sum over the views and w is p reversed."""
-    return _result(sino, _reversal_shift(sino), "LY")
+    return 0.5 * xcorr_shift_1d(p, p[::-1]), 0, True
 
 
 def shift_2dr(sino):
     """2DR's shift (pixels): half the s component of the 2D correlation peak of
     the sinogram with its reflected resampling at h = 0 (beta is discarded)."""
     return 0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino, 0.0))
-
-
-def align_2dr(sino, cfg=FanAlignConfig()):
-    """Shift estimate from the 2D correlation of the sinogram with its reflection (shift_2dr)."""
-    return _result(sino, shift_2dr(sino), "2DR")
 
 
 def fp_start_indices(n_beta, K):
@@ -208,34 +181,22 @@ def fixed_point_shift(sino, cfg=FanAlignConfig()):
     return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, _ in runs), converged, runs
 
 
-def align_fp(sino, cfg=FanAlignConfig()):
-    """FP: fixed_point_shift with K = 1, its one start at view 0.
-
-    The reference Lambda_i = g(s_i, b_0) is the view itself; each iteration
-    correlates it against Pi_k(s_i) = g(-s_i + 2h_k, b_0 + pi +
-    2*atan((s_i - h_k)/r)) and advances h by half the measured shift.
-    Non-convergence within max_iter is flagged on the result, not fatal.
-    """
-    h, iterations, converged, _ = fixed_point_shift(sino, replace(cfg, K=1))
-    return _result(sino, h, "FP", iterations, converged)
-
-
-def align_fp_k(sino, cfg=FanAlignConfig()):
-    """FP_K: fixed_point_shift from K starts spread uniformly in beta; iterations
-    is the largest per-run count; converged, that every returned run did."""
-    h, iterations, converged, _ = fixed_point_shift(sino, cfg)
-    return _result(sino, h, "FP_K", iterations, converged)
-
-
+# each method's shift solve, (sino, cfg) -> (h, iterations, converged); FP_K's
+# iterations is the largest per-run count, converged that every returned run did
 _ESTIMATORS = {
-    "Yang": align_yang,
-    "LY": align_ly,
-    "2DR": align_2dr,
-    "FP": align_fp,
-    "FP_K": align_fp_k,
+    "Yang": _reversal_shift,
+    "LY": _reversal_shift,
+    "2DR": lambda sino, cfg: (shift_2dr(sino), 0, True),
+    "FP": lambda sino, cfg: fixed_point_shift(sino, replace(cfg, K=1))[:3],
+    "FP_K": lambda sino, cfg: fixed_point_shift(sino, cfg)[:3],
 }
 
 
 def align_fan(sino, cfg=FanAlignConfig()):
-    """Run the estimator selected by cfg.method."""
-    return _ESTIMATORS[cfg.method](sino, cfg)
+    """The fan estimate of the method cfg.method names: its shift solve, and
+    the symmetry MSE at that shift.  A fixed-point run that does not converge
+    within max_iter is flagged on the result, not fatal; fan results keep no trace."""
+    h, iterations, converged = _ESTIMATORS[cfg.method](sino, cfg)
+    return AlignmentResult(
+        h=float(h), eta=0.0, mse=symmetry_mse(sino, h), iterations=iterations, method=cfg.method, converged=converged
+    )

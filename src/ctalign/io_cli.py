@@ -9,8 +9,9 @@ only the storage type.
 
 Each `key: value` format is one table of keys and parsers, its lines read by
 one reader, _parse_header: KINDS holds the geometry header keys of each data
-kind, TRUTH_KEYS the ground-truth sidecar, and RUN_OPTIONS every option of
-the command line and its config files.
+kind, FIXED_HEADER the values every data header carries, TRUTH_KEYS the
+ground-truth sidecar, and RUN_OPTIONS every option of the command line and
+its config files.
 """
 
 import argparse
@@ -80,6 +81,13 @@ def nonnegative_int(text):
     return value
 
 
+def grid_size(text):
+    """int(text), which must be at least 2, the fewest samples of an axis (else ValueError)."""
+    if (value := int(text)) < 2:
+        raise ValueError(f"{text!r} is less than 2")
+    return value
+
+
 # each data kind: its geometry, its container, and the geometry's header keys
 # in file order with their parsers; the keys are the geometry's field names
 KINDS = {
@@ -90,6 +98,10 @@ KINDS = {
         {"n_u": int, "n_v": int, "n_beta": int, "u_max": float, "v_max": float, "source_radius": float},
     ),
 }
+
+
+# the header values every data file carries: written as they are, checked on read
+FIXED_HEADER = {"value_dtype": "float32", "byte_order": "little-endian", "layout": "row-major view-outermost"}
 
 
 def _kind(obj):
@@ -114,7 +126,7 @@ def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
     pairs = [("format_version", FORMAT_VERSION), ("kind", _kind(obj)), *geometry_fields(obj.geometry)]
     if pixel_size_mm is not None:
         pairs.append(("pixel_size_mm", positive_float(pixel_size_mm)))
-    pairs += [("value_dtype", "float32"), ("byte_order", "little-endian"), ("layout", "row-major view-outermost")]
+    pairs += FIXED_HEADER.items()
     payload_name = path.name + ".raw"
     if sidecar:
         if not payload_name.isascii():
@@ -169,7 +181,8 @@ def read_sinogram(path, with_header=False):
 
     Raises HeaderFormatError / UnknownDtypeError / ShapeMismatchError /
     PayloadValueError for the distinct failure modes; the round trip with
-    write_sinogram is byte-exact.  A `payload` key must name a file next to
+    write_sinogram is byte-exact.  value_dtype, byte_order and layout must hold
+    their FIXED_HEADER values.  A `payload` key must name a file next to
     the header: a bare file name, not a path.
     """
     path = Path(path)
@@ -182,11 +195,10 @@ def read_sinogram(path, with_header=False):
     entries = _parse_header(decode_ascii(header_bytes))
     if header_field(entries, "format_version", int) != FORMAT_VERSION:
         raise HeaderFormatError(f"unsupported format_version {entries['format_version']}")
-    dtype = entries.get("value_dtype", "")
-    if dtype != "float32":
-        raise UnknownDtypeError(f"unsupported value_dtype {dtype!r}")
-    if entries.get("byte_order", "") != "little-endian":
-        raise HeaderFormatError(f"unsupported byte_order {entries.get('byte_order')!r}")
+    for key, fixed in FIXED_HEADER.items():
+        if (value := entries.get(key)) != fixed:
+            error = UnknownDtypeError if key == "value_dtype" else HeaderFormatError
+            raise error(f"unsupported {key} {value!r}")
     if "payload" in entries:
         name = entries["payload"]
         if name in ("", ".", "..") or "/" in name or "\\" in name:
@@ -312,7 +324,7 @@ RUN_OPTIONS = {
     "report": Option(str, (*_ALIGN, "metric"), "also write the report to this file"),
     "seed": Option(int, _MAKE, "phantom seed"),
     "mode": Option(_choice({kind: kind for kind in KINDS}), ("simulate",), "fan or cone"),
-    "n": Option(int, _MAKE, "detector pixels = views (and rows for cone)"),
+    "n": Option(grid_size, _MAKE, "detector pixels = views (and rows for cone)"),
     "h": Option(float, ("simulate", "metric", "sweep"), "detector shift in effective pixels"),
     "eta": Option(parse_angle, ("simulate", "metric"), "in-plane rotation with unit suffix, e.g. 1deg (cone only)"),
     "alpha": Option(float, ("simulate",), "beam instability amplitude"),

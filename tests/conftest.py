@@ -36,6 +36,11 @@ H_TRUE = 10.0
 ETA_TRUE = math.radians(1.0)
 
 
+def fan_case_id(method):
+    """Test id of a fan method's case: align_ and the method tag in lower case."""
+    return f"align_{method.lower()}"
+
+
 def fan_geometry(n):
     return FanGeometry(SOURCE_RADIUS, n, unit_disk_half_width(SOURCE_RADIUS), n)
 
@@ -133,10 +138,12 @@ def shift_columns(values, offset):
     return _lerp(values[rows, cols], values[(rows + 1) % n, cols], f)
 
 
-def two_stage_periodic(sino, s, beta, view_offset=None):
+def two_stage_periodic(sino, s, beta, view_offset=None, against=None):
     """sample_periodic with the all-views read (beta=None) in two stages:
     the two-plane read at every stored view, then each column shifted by
-    its view offset.  The reference for the blocked all-views read."""
+    its view offset.  The reference for the blocked all-views read; it
+    returns the read itself, so it takes no against."""
+    assert against is None
     if beta is not None:
         return two_plane_periodic(sino, s, beta)
     grid = two_plane_periodic(sino, s, sino.geometry.beta_axis()[:, None])

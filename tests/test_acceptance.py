@@ -13,11 +13,7 @@ from ctalign import (
     FanAlignConfig,
     Sinogram,
     VPConfig,
-    align_2dr,
-    align_fp,
-    align_fp_k,
-    align_ly,
-    align_yang,
+    align_fan,
     cone_line_integral,
     fan_project,
     make_disk_phantom,
@@ -25,6 +21,7 @@ from ctalign import (
     variable_projection,
     xcorr_shift_1d,
 )
+from ctalign.core import FAN_METHODS
 from conftest import ETA_TRUE, H_TRUE, SOURCE_RADIUS, fan_geometry
 
 
@@ -47,14 +44,7 @@ def criterion1_run():
     geom = fan_geometry(256)
     phantom = make_disk_phantom(1, n_disks=30)
     sino = fan_project(phantom, geom, h=H_TRUE)
-    cfg = FanAlignConfig()
-    results = {
-        "Yang": align_yang(sino, cfg),
-        "LY": align_ly(sino, cfg),
-        "2DR": align_2dr(sino, cfg),
-        "FP": align_fp(sino, cfg),
-        "FP_K": align_fp_k(sino, cfg),
-    }
+    results = {method: align_fan(sino, FanAlignConfig(method=method)) for method in FAN_METHODS}
     seconds = time.perf_counter() - start
     return sino, results, seconds
 
@@ -85,7 +75,6 @@ def test_criterion_02_instability_ordering(capsys):
         from ctalign import InstabilityModel
 
         geom = fan_geometry(256)
-        cfg = FanAlignConfig()
         wins = 0
         for seed in range(1, 6):
             phantom = make_disk_phantom(seed, n_disks=30)
@@ -94,9 +83,8 @@ def test_criterion_02_instability_ordering(capsys):
                 inst = InstabilityModel(alpha) if alpha > 0 else None
                 sino = fan_project(phantom, geom, h=H_TRUE, instability=inst)
                 errors[alpha] = {
-                    "LY": abs(align_ly(sino, cfg).h - H_TRUE),
-                    "2DR": abs(align_2dr(sino, cfg).h - H_TRUE),
-                    "FP_K": abs(align_fp_k(sino, cfg).h - H_TRUE),
+                    method: abs(align_fan(sino, FanAlignConfig(method=method)).h - H_TRUE)
+                    for method in ("LY", "2DR", "FP_K")
                 }
             at_high = errors[0.01]
             if at_high["2DR"] < at_high["LY"] and at_high["FP_K"] < at_high["LY"]:
@@ -185,15 +173,14 @@ def test_criterion_08_multistart_robustness(criterion1_run, capsys):
         grid = sino.values.copy()
         grid[0] = 0.0
         corrupted = Sinogram(sino.geometry, grid)
-        cfg = FanAlignConfig()
         # single-start FP anchors on the zeroed view: broken outright or
         # displaced by more than half a pixel
         try:
-            moved = abs(align_fp(corrupted, cfg).h - results["FP"].h)
+            moved = abs(align_fan(corrupted, FanAlignConfig(method="FP")).h - results["FP"].h)
             assert moved > 0.5
         except AmbiguousShiftError:
             pass
-        assert abs(align_fp_k(corrupted, cfg).h - results["FP_K"].h) < 0.1
+        assert abs(align_fan(corrupted, FanAlignConfig(method="FP_K")).h - results["FP_K"].h) < 0.1
 
 
 def test_criterion_09_monotone_vp_descent(criterion3_run, capsys):

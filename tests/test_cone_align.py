@@ -12,8 +12,7 @@ from ctalign import (
     ProjectionStack,
     Sinogram,
     VPConfig,
-    align_2dr,
-    align_fp_k,
+    align_fan,
     cone_line_integral,
     cone_project,
     fan_project,
@@ -37,6 +36,7 @@ from conftest import (
     SOURCE_RADIUS,
     cone_geometry,
     count_calls,
+    fan_case_id,
     fan_geometry,
     lockstep_median_fixed_point,
     sequential_median_fixed_point,
@@ -46,6 +46,10 @@ from conftest import (
 )
 
 INNER = ["2dr", "fp_k"]
+# each inner solver with the fan method that runs the same shift solve
+INNER_AND_FAN_METHODS = pytest.mark.parametrize(
+    "method, fan_method", [pytest.param(m, m.upper(), id=f"{m}-{fan_case_id(m)}") for m in INNER]
+)
 
 
 @pytest.fixture(scope="module")
@@ -477,12 +481,12 @@ class TestVariableProjection:
         assert at_final < abs(gradient(ref_stack, result.eta - 5 * cfg.tol_eta, cfg))
         assert at_final < abs(gradient(ref_stack, result.eta + 5 * cfg.tol_eta, cfg))
 
-    @pytest.mark.parametrize("method,fan_aligner", [("2dr", align_2dr), ("fp_k", align_fp_k)])
-    def test_consistent_with_fan_estimate_when_untilted(self, method, fan_aligner, odd_row_stack):
+    @INNER_AND_FAN_METHODS
+    def test_consistent_with_fan_estimate_when_untilted(self, method, fan_method, odd_row_stack):
         """eta* = 0 data: VP's h agrees with the fan solve on the v = 0 row."""
         vp = variable_projection(odd_row_stack, VPConfig(inner_method=method))
         fan = Sinogram(odd_row_stack.geometry.central_fan(), odd_row_stack.values[:, 32, :])
-        assert abs(vp.h - fan_aligner(fan, FanAlignConfig()).h) <= 0.1
+        assert abs(vp.h - align_fan(fan, FanAlignConfig(method=fan_method)).h) <= 0.1
 
     def test_iteration_cap_flags_non_convergence(self, ref_stack):
         result = variable_projection(ref_stack, VPConfig(max_outer=1))
@@ -664,7 +668,7 @@ class TestFanIsEtaZeroCone:
         sino, stack = pair
         assert np.array_equal(pi_h_eta(stack, 1.5, 0.0), reflected_resampling(sino, 1.5))
 
-    @pytest.mark.parametrize("method, fan_aligner", [("2dr", align_2dr), ("fp_k", align_fp_k)])
-    def test_inner_solve_is_the_fan_estimate(self, pair, method, fan_aligner):
+    @INNER_AND_FAN_METHODS
+    def test_inner_solve_is_the_fan_estimate(self, pair, method, fan_method):
         sino, stack = pair
-        assert inner_h(stack, 0.0, VPConfig(inner_method=method)) == fan_aligner(sino).h
+        assert inner_h(stack, 0.0, VPConfig(inner_method=method)) == align_fan(sino, FanAlignConfig(method=fan_method)).h

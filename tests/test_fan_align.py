@@ -1,8 +1,9 @@
-"""Fan-beam shift estimators: profile identities, each aligner on clean
+"""Fan-beam shift estimators: profile identities, each method on clean
 analytic data, fixed-point behaviour, and invariance properties."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,16 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctalign import (
+    AlignmentResult,
     AmbiguousShiftError,
     FanAlignConfig,
     FanGeometry,
     Sinogram,
-    align_2dr,
     align_fan,
-    align_fp,
-    align_fp_k,
-    align_ly,
-    align_yang,
     fan_project,
     make_disk_phantom,
     profile_p,
@@ -27,21 +24,42 @@ from ctalign import (
     sample_periodic,
     symmetry_mse,
     unit_disk_half_width,
+    xcorr_shift_1d,
 )
 from ctalign import fan_align, registration
-from ctalign.fan_align import fp_start_indices
+from ctalign.core import FAN_METHODS
+from ctalign.fan_align import fixed_point_shift, fp_start_indices, reflect, shift_2dr
 from ctalign.simulate import InstabilityModel
 from conftest import (
     H_TRUE,
     SOURCE_RADIUS,
     count_calls,
+    fan_case_id,
     fan_geometry,
     lockstep_median_fixed_point,
     sequential_median_fixed_point,
     two_stage_periodic,
 )
 
-ALL_ALIGNERS = [align_yang, align_ly, align_2dr, align_fp, align_fp_k]
+each_method = pytest.mark.parametrize("method", FAN_METHODS, ids=fan_case_id)
+
+
+def align(sino, method, **settings):
+    """align_fan of the method tag method, with settings on the default config."""
+    return align_fan(sino, FanAlignConfig(method=method, **settings))
+
+
+def reference_solve(sino, cfg):
+    """(h, iterations, converged) of the shift solve of cfg.method, composed
+    from the public kernels: Yang and LY register the angular sum profile p
+    against its reversal, 2DR is shift_2dr, FP and FP_K are fixed_point_shift
+    from one start and from cfg.K starts."""
+    if cfg.method in ("Yang", "LY"):
+        p = profile_p(sino)
+        return 0.5 * xcorr_shift_1d(p, p[::-1]), 0, True
+    if cfg.method == "2DR":
+        return shift_2dr(sino), 0, True
+    return fixed_point_shift(sino, replace(cfg, K=1) if cfg.method == "FP" else cfg)[:3]
 
 
 def profile_w(sino):
@@ -98,8 +116,6 @@ class TestProfiles:
         assert np.abs(w - p).max() <= 1e-3 * np.abs(p).max()
 
     def test_profile_w_displaced_by_twice_the_shift(self, ref_sino):
-        from ctalign import xcorr_shift_1d
-
         d = xcorr_shift_1d(profile_p(ref_sino), profile_w(ref_sino))
         assert d == pytest.approx(2.0 * H_TRUE, abs=0.1)
 
@@ -111,30 +127,37 @@ class TestProfiles:
         sino = fan_project(make_disk_phantom(seed, n_disks=30), fan_geometry(256), H_TRUE, InstabilityModel(alpha))
         p = profile_p(sino)
         assert np.max(np.abs(profile_w(sino) - p[::-1])) <= 1.1e-14 * np.max(p)
-        assert align_ly(sino).h == align_yang(sino).h
+        assert align(sino, "LY").h == align(sino, "Yang").h
 
 
 class TestAlignersOnCleanData:
-    @pytest.mark.parametrize("aligner", ALL_ALIGNERS)
-    def test_aligned_input_estimates_zero(self, aligner, aligned_sino):
-        result = aligner(aligned_sino, FanAlignConfig())
+    @each_method
+    def test_aligned_input_estimates_zero(self, method, aligned_sino):
+        result = align(aligned_sino, method)
         assert result.h == pytest.approx(0.0, abs=0.05)
         assert result.eta == 0.0
 
-    @pytest.mark.parametrize("aligner", ALL_ALIGNERS)
-    def test_shifted_input_recovers_truth(self, aligner, ref_sino):
-        result = aligner(ref_sino, FanAlignConfig())
+    @each_method
+    def test_shifted_input_recovers_truth(self, method, ref_sino):
+        result = align(ref_sino, method)
         assert result.h == pytest.approx(H_TRUE, abs=0.15)
 
     def test_method_tags(self, ref_sino):
-        tags = {f(ref_sino, FanAlignConfig()).method for f in ALL_ALIGNERS}
+        tags = {align(ref_sino, method).method for method in FAN_METHODS}
         assert tags == {"Yang", "LY", "2DR", "FP", "FP_K"}
 
-    def test_dispatch_matches_direct_call(self, ref_sino):
-        for name, fn in [("Yang", align_yang), ("LY", align_ly), ("2DR", align_2dr), ("FP", align_fp), ("FP_K", align_fp_k)]:
-            via_dispatch = align_fan(ref_sino, FanAlignConfig(method=name))
-            assert via_dispatch.h == fn(ref_sino, FanAlignConfig()).h
-            assert via_dispatch.method == name
+    @each_method
+    def test_result_is_the_solve_and_one_mse_read(self, method, monkeypatch):
+        """align_fan returns its method's shift solve, (h, iterations,
+        converged), and the symmetry MSE read once at that h."""
+        sino, cfg = small_fan(alpha=0.01), FanAlignConfig(method=method, K=4)
+        h, iterations, converged = reference_solve(sino, cfg)
+        want = AlignmentResult(
+            h=float(h), eta=0.0, mse=symmetry_mse(sino, h), iterations=iterations, method=method, converged=converged
+        )
+        reads = count_calls(monkeypatch, fan_align, "symmetry_mse")
+        assert repr(align_fan(sino, cfg)) == repr(want)
+        assert [h_read for _, h_read in reads] == [h]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -243,26 +266,23 @@ class TestAllViewsRead:
 
 class TestFixedPoint:
     def test_converges_in_one_iteration_when_aligned(self, aligned_sino):
-        result = align_fp(aligned_sino, FanAlignConfig())
+        result = align(aligned_sino, "FP")
         assert result.converged
         assert result.iterations == 1
 
     def test_converges_quickly_when_shifted(self, ref_sino):
-        result = align_fp(ref_sino, FanAlignConfig())
+        result = align(ref_sino, "FP")
         assert result.converged
         assert result.iterations <= 5
 
     def test_self_consistency_at_estimate(self, ref_sino):
         """The returned h is a fixed point: the shift measured there is exactly 0."""
-        from ctalign import xcorr_shift_1d
-        from ctalign.fan_align import reflect
-
-        result = align_fp(ref_sino, FanAlignConfig())
+        result = align(ref_sino, "FP")
         assert result.converged
         assert xcorr_shift_1d(ref_sino.values[0], reflect(ref_sino, result.h, 0.0)) == 0.0
 
     def test_iteration_budget_respected(self, ref_sino):
-        result = align_fp(ref_sino, FanAlignConfig(max_iter=1))
+        result = align(ref_sino, "FP", max_iter=1)
         assert not result.converged
         assert result.iterations == 1
 
@@ -275,14 +295,14 @@ class TestFixedPointMultiStart:
 
     def test_k_exceeding_view_count_rejected(self, ref_sino):
         with pytest.raises(ValueError):
-            align_fp_k(ref_sino, FanAlignConfig(K=ref_sino.geometry.n_beta + 1))
+            align(ref_sino, "FP_K", K=ref_sino.geometry.n_beta + 1)
 
     def test_single_start_equals_plain_fixed_point(self):
         """FP is FP_K with K = 1: the same run, bit for bit, including runs of several iterations."""
         for alpha in (0.0, 0.004, 0.01):
             sino = small_fan(alpha)
-            one = align_fp_k(sino, FanAlignConfig(K=1))
-            plain = align_fp(sino, FanAlignConfig())
+            one = align(sino, "FP_K", K=1)
+            plain = align(sino, "FP")
             got = [(r.h, r.iterations, r.converged, r.mse) for r in (one, plain)]
             assert repr(got[0]) == repr(got[1])
 
@@ -291,13 +311,13 @@ class TestFixedPointMultiStart:
         grid[0] = 0.0
         broken = Sinogram(ref_sino.geometry, grid)
         # the start at the zeroed view fails, the median over the rest holds
-        result = align_fp_k(broken, FanAlignConfig(K=10))
+        result = align(broken, "FP_K", K=10)
         assert result.h == pytest.approx(H_TRUE, abs=0.1)
 
     def test_all_starts_failing_raises(self, ref_geom):
         sino = Sinogram(ref_geom, np.zeros((ref_geom.n_beta, ref_geom.n_s)))
         with pytest.raises(AmbiguousShiftError):
-            align_fp_k(sino, FanAlignConfig(K=4))
+            align(sino, "FP_K", K=4)
 
 
 def small_fan(alpha=0.0):
@@ -344,15 +364,15 @@ class TestLockstepRuns:
         monkeypatch.setattr(fan_align, "symmetry_mse", lambda sino, h: 0.0)  # count the run reads only
         reads = count_calls(monkeypatch, fan_align, "sample_periodic")
         correlations = count_calls(monkeypatch, fan_align, "xcorr_shift_rows")
-        result = align_fp_k(sino, cfg)
+        result = align_fan(sino, cfg)
         assert result.iterations == len(reads) == len(correlations) == max(iterations)
 
 
 class TestOneSymmetryRead:
-    @pytest.mark.parametrize("aligner", ALL_ALIGNERS)
-    def test_one_mse_read_at_the_estimate(self, aligner, ref_sino, monkeypatch):
+    @each_method
+    def test_one_mse_read_at_the_estimate(self, method, ref_sino, monkeypatch):
         reads = count_calls(monkeypatch, fan_align, "symmetry_mse")
-        result = aligner(ref_sino, FanAlignConfig())
+        result = align(ref_sino, method)
         assert [h for _, h in reads] == [result.h]
         assert result.mse == symmetry_mse(ref_sino, result.h)
         assert result.trace == ()
@@ -361,7 +381,7 @@ class TestOneSymmetryRead:
         """LY registers p against p reversed, which is w on a full scan: its one
         reflected read is the one behind its mse, summed block by block."""
         reads = count_calls(monkeypatch, fan_align, "reflect")
-        result = align_ly(ref_sino, FanAlignConfig())
+        result = align(ref_sino, "LY")
         assert [h for _, h in reads] == [result.h]
 
 
@@ -380,18 +400,25 @@ class TestSymmetryMse:
         with pytest.raises(ValueError):
             symmetry_mse(sino, 0.0)
 
-    @pytest.mark.parametrize("aligner", [align_fp, align_2dr])
-    def test_estimates_match_grid_argmin(self, aligner, ref_sino):
+    @pytest.mark.parametrize("method", ["FP", "2DR"], ids=fan_case_id)
+    def test_estimates_match_grid_argmin(self, method, ref_sino):
         grid = np.arange(-20.0, 20.0 + 1e-9, 0.05)
         losses = [symmetry_mse(ref_sino, h) for h in grid]
         best = grid[int(np.argmin(losses))]
-        result = aligner(ref_sino, FanAlignConfig())
+        result = align(ref_sino, method)
         assert abs(result.h - best) <= 0.25
 
 
+def block_summed_residual(sino, h):
+    """|g - g_reflected(h)|^2 as symmetry_mse and loss_L sum it: the all-views
+    reflection read against the stored views."""
+    return reflect(sino, h, against=sino.values)[0]
+
+
 class TestBlockSummedResidual:
-    """symmetry_sse sums the residual block by block as the blocked read
-    makes the reflection, and builds no reflected sinogram."""
+    """The all-views reflection read against the stored views sums the
+    residual block by block as the blocked read makes the reflection, and
+    builds no reflected sinogram."""
 
     @pytest.fixture(scope="class", params=[(255, 97), (5, registration._BLOCK + 11)], ids=["partial-last-block", "view-per-block"])
     def sino(self, request):
@@ -402,7 +429,7 @@ class TestBlockSummedResidual:
     @pytest.mark.parametrize("h", [0.0, 3.0, 2.37, -7.81, 1e6])
     def test_matches_the_full_reflection(self, sino, h):
         want = np.sum((reflected_resampling(sino, h) - sino.values) ** 2)
-        assert fan_align.symmetry_sse(sino, h) == pytest.approx(want, rel=1e-12)
+        assert block_summed_residual(sino, h) == pytest.approx(want, rel=1e-12)
 
     def test_off_the_detector_is_exactly_one(self, sino):
         """|g|^2 is summed on the residual's blocks: a reflection that reads
@@ -417,7 +444,7 @@ class TestBlockSummedResidual:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            fan_align.symmetry_sse(sino, h)
+            block_summed_residual(sino, h)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -426,17 +453,17 @@ class TestBlockSummedResidual:
 
 
 class TestInvariances:
-    @pytest.mark.parametrize("aligner", ALL_ALIGNERS)
-    def test_translation_equivariance(self, aligner, aligned_sino):
+    @each_method
+    def test_translation_equivariance(self, method, aligned_sino):
         shifted = shifted_copy(aligned_sino, 4)
-        base = aligner(aligned_sino, FanAlignConfig()).h
-        moved = aligner(shifted, FanAlignConfig()).h
+        base = align(aligned_sino, method).h
+        moved = align(shifted, method).h
         assert moved - base == pytest.approx(4.0, abs=0.05)
 
-    @pytest.mark.parametrize("aligner", ALL_ALIGNERS)
-    def test_scale_invariance(self, aligner, ref_sino):
+    @each_method
+    def test_scale_invariance(self, method, ref_sino):
         scaled = Sinogram(ref_sino.geometry, ref_sino.values * 2.0**7)
-        assert aligner(scaled, FanAlignConfig()).h == aligner(ref_sino, FanAlignConfig()).h
+        assert align(scaled, method).h == align(ref_sino, method).h
 
     def test_mse_scale_behaviour(self, ref_sino):
         # normalized objective: overall intensity scale drops out entirely
@@ -449,7 +476,7 @@ class TestInvariances:
         geom = fan_geometry(96)
         ph = make_disk_phantom(11, n_disks=12)
         sino = fan_project(ph, geom, h=0.0)
-        result = align_fp(shifted_copy(sino, d), FanAlignConfig())
+        result = align(shifted_copy(sino, d), "FP")
         assert result.h == pytest.approx(float(d), abs=0.05)
 
 
@@ -471,5 +498,5 @@ class TestConfigValidation:
             FanAlignConfig(**kwargs)
 
     def test_counts_of_any_integer_type_accepted(self):
-        sino, cfg = small_fan(), FanAlignConfig(K=np.int64(3), max_iter=np.int32(20))
-        assert repr(align_fp_k(sino, cfg)) == repr(align_fp_k(sino, FanAlignConfig(K=3)))
+        sino, cfg = small_fan(), FanAlignConfig(method="FP_K", K=np.int64(3), max_iter=np.int32(20))
+        assert repr(align_fan(sino, cfg)) == repr(align(sino, "FP_K", K=3))

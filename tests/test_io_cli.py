@@ -226,8 +226,10 @@ class TestSinogramFiles:
             (b"format_version: 1", b"format_version: 2", "unsupported format_version 2"),
             (b"byte_order: little-endian", b"byte_order: big-endian", "unsupported byte_order 'big-endian'"),
             (b"kind: fan", b"kind: helix", "kind must be 'fan' or 'cone', got 'helix'"),
+            (b"layout: row-major view-outermost", b"layout: column-major", "unsupported layout 'column-major'"),
+            (b"layout: row-major view-outermost\n", b"", "unsupported layout None"),
         ],
-        ids=["non-ascii", "format-version", "byte-order", "kind"],
+        ids=["non-ascii", "format-version", "byte-order", "kind", "layout", "layout-missing"],
     )
     def test_bad_header_rejected_and_exits_3(self, tmp_path, capsys, old, new, message):
         path = tmp_path / "fan.sino"
@@ -477,6 +479,30 @@ class TestCliSimulate:
             Path("run.cfg").write_text(config)
             argv = [*argv, "--config", "run.cfg"]
         assert main([*argv, "--n", "16", "--out", "f.sino"]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["run.cfg"])
+
+    N_FLAG = "argument --n: invalid grid_size value:"
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["simulate", "--mode", "fan", "--n", "1"], None, f"{N_FLAG} '1'"),
+            (["simulate", "--mode", "cone", "--n", "1"], None, f"{N_FLAG} '1'"),
+            (["sweep", "--n", "1", "--alphas", "0"], None, f"{N_FLAG} '1'"),
+            (["simulate", "--mode", "cone"], "n: 0\n", "bad value for config key 'n': '0' is less than 2"),
+            (["sweep", "--alphas", "0"], "n: 1\n", "bad value for config key 'n': '1' is less than 2"),
+        ],
+    )
+    def test_grid_size_below_two_rejected_and_nothing_written(
+        self, tmp_path, monkeypatch, capsys, argv, config, message
+    ):
+        """The error names the option as it was given, not n_s or n_u."""
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
+        assert main([*argv, "--out", "f.sino"]) == 4
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["run.cfg"])
 

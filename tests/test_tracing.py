@@ -12,8 +12,7 @@ import ctalign.cli  # noqa: F401  (tracing.installed rebinds names in every ctal
 from ctalign import (
     FanAlignConfig,
     VPConfig,
-    align_fp,
-    align_fp_k,
+    align_fan,
     cone_project,
     fan_project,
     make_disk_phantom,
@@ -37,8 +36,8 @@ def stack_32():
 
 
 CASES = {
-    "FP": (fan_64, lambda sino: align_fp(sino, FanAlignConfig())),
-    "FP_K": (fan_64, lambda sino: align_fp_k(sino, FanAlignConfig())),
+    "FP": (fan_64, lambda sino: align_fan(sino, FanAlignConfig(method="FP"))),
+    "FP_K": (fan_64, lambda sino: align_fan(sino, FanAlignConfig(method="FP_K"))),
     "VP-2DR": (stack_32, lambda stack: variable_projection(stack, VPConfig(inner_method="2dr"))),
     "VP-FP_K": (stack_32, lambda stack: variable_projection(stack, VPConfig(inner_method="fp_k"))),
 }
