@@ -74,22 +74,19 @@ def _options(args):
     return options
 
 
-def _config(cls, options, **fixed):
+def _config(cls, options):
     """cls from the options named like its fields; cls supplies every default."""
-    given = {f.name: options[f.name] for f in fields(cls) if f.name in options}
-    return cls(**(given | fixed))
+    return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options})
 
 
-def _config_echo(command, solver, *configs):
-    """cfg_<key> pairs of the options of command held by configs, in table order,
+def _config_echo(command, solver, config):
+    """cfg_<key> pairs of the options of command that config holds, in table order,
     K and max_iter only if the fan shift solver (FAN_METHODS tag) reads them; angles in radians."""
     unread = {"K", "max_iter"} - _READS.get(solver, set())
     return [
         (f"cfg_{key}_rad" if option.parse is parse_angle else f"cfg_{key}", getattr(config, key))
         for key, option in RUN_OPTIONS.items()
-        if command in option.commands and key not in unread
-        for config in configs
-        if hasattr(config, key)
+        if command in option.commands and key not in unread and hasattr(config, key)
     ]
 
 
@@ -152,14 +149,14 @@ def cmd_align(command, options):
         config = _config(FanAlignConfig, options)
         start = time.perf_counter()
         result = align_fan(data, config)
-        configs, solver = (config,), config.method
+        solver = config.method
     else:
         if isinstance(data, Sinogram):
             raise ConfigError("align-cone needs cone data; this file holds a fan sinogram")
-        config = _config(VPConfig, options, inner=_config(FanAlignConfig, options))
+        config = _config(VPConfig, options)
         start = time.perf_counter()
         result = variable_projection(data, config)
-        configs, solver = (config, config.inner), config.inner_method.upper()
+        solver = config.inner.method
     seconds = time.perf_counter() - start
 
     pairs = [("command", command), ("input", str(input_path)), ("method", result.method), ("h_px", result.h)]
@@ -174,7 +171,7 @@ def cmd_align(command, options):
         ("seconds", float(f"{seconds:.3f}")),
     ]
     pairs += geometry_fields(data.geometry)
-    pairs += _config_echo(command, solver, *configs)
+    pairs += _config_echo(command, solver, config)
     _emit_report(pairs, options.get("report"))
     return 0 if result.converged else 2
 
@@ -207,7 +204,7 @@ def cmd_sweep(options):
     if not alphas or not methods:
         raise ConfigError("sweep needs at least one alpha and one method")
     instabilities = [InstabilityModel(alpha) for alpha in alphas]
-    configs = [_config(FanAlignConfig, options, method=method) for method in methods]
+    configs = [FanAlignConfig(method=method) for method in methods]
     source_radius = options.get("source_radius", 2.0)
     n = options.get("n", 256)
     counts = [options["features"]] if "features" in options else []

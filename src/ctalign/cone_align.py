@@ -15,25 +15,23 @@ The reflection maps the tilted line through (h, 0) onto itself, q to 2h - q,
 so Pi_h_eta = Pi_h o Lambda_eta is the fan symmetry map of the tilted sinogram:
 lambda_eta reads the stack once per (h, eta) into a fan Sinogram of the
 central fan geometry, and the fan estimators are the eta = 0, v = 0 case.
-The inner variable h is eliminated by the fan 2DR or median-of-K fixed-point
-solve at fixed eta on the read pivoted at 0, which is free of h; the reduced
-loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.  Its
-gradient is the partial one at the inner optimum (the envelope result of
+The inner variable h is eliminated by the fan 2DR or FP_K shift solve of
+fan_align._ESTIMATORS at fixed eta on the read pivoted at 0, free of h; the
+reduced loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.
+Its gradient is the partial one at the inner optimum (the envelope result of
 variable projection; Golub & Pereyra, Inverse Problems 19:R1, 2003), so h
 is solved only at the start and trial points, not on the stencil.  The
 descent carries its accepted point (h, eta, loss, lam); nothing is cached.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import AlignmentResult, Sinogram, count_at_least, positive_finite
-from .fan_align import FanAlignConfig, fixed_point_shift, reflect, reflected_resampling, shift_2dr, symmetry_mse
+from .core import INNER_METHODS, AlignmentResult, Sinogram, count_at_least, positive_finite
+from .fan_align import _ESTIMATORS, FanAlignConfig, reflect, reflected_resampling, symmetry_mse
 from .registration import sample_detector
 
 ETA_BOUND = math.radians(45.0)  # far beyond any physical detector mounting error
-
-INNER_METHODS = ("2dr", "fp_k")
 
 DELTA_ETA = 0.001  # finite-difference step in eta (radians)
 GAMMA0 = 1.0  # fallback step per unit gradient where the curvature is not positive
@@ -45,24 +43,32 @@ MAX_BACKTRACK = 30  # step halvings before a line search gives up
 class VPConfig:
     """Variable-projection settings.
 
-    inner_method selects the shift solver on the tilted fan pair; max_outer
-    caps the steps; tol_eta is the Newton step (radians) below which the
-    descent stops as converged.  inner carries K and max_iter of the fp_k
-    solver.  The descent starts at the nominal mounting, eta = 0.  The
-    stencil step, the fallback step and the Armijo constant are the module
-    constants DELTA_ETA, GAMMA0 and ARMIJO_C.
+    inner_method selects the fan shift solver on the tilted sinogram, 2dr or
+    fp_k; max_outer caps the steps; tol_eta is the Newton step (radians)
+    below which the descent stops as converged; K and max_iter are the fp_k
+    start count and per-run update cap.  inner, the FanAlignConfig of the
+    inner solve, is derived from these and checks K and max_iter.  The
+    descent starts at the nominal mounting, eta = 0.  The stencil step, the
+    fallback step and the Armijo constant are DELTA_ETA, GAMMA0 and ARMIJO_C.
     """
 
     inner_method: str = "2dr"
     max_outer: int = 20
     tol_eta: float = 1e-4
-    inner: FanAlignConfig = field(default_factory=FanAlignConfig)
+    K: int = 10
+    max_iter: int = 20
 
     def __post_init__(self):
         if self.inner_method not in INNER_METHODS:
             raise ValueError(f"inner_method must be one of {INNER_METHODS}")
+        self.inner  # FanAlignConfig checks K and max_iter
         count_at_least("max_outer", self.max_outer)
         positive_finite("tol_eta", self.tol_eta)
+
+    @property
+    def inner(self):
+        """The FanAlignConfig of the inner solve: method inner_method in upper case."""
+        return FanAlignConfig(self.inner_method.upper(), self.K, self.max_iter)
 
 
 def lambda_eta(stack, h, eta):
@@ -98,11 +104,10 @@ def loss_L(stack, h, eta, lam=None):
 
 def inner_h(stack, eta, cfg=VPConfig()):
     """Shift (pixels) minimizing the tilted-pair mismatch at fixed eta: the
-    fan 2DR or FP_K shift solve on lambda_eta pivoted at 0, free of h."""
-    sino = lambda_eta(stack, 0.0, eta)
-    if cfg.inner_method == "2dr":
-        return shift_2dr(sino)
-    return fixed_point_shift(sino, cfg.inner)[0]
+    fan shift solve fan_align._ESTIMATORS holds for cfg.inner's method, run
+    on lambda_eta pivoted at 0, which is free of h."""
+    inner = cfg.inner
+    return _ESTIMATORS[inner.method](lambda_eta(stack, 0.0, eta), inner)[0]
 
 
 def _solve(stack, eta, cfg):
@@ -165,13 +170,12 @@ def variable_projection(stack, cfg=VPConfig()):
         moved = eta_new != eta
         eta, (h, current, lam) = eta_new, trial
         trace.append((k, h, eta, current))
-    method = "VP-2DR" if cfg.inner_method == "2dr" else "VP-FP_K"
     return AlignmentResult(
         h=float(h),
         eta=float(eta),
         mse=symmetry_mse(lam, h),
         iterations=len(trace) - 1,
-        method=method,
+        method="VP-" + cfg.inner.method,
         trace=tuple(trace),
         converged=converged,
     )

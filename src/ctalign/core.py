@@ -26,6 +26,7 @@ TWO_PI = 2.0 * math.pi
 
 FAN_METHODS = ("Yang", "LY", "2DR", "FP", "FP_K")
 CONE_METHODS = ("VP-2DR", "VP-FP_K")
+INNER_METHODS = ("2dr", "fp_k")
 
 
 def wrap_angle(beta):

@@ -20,13 +20,13 @@ cross-correlation shift, and align_fan runs the one cfg.method names:
 * FP:   FP_K with K = 1, its one start at view 0.
 
 The symmetry map is written once, in reflect(), and reads a fan Sinogram
-through sample_periodic; cone_align applies it and the 2DR and FP_K shift
-solves to the tilted sinogram lambda_eta returns.  On every view at once
-the map is one read of every stored view along the reflected detector path,
-each detector column at its own view offset pi + 2*atan((s - h)/r), since
-that offset depends on the column only.  symmetry_mse and cone_align.loss_L
-sum that read's residual block by block and build no reflected sinogram.
-All h values are in effective detector pixels.
+through sample_periodic; cone_align applies it to the tilted sinogram
+lambda_eta returns, and VP's inner 2DR or FP_K solve runs through _ESTIMATORS.
+On every view at once the map is one read of every stored view along the
+reflected detector path, each detector column at its own view offset
+pi + 2*atan((s - h)/r), since that offset depends on the column only.
+symmetry_mse and cone_align.loss_L sum that read's residual block by block
+and build no reflected sinogram.  All h values are in effective pixels.
 """
 
 import math

@@ -21,8 +21,7 @@ from collections import namedtuple
 import numpy as np
 from pathlib import Path
 
-from .cone_align import INNER_METHODS
-from .core import FAN_METHODS, ConeGeometry, FanGeometry, ProjectionStack, Sinogram
+from .core import FAN_METHODS, INNER_METHODS, ConeGeometry, FanGeometry, ProjectionStack, Sinogram
 
 FORMAT_VERSION = 1
 
@@ -322,7 +321,7 @@ RUN_OPTIONS = {
     "input": Option(str, (*_ALIGN, "metric"), "data file to read"),
     "output": Option(str, _MAKE, "file to write"),
     "report": Option(str, (*_ALIGN, "metric"), "also write the report to this file"),
-    "seed": Option(int, _MAKE, "phantom seed"),
+    "seed": Option(nonnegative_int, _MAKE, "phantom seed"),
     "mode": Option(_choice({kind: kind for kind in KINDS}), ("simulate",), "fan or cone"),
     "n": Option(grid_size, _MAKE, "detector pixels = views (and rows for cone)"),
     "h": Option(float, ("simulate", "metric", "sweep"), "detector shift in effective pixels"),

@@ -270,10 +270,17 @@ class TestInnerFixedPoint:
         cfg = FanAlignConfig()
         lockstep = lockstep_median_fixed_point(tilted, cfg)
         assert repr(lockstep) == repr(sequential_median_fixed_point(tilted, cfg))
-        assert inner_h(small_stack, eta, VPConfig(inner_method="fp_k", inner=cfg)) == lockstep[0]
+        assert inner_h(small_stack, eta, VPConfig(inner_method="fp_k", K=cfg.K, max_iter=cfg.max_iter)) == lockstep[0]
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_k_and_max_iter_reach_the_solve(self, small_stack, max_iter):
+        """VPConfig's K and max_iter are the FanAlignConfig of the inner solve."""
+        tilted = lambda_eta(small_stack, 0.0, 0.02)
+        fixed_point = fan_align.fixed_point_shift(tilted, FanAlignConfig(K=1, max_iter=max_iter))[0]
+        assert inner_h(small_stack, 0.02, VPConfig(inner_method="fp_k", K=1, max_iter=max_iter)) == fixed_point
 
     def test_k_exceeding_view_count_rejected(self, small_stack):
-        cfg = VPConfig(inner_method="fp_k", inner=FanAlignConfig(K=small_stack.geometry.n_beta + 1))
+        cfg = VPConfig(inner_method="fp_k", K=small_stack.geometry.n_beta + 1)
         with pytest.raises(ValueError):
             inner_h(small_stack, 0.0, cfg)
         with pytest.raises(ValueError):
@@ -637,6 +644,10 @@ class TestVPConfigValidation:
             {"tol_eta": -1e-4},
             {"max_outer": 2.5},
             {"max_outer": 20.0},
+            {"K": 0},
+            {"K": 2.5},
+            {"max_iter": 0},
+            {"max_iter": 2.5},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):

@@ -468,12 +468,16 @@ class TestCliSimulate:
             (["sweep", "--features", "-2", "--alphas", "0"], None, f"{FLAG} '-2'"),
             (["simulate", "--mode", "cone"], "features: -1\n", "bad value for config key 'features': '-1' is negative"),
             (["sweep", "--alphas", "0"], "features: -2\n", "bad value for config key 'features': '-2' is negative"),
+            (["simulate", "--mode", "fan", "--seed", "-1"], None, "argument --seed: invalid nonnegative_int value: '-1'"),
+            (["sweep", "--seed", "-1", "--alphas", "0"], None, "argument --seed: invalid nonnegative_int value: '-1'"),
+            (["simulate", "--mode", "fan"], "seed: -1\n", "bad value for config key 'seed': '-1' is negative"),
         ],
     )
     def test_negative_feature_count_rejected_and_nothing_written(
         self, tmp_path, monkeypatch, capsys, argv, config, message
     ):
-        """The error names the option as it was given, not n_disks or n_spheres."""
+        """A negative feature count or seed is rejected; the error names the
+        option as it was given, not n_disks, n_spheres or numpy's seed."""
         monkeypatch.chdir(tmp_path)
         if config is not None:
             Path("run.cfg").write_text(config)
