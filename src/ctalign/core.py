@@ -191,36 +191,31 @@ class ConeGeometry:
         return FanGeometry(self.source_radius, self.n_u, self.u_max, self.n_beta)
 
 
-def _frozen_values(values, shape, what):
-    values = np.array(values, dtype=float)
-    if values.shape != shape:
-        raise ValueError(f"{what} values must have shape {shape}, got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} values must be finite")
-    values.flags.writeable = False
-    return values
+@dataclass(frozen=True, eq=False)
+class _Data:
+    """Body of Sinogram and ProjectionStack: a geometry and a read-only float64 copy of finite values of its shape."""
+
+    geometry: FanGeometry | ConeGeometry
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        if values.shape != self.geometry.shape:
+            raise ValueError(f"{type(self).__name__} values must have shape {self.geometry.shape}, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{type(self).__name__} values must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
-class Sinogram:
+class Sinogram(_Data):
     """Fan-beam line integrals on the (beta, s) grid; values[j, i] = g(s_i, b_j)."""
 
-    geometry: FanGeometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_values(self.values, self.geometry.shape, "Sinogram"))
-
 
 @dataclass(frozen=True, eq=False)
-class ProjectionStack:
+class ProjectionStack(_Data):
     """Cone-beam projections; values[j, k, i] = g(u_i, v_k, b_j)."""
-
-    geometry: ConeGeometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_values(self.values, self.geometry.shape, "ProjectionStack"))
 
 
 @dataclass(frozen=True)

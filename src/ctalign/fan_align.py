@@ -105,7 +105,7 @@ def symmetry_mse(sino, h):
     built whole, in the same order: a reflection wholly off the detector gives 1."""
     sse, den = reflect(sino, h, against=sino.values)
     if den == 0.0:
-        raise ValueError("symmetry_mse undefined for an all-zero sinogram")
+        raise AmbiguousShiftError("symmetry_mse undefined for an all-zero sinogram")
     return sse / den
 
 

@@ -5,7 +5,7 @@ cone projection stack, followed by a raw little-endian float32 payload,
 either in the same file after a blank line (single-file mode) or in a
 sibling file named by a `payload` header key (sidecar mode).  Headers are
 greppable text; all in-memory computation is double precision, float32 is
-only the storage type.
+only the storage type.  A file that is not valid data raises FormatError.
 
 Each `key: value` format is one table of keys and parsers, its lines read by
 one reader, _parse_header: KINDS holds the geometry header keys of each data
@@ -27,23 +27,7 @@ FORMAT_VERSION = 1
 
 
 class FormatError(Exception):
-    """Base for data-file problems (CLI exit code 3)."""
-
-
-class HeaderFormatError(FormatError):
-    """Missing, unparseable, or invariant-violating header fields."""
-
-
-class UnknownDtypeError(FormatError):
-    """value_dtype other than float32."""
-
-
-class ShapeMismatchError(FormatError):
-    """Payload byte length disagrees with the declared shape."""
-
-
-class PayloadValueError(FormatError):
-    """Payload contains NaN or Inf."""
+    """A data file or .truth sidecar that does not hold valid data (CLI exit code 3); the message names why."""
 
 
 class ConfigError(argparse.ArgumentTypeError):
@@ -141,7 +125,7 @@ def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
     return path
 
 
-def _parse_header(text, error=HeaderFormatError, noun="header"):
+def _parse_header(text, error=FormatError, noun="header"):
     """The entries of `key: value` lines, as text; blank and `#` lines are
     skipped.  A line without a colon or a repeated key raises error."""
     entries = {}
@@ -158,7 +142,7 @@ def _parse_header(text, error=HeaderFormatError, noun="header"):
     return entries
 
 
-def decode_ascii(raw, error=HeaderFormatError, noun="header"):
+def decode_ascii(raw, error=FormatError, noun="header"):
     try:
         return raw.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -166,20 +150,20 @@ def decode_ascii(raw, error=HeaderFormatError, noun="header"):
 
 
 def header_field(entries, key, parse):
-    """entries[key] read by parse; HeaderFormatError if missing or unreadable."""
+    """entries[key] read by parse; FormatError if missing or unreadable."""
     if key not in entries:
-        raise HeaderFormatError(f"missing header key {key!r}")
+        raise FormatError(f"missing header key {key!r}")
     try:
         return parse(entries[key])
     except ValueError:
-        raise HeaderFormatError(f"bad value for header key {key!r}: {entries[key]!r}") from None
+        raise FormatError(f"bad value for header key {key!r}: {entries[key]!r}") from None
 
 
 def read_sinogram(path, with_header=False):
     """Read a data file back into a Sinogram or ProjectionStack; with_header: (data, header entries).
 
-    Raises HeaderFormatError / UnknownDtypeError / ShapeMismatchError /
-    PayloadValueError for the distinct failure modes; the round trip with
+    A file that is not valid data raises one FormatError, its message naming
+    the failure (header, payload length, NaN or Inf); the round trip with
     write_sinogram is byte-exact.  value_dtype, byte_order and layout must hold
     their FIXED_HEADER values.  A `payload` key must name a file next to
     the header: a bare file name, not a path.
@@ -193,34 +177,33 @@ def read_sinogram(path, with_header=False):
         header_bytes, payload = blob, b""
     entries = _parse_header(decode_ascii(header_bytes))
     if header_field(entries, "format_version", int) != FORMAT_VERSION:
-        raise HeaderFormatError(f"unsupported format_version {entries['format_version']}")
+        raise FormatError(f"unsupported format_version {entries['format_version']}")
     for key, fixed in FIXED_HEADER.items():
         if (value := entries.get(key)) != fixed:
-            error = UnknownDtypeError if key == "value_dtype" else HeaderFormatError
-            raise error(f"unsupported {key} {value!r}")
+            raise FormatError(f"unsupported {key} {value!r}")
     if "payload" in entries:
         name = entries["payload"]
         if name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise HeaderFormatError(f"payload must be a file name next to the header, got {name!r}")
+            raise FormatError(f"payload must be a file name next to the header, got {name!r}")
         payload_path = path.parent / name
         try:
             payload = payload_path.read_bytes()
         except OSError as exc:
-            raise ShapeMismatchError(f"cannot read payload file {payload_path}: {exc}") from None
+            raise FormatError(f"cannot read payload file {payload_path}: {exc}") from None
     kind = entries.get("kind")
     if kind not in KINDS:
-        raise HeaderFormatError(f"kind must be 'fan' or 'cone', got {kind!r}")
+        raise FormatError(f"kind must be 'fan' or 'cone', got {kind!r}")
     geometry, container, keys = KINDS[kind]
     try:
         geom = geometry(**{key: header_field(entries, key, parse) for key, parse in keys.items()})
     except ValueError as exc:
-        raise HeaderFormatError(f"invalid {kind} geometry: {exc}") from None
+        raise FormatError(f"invalid {kind} geometry: {exc}") from None
     expected = math.prod(geom.shape) * 4
     if len(payload) != expected:
-        raise ShapeMismatchError(f"payload is {len(payload)} bytes, shape {geom.shape} needs {expected}")
+        raise FormatError(f"payload is {len(payload)} bytes, shape {geom.shape} needs {expected}")
     values = np.frombuffer(payload, dtype="<f4").reshape(geom.shape)
     if not np.all(np.isfinite(values)):
-        raise PayloadValueError("payload contains NaN or Inf")
+        raise FormatError("payload contains NaN or Inf")
     data = container(geom, values)  # the container holds the one float64 copy
     return (data, entries) if with_header else data
 

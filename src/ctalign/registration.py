@@ -31,7 +31,7 @@ UPSAMPLE = 20  # correlation peaks are refined to 1/UPSAMPLE of a sample
 
 
 class AmbiguousShiftError(ValueError):
-    """Cross-correlation is identically zero; no shift can be estimated."""
+    """Cross-correlation is identically zero, or the data have no signal to measure; no shift can be estimated."""
 
 
 def _spectral_upsample(c, upsample):

@@ -1,6 +1,8 @@
 """Geometry containers, angle wrapping, and detector-axis conventions."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,30 +170,39 @@ class TestConeGeometry:
             ConeGeometry(2.0, u_max=1.0, v_max=1.0, **counts)
 
 
+@pytest.mark.parametrize(
+    "cls, geom",
+    [(Sinogram, FanGeometry(2.0, 4, 1.0, 3)), (ProjectionStack, ConeGeometry(2.0, 4, 3, 1.0, 1.0, 2))],
+    ids=["Sinogram", "ProjectionStack"],
+)
 class TestContainers:
-    def test_sinogram_shape_enforced(self):
-        geom = FanGeometry(2.0, 4, 1.0, 3)
-        with pytest.raises(ValueError):
-            Sinogram(geom, np.zeros((4, 3)))
+    def test_shape_enforced(self, cls, geom):
+        wrong = (*geom.shape[:-2], geom.shape[-1], geom.shape[-2])  # the last two axes swapped
+        message = f"{cls.__name__} values must have shape {geom.shape}, got {wrong}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(geom, np.zeros(wrong))
+        cls(geom, np.zeros(geom.shape))  # (n_beta, n_s) and (n_beta, n_v, n_u) are the contract
 
-    def test_sinogram_rejects_nan(self):
-        geom = FanGeometry(2.0, 4, 1.0, 3)
-        values = np.zeros((3, 4))
-        values[1, 2] = math.nan
-        with pytest.raises(ValueError):
-            Sinogram(geom, values)
+    def test_rejects_nan(self, cls, geom):
+        values = np.zeros(geom.shape)
+        values.flat[-2] = math.nan
+        with pytest.raises(ValueError, match=f"^{cls.__name__} values must be finite$"):
+            cls(geom, values)
 
-    def test_sinogram_values_frozen(self):
-        geom = FanGeometry(2.0, 4, 1.0, 3)
-        sino = Sinogram(geom, np.ones((3, 4)))
+    def test_values_read_only(self, cls, geom):
+        data = cls(geom, np.ones(geom.shape))
+        assert not data.values.flags.writeable
         with pytest.raises(ValueError):
-            sino.values[0, 0] = 2.0
+            data.values[(0,) * data.values.ndim] = 2.0
 
-    def test_stack_shape_enforced(self):
-        geom = ConeGeometry(2.0, 4, 3, 1.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            ProjectionStack(geom, np.zeros((2, 4, 3)))
-        ProjectionStack(geom, np.zeros((2, 3, 4)))  # (n_beta, n_v, n_u) is the contract
+    @pytest.mark.parametrize("name", ["values", "geometry", "new_attribute"])
+    def test_attributes_frozen(self, cls, geom, name):
+        data = cls(geom, np.ones(geom.shape))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, name, None)
+
+    def test_repr_names_the_class(self, cls, geom):
+        assert repr(cls(geom, np.ones(geom.shape))).startswith(f"{cls.__name__}(geometry=")
 
 
 class TestAlignmentResult:

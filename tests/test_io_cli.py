@@ -5,6 +5,7 @@ import argparse
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +26,8 @@ from ctalign import cli, simulate
 from ctalign.cli import build_parser, main
 from ctalign.io_cli import (
     ConfigError,
-    HeaderFormatError,
-    PayloadValueError,
+    FormatError,
     RunConfig,
-    ShapeMismatchError,
-    UnknownDtypeError,
     header_metadata,
     parse_angle,
     read_truth,
@@ -37,6 +35,11 @@ from ctalign.io_cli import (
 )
 from ctalign import io_cli
 from conftest import SOURCE_RADIUS
+
+
+def exactly(message):
+    """pytest.raises match= pattern of exactly this message."""
+    return f"^{re.escape(message)}$"
 
 
 def small_sino():
@@ -146,7 +149,7 @@ class TestSinogramFiles:
         write_sinogram(path, small_sino())
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(FormatError, match=exactly("payload is 504 bytes, shape (8, 16) needs 512")):
             read_sinogram(path)
 
     def test_zero_sample_count_rejected(self, tmp_path):
@@ -154,14 +157,14 @@ class TestSinogramFiles:
         write_sinogram(path, small_sino())
         text = path.read_bytes()
         path.write_bytes(text.replace(b"n_s: 16", b"n_s: 0"))
-        with pytest.raises(HeaderFormatError):
+        with pytest.raises(FormatError, match=exactly("invalid fan geometry: n_s must be an integer of at least 2")):
             read_sinogram(path)
 
     def test_unknown_dtype_rejected(self, tmp_path):
         path = tmp_path / "fan.sino"
         write_sinogram(path, small_sino())
         path.write_bytes(path.read_bytes().replace(b"value_dtype: float32", b"value_dtype: float64"))
-        with pytest.raises(UnknownDtypeError):
+        with pytest.raises(FormatError, match=exactly("unsupported value_dtype 'float64'")):
             read_sinogram(path)
 
     def test_nan_payload_rejected(self, tmp_path):
@@ -172,7 +175,7 @@ class TestSinogramFiles:
         payload_at = blob.index(b"\n\n") + 2
         blob[payload_at : payload_at + 4] = np.float32("nan").tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(PayloadValueError):
+        with pytest.raises(FormatError, match=exactly("payload contains NaN or Inf")):
             read_sinogram(path)
 
     @pytest.mark.parametrize("sidecar", [False, True])
@@ -197,7 +200,7 @@ class TestSinogramFiles:
         blob = bytearray(path.read_bytes())
         blob[-4:] = np.float32(bad).tobytes()  # the last value
         path.write_bytes(bytes(blob))
-        with pytest.raises(PayloadValueError):
+        with pytest.raises(FormatError, match=exactly("payload contains NaN or Inf")):
             read_sinogram(path)
         assert main([command, "--input", str(path)]) == 3
         assert capsys.readouterr().err == "error: payload contains NaN or Inf\n"
@@ -206,7 +209,7 @@ class TestSinogramFiles:
         path = tmp_path / "fan.sino"
         write_sinogram(path, small_sino())
         path.write_bytes(path.read_bytes().replace(b"n_beta: 8\n", b"n_beta: 8\nn_beta: 8\n"))
-        with pytest.raises(HeaderFormatError):
+        with pytest.raises(FormatError, match=exactly("duplicate header key 'n_beta'")):
             read_sinogram(path)
 
     @pytest.mark.parametrize("sidecar", [False, True])
@@ -235,7 +238,7 @@ class TestSinogramFiles:
         path = tmp_path / "fan.sino"
         write_sinogram(path, small_sino())
         path.write_bytes(path.read_bytes().replace(old, new))
-        with pytest.raises(HeaderFormatError, match=message):
+        with pytest.raises(FormatError, match=message):
             read_sinogram(path)
         assert main(["align-fan", "--input", str(path)]) == 3
         captured = capsys.readouterr()
@@ -245,8 +248,10 @@ class TestSinogramFiles:
     def test_missing_sidecar_payload(self, tmp_path):
         path = tmp_path / "fan.sino"
         write_sinogram(path, small_sino(), sidecar=True)
-        (tmp_path / "fan.sino.raw").unlink()
-        with pytest.raises(ShapeMismatchError):
+        raw = tmp_path / "fan.sino.raw"
+        raw.unlink()
+        message = f"cannot read payload file {raw}: [Errno 2] No such file or directory: '{raw}'"
+        with pytest.raises(FormatError, match=exactly(message)):
             read_sinogram(path)
 
     def test_payload_may_name_another_sibling_file(self, tmp_path):
@@ -272,7 +277,7 @@ class TestSinogramFiles:
             "subdirectory": "deeper/fan.sino.raw",
         }[given]
         path.write_bytes(path.read_bytes().replace(b"payload: fan.sino.raw", f"payload: {name}".encode()))
-        with pytest.raises(HeaderFormatError, match="payload must be a file name next to the header"):
+        with pytest.raises(FormatError, match=exactly(f"payload must be a file name next to the header, got {name!r}")):
             read_sinogram(path)
         assert main(["metric", "--input", str(path)]) == 3
         assert capsys.readouterr().out == ""
@@ -301,7 +306,9 @@ class TestSinogramFiles:
         path = tmp_path / "x.truth"
         write_truth(path, kind="cone", h_px=10.0, eta_rad=0.5, alpha=0.01, seed=7, features=20, source_radius=2.0)
         path.write_bytes(path.read_bytes().replace(b"kind: cone", b"kind: c\xf6ne"))
-        with pytest.raises(HeaderFormatError, match="header is not ASCII text"):
+        at = path.read_bytes().index(b"\xf6")
+        message = f"header is not ASCII text: 'ascii' codec can't decode byte 0xf6 in position {at}: ordinal not in range(128)"
+        with pytest.raises(FormatError, match=exactly(message)):
             read_truth(path)
 
 
@@ -654,14 +661,23 @@ class TestCliAlignFan:
         assert captured.err == "error: duplicate config key 'method'\n"
 
     @pytest.mark.parametrize(
-        "method, message",
+        "run, message",
         [(m, "zero cross-correlation") for m in ("yang", "ly", "2dr")]
-        + [(m, "every fixed-point start failed") for m in ("fp", "fpk")],
+        + [(m, "every fixed-point start failed") for m in ("fp", "fpk")]
+        + [(run, "symmetry_mse undefined for an all-zero sinogram") for run in ("metric fan", "metric cone")],
     )
-    def test_all_zero_data_exits_2(self, tmp_path, capsys, method, message):
+    def test_all_zero_data_exits_2(self, tmp_path, capsys, run, message):
+        """Data with no signal to measure is an ambiguous registration (exit 2)
+        for every fan estimator and for metric, on fan and cone data."""
+        fan = Sinogram(FanGeometry(SOURCE_RADIUS, 16, 1.0, 16), np.zeros((16, 16)))
+        cone = ProjectionStack(ConeGeometry(SOURCE_RADIUS, 12, 12, 1.0, 1.0, 12), np.zeros((12, 12, 12)))
+        data, args = {
+            "metric fan": (fan, ["metric", "--h", "0"]),
+            "metric cone": (cone, ["metric", "--eta", "1deg"]),
+        }.get(run, (fan, ["align-fan", "--method", run]))
         path = tmp_path / "zero.sino"
-        write_sinogram(path, Sinogram(FanGeometry(SOURCE_RADIUS, 16, 1.0, 16), np.zeros((16, 16))))
-        assert main(["align-fan", "--input", str(path), "--method", method]) == 2
+        write_sinogram(path, data)
+        assert main([*args, "--input", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -883,7 +899,7 @@ class TestFileKeyTables:
     def test_truth_missing_key_is_a_format_error(self, tmp_path):
         path = tmp_path / "x.truth"
         path.write_bytes(TRUTH_FILE.replace(b"seed: 7\n", b""))
-        with pytest.raises(HeaderFormatError):
+        with pytest.raises(FormatError, match=exactly("missing header key 'seed'")):
             read_truth(path)
 
 
