@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 
 from .cone_align import VPConfig, lambda_eta, variable_projection
-from .core import FAN_METHODS, ConeGeometry, FanGeometry, Sinogram, unit_disk_half_width
+from .core import FAN_METHODS, ConeGeometry, FanGeometry, ProjectionStack, Sinogram, unit_disk_half_width
 from .fan_align import FanAlignConfig, align_fan, symmetry_mse
 from .io_cli import (
     RUN_OPTIONS,
@@ -79,10 +79,10 @@ def _config(cls, options):
     return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options})
 
 
-def _config_echo(command, solver, config):
-    """cfg_<key> pairs of the options of command that config holds, in table order,
-    K and max_iter only if the fan shift solver (FAN_METHODS tag) reads them; angles in radians."""
-    unread = {"K", "max_iter"} - _READS.get(solver, set())
+def _config_echo(command, config):
+    """cfg_<key> pairs of the options of command that config holds, in table order, K and
+    max_iter only if its fan shift solver (its own or, for VP, inner's) reads them; angles in radians."""
+    unread = {"K", "max_iter"} - _READS.get(getattr(config, "inner", config).method, set())
     return [
         (f"cfg_{key}_rad" if option.parse is parse_angle else f"cfg_{key}", getattr(config, key))
         for key, option in RUN_OPTIONS.items()
@@ -97,6 +97,17 @@ def _emit_report(pairs, report_path):
         Path(report_path).write_text(text, encoding="utf-8")
 
 
+def _scene(options, mode):
+    """(phantom, geometry) of a run: the seeded phantom of mode fan or cone and
+    its n-sample, n-view geometry, whose detector just covers the unit disk."""
+    n, seed, source_radius = options.get("n", 256), options.get("seed", 0), options.get("source_radius", 2.0)
+    counts = [options["features"]] if "features" in options else []  # the builders hold the default counts
+    width = unit_disk_half_width(source_radius)
+    if mode == "fan":
+        return make_disk_phantom(seed, *counts), FanGeometry(source_radius, n, width, n)
+    return make_sphere_phantom(seed, *counts), ConeGeometry(source_radius, n, n, width, width, n)
+
+
 def cmd_simulate(options):
     mode = options.get("mode")
     if mode is None:
@@ -104,21 +115,13 @@ def cmd_simulate(options):
     n, h, seed = options.get("n", 256), options.get("h", 0.0), options.get("seed", 0)
     eta = options.get("eta", 0.0)
     alpha = options.get("alpha", 0.0)
-    source_radius = options.get("source_radius", 2.0)
-    counts = [options["features"]] if "features" in options else []  # the builders hold the default counts
     out = options.get("output", f"{mode}_n{n}_seed{seed}.sino")
     instability = InstabilityModel(alpha)
-    width = unit_disk_half_width(source_radius)
-    if mode == "fan":
-        if eta != 0.0:
-            raise ConfigError("--eta applies to cone simulations only")
-        phantom = make_disk_phantom(seed, *counts)
-        geom = FanGeometry(source_radius, n, width, n)
-        data = fan_project(phantom, geom, h=h, instability=instability)
-    else:
-        phantom = make_sphere_phantom(seed, *counts)
-        geom = ConeGeometry(source_radius, n, n, width, width, n)
-        data = cone_project(phantom, geom, h=h, eta=eta, instability=instability)
+    if mode == "fan" and eta != 0.0:
+        raise ConfigError("--eta applies to cone simulations only")
+    phantom, geom = _scene(options, mode)
+    project = fan_project if mode == "fan" else partial(cone_project, eta=eta)
+    data = project(phantom, geom, h=h, instability=instability)
     write_sinogram(out, data, sidecar=options.get("sidecar", False), pixel_size_mm=options.get("pixel_size_mm"))
     truth = str(out) + ".truth"
     write_truth(
@@ -129,7 +132,7 @@ def cmd_simulate(options):
         alpha=alpha,
         seed=seed,
         features=sum(density < 0.0 for _, _, density in phantom.spheres),
-        source_radius=source_radius,
+        source_radius=geom.source_radius,
     )
     print(f"wrote: {out}")
     print(f"wrote: {truth}")
@@ -142,21 +145,16 @@ def cmd_align(command, options):
         raise ConfigError("an input file is required (--input)")
     data, meta = read_sinogram(input_path, with_header=True)
     pixel_size_mm = header_field(meta, "pixel_size_mm", positive_float) if "pixel_size_mm" in meta else None
-
-    if command == "align-fan":
-        if not isinstance(data, Sinogram):
-            raise ConfigError("align-fan needs fan data; this file holds a cone stack")
-        config = _config(FanAlignConfig, options)
-        start = time.perf_counter()
-        result = align_fan(data, config)
-        solver = config.method
-    else:
-        if isinstance(data, Sinogram):
-            raise ConfigError("align-cone needs cone data; this file holds a fan sinogram")
-        config = _config(VPConfig, options)
-        start = time.perf_counter()
-        result = variable_projection(data, config)
-        solver = config.inner.method
+    # each command's container, config type, estimator (looked up per call) and wrong-kind message
+    container, config_type, estimator, wrong_kind = {
+        "align-fan": (Sinogram, FanAlignConfig, align_fan, "fan data; this file holds a cone stack"),
+        "align-cone": (ProjectionStack, VPConfig, variable_projection, "cone data; this file holds a fan sinogram"),
+    }[command]
+    if not isinstance(data, container):
+        raise ConfigError(f"{command} needs {wrong_kind}")
+    config = _config(config_type, options)
+    start = time.perf_counter()
+    result = estimator(data, config)
     seconds = time.perf_counter() - start
 
     pairs = [("command", command), ("input", str(input_path)), ("method", result.method), ("h_px", result.h)]
@@ -171,7 +169,7 @@ def cmd_align(command, options):
         ("seconds", float(f"{seconds:.3f}")),
     ]
     pairs += geometry_fields(data.geometry)
-    pairs += _config_echo(command, solver, config)
+    pairs += _config_echo(command, config)
     _emit_report(pairs, options.get("report"))
     return 0 if result.converged else 2
 
@@ -205,11 +203,7 @@ def cmd_sweep(options):
         raise ConfigError("sweep needs at least one alpha and one method")
     instabilities = [InstabilityModel(alpha) for alpha in alphas]
     configs = [FanAlignConfig(method=method) for method in methods]
-    source_radius = options.get("source_radius", 2.0)
-    n = options.get("n", 256)
-    counts = [options["features"]] if "features" in options else []
-    phantom = make_disk_phantom(options.get("seed", 0), *counts)
-    geom = FanGeometry(source_radius, n, unit_disk_half_width(source_radius), n)
+    phantom, geom = _scene(options, "fan")
     lines = ["alpha,method,abs_error_px,seconds"]
     for instability in instabilities:
         sino = fan_project(phantom, geom, h=h, instability=instability)

@@ -78,7 +78,7 @@ def lambda_eta(stack, h, eta):
     At the true (h, eta) this is the mid-plane fan sinogram.
     """
     geom = stack.geometry
-    h_u = geom.px_to_u(h)
+    h_u = h * geom.pixel_size
     cose, sine = math.cos(eta), math.sin(eta)
     q = geom.u_axis()
     pivot = h_u * (1.0 - cose)  # written so that eta = 0 reads q exactly

@@ -11,16 +11,18 @@ Coordinate conventions used throughout the package:
   the detector plane through the origin is spanned by
   e_u(b) = (sin b, 0, -cos b) and e_v = (0, 1, 0); the v = 0 slice of a cone
   acquisition is exactly the 2D fan geometry in the (x, z) plane.
-* Shifts h are expressed in effective-detector pixels; one pixel is
-  2*s_max/(n_s - 1) on the endpoint-inclusive detector grid.  Conversion to
-  physical units happens only at the CLI layer.
+* Shifts h are expressed in effective-detector pixels, geom.pixel_size wide
+  (2*s_max/(n_s - 1) on the endpoint-inclusive grid): h * geom.pixel_size is
+  the shift in s (or u) units.  Millimetres appear only at the CLI layer.
+
+FanGeometry and ConeGeometry share one body, _Geometry, as Sinogram and ProjectionStack share _Data.
 """
 
 import math
 import numbers
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,23 +89,37 @@ def _symmetric_axis(half_width, n):
 
 
 @dataclass(frozen=True)
-class FanGeometry:
+class _Geometry:
+    """Body of FanGeometry and ConeGeometry: the field checks, each other field positive and finite,
+    then each count (int field) an integer of at least 2, and the view grid: n_beta views uniform
+    on [0, 2*pi), the endpoint excluded."""
+
+    def __post_init__(self):
+        for f in sorted(fields(self), key=lambda f: f.type is int):
+            if f.type is int:
+                count_at_least(f.name, getattr(self, f.name), 2)
+            else:
+                positive_finite(f.name, getattr(self, f.name))
+
+    @property
+    def beta_step(self):
+        return TWO_PI / self.n_beta
+
+    def beta_axis(self):
+        return np.arange(self.n_beta) * self.beta_step
+
+
+@dataclass(frozen=True)
+class FanGeometry(_Geometry):
     """Fan-beam acquisition: source circle radius, detector and view grids.
 
-    s samples are uniform endpoint-inclusive on [-s_max, s_max]; view angles
-    are uniform on [0, 2*pi) with the endpoint excluded.
+    s samples are uniform endpoint-inclusive on [-s_max, s_max].
     """
 
     source_radius: float
     n_s: int
     s_max: float
     n_beta: int
-
-    def __post_init__(self):
-        positive_finite("source_radius", self.source_radius)
-        positive_finite("s_max", self.s_max)
-        count_at_least("n_s", self.n_s, 2)
-        count_at_least("n_beta", self.n_beta, 2)
 
     @property
     def shape(self):
@@ -115,25 +131,12 @@ class FanGeometry:
         """Effective detector pixel, in s units."""
         return 2.0 * self.s_max / (self.n_s - 1)
 
-    @property
-    def beta_step(self):
-        return TWO_PI / self.n_beta
-
     def s_axis(self):
         return _symmetric_axis(self.s_max, self.n_s)
 
-    def beta_axis(self):
-        return np.arange(self.n_beta) * self.beta_step
-
-    def px_to_s(self, h_px):
-        return h_px * self.pixel_size
-
-    def s_to_px(self, h_s):
-        return h_s / self.pixel_size
-
 
 @dataclass(frozen=True)
-class ConeGeometry:
+class ConeGeometry(_Geometry):
     """Cone-beam acquisition: flat detector (u columns, v rows) and view grid.
 
     u and v are sampled like the fan s-axis (endpoint-inclusive, symmetric);
@@ -147,14 +150,6 @@ class ConeGeometry:
     u_max: float
     v_max: float
     n_beta: int
-
-    def __post_init__(self):
-        positive_finite("source_radius", self.source_radius)
-        positive_finite("u_max", self.u_max)
-        positive_finite("v_max", self.v_max)
-        count_at_least("n_u", self.n_u, 2)
-        count_at_least("n_v", self.n_v, 2)
-        count_at_least("n_beta", self.n_beta, 2)
 
     @property
     def shape(self):
@@ -170,21 +165,11 @@ class ConeGeometry:
     def pixel_size_v(self):
         return 2.0 * self.v_max / (self.n_v - 1)
 
-    @property
-    def beta_step(self):
-        return TWO_PI / self.n_beta
-
     def u_axis(self):
         return _symmetric_axis(self.u_max, self.n_u)
 
     def v_axis(self):
         return _symmetric_axis(self.v_max, self.n_v)
-
-    def beta_axis(self):
-        return np.arange(self.n_beta) * self.beta_step
-
-    def px_to_u(self, h_px):
-        return h_px * self.pixel_size
 
     def central_fan(self):
         """FanGeometry of the equatorial (v = 0) slice."""
@@ -195,7 +180,7 @@ class ConeGeometry:
 class _Data:
     """Body of Sinogram and ProjectionStack: a geometry and a read-only float64 copy of finite values of its shape."""
 
-    geometry: FanGeometry | ConeGeometry
+    geometry: _Geometry
     values: np.ndarray
 
     def __post_init__(self):

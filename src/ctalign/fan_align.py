@@ -77,7 +77,7 @@ def reflect(sino, h_px, beta=None, against=None):
     """
     geom = sino.geometry
     s = geom.s_axis()
-    h_s = geom.px_to_s(h_px)
+    h_s = h_px * geom.pixel_size
     x = -s + 2.0 * h_s
     offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
     if beta is None:

@@ -102,8 +102,8 @@ def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
     sidecar=False puts header and payload in one file separated by a blank
     line; sidecar=True writes the header to `path` and the raw payload to
     `path + '.raw'`, recording the payload file name in the header.  A
-    pixel_size_mm that is not positive and finite, or a sidecar payload name
-    that is not ASCII, is a ValueError, raised before anything is written.
+    pixel_size_mm that is not positive and finite, a non-ASCII sidecar payload
+    name or a value beyond float32 is a ValueError, raised before any write.
     """
     path = Path(path)
     pairs = [("format_version", FORMAT_VERSION), ("kind", _kind(obj)), *geometry_fields(obj.geometry)]
@@ -116,7 +116,11 @@ def write_sinogram(path, obj, sidecar=False, pixel_size_mm=None):
             raise ValueError(f"sidecar payload name {payload_name!r} is not ASCII")
         pairs.append(("payload", payload_name))
     header = format_lines(pairs).encode("ascii")
-    payload = np.ascontiguousarray(obj.values, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):  # an overflow casts to Inf, rejected below
+        values = np.ascontiguousarray(obj.values, dtype="<f4")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values overflow the float32 payload")
+    payload = values.tobytes()
     if sidecar:
         path.write_bytes(header)
         (path.parent / payload_name).write_bytes(payload)

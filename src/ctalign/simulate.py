@@ -15,10 +15,12 @@ lateral root interval clipped to its slab; the centred cylinder looks the
 same from every view, so it is traced once per stack.  The fan is the v = 0
 row of the cone: a fan phantom is a Phantom3D of spheres at y = 0, on which
 the cone formulas only add exact zeros.  The line integrals evaluate every
-feature at every point; both projectors run one shadow path that evaluates
-each sphere once per chunk of at most _BLOCK_POINTS points of its per-view
-shadow windows, whole views per chunk, through the same code, so they skip
-only density * 0.0 terms and equal the line integrals bit for bit.
+feature at every point; both projectors run one recording path, _project:
+it checks h, shifts the detector axis by h * pixel_size, evaluates each
+sphere once per chunk of at most _BLOCK_POINTS points of its per-view
+shadow windows, whole views per chunk, and adds the instability, so they
+skip only density * 0.0 terms and equal the line integrals bit for bit.
+fan_project keeps the one v = 0 row; cone_project checks eta.
 """
 
 import math
@@ -220,12 +222,16 @@ def cone_line_integral(phantom, source_radius, u, v, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def _project(phantom, r, u, v, beta, eta):
-    """The (views, rows, columns) line integrals of a Phantom3D in views beta:
-    recorded pixel (u_i, v_k) reads the line through the true detector point
-    R_eta @ (u_i, v_k).  The cylinder's view is computed once and copied into
-    every view; each sphere is evaluated only on its shadow's window in each
-    view, in chunks of at most _BLOCK_POINTS points (whole views per chunk)."""
+def _project(phantom, geom, h, instability, recorded, u_max, v, eta):
+    """The (views, rows, columns) recording of a Phantom3D in geom on the detector
+    axes recorded (u, of half-width u_max) and v: pixel (u_i, v_k) reads the line
+    through the true detector point R_eta @ (u_i - h * pixel_size, v_k), plus the
+    instability, if given, per (u, beta).  The cylinder's view is computed once
+    and copied into every view; each sphere is evaluated only on its shadow's
+    window in each view, in chunks of at most _BLOCK_POINTS points."""
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
+    r, beta, u = float(geom.source_radius), geom.beta_axis(), recorded - h * geom.pixel_size
     cose, sine = math.cos(eta), math.sin(eta)
     # true detector coordinates seen by recorded pixel (u_i, v_k)
     ut = u[None, :] * cose - v[:, None] * sine
@@ -248,44 +254,30 @@ def _project(phantom, r, u, v, beta, eta):
             offset = (np.repeat(a[j:stop, k], sizes[j:stop]), y[k], np.repeat(b[j:stop, k], sizes[j:stop]))
             flat[points] += densities[k] * _chord(offset, [d[pixels] for d in ray], radii[k])
             j = stop
+    if instability is not None and instability.alpha > 0.0:
+        values += instability.evaluate(recorded[None, :], beta[:, None], u_max)[:, None, :]
     return values
 
 
 def fan_project(phantom, geom, h=0.0, instability=None):
-    """Exact misaligned fan-beam sinogram of a Phantom3D: its v = 0 row.
+    """Exact misaligned fan-beam sinogram of a Phantom3D: the v = 0 row of _project.
 
-    h is the detector shift in effective pixels; the value recorded at grid
-    coordinate s_i is the exact line integral through true coordinate
-    s_i - h (shift applied in the geometry, not by resampling).  The beam
-    instability, if given, is added on the recorded grid afterwards.  The
-    sinogram is the v = 0 row of the cone projector's shadow path, so each
-    sphere is read on its shadow only; a fan phantom's spheres lie at y = 0.
+    The value recorded at s_i is the exact line integral through s_i - h, h
+    in effective pixels (the shift is in the geometry, not a resampling),
+    plus the instability, if given.  A fan phantom's spheres lie at y = 0.
     """
-    if not math.isfinite(h):
-        raise ValueError("h must be finite")
-    s_true, beta = geom.s_axis() - geom.px_to_s(h), geom.beta_axis()
-    values = _project(phantom, float(geom.source_radius), s_true, np.zeros(1), beta, 0.0)[:, 0]
-    if instability is not None and instability.alpha > 0.0:
-        values = values + instability.evaluate(geom.s_axis()[None, :], beta[:, None], geom.s_max)
+    values = _project(phantom, geom, h, instability, geom.s_axis(), geom.s_max, np.zeros(1), 0.0)[:, 0]
     return Sinogram(geom, values)
 
 
 def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
-    """Exact misaligned cone-beam projection stack of a Phantom3D.
+    """Exact misaligned cone-beam projection stack of a Phantom3D (_project).
 
-    h (effective pixels, u axis) and eta (radians, in-plane detector
-    rotation) are applied in the geometry: the value recorded at (u_i, v_k)
-    is the line integral through the true detector point
-    R_eta @ (u_i - h, v_k).  Instability, if given, is added per (u, beta),
-    constant in v.  Each sphere is read on its shadow only (_project).
+    The value recorded at (u_i, v_k) is the line integral through the true
+    detector point R_eta @ (u_i - h, v_k): h in effective pixels along u, eta
+    the in-plane detector rotation (radians); the instability is constant in v.
     """
     if not -math.pi / 2 < eta < math.pi / 2:
         raise ValueError("eta must lie in (-pi/2, pi/2)")
-    if not math.isfinite(h):
-        raise ValueError("h must be finite")
-    u, beta = geom.u_axis() - geom.px_to_u(h), geom.beta_axis()
-    values = _project(phantom, float(geom.source_radius), u, geom.v_axis(), beta, eta)
-    if instability is not None and instability.alpha > 0.0:
-        bump = instability.evaluate(geom.u_axis()[None, :], beta[:, None], geom.u_max)
-        values = values + bump[:, None, :]
+    values = _project(phantom, geom, h, instability, geom.u_axis(), geom.u_max, geom.v_axis(), eta)
     return ProjectionStack(geom, values)

@@ -91,7 +91,7 @@ class TestLambdaEta:
         stack = cone_project(ph, geom, h=h, eta=eta)
         q = geom.u_axis()[None, :]
         beta = geom.beta_axis()[:, None]
-        oracle = cone_line_integral(ph, SOURCE_RADIUS, q - geom.px_to_u(h), 0.0, beta)
+        oracle = cone_line_integral(ph, SOURCE_RADIUS, q - h * geom.pixel_size, 0.0, beta)
         error = lambda pivot: np.linalg.norm(lambda_eta(stack, pivot, eta).values - oracle)
         assert error(h) <= 2.5e-3 * np.linalg.norm(oracle)
         assert error(0.0) > 2.0 * error(h)
@@ -128,7 +128,7 @@ class TestPiHEta:
         interpolation only."""
         stack = request.getfixturevalue(stack)
         geom, h = stack.geometry, 3.1
-        q, h_u = geom.u_axis(), geom.px_to_u(h)
+        q, h_u = geom.u_axis(), h * geom.pixel_size
         beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
         trilinear = sample_detector(stack, h_u + (h_u - q) * math.cos(eta), (q - h_u) * math.sin(eta), beta)
         assert np.max(np.abs(pi_h_eta(stack, h, eta) - trilinear)) <= 5e-3 * np.max(stack.values)
@@ -163,7 +163,7 @@ class TestViewShiftPath:
         """The reflected read of the sinogram tilted about (h, 0), per point."""
         geom = stack.geometry
         q = geom.u_axis()
-        h_u = geom.px_to_u(h)
+        h_u = h * geom.pixel_size
         lam = lambda_eta(stack, h, eta)
         beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((q - h_u) / geom.source_radius)
         want = sample_periodic(lam, -q + 2.0 * h_u, beta)

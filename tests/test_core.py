@@ -104,19 +104,59 @@ class TestDetectorAxis:
             axis[0] = 99.0
 
 
-class TestFanGeometry:
-    def test_pixel_round_trip(self):
-        geom = FanGeometry(2.0, 256, unit_disk_half_width(2.0), 256)
-        for h in (-20.0, -0.5, 0.0, 13.25):
-            assert geom.s_to_px(geom.px_to_s(h)) == pytest.approx(h, abs=1e-12)
+# a valid geometry of each kind, by keyword, and its data shape
+VALID = {
+    FanGeometry: (dict(source_radius=2.0, n_s=8, s_max=1.0, n_beta=6), (6, 8)),
+    ConeGeometry: (dict(source_radius=2.0, n_u=8, n_v=5, u_max=1.2, v_max=0.8, n_beta=6), (6, 5, 8)),
+}
+COUNTS = ("n_s", "n_u", "n_v", "n_beta")
+both = pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
 
-    def test_beta_axis_excludes_endpoint(self):
-        geom = FanGeometry(2.0, 4, 1.0, 8)
+
+class TestGeometry:
+    """The one body of both geometries: its field checks and its view grid."""
+
+    @both
+    def test_beta_axis_excludes_endpoint(self, cls):
+        geom = cls(**VALID[cls][0])
         beta = geom.beta_axis()
         assert beta[0] == 0.0
         assert beta[-1] < TWO_PI
+        assert len(beta) == geom.n_beta
         assert np.allclose(np.diff(beta), geom.beta_step)
 
+    @both
+    def test_counts_of_any_integer_type_accepted(self, cls):
+        kwargs, shape = VALID[cls]
+        counts = {key: np.int64(value) for key, value in kwargs.items() if key in COUNTS} | {"n_beta": np.int32(6)}
+        geom = cls(**kwargs | counts)
+        assert geom.shape == shape  # views first, then (v,) u or s
+
+    @both
+    def test_pixel_size_is_the_axis_step(self, cls):
+        """h pixels are h * pixel_size detector units: the step of the s or u axis."""
+        geom = cls(**VALID[cls][0])
+        axis = geom.s_axis() if cls is FanGeometry else geom.u_axis()
+        np.testing.assert_allclose(np.diff(axis), geom.pixel_size, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        [
+            (cls, name, value)
+            for cls, (kwargs, _) in VALID.items()
+            for name in kwargs
+            for value in ((1, 2.5) if name in COUNTS else (0.0, -1.0, math.nan, math.inf))
+        ],
+        ids=lambda arg: arg.__name__ if isinstance(arg, type) else str(arg),
+    )
+    def test_each_field_checked(self, cls, name, value):
+        """Every field of either geometry is checked, with its own message."""
+        message = f"{name} must be an integer of at least 2" if name in COUNTS else f"{name} must be positive and finite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**VALID[cls][0] | {name: value})
+
+
+class TestFanGeometry:
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -139,10 +179,6 @@ class TestFanGeometry:
         with a TypeError in the projector."""
         with pytest.raises(ValueError, match=f"{name} must be an integer of at least 2"):
             FanGeometry(2.0, n_s, 1.1547, n_beta)
-
-    def test_counts_of_any_integer_type_accepted(self):
-        geom = FanGeometry(2.0, np.int64(8), 1.0, np.int32(6))
-        assert geom.shape == (6, 8)
 
 
 class TestConeGeometry:

@@ -181,7 +181,7 @@ def reflection_at_view_angles(sino, h):
     2-D array of reflected view angles."""
     geom = sino.geometry
     s = geom.s_axis()
-    h_s = geom.px_to_s(h)
+    h_s = h * geom.pixel_size
     beta = geom.beta_axis()[:, None] + math.pi + 2.0 * np.arctan((s - h_s) / geom.source_radius)
     return sample_periodic(sino, -s + 2.0 * h_s, beta)
 
@@ -190,8 +190,8 @@ def on_column_shift(geom):
     """A nonzero shift (px) equal to a detector sample s_i, whose reflected
     column then has a view offset of exactly pi."""
     for s_i in geom.s_axis()[::-1]:
-        h = geom.s_to_px(s_i)
-        if s_i != 0.0 and geom.px_to_s(h) == s_i:
+        h = s_i / geom.pixel_size
+        if s_i != 0.0 and h * geom.pixel_size == s_i:
             return h
     raise AssertionError("no detector sample survives the pixel round trip")
 

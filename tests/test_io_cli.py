@@ -111,6 +111,22 @@ class TestSinogramFiles:
             write_sinogram(tmp_path / "fan.sino", small_sino(), sidecar=sidecar, pixel_size_mm=pixel_size_mm)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    @pytest.mark.parametrize("make", [small_sino, small_stack], ids=["fan", "cone"])
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_float32_overflow_rejected_before_writing(self, tmp_path, value, make, sidecar):
+        """A finite value beyond float32 would be stored as Inf, which read_sinogram rejects;
+        the largest float32 is written and read back."""
+        data = make()
+        values = data.values.copy()
+        values.flat[3] = value
+        with pytest.raises(ValueError, match=exactly("values overflow the float32 payload")):
+            write_sinogram(tmp_path / "x.sino", type(data)(data.geometry, values), sidecar=sidecar)
+        assert list(tmp_path.iterdir()) == []
+        values.flat[3] = math.copysign(np.finfo(np.float32).max, value)
+        write_sinogram(tmp_path / "x.sino", type(data)(data.geometry, values), sidecar=sidecar)
+        assert np.array_equal(read_sinogram(tmp_path / "x.sino").values, values)
+
     @pytest.mark.parametrize("layout", ["inline", "inline-long-header", "sidecar", "header-only"])
     def test_header_metadata_matches_whole_file_parse(self, tmp_path, layout):
         """The entries equal those parsed from the whole file read at once,
@@ -422,6 +438,13 @@ class TestCliSimulate:
         assert capsys.readouterr().err == "error: alpha must be nonnegative and finite\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode", ["fan", "cone"])
+    def test_float32_overflow_exits_4_and_nothing_written(self, tmp_path, capsys, mode):
+        """At alpha = 1e39 the float32 payload would hold Inf, which align-fan and align-cone reject."""
+        assert main(["simulate", "--mode", mode, "--n", "16", "--alpha", "1e39", "--out", str(tmp_path / "x.sino")]) == 4
+        assert capsys.readouterr() == ("", "error: values overflow the float32 payload\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [["simulate", "--mode", "fan"], ["sweep"]], ids=["simulate", "sweep"])
     def test_unplaceable_phantom_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
         """Features that cannot be placed are a configuration error.  Disks of
@@ -621,7 +644,9 @@ class TestCliAlignFan:
     def test_kind_mismatch_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "c.sino")
         main(["simulate", "--mode", "cone", "--n", "24", "--seed", "0", "--features", "4", "--out", out])
+        capsys.readouterr()
         assert main(["align-fan", "--input", out]) == 4
+        assert capsys.readouterr() == ("", "error: align-fan needs fan data; this file holds a cone stack\n")
 
     def test_missing_input_file(self, tmp_path):
         assert main(["align-fan", "--input", str(tmp_path / "ghost.sino")]) == 3
@@ -694,9 +719,10 @@ class TestCliAlignCone:
         assert float(report_value(text, "eta_deg")) == pytest.approx(1.0, abs=0.05)
         assert report_value(text, "method") == "VP-2DR"
 
-    def test_fan_file_rejected(self, cli_fan_files):
+    def test_fan_file_rejected(self, cli_fan_files, capsys):
         aligned, _ = cli_fan_files
         assert main(["align-cone", "--input", aligned]) == 4
+        assert capsys.readouterr() == ("", "error: align-cone needs cone data; this file holds a fan sinogram\n")
 
     def test_more_fpk_starts_than_views_rejected(self, tmp_path):
         out = str(tmp_path / "c.sino")

@@ -80,13 +80,13 @@ def half_width(source_radius):
 
 def full_grid_fan(phantom, geom, h):
     """cone_line_integral at every recorded (s - h, v = 0, beta) point."""
-    s = geom.s_axis() - geom.px_to_s(h)
+    s = geom.s_axis() - h * geom.pixel_size
     return cone_line_integral(phantom, geom.source_radius, s[None, :], 0.0, geom.beta_axis()[:, None])
 
 
 def full_grid_cone(phantom, geom, h, eta):
     """cone_line_integral at every recorded pixel's true (u, v), view by view."""
-    u, v = geom.u_axis() - geom.px_to_u(h), geom.v_axis()
+    u, v = geom.u_axis() - h * geom.pixel_size, geom.v_axis()
     ut = u[None, :] * math.cos(eta) - v[:, None] * math.sin(eta)
     vt = u[None, :] * math.sin(eta) + v[:, None] * math.cos(eta)
     return np.stack([cone_line_integral(phantom, geom.source_radius, ut, vt, b) for b in geom.beta_axis()])
@@ -635,7 +635,7 @@ class TestSourceFrame:
     def test_tilted_cone_project(self, eta):
         """A rotated detector: every recorded pixel away from a tangent."""
         ph, geom, h = make_sphere_phantom(4, n_spheres=12), cone_geometry(24), 3.5
-        u, v = geom.u_axis() - geom.px_to_u(h), geom.v_axis()
+        u, v = geom.u_axis() - h * geom.pixel_size, geom.v_axis()
         ut = u[None, :] * math.cos(eta) - v[:, None] * math.sin(eta)
         vt = u[None, :] * math.sin(eta) + v[:, None] * math.cos(eta)
         beta = geom.beta_axis()[:, None, None]
@@ -723,7 +723,7 @@ def misaligned_grid(geom, h, eta, rotate_first=False):
     misalignment map: uq + i*vq = ((u - h) + i*v) * exp(i*eta).  With
     rotate_first the rotation acts first, then the shift; a default-order map
     followed by a rotate_first map with (-h, -eta) is the identity."""
-    h_u = geom.px_to_u(h)
+    h_u = h * geom.pixel_size
     cose, sine = math.cos(eta), math.sin(eta)
     u = geom.u_axis()[None, :]
     v = geom.v_axis()[:, None]
