@@ -120,26 +120,10 @@ def _reversal_shift(sino, cfg):
     return 0.5 * xcorr_shift_1d(p, p[::-1]), 0, True
 
 
-def shift_2dr(sino):
-    """2DR's shift (pixels): half the s component of the 2D correlation peak of
-    the sinogram with its reflected resampling at h = 0 (beta is discarded)."""
-    return 0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino, 0.0))
-
-
-def fp_start_indices(n_beta, K):
-    """The K FP starting views, uniformly spread: round(j*n_beta/K) mod n_beta.
-
-    K may not exceed the number of views: the starts would repeat.
-    """
-    if K > n_beta:
-        raise ValueError("K cannot exceed the number of views")
-    return [int(round(j * n_beta / K)) % n_beta for j in range(K)]
-
-
 def fixed_point_shift(sino, cfg=FanAlignConfig()):
     """Median of the fixed-point runs h_{k+1} = h_k + shift(g_j, pi_j(h_k)) / 2
-    started from h_0 = 0 at the cfg.K views j of fp_start_indices, g_j the
-    stored view and pi_j(h) its reflection at shift h.
+    started from h_0 = 0 at the cfg.K <= n_beta views j = round(i*n_beta/K) mod n_beta,
+    spread uniformly over beta, g_j the stored view and pi_j(h) its reflection at h.
 
     The runs advance in lockstep, with the values of separate runs: each
     iteration reflects every active run in one sample_periodic call and
@@ -156,7 +140,9 @@ def fixed_point_shift(sino, cfg=FanAlignConfig()):
     (start number, h_j, iterations, converged).
     """
     geom = sino.geometry
-    starts = fp_start_indices(geom.n_beta, cfg.K)
+    if cfg.K > geom.n_beta:
+        raise ValueError("K cannot exceed the number of views")
+    starts = [int(round(j * geom.n_beta / cfg.K)) % geom.n_beta for j in range(cfg.K)]
     beta0 = np.asarray(starts) * geom.beta_step
     lam = sino.values[starts]
     n = len(starts)
@@ -181,12 +167,13 @@ def fixed_point_shift(sino, cfg=FanAlignConfig()):
     return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, _ in runs), converged, runs
 
 
-# each method's shift solve, (sino, cfg) -> (h, iterations, converged); FP_K's
-# iterations is the largest per-run count, converged that every returned run did
+# each method's shift solve, (sino, cfg) -> (h, iterations, converged); 2DR's h is half the s component
+# of the 2D correlation peak of the sinogram with its reflection at h = 0 (beta is discarded);
+# FP_K's iterations is the largest per-run count, converged that every returned run did
 _ESTIMATORS = {
     "Yang": _reversal_shift,
     "LY": _reversal_shift,
-    "2DR": lambda sino, cfg: (shift_2dr(sino), 0, True),
+    "2DR": lambda sino, cfg: (0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino)), 0, True),
     "FP": lambda sino, cfg: fixed_point_shift(sino, replace(cfg, K=1))[:3],
     "FP_K": lambda sino, cfg: fixed_point_shift(sino, cfg)[:3],
 }

@@ -22,7 +22,7 @@ from ctalign import (
     make_sphere_phantom,
     unit_disk_half_width,
 )
-from ctalign.fan_align import fixed_point_shift, fp_start_indices, reflect
+from ctalign.fan_align import fixed_point_shift, reflect
 from ctalign.registration import (
     AmbiguousShiftError,
     _axis_weights,
@@ -168,10 +168,12 @@ def sequential_median_fixed_point(sino, cfg):
     """fixed_point_shift from the cfg.K FP_K starts with its runs one after
     another, each a scalar fixed-point loop on one view that stops when an
     update moves h by less than 0.01 px: the reference for the lockstep
-    runs and their exact-zero stop rule."""
+    runs and their exact-zero stop rule.  Start j is at view
+    round(j * n_beta / K) mod n_beta."""
     geom = sino.geometry
     runs = []
-    for j, idx in enumerate(fp_start_indices(geom.n_beta, cfg.K)):
+    for j in range(cfg.K):
+        idx = int(round(j * geom.n_beta / cfg.K)) % geom.n_beta
         beta0 = idx * geom.beta_step
         h = 0.0
         try:

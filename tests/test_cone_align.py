@@ -240,16 +240,16 @@ class TestLossL:
 class TestInnerH:
     @pytest.mark.parametrize("method", INNER)
     def test_zero_on_aligned_stack(self, method, aligned_stack):
-        assert inner_h(aligned_stack, 0.0, VPConfig(inner_method=method)) == pytest.approx(0.0, abs=0.05)
+        assert inner_h(aligned_stack, 0.0, VPConfig(inner_method=method))[0] == pytest.approx(0.0, abs=0.05)
 
     @pytest.mark.parametrize("method", INNER)
     def test_shift_only_misalignment_reduces_to_fan_problem(self, method, shift_only_stack):
-        h = inner_h(shift_only_stack, 0.0, VPConfig(inner_method=method))
+        h = inner_h(shift_only_stack, 0.0, VPConfig(inner_method=method))[0]
         assert h == pytest.approx(H_TRUE, abs=0.1)
 
     @pytest.mark.parametrize("method", INNER)
     def test_recovers_shift_at_true_angle(self, method, ref_stack):
-        h = inner_h(ref_stack, ETA_TRUE, VPConfig(inner_method=method))
+        h = inner_h(ref_stack, ETA_TRUE, VPConfig(inner_method=method))[0]
         assert h == pytest.approx(H_TRUE, abs=0.15)
 
 
@@ -270,14 +270,14 @@ class TestInnerFixedPoint:
         cfg = FanAlignConfig()
         lockstep = lockstep_median_fixed_point(tilted, cfg)
         assert repr(lockstep) == repr(sequential_median_fixed_point(tilted, cfg))
-        assert inner_h(small_stack, eta, VPConfig(inner_method="fp_k", K=cfg.K, max_iter=cfg.max_iter)) == lockstep[0]
+        assert inner_h(small_stack, eta, VPConfig(inner_method="fp_k", K=cfg.K, max_iter=cfg.max_iter))[0] == lockstep[0]
 
     @pytest.mark.parametrize("max_iter", [1, 3])
     def test_k_and_max_iter_reach_the_solve(self, small_stack, max_iter):
         """VPConfig's K and max_iter are the FanAlignConfig of the inner solve."""
         tilted = lambda_eta(small_stack, 0.0, 0.02)
         fixed_point = fan_align.fixed_point_shift(tilted, FanAlignConfig(K=1, max_iter=max_iter))[0]
-        assert inner_h(small_stack, 0.02, VPConfig(inner_method="fp_k", K=1, max_iter=max_iter)) == fixed_point
+        assert inner_h(small_stack, 0.02, VPConfig(inner_method="fp_k", K=1, max_iter=max_iter))[0] == fixed_point
 
     def test_k_exceeding_view_count_rejected(self, small_stack):
         cfg = VPConfig(inner_method="fp_k", K=small_stack.geometry.n_beta + 1)
@@ -311,7 +311,7 @@ def fake_reduced_loss(monkeypatch, loss, lam=None):
         probed.append(eta)
         return loss(eta)
 
-    monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg: 0.0)
+    monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg: (0.0, 0, True))
     monkeypatch.setattr(cone_align, "lambda_eta", lambda stack, h, eta: lam)
     monkeypatch.setattr(cone_align, "loss_L", fake_loss)
     return probed
@@ -332,7 +332,7 @@ def solves_and_reads(monkeypatch, stack, loss, gamma0=cone_align.GAMMA0, **kwarg
 def reduced_gradient(stack, eta, cfg=VPConfig()):
     """(gradient, curvature) of the reduced loss at eta as VP takes them: the
     stencil at the inner solve."""
-    h, l0, _ = cone_align._solve(stack, eta, cfg)
+    h, l0, _, _ = cone_align._solve(stack, eta, cfg)
     return cone_align._stencil(stack, h, eta, l0)
 
 
@@ -368,7 +368,7 @@ class TestReducedGradient:
         """The envelope result: h is solved once, at eta, and the stencil is
         loss_L at that h, bit for bit."""
         d = cone_align.DELTA_ETA
-        h = inner_h(ref_stack, eta)
+        h = inner_h(ref_stack, eta)[0]
         lo, l0, hi = (loss_L(ref_stack, h, eta + k * d) for k in (-1, 0, 1))
         solves = count_calls(monkeypatch, cone_align, "inner_h")
         g, c = reduced_gradient(ref_stack, eta)
@@ -448,8 +448,9 @@ class TestVariableProjection:
         solved = {}
 
         def solve(stack, eta, cfg):
-            solved[eta] = original(stack, eta, cfg)
-            return solved[eta]
+            triple = original(stack, eta, cfg)
+            solved[eta] = triple[0]
+            return triple
 
         original = cone_align.inner_h
         monkeypatch.setattr(cone_align, "inner_h", solve)
@@ -465,6 +466,22 @@ class TestVariableProjection:
         assert len(pivoted) == len(set(pivoted))
         assert set(pivoted) == {(h, eta) for eta, h in solved.items()} | stencils
         assert result.mse == symmetry_mse(lambda_eta(ref_stack, result.h, result.eta), result.h)
+
+    @pytest.mark.parametrize(
+        "max_iter,h,eta,converged",
+        [(1, 4.95, 0.021462569841429004, False), (2, 5.0, 0.017342361727816464, False), (3, 5.0, 0.017325725029101735, True)],
+    )
+    def test_capped_inner_solve_is_unconverged(self, max_iter, h, eta, converged):
+        """On the 64^3 stack (sphere seed 1, h = 5 px, eta = 1 degree) the FP_K
+        inner solve at the estimate needs 3 updates.  Capped below that, the
+        Newton stop still fires, but the result is unconverged: at max_iter 1
+        eta is 0.23 degrees off, beyond the 0.05 degree gate.  The cap changes
+        no estimate, only the flag."""
+        stack = cone_project(make_sphere_phantom(1), cone_geometry(64), h=5.0, eta=ETA_TRUE)
+        cfg = VPConfig(inner_method="fp_k", max_iter=max_iter)
+        result = variable_projection(stack, cfg)
+        assert (result.h, result.eta, result.converged) == (h, eta, converged)
+        assert inner_h(stack, result.eta, cfg)[2] == converged
 
     @pytest.mark.parametrize("method", INNER)
     def test_stack_read_only_through_lambda_eta(self, method, small_stack, monkeypatch):
@@ -682,4 +699,5 @@ class TestFanIsEtaZeroCone:
     @INNER_AND_FAN_METHODS
     def test_inner_solve_is_the_fan_estimate(self, pair, method, fan_method):
         sino, stack = pair
-        assert inner_h(stack, 0.0, VPConfig(inner_method=method)) == align_fan(sino, FanAlignConfig(method=fan_method)).h
+        fan = align_fan(sino, FanAlignConfig(method=fan_method))
+        assert inner_h(stack, 0.0, VPConfig(inner_method=method)) == (fan.h, fan.iterations, fan.converged)

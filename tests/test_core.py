@@ -145,7 +145,7 @@ class TestGeometry:
             (cls, name, value)
             for cls, (kwargs, _) in VALID.items()
             for name in kwargs
-            for value in ((1, 2.5) if name in COUNTS else (0.0, -1.0, math.nan, math.inf))
+            for value in ((1, 2.5, 64.0, "64") if name in COUNTS else (0.0, -1.0, math.nan, math.inf))
         ],
         ids=lambda arg: arg.__name__ if isinstance(arg, type) else str(arg),
     )
@@ -171,15 +171,6 @@ class TestFanGeometry:
         with pytest.raises(ValueError):
             FanGeometry(**kwargs)
 
-    @pytest.mark.parametrize(
-        "n_s, n_beta, name", [(64.5, 64, "n_s"), (64, 64.5, "n_beta"), (64.0, 64, "n_s"), (64, "64", "n_beta")]
-    )
-    def test_non_integer_counts_rejected(self, n_s, n_beta, name):
-        """A count that is no integer fails when the geometry is built, not
-        with a TypeError in the projector."""
-        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 2"):
-            FanGeometry(2.0, n_s, 1.1547, n_beta)
-
 
 class TestConeGeometry:
     def test_central_fan_matches_equatorial_grid(self):
@@ -194,10 +185,6 @@ class TestConeGeometry:
         geom = ConeGeometry(2.0, 11, 5, 1.0, 1.0, 8)
         assert geom.pixel_size == pytest.approx(0.2)
         assert geom.pixel_size_v == pytest.approx(0.5)
-
-    def test_single_row_rejected(self):
-        with pytest.raises(ValueError, match="n_v must be an integer of at least 2"):
-            ConeGeometry(2.0, 11, 1, 1.0, 1.0, 8)
 
     @pytest.mark.parametrize("name", ["n_u", "n_v", "n_beta"])
     def test_non_integer_counts_rejected(self, name):

@@ -25,10 +25,11 @@ from ctalign import (
     symmetry_mse,
     unit_disk_half_width,
     xcorr_shift_1d,
+    xcorr_shift_s_2d,
 )
 from ctalign import fan_align, registration
 from ctalign.core import FAN_METHODS
-from ctalign.fan_align import fixed_point_shift, fp_start_indices, reflect, shift_2dr
+from ctalign.fan_align import fixed_point_shift, reflect
 from ctalign.simulate import InstabilityModel
 from conftest import (
     H_TRUE,
@@ -52,13 +53,14 @@ def align(sino, method, **settings):
 def reference_solve(sino, cfg):
     """(h, iterations, converged) of the shift solve of cfg.method, composed
     from the public kernels: Yang and LY register the angular sum profile p
-    against its reversal, 2DR is shift_2dr, FP and FP_K are fixed_point_shift
-    from one start and from cfg.K starts."""
+    against its reversal, 2DR halves the s shift of the 2D correlation of the
+    sinogram with its reflected resampling at h = 0, FP and FP_K are
+    fixed_point_shift from one start and from cfg.K starts."""
     if cfg.method in ("Yang", "LY"):
         p = profile_p(sino)
         return 0.5 * xcorr_shift_1d(p, p[::-1]), 0, True
     if cfg.method == "2DR":
-        return shift_2dr(sino), 0, True
+        return 0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino, 0.0)), 0, True
     return fixed_point_shift(sino, replace(cfg, K=1) if cfg.method == "FP" else cfg)[:3]
 
 
@@ -288,10 +290,15 @@ class TestFixedPoint:
 
 
 class TestFixedPointMultiStart:
-    def test_start_indices_evenly_spaced(self):
-        assert tuple(fp_start_indices(360, 10)) == tuple(range(0, 360, 36))
-        # rounding of j*n/K, not floor
-        assert tuple(fp_start_indices(7, 3)) == (0, 2, 5)
+    def test_start_indices_evenly_spaced(self, monkeypatch):
+        # rounding of j*n/K, not floor: (7, 3) starts at views 0, 2, 5
+        for n_beta, K, starts in ((360, 10, tuple(range(0, 360, 36))), (7, 3, (0, 2, 5))):
+            geom = FanGeometry(SOURCE_RADIUS, 16, unit_disk_half_width(SOURCE_RADIUS), n_beta)
+            sino = Sinogram(geom, np.random.default_rng(0).random(geom.shape))
+            reflects = count_calls(monkeypatch, fan_align, "reflect")
+            fixed_point_shift(sino, FanAlignConfig(K=K, max_iter=1))
+            beta0 = reflects[0][2].ravel()
+            assert tuple(np.rint(beta0 / geom.beta_step).astype(int).tolist()) == starts
 
     def test_k_exceeding_view_count_rejected(self, ref_sino):
         with pytest.raises(ValueError):

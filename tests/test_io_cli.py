@@ -719,6 +719,17 @@ class TestCliAlignCone:
         assert float(report_value(text, "eta_deg")) == pytest.approx(1.0, abs=0.05)
         assert report_value(text, "method") == "VP-2DR"
 
+    def test_capped_inner_solve_exits_2(self, tmp_path, capsys):
+        """A VP run whose FP_K inner solve at the estimate stops at max_iter is
+        unconverged (exit 2), here with eta 0.23 degrees off the truth."""
+        out = str(tmp_path / "cone.sino")
+        assert main(["simulate", "--mode", "cone", "--n", "64", "--h", "5", "--eta", "1deg", "--seed", "1", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["align-cone", "--input", out, "--inner-method", "fpk", "--max-iter", "1"]) == 2
+        text = capsys.readouterr().out
+        assert report_value(text, "converged") == "false"
+        assert float(report_value(text, "eta_deg")) == pytest.approx(1.2297, abs=1e-4)
+
     def test_fan_file_rejected(self, cli_fan_files, capsys):
         aligned, _ = cli_fan_files
         assert main(["align-cone", "--input", aligned]) == 4
