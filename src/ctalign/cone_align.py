@@ -21,7 +21,7 @@ reduced loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.
 Its gradient is the partial one at the inner optimum (the envelope result of
 variable projection; Golub & Pereyra, Inverse Problems 19:R1, 2003), so h
 is solved only at the start and trial points, not on the stencil.  The descent
-carries its accepted point (h, eta, loss, lam, inner converged); nothing is cached.
+carries its accepted point (h, eta, loss, lam, inner reason); nothing is cached.
 """
 
 import math
@@ -103,7 +103,7 @@ def loss_L(stack, h, eta, lam=None):
 
 
 def inner_h(stack, eta, cfg=VPConfig()):
-    """(h, iterations, converged) at fixed eta, h the shift (pixels) minimizing
+    """(h, iterations, reason) at fixed eta, h the shift (pixels) minimizing
     the tilted-pair mismatch: the fan shift solve fan_align._ESTIMATORS holds
     for cfg.inner's method, run on lambda_eta pivoted at 0, which is free of h."""
     inner = cfg.inner
@@ -111,10 +111,10 @@ def inner_h(stack, eta, cfg=VPConfig()):
 
 
 def _solve(stack, eta, cfg):
-    """(h, loss, lam, converged) at eta: the inner solve's h, its read pivoted at (h, 0), its loss, its converged flag."""
-    h, _, converged = inner_h(stack, eta, cfg)
+    """(h, loss, lam, reason) at eta: the inner solve's h, its read pivoted at (h, 0), its loss, its reason."""
+    h, _, reason = inner_h(stack, eta, cfg)
     lam = lambda_eta(stack, h, eta)
-    return h, loss_L(stack, h, eta, lam), lam, converged
+    return h, loss_L(stack, h, eta, lam), lam, reason
 
 
 def _stencil(stack, h, eta, l0):
@@ -129,36 +129,35 @@ def _stencil(stack, h, eta, l0):
 def variable_projection(stack, cfg=VPConfig()):
     """Joint (h, eta) estimate: safeguarded Newton descent on the reduced loss.
 
-    The loop carries its accepted point (h, eta, loss, lam), and whether
-    its inner solve converged, starting at eta = 0.  The inner shift is
-    solved there and at each new trial angle, and held at the centre's value
+    The loop carries its accepted point (h, eta, loss, lam), and its inner
+    solve's reason, starting at eta = 0.  The inner shift is solved there
+    and at each new trial angle, and held at the centre's value
     across the stencil, which is read once per accepted angle.  Each outer
     iteration takes the Newton step g/c, or GAMMA0 times g where c is not
     positive; the step is halved until the Armijo sufficient-decrease test
     (constant ARMIJO_C) passes.  Trials are clamped to [-ETA_BOUND,
     ETA_BOUND]; one that the clamp puts on the angle in hand (the carried
-    point's or the last rejected trial's) reuses that solve.  Descent stops,
-    with no new point, once c > 0 and the Newton step is below tol_eta,
-    converged if the accepted point's inner solve converged.  The iteration
-    cap and backtracking exhaustion return the last accepted point, flagged
-    non-converged.
+    point's or the last rejected trial's) reuses that solve.  Each stop returns the
+    last accepted point and its reason: the Newton stop, once c > 0 and the step is
+    below tol_eta, "" or "inner solve: " and the accepted point's inner reason;
+    backtracking exhaustion "line search exhausted"; the cap "max_outer <n> reached".
 
     The result's mse is the fan symmetry MSE of the accepted point's
     lambda_eta, the mid-plane fan sinogram at the estimate.
     """
     eta = 0.0
-    h, current, lam, inner_converged = _solve(stack, eta, cfg)
+    h, current, lam, inner_reason = _solve(stack, eta, cfg)
     trace = [(0, h, eta, current)]
-    converged = False
+    reason = f"max_outer {cfg.max_outer} reached"
     moved = True
     for k in range(1, cfg.max_outer + 1):
         if moved:
             grad, curv = _stencil(stack, h, eta, current)
         step = grad / curv if curv > 0.0 else GAMMA0 * grad
         if curv > 0.0 and abs(step) < cfg.tol_eta:
-            converged = inner_converged
+            reason = "inner solve: " + inner_reason if inner_reason else ""
             break
-        at, trial = eta, (h, current, lam, inner_converged)
+        at, trial = eta, (h, current, lam, inner_reason)
         for _ in range(MAX_BACKTRACK):
             eta_new = min(max(eta - step, -ETA_BOUND), ETA_BOUND)
             if eta_new != at:
@@ -167,9 +166,10 @@ def variable_projection(stack, cfg=VPConfig()):
                 break
             step *= 0.5
         else:
+            reason = "line search exhausted"
             break
         moved = eta_new != eta
-        eta, (h, current, lam, inner_converged) = eta_new, trial
+        eta, (h, current, lam, inner_reason) = eta_new, trial
         trace.append((k, h, eta, current))
     return AlignmentResult(
         h=float(h),
@@ -178,5 +178,5 @@ def variable_projection(stack, cfg=VPConfig()):
         iterations=len(trace) - 1,
         method="VP-" + cfg.inner.method,
         trace=tuple(trace),
-        converged=converged,
+        reason=reason,
     )

@@ -210,8 +210,8 @@ class AlignmentResult:
     h is in effective pixels, eta in radians; mse is the symmetry error at
     the estimate.  trace holds the accepted variable-projection descent, one
     (k, h_k, eta_k, loss_k) per step from the start, loss_k the reduced loss;
-    the fan estimators record none.  converged is False when an iterative
-    method exhausted its budget before meeting its tolerance.
+    the fan estimators record none.  reason names the stop of an iterative method short of its
+    tolerance, empty when the estimate is trusted; converged, derived from it, is True when empty.
     """
 
     h: float
@@ -220,7 +220,7 @@ class AlignmentResult:
     iterations: int
     method: str
     trace: tuple = field(default_factory=tuple)
-    converged: bool = True
+    reason: str = ""
 
     def __post_init__(self):
         if self.method not in FAN_METHODS + CONE_METHODS:
@@ -231,3 +231,7 @@ class AlignmentResult:
             raise ValueError("iterations must be nonnegative")
         if not -math.pi / 2 < self.eta < math.pi / 2:
             raise ValueError("eta must lie in (-pi/2, pi/2)")
+
+    @property
+    def converged(self):
+        return not self.reason

@@ -117,7 +117,7 @@ def _reversal_shift(sino, cfg):
     and periodic in beta, so on a full scan each column keeps its sum over
     the views and w is p reversed."""
     p = profile_p(sino)
-    return 0.5 * xcorr_shift_1d(p, p[::-1]), 0, True
+    return 0.5 * xcorr_shift_1d(p, p[::-1]), 0, ""
 
 
 def fixed_point_shift(sino, cfg=FanAlignConfig()):
@@ -135,9 +135,9 @@ def fixed_point_shift(sino, cfg=FanAlignConfig()):
     runs are excluded from the median; if every run fails,
     AmbiguousShiftError is raised.  For even counts the lower-middle order
     statistic is taken, avoiding an average of two modes.  Returns
-    (h, iterations, converged, runs): the median, the largest iteration
-    count, whether every returned run converged, and per returned run
-    (start number, h_j, iterations, converged).
+    (h, iterations, reason, runs): the median, the largest iteration count, "" if every
+    returned run converged, else "a fixed-point run reached max_iter <cfg.max_iter>", and
+    per returned run (start number, h_j, iterations, converged).
     """
     geom = sino.geometry
     if cfg.K > geom.n_beta:
@@ -163,17 +163,17 @@ def fixed_point_shift(sino, cfg=FanAlignConfig()):
     if not runs:
         raise AmbiguousShiftError("every fixed-point start failed")
     ordered = sorted(h_j for _, h_j, *_ in runs)
-    converged = all(conv for *_, conv in runs)
-    return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, _ in runs), converged, runs
+    reason = "" if all(conv for *_, conv in runs) else f"a fixed-point run reached max_iter {cfg.max_iter}"
+    return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, _ in runs), reason, runs
 
 
-# each method's shift solve, (sino, cfg) -> (h, iterations, converged); 2DR's h is half the s component
-# of the 2D correlation peak of the sinogram with its reflection at h = 0 (beta is discarded);
-# FP_K's iterations is the largest per-run count, converged that every returned run did
+# each method's shift solve, (sino, cfg) -> (h, iterations, reason), reason "" when trusted; 2DR's h is
+# half the s component of the 2D correlation peak of the sinogram with its reflection at h = 0 (beta is
+# discarded); FP_K's iterations is the largest per-run count, its reason fixed_point_shift's
 _ESTIMATORS = {
     "Yang": _reversal_shift,
     "LY": _reversal_shift,
-    "2DR": lambda sino, cfg: (0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino)), 0, True),
+    "2DR": lambda sino, cfg: (0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino)), 0, ""),
     "FP": lambda sino, cfg: fixed_point_shift(sino, replace(cfg, K=1))[:3],
     "FP_K": lambda sino, cfg: fixed_point_shift(sino, cfg)[:3],
 }
@@ -182,8 +182,8 @@ _ESTIMATORS = {
 def align_fan(sino, cfg=FanAlignConfig()):
     """The fan estimate of the method cfg.method names: its shift solve, and
     the symmetry MSE at that shift.  A fixed-point run that does not converge
-    within max_iter is flagged on the result, not fatal; fan results keep no trace."""
-    h, iterations, converged = _ESTIMATORS[cfg.method](sino, cfg)
+    within max_iter is named in the result's reason, not fatal; fan results keep no trace."""
+    h, iterations, reason = _ESTIMATORS[cfg.method](sino, cfg)
     return AlignmentResult(
-        h=float(h), eta=0.0, mse=symmetry_mse(sino, h), iterations=iterations, method=cfg.method, converged=converged
+        h=float(h), eta=0.0, mse=symmetry_mse(sino, h), iterations=iterations, method=cfg.method, reason=reason
     )

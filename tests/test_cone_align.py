@@ -311,7 +311,7 @@ def fake_reduced_loss(monkeypatch, loss, lam=None):
         probed.append(eta)
         return loss(eta)
 
-    monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg: (0.0, 0, True))
+    monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg: (0.0, 0, ""))
     monkeypatch.setattr(cone_align, "lambda_eta", lambda stack, h, eta: lam)
     monkeypatch.setattr(cone_align, "loss_L", fake_loss)
     return probed
@@ -476,12 +476,13 @@ class TestVariableProjection:
         inner solve at the estimate needs 3 updates.  Capped below that, the
         Newton stop still fires, but the result is unconverged: at max_iter 1
         eta is 0.23 degrees off, beyond the 0.05 degree gate.  The cap changes
-        no estimate, only the flag."""
+        no estimate, only the reason, which names the inner solve's."""
         stack = cone_project(make_sphere_phantom(1), cone_geometry(64), h=5.0, eta=ETA_TRUE)
         cfg = VPConfig(inner_method="fp_k", max_iter=max_iter)
         result = variable_projection(stack, cfg)
-        assert (result.h, result.eta, result.converged) == (h, eta, converged)
-        assert inner_h(stack, result.eta, cfg)[2] == converged
+        reason = "" if converged else f"inner solve: a fixed-point run reached max_iter {max_iter}"
+        assert (result.h, result.eta, result.reason, result.converged) == (h, eta, reason, converged)
+        assert inner_h(stack, result.eta, cfg)[2] == reason.removeprefix("inner solve: ")
 
     @pytest.mark.parametrize("method", INNER)
     def test_stack_read_only_through_lambda_eta(self, method, small_stack, monkeypatch):
@@ -514,8 +515,16 @@ class TestVariableProjection:
 
     def test_iteration_cap_flags_non_convergence(self, ref_stack):
         result = variable_projection(ref_stack, VPConfig(max_outer=1))
-        assert not result.converged
+        assert (result.converged, result.reason) == (False, "max_outer 1 reached")
         assert result.iterations == 1
+
+    def test_exhausted_line_search_names_itself(self, monkeypatch):
+        """With no step halvings left the first line search gives up at the start, unconverged."""
+        monkeypatch.setattr(cone_align, "MAX_BACKTRACK", 0)
+        stack = cone_project(make_sphere_phantom(1), cone_geometry(32), h=2.0, eta=ETA_TRUE)
+        result = variable_projection(stack, VPConfig())
+        assert (result.converged, result.reason) == (False, "line search exhausted")
+        assert (result.eta, result.iterations) == (0.0, 0)
 
     def test_trace_starts_at_eta0_and_ends_at_result(self, ref_stack):
         """VP starts at the nominal mounting, eta0 = 0."""
@@ -700,4 +709,4 @@ class TestFanIsEtaZeroCone:
     def test_inner_solve_is_the_fan_estimate(self, pair, method, fan_method):
         sino, stack = pair
         fan = align_fan(sino, FanAlignConfig(method=fan_method))
-        assert inner_h(stack, 0.0, VPConfig(inner_method=method)) == (fan.h, fan.iterations, fan.converged)
+        assert inner_h(stack, 0.0, VPConfig(inner_method=method)) == (fan.h, fan.iterations, fan.reason)

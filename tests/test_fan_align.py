@@ -51,16 +51,16 @@ def align(sino, method, **settings):
 
 
 def reference_solve(sino, cfg):
-    """(h, iterations, converged) of the shift solve of cfg.method, composed
+    """(h, iterations, reason) of the shift solve of cfg.method, composed
     from the public kernels: Yang and LY register the angular sum profile p
     against its reversal, 2DR halves the s shift of the 2D correlation of the
     sinogram with its reflected resampling at h = 0, FP and FP_K are
     fixed_point_shift from one start and from cfg.K starts."""
     if cfg.method in ("Yang", "LY"):
         p = profile_p(sino)
-        return 0.5 * xcorr_shift_1d(p, p[::-1]), 0, True
+        return 0.5 * xcorr_shift_1d(p, p[::-1]), 0, ""
     if cfg.method == "2DR":
-        return 0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino, 0.0)), 0, True
+        return 0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino, 0.0)), 0, ""
     return fixed_point_shift(sino, replace(cfg, K=1) if cfg.method == "FP" else cfg)[:3]
 
 
@@ -151,11 +151,11 @@ class TestAlignersOnCleanData:
     @each_method
     def test_result_is_the_solve_and_one_mse_read(self, method, monkeypatch):
         """align_fan returns its method's shift solve, (h, iterations,
-        converged), and the symmetry MSE read once at that h."""
+        reason), and the symmetry MSE read once at that h."""
         sino, cfg = small_fan(alpha=0.01), FanAlignConfig(method=method, K=4)
-        h, iterations, converged = reference_solve(sino, cfg)
+        h, iterations, reason = reference_solve(sino, cfg)
         want = AlignmentResult(
-            h=float(h), eta=0.0, mse=symmetry_mse(sino, h), iterations=iterations, method=method, converged=converged
+            h=float(h), eta=0.0, mse=symmetry_mse(sino, h), iterations=iterations, method=method, reason=reason
         )
         reads = count_calls(monkeypatch, fan_align, "symmetry_mse")
         assert repr(align_fan(sino, cfg)) == repr(want)
@@ -287,6 +287,14 @@ class TestFixedPoint:
         result = align(ref_sino, "FP", max_iter=1)
         assert not result.converged
         assert result.iterations == 1
+
+    @pytest.mark.parametrize("method", ["FP", "FP_K"])
+    def test_iteration_cap_names_itself(self, method):
+        """A fixed-point run stopped by max_iter leaves the result unconverged, and its reason says so."""
+        sino = fan_project(make_disk_phantom(0), fan_geometry(32), h=2.0)
+        result = align(sino, method, max_iter=1)
+        assert (result.converged, result.reason) == (False, "a fixed-point run reached max_iter 1")
+        assert fixed_point_shift(sino, FanAlignConfig(K=1 if method == "FP" else 10, max_iter=1))[2] == result.reason
 
 
 class TestFixedPointMultiStart:

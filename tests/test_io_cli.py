@@ -465,6 +465,23 @@ class TestCliSimulate:
         assert capsys.readouterr().err == "error: h must be finite\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", ["1e300", "-15", "15"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--mode", "fan"], ["simulate", "--mode", "cone"], ["sweep", "--alphas", "0", "--methods", "yang"]],
+        ids=["simulate-fan", "simulate-cone", "sweep"],
+    )
+    def test_shift_off_the_detector_rejected_and_nothing_written(self, tmp_path, capsys, argv, h):
+        """A finite |h| of at least the detector width, n - 1 px, moves the whole support off it."""
+        assert main([*argv, "--n", "16", "--h", h, "--out", str(tmp_path / "x.sino")]) == 4
+        assert capsys.readouterr() == ("", "error: |h| must be below the detector width, 15 px\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["fan", "cone"])
+    def test_shift_just_inside_the_detector_accepted(self, tmp_path, mode):
+        assert main(["simulate", "--mode", mode, "--n", "16", "--h", "-14.9", "--out", str(tmp_path / "x.sino")]) == 0
+
     @pytest.mark.parametrize("argv", [["--pixel-size-mm", "-2"], ["--pixel-size-mm", "0"], ["--config", "px.cfg"]])
     def test_bad_pixel_size_rejected_and_nothing_written(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -582,6 +599,16 @@ class TestCliAlignFan:
         rc = main(["align-fan", "--input", shifted, "--method", "fp", "--max-iter", "1"])
         assert rc == 2
         assert report_value(capsys.readouterr().out, "converged") == "false"
+
+    @pytest.mark.parametrize("method", ["fp", "fpk"])
+    def test_iteration_cap_names_itself(self, tmp_path, capsys, method):
+        out = str(tmp_path / "fan.sino")
+        assert main(["simulate", "--mode", "fan", "--n", "32", "--h", "2", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["align-fan", "--input", out, "--method", method, "--max-iter", "1"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("converged: false")
+        assert lines[at + 1] == "reason: a fixed-point run reached max_iter 1"
 
     @pytest.mark.parametrize(
         "command,key,value",
@@ -721,14 +748,32 @@ class TestCliAlignCone:
 
     def test_capped_inner_solve_exits_2(self, tmp_path, capsys):
         """A VP run whose FP_K inner solve at the estimate stops at max_iter is
-        unconverged (exit 2), here with eta 0.23 degrees off the truth."""
+        unconverged (exit 2) and names the inner stop, here at max_iter 1 with
+        eta 0.23 degrees off the truth; at max_iter 3 that solve converges."""
         out = str(tmp_path / "cone.sino")
         assert main(["simulate", "--mode", "cone", "--n", "64", "--h", "5", "--eta", "1deg", "--seed", "1", "--out", out]) == 0
         capsys.readouterr()
         assert main(["align-cone", "--input", out, "--inner-method", "fpk", "--max-iter", "1"]) == 2
         text = capsys.readouterr().out
         assert report_value(text, "converged") == "false"
+        assert report_value(text, "reason") == "inner solve: a fixed-point run reached max_iter 1"
         assert float(report_value(text, "eta_deg")) == pytest.approx(1.2297, abs=1e-4)
+        assert main(["align-cone", "--input", out, "--inner-method", "fpk", "--max-iter", "2"]) == 2
+        assert report_value(capsys.readouterr().out, "reason") == "inner solve: a fixed-point run reached max_iter 2"
+        assert main(["align-cone", "--input", out, "--inner-method", "fpk", "--max-iter", "3"]) == 0
+        text = capsys.readouterr().out
+        assert report_value(text, "converged") == "true"
+        assert "reason:" not in text
+
+    def test_iteration_cap_exits_2_and_names_itself(self, tmp_path, capsys):
+        """The reason line follows the converged line."""
+        out = str(tmp_path / "cone.sino")
+        assert main(["simulate", "--mode", "cone", "--n", "32", "--h", "2", "--eta", "1deg", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["align-cone", "--input", out, "--max-outer", "1"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("converged: false")
+        assert lines[at + 1] == "reason: max_outer 1 reached"
 
     def test_fan_file_rejected(self, cli_fan_files, capsys):
         aligned, _ = cli_fan_files
