@@ -11,17 +11,15 @@ detector axis tilted by eta about the rotation-axis image (h, 0):
 At the true misalignment Lambda is the mid-plane fan sinogram and both
 agree (the fan symmetry condition along the true horizontal axis), so
 L(h, eta) = |Lambda - Pi|^2 is minimized there.
-The reflection maps the tilted line through (h, 0) onto itself, q to 2h - q,
-so Pi_h_eta = Pi_h o Lambda_eta is the fan symmetry map of the tilted sinogram:
-lambda_eta reads the stack once per (h, eta) into a fan Sinogram of the
-central fan geometry, and the fan estimators are the eta = 0, v = 0 case.
-The inner variable h is eliminated by the fan 2DR or FP_K shift solve of
-fan_align._ESTIMATORS at fixed eta on the read pivoted at 0, free of h; the
-reduced loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.
-Its gradient is the partial one at the inner optimum (the envelope result of
-variable projection; Golub & Pereyra, Inverse Problems 19:R1, 2003), so h
-is solved only at the start and trial points, not on the stencil.  The descent
-carries its accepted point (h, eta, loss, lam, inner reason); nothing is cached.
+The reflection maps the tilted line through (h, 0) onto itself, q to 2h - q, so Pi_h_eta = Pi_h o
+Lambda_eta is the fan symmetry map of the tilted sinogram: lambda_eta reads the stack once per read
+line into a fan Sinogram of the central fan geometry, and the fan estimators are the eta = 0, v = 0
+case.  The inner variable h is eliminated by the fan 2DR or FP_K shift solve of fan_align._ESTIMATORS
+at fixed eta on the read pivoted at 0, free of h, which at eta = 0 is the read pivoted at (h, 0) too;
+the reduced loss L(h(eta), eta) is descended in eta by safeguarded Newton steps.  Its gradient is the
+partial one at the inner optimum (the envelope result of variable projection; Golub & Pereyra, Inverse
+Problems 19:R1, 2003), so h is solved only at the start and trial points, not on the stencil.  The
+descent carries its accepted point (h, eta, loss, |lam|^2, lam, inner reason); nothing is cached.
 """
 
 import math
@@ -82,7 +80,7 @@ def lambda_eta(stack, h, eta):
     cose, sine = math.cos(eta), math.sin(eta)
     q = geom.u_axis()
     pivot = h_u * (1.0 - cose)  # written so that eta = 0 reads q exactly
-    return Sinogram(geom.central_fan(), sample_detector(stack, q * cose + pivot, (h_u - q) * sine, None))
+    return Sinogram(geom.central_fan(), sample_detector(stack, q * cose + pivot, (h_u - q) * sine, None), _fresh=True)
 
 
 def pi_h_eta(stack, h, eta):
@@ -94,27 +92,30 @@ def pi_h_eta(stack, h, eta):
     return reflected_resampling(lambda_eta(stack, h, eta), h)
 
 
-def loss_L(stack, h, eta, lam=None):
-    """|lam - Pi_h lam|^2, the sum of squared differences of the two tilted
-    resamplings at (h, eta); lam, if given, is lambda_eta(stack, h, eta).
-    It is summed block by block; the reflection is never built whole."""
-    lam = lambda_eta(stack, h, eta) if lam is None else lam
+def loss_L(stack, h, eta):
+    """|lam - Pi_h lam|^2 for lam = lambda_eta(stack, h, eta), the sum of squared differences of the two
+    tilted resamplings at (h, eta).  It is summed block by block; the reflection is never built whole."""
+    lam = lambda_eta(stack, h, eta)
     return reflect(lam, h, against=lam.values)[0]
 
 
-def inner_h(stack, eta, cfg=VPConfig()):
-    """(h, iterations, reason) at fixed eta, h the shift (pixels) minimizing
-    the tilted-pair mismatch: the fan shift solve fan_align._ESTIMATORS holds
-    for cfg.inner's method, run on lambda_eta pivoted at 0, which is free of h."""
+def inner_h(stack, eta, cfg=VPConfig(), lam=None):
+    """(h, iterations, reason) at fixed eta, h the shift (pixels) minimizing the tilted-pair mismatch: the
+    fan shift solve fan_align._ESTIMATORS holds for cfg.inner's method, run on the read pivoted at 0, which
+    is free of h: lam = lambda_eta(stack, 0.0, eta), read here if not given."""
     inner = cfg.inner
-    return _ESTIMATORS[inner.method](lambda_eta(stack, 0.0, eta), inner)
+    return _ESTIMATORS[inner.method](lambda_eta(stack, 0.0, eta) if lam is None else lam, inner)
 
 
 def _solve(stack, eta, cfg):
-    """(h, loss, lam, reason) at eta: the inner solve's h, its read pivoted at (h, 0), its loss, its reason."""
-    h, _, reason = inner_h(stack, eta, cfg)
-    lam = lambda_eta(stack, h, eta)
-    return h, loss_L(stack, h, eta, lam), lam, reason
+    """(h, loss, norm, lam, reason) at eta: the inner solve's h and reason, its read lam pivoted at (h, 0)
+    and the sums (loss, |lam|^2) of lam's one reflect.  At eta = 0 the pivot and v are 0 whatever h is:
+    lam is the inner solve's h-free read, bit for bit, and is not read again."""
+    lam = lambda_eta(stack, 0.0, eta)
+    h, _, reason = inner_h(stack, eta, cfg, lam)
+    if eta != 0.0:
+        lam = lambda_eta(stack, h, eta)
+    return h, *reflect(lam, h, against=lam.values), lam, reason
 
 
 def _stencil(stack, h, eta, l0):
@@ -129,24 +130,21 @@ def _stencil(stack, h, eta, l0):
 def variable_projection(stack, cfg=VPConfig()):
     """Joint (h, eta) estimate: safeguarded Newton descent on the reduced loss.
 
-    The loop carries its accepted point (h, eta, loss, lam), and its inner
-    solve's reason, starting at eta = 0.  The inner shift is solved there
-    and at each new trial angle, and held at the centre's value
-    across the stencil, which is read once per accepted angle.  Each outer
-    iteration takes the Newton step g/c, or GAMMA0 times g where c is not
-    positive; the step is halved until the Armijo sufficient-decrease test
-    (constant ARMIJO_C) passes.  Trials are clamped to [-ETA_BOUND,
-    ETA_BOUND]; one that the clamp puts on the angle in hand (the carried
-    point's or the last rejected trial's) reuses that solve.  Each stop returns the
-    last accepted point and its reason: the Newton stop, once c > 0 and the step is
-    below tol_eta, "" or "inner solve: " and the accepted point's inner reason;
-    backtracking exhaustion "line search exhausted"; the cap "max_outer <n> reached".
+    The loop carries its accepted point (h, eta, loss, |lam|^2, lam) and its inner solve's reason,
+    starting at eta = 0.  The inner shift is solved there and at each new trial angle, and held at
+    the centre's value across the stencil, which is read once per accepted angle.  Each outer
+    iteration takes the Newton step g/c, or GAMMA0 times g where c is not positive; the step is
+    halved until the Armijo sufficient-decrease test (constant ARMIJO_C) passes.  Trials are clamped
+    to [-ETA_BOUND, ETA_BOUND]; one that the clamp puts on the angle in hand (the carried point's or
+    the last rejected trial's) reuses that solve.  Each stop returns the last accepted point and its
+    reason: the Newton stop, once c > 0 and the step is below tol_eta, "" or "inner solve: " and the
+    accepted point's inner reason; backtracking exhaustion "line search exhausted"; the cap "max_outer <n> reached".
 
-    The result's mse is the fan symmetry MSE of the accepted point's
-    lambda_eta, the mid-plane fan sinogram at the estimate.
+    The result's mse is the fan symmetry MSE of lam, the mid-plane fan sinogram at the estimate:
+    the accepted loss over |lam|^2, from the one reflect of lam (symmetry_mse raises if lam is all zero).
     """
     eta = 0.0
-    h, current, lam, inner_reason = _solve(stack, eta, cfg)
+    h, current, norm, lam, inner_reason = _solve(stack, eta, cfg)
     trace = [(0, h, eta, current)]
     reason = f"max_outer {cfg.max_outer} reached"
     moved = True
@@ -157,7 +155,7 @@ def variable_projection(stack, cfg=VPConfig()):
         if curv > 0.0 and abs(step) < cfg.tol_eta:
             reason = "inner solve: " + inner_reason if inner_reason else ""
             break
-        at, trial = eta, (h, current, lam, inner_reason)
+        at, trial = eta, (h, current, norm, lam, inner_reason)
         for _ in range(MAX_BACKTRACK):
             eta_new = min(max(eta - step, -ETA_BOUND), ETA_BOUND)
             if eta_new != at:
@@ -169,12 +167,12 @@ def variable_projection(stack, cfg=VPConfig()):
             reason = "line search exhausted"
             break
         moved = eta_new != eta
-        eta, (h, current, lam, inner_reason) = eta_new, trial
+        eta, (h, current, norm, lam, inner_reason) = eta_new, trial
         trace.append((k, h, eta, current))
     return AlignmentResult(
         h=float(h),
         eta=float(eta),
-        mse=symmetry_mse(lam, h),
+        mse=current / norm if norm else symmetry_mse(lam, h),
         iterations=len(trace) - 1,
         method="VP-" + cfg.inner.method,
         trace=tuple(trace),

@@ -18,11 +18,12 @@ Coordinate conventions used throughout the package:
 FanGeometry and ConeGeometry share one body, _Geometry, as Sinogram and ProjectionStack share _Data.
 """
 
+import functools
 import math
 import numbers
 
 import numpy as np
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,16 +77,18 @@ def unit_disk_half_width(source_radius):
     return r / math.sqrt(r * r - 1.0)
 
 
+@functools.lru_cache
 def _symmetric_axis(half_width, n):
     """Uniform endpoint-inclusive grid on [-half_width, half_width].
 
     Antisymmetrized so that axis[i] == -axis[n-1-i] bit-exactly; the
-    estimators rely on exact reversal about the center.
+    estimators rely on exact reversal about the center.  Memoized: every call
+    shares one view of a read-only base, which cannot be made writeable.
     """
     axis = np.linspace(-half_width, half_width, n)
     axis = 0.5 * (axis - axis[::-1])
     axis.flags.writeable = False
-    return axis
+    return axis.view()
 
 
 @dataclass(frozen=True)
@@ -178,13 +181,15 @@ class ConeGeometry(_Geometry):
 
 @dataclass(frozen=True, eq=False)
 class _Data:
-    """Body of Sinogram and ProjectionStack: a geometry and a read-only float64 copy of finite values of its shape."""
+    """Body of Sinogram and ProjectionStack: a geometry and a read-only float64 copy of finite values of its shape.
+    _fresh=True, for a float64 array its builder hands over and no one else holds, freezes it without the copy."""
 
     geometry: _Geometry
     values: np.ndarray
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+    def __post_init__(self, _fresh):
+        values = self.values if _fresh else np.array(self.values, dtype=float)
         if values.shape != self.geometry.shape:
             raise ValueError(f"{type(self).__name__} values must have shape {self.geometry.shape}, got {values.shape}")
         if not np.all(np.isfinite(values)):

@@ -9,18 +9,16 @@ xcorr_shift_rows registers K row pairs with one batched FFT per step and
 marks rows whose correlation is identically zero; xcorr_shift_1d is its
 one-row case.
 
-The samplers have one read: stored views at detector points, each point at
-its own view-angle offset.  Queried on every stored view (beta=None), they
-read cache-sized blocks of views, each corner gathered once per block and
-adjacent views blended per column: the fan symmetry map on every view.  The
-blocks have two consumers: the array of the read, or running sums of each
-block's squared residual against given rows and of those rows, so the
-symmetry mse is taken without building the reflected sinogram.  A query at
-given view angles is the one-view case, stored view 0 read with the angles
-as offsets.  Interpolation weights are built per axis and corner values
-gathered from the flattened data, bitwise as full-grid formulas.  An axis
-whose weight is zero at every point (a detector axis, or the view axis when
-every angle is on a stored view) is not read.
+The samplers have one read: stored views at detector points, each point at its own view-angle
+offset.  Queried on every stored view (beta=None), they read cache-sized blocks of views, each
+corner gathered once per block: with no offset (cone_align's tilted read) by one take of its
+columns along the views of the (views, detector) table, with offsets (the fan symmetry map) from
+the flattened data, adjacent views then blended per column.  Each block goes to the array of the
+read, or to running sums of its squared residual against given rows and of those rows: the
+symmetry mse builds no reflected sinogram.  A query at given view angles reads stored view 0 with
+the angles as offsets.  Weights are built per axis, bitwise as full-grid formulas; an axis whose
+weight is zero at every point (a detector axis, or the view axis when every angle is on a stored
+view) is not read, nor a corner's zero fill where the corner has no point off the grid.
 """
 
 import numpy as np
@@ -187,13 +185,6 @@ def _beta_weights(beta, n, stride):
     return j0, j1, t
 
 
-def _gather(flat, index, off):
-    """flat[index modulo its size], zero where off (off the grid); a fresh array."""
-    v = flat.take(index, mode="wrap")
-    np.copyto(v, 0.0, where=off)
-    return v
-
-
 def _lerp(v0, v1, w, out=None):
     """(1 - w) * v0 + w * v1, computed in place in v1 and in out (v0 if None)."""
     out = np.multiply(v0, 1.0 - w, out=v0 if out is None else out)
@@ -218,10 +209,15 @@ def _cell(axes, start):
     return corners, weights
 
 
-def _read(flat, rows, cell):
-    """The cell's corner values at flat offsets rows + corner, lerped innermost axis first."""
+def _read(table, rows, cell):
+    """The cell's corner values, zero off the grid, lerped innermost axis first: at flat offsets rows + corner
+    (modulo the size) of the flat table, or, rows None, at offset corner of each row of the 2-D table."""
     corners, weights = cell
-    values = [_gather(flat, rows + offset, off) for offset, off in corners]
+    values = []
+    for offset, off in corners:
+        values.append(table.take(offset if rows is None else rows + offset, axis=-1, mode="wrap"))
+        if off.any():
+            np.copyto(values[-1], 0.0, where=off)
     for w in reversed(weights):
         values = [_lerp(values[i], values[i + 1], w) for i in range(0, len(values), 2)]
     return values[0]
@@ -231,15 +227,13 @@ _BLOCK = 1 << 14  # output points per block of the all-views read: they stay in 
 
 
 def _all_views(flat, n, views, axes, view_offset, against=None):
-    """The (views, m) read of the stored views j < views at the m detector
-    points of axes, column i at view angle b_j + view_offset_i (b_j if None),
-    which is one (whole views k_i, weight f_i) pair.  Each block of views
-    gathers each corner once on its views plus one, view j + k_i at flat
-    offset (j + k_i)*stride + corner (corner < stride: the index modulo is
-    the view modulo), applies the detector lerps, then blends adjacent rows
-    with f_i unless every f_i is 0: bit for bit the full-grid read, then the
-    blend.  Each block goes to the (views, m) array, or, given a (views, m)
-    array against, to the running sums (|read - against|^2, |against|^2)."""
+    """The (views, m) read of the stored views j < views at the m detector points of axes, column i at
+    view angle b_j + view_offset_i (b_j if None), which is one (whole views k_i, weight f_i) pair.  Each
+    block of views gathers each corner once: with no offset, its columns of the block's rows of the
+    (n, stride) table; else on its views plus one, view j + k_i at flat offset (j + k_i)*stride + corner
+    (corner < stride: the index modulo is the view modulo), adjacent rows then blended with f_i unless
+    every f_i is 0.  Bit for bit the full-grid read; each block goes to the (views, m) array, or, given
+    a (views, m) array against, to the sums (|read - against|^2, |against|^2)."""
     m, stride = axes[0][2].size, flat.size // n
     k, blend = 0, False
     if view_offset is not None:
@@ -251,7 +245,10 @@ def _all_views(flat, n, views, axes, view_offset, against=None):
     sse = norm = 0.0
     for a in range(0, views, rows):
         b = min(a + rows, views)
-        v = _read(flat, np.arange(a * stride, (b + blend) * stride, stride)[:, None], cell)
+        if view_offset is None:
+            v = _read(flat.reshape(n, stride)[a:b], None, cell)
+        else:
+            v = _read(flat, np.arange(a * stride, (b + blend) * stride, stride)[:, None], cell)
         if blend:  # v[:-1] is read before v[1:] is scaled
             v = _lerp(v[:-1], v[1:], f, out[a:b] if against is None else out[: b - a])
         elif against is None:

@@ -267,7 +267,7 @@ def fan_project(phantom, geom, h=0.0, instability=None):
     plus the instability, if given.  A fan phantom's spheres lie at y = 0.
     """
     values = _project(phantom, geom, h, instability, geom.s_axis(), geom.s_max, np.zeros(1), 0.0)[:, 0]
-    return Sinogram(geom, values)
+    return Sinogram(geom, values, _fresh=True)
 
 
 def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
@@ -280,4 +280,4 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
     if not -math.pi / 2 < eta < math.pi / 2:
         raise ValueError("eta must lie in (-pi/2, pi/2)")
     values = _project(phantom, geom, h, instability, geom.u_axis(), geom.u_max, geom.v_axis(), eta)
-    return ProjectionStack(geom, values)
+    return ProjectionStack(geom, values, _fresh=True)

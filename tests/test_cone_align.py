@@ -2,11 +2,13 @@
 gradient, and the full (h, eta) descent against a brute-force grid oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ctalign import (
+    AmbiguousShiftError,
     ConeGeometry,
     FanAlignConfig,
     ProjectionStack,
@@ -301,38 +303,40 @@ class TestInnerFixedPoint:
         assert len(reflections) == max(iterations)
 
 
-def fake_reduced_loss(monkeypatch, loss, lam=None):
+def fake_reduced_loss(monkeypatch, loss):
     """Replace the reduced loss by loss(eta): every inner solve gives h = 0,
-    every tilted read is lam and every loss_L is loss(eta); returns the eta
-    of each loss_L call, in call order."""
+    every tilted read is a stand-in that holds only its eta, and each loss
+    read of one, a reflect or a symmetry_mse, gives loss(eta) (reflect's
+    |lam|^2 is inf, so every mse is 0); returns the eta of each loss read, in
+    call order."""
     probed = []
 
-    def fake_loss(stack, h, eta, lam=None):
-        probed.append(eta)
-        return loss(eta)
+    def fake_reflect(lam, h, against=None):
+        probed.append(lam.eta)
+        return loss(lam.eta), math.inf
 
-    monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg: (0.0, 0, ""))
-    monkeypatch.setattr(cone_align, "lambda_eta", lambda stack, h, eta: lam)
-    monkeypatch.setattr(cone_align, "loss_L", fake_loss)
+    monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg, lam=None: (0.0, 0, ""))
+    monkeypatch.setattr(cone_align, "lambda_eta", lambda stack, h, eta: SimpleNamespace(eta=eta, values=None))
+    monkeypatch.setattr(cone_align, "reflect", fake_reflect)
+    monkeypatch.setattr(cone_align, "symmetry_mse", lambda lam, h: fake_reflect(lam, h)[0])
     return probed
 
 
 def solves_and_reads(monkeypatch, stack, loss, gamma0=cone_align.GAMMA0, **kwargs):
     """VP on the reduced loss loss(eta) of fake_reduced_loss, with GAMMA0 set
-    to gamma0: the result, the eta of each inner solve and the (h, eta) of
-    each loss_L, in call order."""
+    to gamma0: the result, the eta of each inner solve and of each loss read
+    (h is 0 at every one), in call order."""
     monkeypatch.setattr(cone_align, "GAMMA0", gamma0)
-    fake_reduced_loss(monkeypatch, loss, lambda_eta(stack, 0.0, 0.0))
+    reads = fake_reduced_loss(monkeypatch, loss)
     solves = count_calls(monkeypatch, cone_align, "inner_h")
-    reads = count_calls(monkeypatch, cone_align, "loss_L")
     result = variable_projection(stack, VPConfig(**kwargs))
-    return result, [args[1] for args in solves], [args[1:3] for args in reads]
+    return result, [args[1] for args in solves], reads
 
 
 def reduced_gradient(stack, eta, cfg=VPConfig()):
     """(gradient, curvature) of the reduced loss at eta as VP takes them: the
     stencil at the inner solve."""
-    h, l0, _, _ = cone_align._solve(stack, eta, cfg)
+    h, l0, *_ = cone_align._solve(stack, eta, cfg)
     return cone_align._stencil(stack, h, eta, l0)
 
 
@@ -387,12 +391,14 @@ class TestReducedGradient:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_domain_edge_stencil_reads_past_the_edge(self, small_stack, monkeypatch, sign):
-        """At +-ETA_BOUND the stencil is central: loss_L is read at the
-        centre and one DELTA_ETA to either side, and the curvature is finite."""
+        """At +-ETA_BOUND the stencil is central: after the solve's h-free
+        read, the stack is read pivoted at the centre and one DELTA_ETA to
+        either side, and the curvature is finite."""
         bound, d = sign * cone_align.ETA_BOUND, cone_align.DELTA_ETA
-        reads = count_calls(monkeypatch, cone_align, "loss_L")
+        reads = count_calls(monkeypatch, cone_align, "lambda_eta")
         _, c = reduced_gradient(small_stack, bound)
-        assert [args[2] for args in reads] == [bound, bound - d, bound + d]
+        assert [args[2] for args in reads] == [bound, bound, bound - d, bound + d]
+        assert reads[0][1] == 0.0 != reads[1][1]
         assert math.isfinite(c)
 
 
@@ -442,30 +448,57 @@ class TestVariableProjection:
 
     def test_one_tilted_read_per_solve_and_per_pivot(self, ref_stack, monkeypatch):
         """One h-free read for each inner solve; one read pivoted at (h, 0) for
-        each distinct (h, eta): the solved points, and the stencil of each
-        accepted point at its centre's h.  The result's mse is the accepted
-        point's pivoted read."""
+        each other distinct read line: the solved points off eta = 0, where
+        the h-free read is the pivoted one, and the stencil of each accepted
+        point at its centre's h.  One reflect per loss, and none after the
+        last accepted point: the result's mse is the accepted point's loss
+        over its |lam|^2, equal to symmetry_mse of its pivoted read."""
         solved = {}
 
-        def solve(stack, eta, cfg):
-            triple = original(stack, eta, cfg)
+        def solve(stack, eta, cfg, lam=None):
+            triple = original(stack, eta, cfg, lam)
             solved[eta] = triple[0]
             return triple
 
         original = cone_align.inner_h
         monkeypatch.setattr(cone_align, "inner_h", solve)
         reads = count_calls(monkeypatch, cone_align, "lambda_eta")
+        losses = count_calls(monkeypatch, cone_align, "reflect")
+        fan_reflections = count_calls(monkeypatch, fan_align, "reflect")
         result = variable_projection(ref_stack, VPConfig())
         d = cone_align.DELTA_ETA
-        assert 0.0 not in solved.values()  # so h == 0 marks the h-free reads
+        assert 0.0 in solved and 0.0 not in solved.values()  # so h == 0 marks the h-free reads
         assert [args[2] for args in reads if args[1] == 0.0] == list(solved)
         pivoted = [(args[1], args[2]) for args in reads if args[1] != 0.0]
         centres = [entry[2] for entry in result.trace]
         stencils = {(solved[c], c + k * d) for c in centres for k in (-1, 1)}
         assert not {eta for _, eta in stencils} & set(solved)  # no inner solve at a stencil point
         assert len(pivoted) == len(set(pivoted))
-        assert set(pivoted) == {(h, eta) for eta, h in solved.items()} | stencils
+        assert set(pivoted) == {(h, eta) for eta, h in solved.items() if eta != 0.0} | stencils
+        assert len(losses) == len(solved) + len(stencils)
+        assert len(fan_reflections) == len(solved)  # each 2DR solve's reflection at h = 0; no mse read
         assert result.mse == symmetry_mse(lambda_eta(ref_stack, result.h, result.eta), result.h)
+
+    @pytest.mark.parametrize("method", INNER)
+    def test_eta_zero_solve_reads_the_stack_once(self, method, small_stack, monkeypatch):
+        """At eta = 0 the pivot h*(1 - cos 0) and v = (h - q)*0 are 0: the
+        solve's one h-free read is its read pivoted at (h, 0), bit for bit, and
+        the loss and |lam|^2 are that read's reflect sums."""
+        reads = count_calls(monkeypatch, cone_align, "sample_detector")
+        h, loss, norm, lam, _ = cone_align._solve(small_stack, 0.0, VPConfig(inner_method=method))
+        assert len(reads) == 1
+        pivoted = lambda_eta(small_stack, h, 0.0)
+        assert h != 0.0
+        assert lam.values.tobytes() == pivoted.values.tobytes()
+        assert (loss, norm) == fan_align.reflect(pivoted, h, against=pivoted.values)
+
+    def test_all_zero_read_raises_the_symmetry_mse_error(self, small_stack, monkeypatch):
+        """An mse over an all-zero |lam|^2 is undefined: VP raises what symmetry_mse raises."""
+        zero = Sinogram(small_stack.geometry.central_fan(), np.zeros(small_stack.geometry.central_fan().shape))
+        monkeypatch.setattr(cone_align, "inner_h", lambda stack, eta, cfg, lam=None: (1.0, 0, ""))
+        monkeypatch.setattr(cone_align, "lambda_eta", lambda stack, h, eta: zero)
+        with pytest.raises(AmbiguousShiftError, match="^symmetry_mse undefined for an all-zero sinogram$"):
+            variable_projection(small_stack, VPConfig(max_outer=2))
 
     @pytest.mark.parametrize(
         "max_iter,h,eta,converged",
@@ -541,11 +574,9 @@ class TestNewtonStep:
 
     @pytest.fixture
     def run(self, monkeypatch, small_stack):
-        lam = lambda_eta(small_stack, 0.0, 0.0)
-
         def run(loss, gamma0=cone_align.GAMMA0, **kwargs):
             monkeypatch.setattr(cone_align, "GAMMA0", gamma0)
-            probed = fake_reduced_loss(monkeypatch, loss, lam)
+            probed = fake_reduced_loss(monkeypatch, loss)
             return variable_projection(small_stack, VPConfig(**kwargs)), probed
 
         return run
@@ -613,7 +644,7 @@ class TestNewtonStep:
     def test_capped_run_reads_no_stencil_after_its_last_step(self, small_stack, monkeypatch):
         """A descent run to max_outer = 20: the start and 20 trials are
         solved and read, and 20 central stencils are read; none at the point
-        the cap returns."""
+        the cap returns, and no loss read for its mse."""
         result, solved, read = solves_and_reads(monkeypatch, small_stack, lambda e: e, gamma0=0.01)
         assert not result.converged
         assert result.iterations == 20

@@ -103,6 +103,19 @@ class TestDetectorAxis:
         with pytest.raises(ValueError):
             axis[0] = 99.0
 
+    def test_axes_are_one_memoized_array(self):
+        """Every call for the same grid returns the same read-only array, so no
+        caller can change what the next one reads."""
+        fan, cone = FanGeometry(2.0, 8, 1.0, 8), ConeGeometry(2.0, 8, 5, 1.0, 0.8, 6)
+        assert fan.s_axis() is fan.s_axis() is FanGeometry(3.0, 8, 1.0, 4).s_axis() is cone.u_axis()
+        assert cone.v_axis() is cone.v_axis() and cone.v_axis() is not cone.u_axis()
+        for axis in (fan.s_axis(), cone.u_axis(), cone.v_axis()):
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                axis[0] = 99.0
+            with pytest.raises(ValueError):
+                axis.flags.writeable = True
+
 
 # a valid geometry of each kind, by keyword, and its data shape
 VALID = {
@@ -195,6 +208,22 @@ class TestContainers:
         assert not data.values.flags.writeable
         with pytest.raises(ValueError):
             data.values[(0,) * data.values.ndim] = 2.0
+
+    def test_caller_array_is_copied_and_left_writeable(self, cls, geom):
+        values = np.ones(geom.shape)
+        data = cls(geom, values)
+        assert not np.shares_memory(data.values, values)
+        values[(0,) * values.ndim] = 2.0  # still the caller's to write
+        assert np.all(data.values == 1.0)
+
+    def test_fresh_array_is_frozen_without_a_copy(self, cls, geom):
+        """A builder that hands over its own new float64 array (the projectors,
+        the tilted read) skips the copy: the container freezes that array."""
+        values = np.ones(geom.shape)
+        data = cls(geom, values, _fresh=True)
+        assert data.values is values and not values.flags.writeable
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(geom, np.full(geom.shape, math.inf), _fresh=True)
 
     @pytest.mark.parametrize("name", ["values", "geometry", "new_attribute"])
     def test_attributes_frozen(self, cls, geom, name):

@@ -453,6 +453,23 @@ class TestSampleDetector:
         }[case]
         assert np.array_equal(sample_detector(small_stack, *coords), two_plane_detector(small_stack, *coords))
 
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_all_views_read_is_the_two_plane_read(self, on_grid):
+        """beta=None gathers each corner along the views of the (views, detector) table, in blocks
+        (40 views x 500 points is two), zero-filling the corners with points off the detector: byte
+        for byte the two-plane read at every stored view, also past both edges of both axes."""
+        geom = ConeGeometry(2.0, 9, 7, 1.0, 0.8, 40)
+        stack = ProjectionStack(geom, np.random.default_rng(17).uniform(0.5, 2.0, size=(40, 7, 9)))
+        rng = np.random.default_rng(19)
+        if on_grid:
+            u, v = rng.choice(geom.u_axis(), 500), rng.choice(geom.v_axis(), 500)
+        else:
+            u, v = rng.uniform(-2.0, 2.0, 500) * geom.u_max, rng.uniform(-2.0, 2.0, 500) * geom.v_max
+            assert min(u) < -geom.u_max - geom.pixel_size and max(v) > geom.v_max + geom.pixel_size_v
+        got = sample_detector(stack, u, v, None)
+        assert got.shape == (40, 500) and 40 * 500 > registration._BLOCK
+        assert got.tobytes() == two_plane_detector(stack, u, v, geom.beta_axis()[:, None]).tobytes()
+
     def test_cell_center_is_corner_mean(self):
         geom = ConeGeometry(2.0, 2, 2, 1.0, 1.0, 2)
         rng = np.random.default_rng(3)
@@ -564,9 +581,14 @@ class TestPerPointIsOneView:
             assert got == two_plane_detector(stack, u[2], v[4], b)
 
 
-def gathered(gathers):
-    """The number of points read by the recorded _gather calls (flat, index, off)."""
-    return sum(index.size for _, index, _ in gathers)
+def gathered(reads):
+    """The points of each corner gathered by the recorded _read calls (table, rows, cell): rows + corner
+    of the flat table, or, rows None, the corner's columns of each row of the 2-D table."""
+    return [
+        len(table) * corner.size if rows is None else np.broadcast(rows, corner).size
+        for table, rows, (corners, _) in reads
+        for corner, _ in corners
+    ]
 
 
 class TestZeroWeightAxes:
@@ -580,17 +602,17 @@ class TestZeroWeightAxes:
         geom = small_sino.geometry
         s = geom.s_axis() + (0.0 if s_on_grid else 0.3 * geom.pixel_size)
         beta = geom.beta_axis()[:, None] + (0.0 if beta_on_grid else 0.4 * geom.beta_step)
-        gathers = count_calls(monkeypatch, registration, "_gather")
+        reads = count_calls(monkeypatch, registration, "_read")
         got = sample_periodic(small_sino, s, beta)
-        assert gathered(gathers) == geom.n_beta * geom.n_s * 2 ** ((not s_on_grid) + (not beta_on_grid))
+        assert sum(gathered(reads)) == geom.n_beta * geom.n_s * 2 ** ((not s_on_grid) + (not beta_on_grid))
         assert np.array_equal(got, two_plane_periodic(small_sino, s, beta))
         # all views in one block: each detector corner is gathered once on
         # the views, plus one view if adjacent views are blended
         offset = np.full(geom.n_s, 0.0 if beta_on_grid else 0.4 * geom.beta_step)
-        gathers.clear()
+        reads.clear()
         got = sample_periodic(small_sino, s, None, offset)
-        assert len(gathers) == 2 ** (not s_on_grid)
-        assert gathered(gathers) == (geom.n_beta + (not beta_on_grid)) * geom.n_s * 2 ** (not s_on_grid)
+        assert len(gathered(reads)) == 2 ** (not s_on_grid)
+        assert sum(gathered(reads)) == (geom.n_beta + (not beta_on_grid)) * geom.n_s * 2 ** (not s_on_grid)
         assert np.array_equal(got, two_stage_periodic(small_sino, s, None, offset))
 
     @pytest.mark.parametrize("u_on_grid", [True, False])
@@ -602,7 +624,13 @@ class TestZeroWeightAxes:
         u = geom.u_axis() + (0.0 if u_on_grid else 0.3 * geom.pixel_size)
         v = geom.v_axis()[[0, 1, 2, 3, 4, 0, 1]] + (0.0 if v_on_grid else 0.6 * geom.pixel_size_v)
         beta = geom.beta_axis()[:, None] + (0.0 if beta_on_grid else 0.4 * geom.beta_step)
-        gathers = count_calls(monkeypatch, registration, "_gather")
+        reads = count_calls(monkeypatch, registration, "_read")
         got = sample_detector(stack, u, v, beta)
-        assert gathered(gathers) == 6 * 7 * 2 ** ((not u_on_grid) + (not v_on_grid) + (not beta_on_grid))
+        assert sum(gathered(reads)) == 6 * 7 * 2 ** ((not u_on_grid) + (not v_on_grid) + (not beta_on_grid))
         assert np.array_equal(got, two_plane_detector(stack, u, v, beta))
+        # every stored view, no view offset: each corner is one take along the views of the table
+        reads.clear()
+        got = sample_detector(stack, u, v, None)
+        assert [rows for _, rows, _ in reads] == [None]
+        assert gathered(reads) == [6 * 7] * 2 ** ((not u_on_grid) + (not v_on_grid))
+        assert got.tobytes() == two_plane_detector(stack, u, v, geom.beta_axis()[:, None]).tobytes()
