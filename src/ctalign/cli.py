@@ -97,12 +97,10 @@ def _emit_report(pairs, report_path):
         Path(report_path).write_text(text, encoding="utf-8")
 
 
-def _scene(options, mode, h):
-    """(phantom, geometry) of a run at shift h: the seeded phantom of mode fan or cone and its n-sample, n-view
-    geometry, whose detector, n - 1 px wide, just covers the unit disk; a finite |h| that wide is rejected."""
+def _scene(options, mode):
+    """(phantom, geometry) of a run: the seeded phantom of mode fan or cone and its n-sample, n-view geometry,
+    whose detector, n - 1 px wide, just covers the unit disk; the projectors reject an |h| that wide."""
     n, seed, source_radius = options.get("n", 256), options.get("seed", 0), options.get("source_radius", 2.0)
-    if math.isfinite(h) and abs(h) >= n - 1:
-        raise ConfigError(f"|h| must be below the detector width, {n - 1} px")
     counts = [options["features"]] if "features" in options else []  # the builders hold the default counts
     width = unit_disk_half_width(source_radius)
     if mode == "fan":
@@ -121,7 +119,7 @@ def cmd_simulate(options):
     instability = InstabilityModel(alpha)
     if mode == "fan" and eta != 0.0:
         raise ConfigError("--eta applies to cone simulations only")
-    phantom, geom = _scene(options, mode, h)
+    phantom, geom = _scene(options, mode)
     project = fan_project if mode == "fan" else partial(cone_project, eta=eta)
     data = project(phantom, geom, h=h, instability=instability)
     write_sinogram(out, data, sidecar=options.get("sidecar", False), pixel_size_mm=options.get("pixel_size_mm"))
@@ -207,7 +205,7 @@ def cmd_sweep(options):
         raise ConfigError("sweep needs at least one alpha and one method")
     instabilities = [InstabilityModel(alpha) for alpha in alphas]
     configs = [FanAlignConfig(method=method) for method in methods]
-    phantom, geom = _scene(options, "fan", h)
+    phantom, geom = _scene(options, "fan")
     lines = ["alpha,method,abs_error_px,seconds"]
     for instability in instabilities:
         sino = fan_project(phantom, geom, h=h, instability=instability)

@@ -2,10 +2,12 @@
 
 Data files carry an ASCII `key: value` header describing a fan sinogram or a
 cone projection stack, followed by a raw little-endian float32 payload,
-either in the same file after a blank line (single-file mode) or in a
-sibling file named by a `payload` header key (sidecar mode).  Headers are
-greppable text; all in-memory computation is double precision, float32 is
-only the storage type.  A file that is not valid data raises FormatError.
+either in the same file after the first blank line (single-file mode) or in
+a sibling file named by a `payload` header key (sidecar mode).  A file is
+read whole and split there once: header_metadata parses the header half,
+read_sinogram both.  Headers are greppable text; all in-memory computation
+is double precision, float32 is only the storage type.  A file that is not
+valid data raises FormatError.
 
 Each `key: value` format is one table of keys and parsers, its lines read by
 one reader, _parse_header: KINDS holds the geometry header keys of each data
@@ -173,12 +175,7 @@ def read_sinogram(path, with_header=False):
     the header: a bare file name, not a path.
     """
     path = Path(path)
-    blob = path.read_bytes()
-    sep = blob.find(b"\n\n")
-    if sep >= 0:
-        header_bytes, payload = blob[:sep + 1], blob[sep + 2:]
-    else:
-        header_bytes, payload = blob, b""
+    header_bytes, _, payload = path.read_bytes().partition(b"\n\n")
     entries = _parse_header(decode_ascii(header_bytes))
     if header_field(entries, "format_version", int) != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {entries['format_version']}")
@@ -213,18 +210,9 @@ def read_sinogram(path, with_header=False):
 
 
 def header_metadata(path):
-    """Parsed header entries of a data file, without loading the payload:
-    the file is read up to the blank line that ends the header."""
-    head = bytearray()
-    with open(path, "rb") as f:
-        while chunk := f.read(4096):
-            start = max(len(head) - 1, 0)  # a separator may straddle two chunks
-            head += chunk
-            sep = head.find(b"\n\n", start)
-            if sep >= 0:
-                del head[sep + 1 :]
-                break
-    return _parse_header(decode_ascii(head))
+    """Parsed header entries of a data file: read_sinogram's header half, the
+    ASCII text before the first blank line of the whole file."""
+    return _parse_header(decode_ascii(Path(path).read_bytes().partition(b"\n\n")[0]))
 
 
 # the keys of the ground-truth sidecar written next to simulated data, in

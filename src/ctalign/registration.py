@@ -167,7 +167,7 @@ def _axis_weights(coord, origin, step, n, stride):
 
 def _beta_weights(beta, n, stride):
     """Periodic linear interpolation on a view axis of n views spaced 2*pi/n
-    apart: flat offsets of the two neighbouring views, and the weight."""
+    apart: the lower neighbouring view's flat offset, and the next view's weight."""
     t = wrap_angle(beta)
     t /= TWO_PI / n
     j0 = np.floor(t)
@@ -178,11 +178,8 @@ def _beta_weights(beta, n, stride):
     j0 += hit_hi
     # the wrapped angle is below 2*pi, so j0 <= n: one subtraction is the modulo
     np.subtract(j0, n, out=j0, where=j0 >= n)
-    j1 = j0 + 1
-    np.subtract(j1, n, out=j1, where=j1 >= n)
     j0 *= stride
-    j1 *= stride
-    return j0, j1, t
+    return j0, t
 
 
 def _lerp(v0, v1, w, out=None):
@@ -237,7 +234,7 @@ def _all_views(flat, n, views, axes, view_offset, against=None):
     m, stride = axes[0][2].size, flat.size // n
     k, blend = 0, False
     if view_offset is not None:
-        k, _, f = _beta_weights(view_offset, n, stride)
+        k, f = _beta_weights(view_offset, n, stride)
         blend = bool(f.any())
     cell = _cell(axes, k)
     rows = max(1, _BLOCK // m)

@@ -16,11 +16,11 @@ same from every view, so it is traced once per stack.  The fan is the v = 0
 row of the cone: a fan phantom is a Phantom3D of spheres at y = 0, on which
 the cone formulas only add exact zeros.  The line integrals evaluate every
 feature at every point; both projectors run one recording path, _project:
-it checks h, shifts the detector axis by h * pixel_size, evaluates each
-sphere once per chunk of at most _BLOCK_POINTS points of its per-view
-shadow windows, whole views per chunk, and adds the instability, so they
-skip only density * 0.0 terms and equal the line integrals bit for bit.
-fan_project keeps the one v = 0 row; cone_project checks eta.
+it rejects an h not finite or off the n-pixel detector, |h| >= n - 1, shifts the
+detector axis by h * pixel_size, evaluates each sphere once per chunk of at
+most _BLOCK_POINTS points of its per-view shadow windows, whole views per
+chunk, and adds the instability, so they skip only density * 0.0 terms and
+equal the line integrals bit for bit.  fan_project keeps the v = 0 row.
 """
 
 import math
@@ -223,14 +223,15 @@ def cone_line_integral(phantom, source_radius, u, v, beta):
 
 
 def _project(phantom, geom, h, instability, recorded, u_max, v, eta):
-    """The (views, rows, columns) recording of a Phantom3D in geom on the detector
-    axes recorded (u, of half-width u_max) and v: pixel (u_i, v_k) reads the line
-    through the true detector point R_eta @ (u_i - h * pixel_size, v_k), plus the
-    instability, if given, per (u, beta).  The cylinder's view is computed once
-    and copied into every view; each sphere is evaluated only on its shadow's
-    window in each view, in chunks of at most _BLOCK_POINTS points."""
+    """The (views, rows, columns) recording of a Phantom3D in geom on the detector axes recorded (u, of half-width
+    u_max) and v: pixel (u_i, v_k) reads the line through the true detector point R_eta @ (u_i - h * pixel_size, v_k),
+    plus the instability, if given, per (u, beta).  The cylinder's view is computed once and copied into every view;
+    each sphere is evaluated only on its shadow's window in each view, in chunks of at most _BLOCK_POINTS points.
+    h must be finite and |h| below the detector width, len(recorded) - 1 px, else the support leaves it (ValueError)."""
     if not math.isfinite(h):
         raise ValueError("h must be finite")
+    if abs(h) >= len(recorded) - 1:
+        raise ValueError(f"|h| must be below the detector width, {len(recorded) - 1} px")
     r, beta, u = float(geom.source_radius), geom.beta_axis(), recorded - h * geom.pixel_size
     cose, sine = math.cos(eta), math.sin(eta)
     # true detector coordinates seen by recorded pixel (u_i, v_k)
@@ -275,7 +276,7 @@ def cone_project(phantom, geom, h=0.0, eta=0.0, instability=None):
 
     The value recorded at (u_i, v_k) is the line integral through the true
     detector point R_eta @ (u_i - h, v_k): h in effective pixels along u, eta
-    the in-plane detector rotation (radians); the instability is constant in v.
+    the in-plane detector rotation, in (-pi/2, pi/2) rad; the instability is constant in v.
     """
     if not -math.pi / 2 < eta < math.pi / 2:
         raise ValueError("eta must lie in (-pi/2, pi/2)")

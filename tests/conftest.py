@@ -94,6 +94,13 @@ def _gather(flat, row, corner):
     return v
 
 
+def upper_view(j0, n, stride):
+    """The flat offset of the view after the one at flat offset j0, on a periodic axis of n views."""
+    j1 = j0 + stride
+    j1[j1 >= n * stride] -= n * stride
+    return j1
+
+
 def two_plane_periodic(sino, s, beta):
     """sample_periodic with every axis always read and blended (both view
     planes, both detector neighbours): the reference for its skip of an
@@ -102,7 +109,8 @@ def two_plane_periodic(sino, s, beta):
     geom = sino.geometry
     flat = sino.values.ravel()
     s0, s1, w = _axis_weights(s, -geom.s_max, geom.pixel_size, geom.n_s, 1)
-    j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_s)
+    j0, t = _beta_weights(beta, geom.n_beta, geom.n_s)
+    j1 = upper_view(j0, geom.n_beta, geom.n_s)
     lo = _lerp(_gather(flat, j0, s0), _gather(flat, j0, s1), w)
     hi = _lerp(_gather(flat, j1, s0), _gather(flat, j1, s1), w)
     out = _lerp(lo, hi, t)
@@ -116,7 +124,8 @@ def two_plane_detector(stack, u, v, beta):
     flat = stack.values.ravel()
     u0, u1, wu = _axis_weights(u, -geom.u_max, geom.pixel_size, geom.n_u, 1)
     v0, v1, wv = _axis_weights(v, -geom.v_max, geom.pixel_size_v, geom.n_v, geom.n_u)
-    j0, j1, t = _beta_weights(beta, geom.n_beta, geom.n_v * geom.n_u)
+    j0, t = _beta_weights(beta, geom.n_beta, geom.n_v * geom.n_u)
+    j1 = upper_view(j0, geom.n_beta, geom.n_v * geom.n_u)
     corners = [(iv + iu, offv | offu) for iv, offv in (v0, v1) for iu, offu in (u0, u1)]
 
     def plane(j):
@@ -132,7 +141,7 @@ def shift_columns(values, offset):
     out[j, i] = values_i(b_j + offset_i), linear and 2*pi-periodic in the
     view angle, from one (view, weight) pair per column."""
     n, m = values.shape
-    k, _, f = _beta_weights(np.broadcast_to(np.asarray(offset, dtype=float), (m,)), n, 1)
+    k, f = _beta_weights(np.broadcast_to(np.asarray(offset, dtype=float), (m,)), n, 1)
     rows = (np.arange(n)[:, None] + k) % n
     cols = np.arange(m)
     return _lerp(values[rows, cols], values[(rows + 1) % n, cols], f)

@@ -4,6 +4,7 @@ and the detector sampler's resampling of a stack under the misalignment map."""
 
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -26,6 +27,9 @@ from ctalign import (
     unit_disk_half_width,
 )
 from conftest import SOURCE_RADIUS, cone_geometry, fan_geometry
+
+# the projectors' error for a shift of at least the width of a 16-pixel detector
+OFF_THE_DETECTOR_16 = f"^{re.escape('|h| must be below the detector width, 15 px')}$"
 
 # Frozen oracle: 2e7-point midpoint quadrature of the phantom indicator along
 # each ray, computed once with an independent code path (no chord formulas).
@@ -448,6 +452,18 @@ class TestFanProject:
         with pytest.raises(ValueError, match="h must be finite"):
             fan_project(make_disk_phantom(9, n_disks=8), fan_geometry(16), h=h)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [15.0, -15.0, 1e300])
+    def test_shift_off_the_detector_rejected(self, h):
+        """|h| of at least the detector width, n - 1 px, moves the whole support off it."""
+        with pytest.raises(ValueError, match=OFF_THE_DETECTOR_16):
+            fan_project(make_disk_phantom(9, n_disks=8), fan_geometry(16), h=h)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [14.9, -14.9])
+    def test_shift_just_inside_the_detector_accepted(self, h):
+        assert fan_project(make_disk_phantom(9, n_disks=8), fan_geometry(16), h=h).values.shape == (16, 16)
+
     @pytest.mark.parametrize(
         "n, source_radius, h",
         [(33, r, h) for r in SOURCE_RADII for h in (0.0, 4.0, -7.3, 20.0)]
@@ -538,6 +554,18 @@ class TestConeProject:
     def test_non_finite_h_rejected(self, h):
         with pytest.raises(ValueError, match="h must be finite"):
             cone_project(make_sphere_phantom(0, n_spheres=2), cone_geometry(8), h=h)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [15.0, -15.0, 1e300])
+    def test_shift_off_the_detector_rejected(self, h):
+        """|h| of at least the detector width, n_u - 1 px, moves the whole support off it."""
+        with pytest.raises(ValueError, match=OFF_THE_DETECTOR_16):
+            cone_project(make_sphere_phantom(0, n_spheres=2), cone_geometry(16), h=h)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [14.9, -14.9])
+    def test_shift_just_inside_the_detector_accepted(self, h):
+        assert cone_project(make_sphere_phantom(0, n_spheres=2), cone_geometry(16), h=h).values.shape == (16, 16, 16)
 
     def test_instability_constant_in_v(self):
         geom3 = cone_geometry(16)
