@@ -7,18 +7,21 @@ acquisitions, so the circular/linear distinction is immaterial there.  Shifts
 larger than half the signal length wrap and are outside the validity range.
 xcorr_shift_rows registers K row pairs with one batched FFT per step and
 marks rows whose correlation is identically zero; xcorr_shift_1d is its
-one-row case.
+one-row case.  Every peak is refined by _refined_peak, which checks the
+correlation once: non-finite inputs, or finite ones so large that the
+correlation overflows, raise a ValueError that names the overflow.
 
-The samplers have one read: stored views at detector points, each point at its own view-angle
-offset.  Queried on every stored view (beta=None), they read cache-sized blocks of views, each
-corner gathered once per block: with no offset (cone_align's tilted read) by one take of its
+The samplers have one read, _sample: stored views at detector points, each point at its own
+view-angle offset.  Queried on every stored view (beta=None), it reads cache-sized blocks of views,
+each corner gathered once per block: with no offset (cone_align's tilted read) by one take of its
 columns along the views of the (views, detector) table, with offsets (the fan symmetry map) from
 the flattened data, adjacent views then blended per column.  Each block goes to the array of the
-read, or to running sums of its squared residual against given rows and of those rows: the
-symmetry mse builds no reflected sinogram.  A query at given view angles reads stored view 0 with
-the angles as offsets.  Weights are built per axis, bitwise as full-grid formulas; an axis whose
-weight is zero at every point (a detector axis, or the view axis when every angle is on a stored
-view) is not read, nor a corner's zero fill where the corner has no point off the grid.
+read, or to running sums of its squared residual against given rows and of those rows, which raise
+ValueError when they overflow: the symmetry mse builds no reflected sinogram.  A query at given
+view angles reads stored view 0 with the angles as offsets.  Weights are built per axis, bitwise as
+full-grid formulas; an axis whose weight is zero at every point (a detector axis, or the view axis
+when every angle is on a stored view) is not read, nor a corner's zero fill where the corner has no
+point off the grid.
 """
 
 import numpy as np
@@ -32,33 +35,26 @@ class AmbiguousShiftError(ValueError):
     """Cross-correlation is identically zero, or the data have no signal to measure; no shift can be estimated."""
 
 
-def _spectral_upsample(c, upsample):
-    """Band-limited interpolation of a real signal by zero-padding its spectrum.
-
-    Returns c resampled on a grid upsample times finer; the original samples
-    are preserved at every upsample-th position.
-    """
+def _refined_peak(c):
+    """Per row of c, the argmax of c band-limited onto a grid UPSAMPLE times finer (its spectrum zero-padded,
+    the samples kept), unwrapped to (-N/2, N/2], in samples.  A refined correlation that is not finite, from
+    non-finite inputs or from an overflow of huge ones, raises ValueError."""
     n = c.shape[-1]
-    m = n * upsample
+    m = n * UPSAMPLE
     spec = np.fft.rfft(c)
     if n % 2 == 0:
         # the Nyquist bin becomes an interior frequency after padding; it
         # must be split between +/- Nyquist, and irfft supplies the conjugate
-        spec = spec.copy()
         spec[..., n // 2] *= 0.5
     padded = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
     padded[..., : spec.shape[-1]] = spec
-    return np.fft.irfft(padded, n=m, axis=-1) * upsample
-
-
-def _peak_shift(fine, upsample):
-    """Argmax index along the last axis of the upsampled correlation,
-    unwrapped to (-N/2, N/2]: one shift per row."""
-    m = fine.shape[-1]
+    fine = np.fft.irfft(padded, n=m, axis=-1) * UPSAMPLE
+    if not np.isfinite(fine).all():
+        raise ValueError("correlation is not finite: the inputs are not finite, or so large that it overflows")
     peak = np.argmax(fine, axis=-1)
     peak = np.where(2 * peak > m, peak - m, peak)
     # integer unwrap first, single division after: keeps antisymmetry exact
-    return peak / upsample
+    return peak / UPSAMPLE
 
 
 def _check_pair(a, b):
@@ -66,8 +62,6 @@ def _check_pair(a, b):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        raise ValueError("inputs must be finite")
     return a, b
 
 
@@ -92,6 +86,7 @@ def xcorr_shift_1d(a, b):
     return float(d)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows as a non-finite correlation, raised once
 def xcorr_shift_rows(a, b):
     """xcorr_shift_1d(a[i], b[i]) for every row pair of two (K, n) arrays,
     with one batched FFT per step.
@@ -110,13 +105,14 @@ def xcorr_shift_rows(a, b):
     swap = np.array([x.tobytes() > y.tobytes() for x, y in zip(a, b)], dtype=bool)
     first, second = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
     corr = np.fft.irfft(np.fft.rfft(first) * np.conj(np.fft.rfft(second)), n=n)
-    d = _peak_shift(_spectral_upsample(corr, UPSAMPLE), UPSAMPLE)
+    d = _refined_peak(corr)
     d[swap] = 0.0 - d[swap]  # 0.0 - x: no -0.0 for a zero shift
     d[2 * d == -n] = n / 2
     d[~corr.any(axis=1)] = np.nan
     return d
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def xcorr_shift_s_2d(a, b):
     """Shift along the last (s) axis of the 2D circular correlation peak.
 
@@ -136,7 +132,7 @@ def xcorr_shift_s_2d(a, b):
     if not np.any(corr):
         raise AmbiguousShiftError("zero cross-correlation")
     row = corr[np.unravel_index(np.argmax(corr), corr.shape)[0]]
-    return float(_peak_shift(_spectral_upsample(row, UPSAMPLE), UPSAMPLE))
+    return float(_refined_peak(row))
 
 
 _SNAP = 1e-9  # index units; collapses float dirt on exact grid queries
@@ -223,21 +219,39 @@ def _read(table, rows, cell):
 _BLOCK = 1 << 14  # output points per block of the all-views read: they stay in cache
 
 
-def _all_views(flat, n, views, axes, view_offset, against=None):
-    """The (views, m) read of the stored views j < views at the m detector points of axes, column i at
-    view angle b_j + view_offset_i (b_j if None), which is one (whole views k_i, weight f_i) pair.  Each
+def _sample(values, specs, message, beta, view_offset, against=None):
+    """The samplers' read of values (n views 2*pi/n apart on the first axis) at m detector points, specs one
+    (coordinate, origin, step, count, stride) per axis, outermost first; message: the non-finite error.
+    beta=None reads every stored view b_j, column i at angle b_j + view_offset_i (b_j if None), which is
+    one (whole views k_i, weight f_i) pair; angles beta read stored view 0 (angle 0) at offsets beta.  Each
     block of views gathers each corner once: with no offset, its columns of the block's rows of the
     (n, stride) table; else on its views plus one, view j + k_i at flat offset (j + k_i)*stride + corner
-    (corner < stride: the index modulo is the view modulo), adjacent rows then blended with f_i unless
-    every f_i is 0.  Bit for bit the full-grid read; each block goes to the (views, m) array, or, given
-    a (views, m) array against, to the sums (|read - against|^2, |against|^2)."""
-    m, stride = axes[0][2].size, flat.size // n
+    (corner < stride: the index modulo is the view modulo), adjacent rows then blended with f_i unless every
+    f_i is 0.  Bit for bit the full-grid read.  Returns it, or, given against (its shape), the block sums
+    (|read - against|^2, |against|^2), whose overflow raises ValueError."""
+    n, flat = values.shape[0], values.ravel()
+    views = n
+    if beta is not None:
+        if view_offset is not None:
+            raise ValueError("view_offset needs beta=None")
+        views, view_offset = 1, beta
+    offset = 0.0 if view_offset is None else view_offset
+    *coords, offset = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (*(s[0] for s in specs), offset)))
+    shape = offset.shape if beta is not None else (n,) + offset.shape
+    if 0 in shape:
+        return np.zeros(shape) if against is None else (0.0, 0.0)  # an empty query reads, and checks, no point
+    coords = [c.ravel() for c in coords]
+    if not all(np.all(np.isfinite(c)) for c in coords):
+        raise ValueError(message)
+    m, stride = coords[0].size, flat.size // n
     k, blend = 0, False
     if view_offset is not None:
-        k, f = _beta_weights(view_offset, n, stride)
+        k, f = _beta_weights(offset.ravel(), n, stride)
         blend = bool(f.any())
-    cell = _cell(axes, k)
+    cell = _cell([_axis_weights(c, *spec[1:]) for c, spec in zip(coords, specs)], k)
     rows = max(1, _BLOCK // m)
+    if against is not None:
+        against = np.broadcast_to(against, shape).reshape(views, m)
     out = np.empty((views if against is None else min(rows, views), m))
     sse = norm = 0.0
     for a in range(0, views, rows):
@@ -254,35 +268,11 @@ def _all_views(flat, n, views, axes, view_offset, against=None):
             g = against[a:b]
             v -= g
             sse, norm = sse + np.vdot(v, v), norm + np.vdot(g, g)
-    return out if against is None else (float(sse), float(norm))
-
-
-def _sample(values, specs, message, beta, view_offset, against=None):
-    """The samplers' read of values (n views 2*pi/n apart on the first axis)
-    at detector coordinates, specs one (coordinate, origin, step, count,
-    stride) per axis, outermost first; message: the non-finite error.  A
-    query at view angles beta is the all-views read of stored view 0 (at
-    angle 0) with view offset beta; against as in sample_periodic."""
-    n, flat = values.shape[0], values.ravel()
-    views = n
-    if beta is not None:
-        if view_offset is not None:
-            raise ValueError("view_offset needs beta=None")
-        views, view_offset = 1, beta
-    offset = 0.0 if view_offset is None else view_offset
-    *coords, offset = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (*(s[0] for s in specs), offset)))
-    shape = offset.shape if beta is not None else (n,) + offset.shape
-    if 0 in shape:
-        return np.zeros(shape) if against is None else (0.0, 0.0)  # an empty query reads, and checks, no point
-    coords = [c.ravel() for c in coords]
-    if not all(np.all(np.isfinite(c)) for c in coords):
-        raise ValueError(message)
-    axes = [_axis_weights(c, *spec[1:]) for c, spec in zip(coords, specs)]
-    view_offset = None if view_offset is None else offset.ravel()
-    if against is not None:
-        return _all_views(flat, n, views, axes, view_offset, np.broadcast_to(against, shape).reshape(views, -1))
-    out = _all_views(flat, n, views, axes, view_offset)
-    return float(out[0, 0]) if shape == () else out.reshape(shape)
+    if against is None:
+        return float(out[0, 0]) if shape == () else out.reshape(shape)
+    if not (np.isfinite(sse) and np.isfinite(norm)):
+        raise ValueError("residual sums are not finite: the data are so large that they overflow")
+    return float(sse), float(norm)
 
 
 def sample_periodic(sino, s, beta, view_offset=None, against=None):

@@ -165,6 +165,13 @@ class TestAlignersOnCleanData:
         with pytest.raises(ValueError):
             FanAlignConfig(method="simplex")
 
+    @each_method
+    def test_huge_data_name_the_overflow(self, method):
+        """Finite data so large that the correlation overflows raise a ValueError that names it."""
+        sino = small_fan()
+        with pytest.raises(ValueError, match="overflow"):
+            align(Sinogram(sino.geometry, sino.values * 1e300), method)
+
 
 class TestReflectedResampling:
     def test_aligned_resampling_matches_original(self, aligned_sino):
@@ -414,6 +421,11 @@ class TestSymmetryMse:
         sino = Sinogram(ref_geom, np.zeros((ref_geom.n_beta, ref_geom.n_s)))
         with pytest.raises(ValueError):
             symmetry_mse(sino, 0.0)
+
+    def test_overflowing_sums_name_the_overflow(self):
+        sino = small_fan()
+        with pytest.raises(ValueError, match="overflow"):
+            symmetry_mse(Sinogram(sino.geometry, sino.values * 1e300), 1.0)
 
     @pytest.mark.parametrize("method", ["FP", "2DR"], ids=fan_case_id)
     def test_estimates_match_grid_argmin(self, method, ref_sino):

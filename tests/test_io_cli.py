@@ -913,6 +913,12 @@ class TestCliSweep:
         assert main(["sweep", "--n", "32", "--features", "5", f"--alphas={alphas}", "--methods", "yang"]) == 4
         assert capsys.readouterr().out == ""
 
+    def test_huge_data_exit_4_naming_the_overflow(self, capsys):
+        assert main(["sweep", "--n", "16", "--alphas", "1e300", "--methods", "yang,2dr,fpk"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "overflow" in err and "mse must be nonnegative" not in err
+
     def test_rerun_identical_apart_from_timing(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         self.run_sweep(str(a))

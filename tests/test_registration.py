@@ -19,7 +19,7 @@ from ctalign import (
     xcorr_shift_s_2d,
 )
 from ctalign import registration
-from ctalign.registration import _peak_shift, _spectral_upsample
+from ctalign.registration import _refined_peak
 from conftest import count_calls, two_plane_detector, two_plane_periodic, two_stage_periodic
 
 
@@ -225,22 +225,28 @@ class TestXcorrS2D:
         with pytest.raises(ValueError):
             xcorr_shift_s_2d(np.ones(8), np.ones(8))
 
+    def test_non_finite_rejected(self):
+        a, b = self._pair(3, 5)
+        b[4, 7] = np.nan
+        with pytest.raises(ValueError):
+            xcorr_shift_s_2d(a, b)
+
     @pytest.mark.parametrize("shape", [(32, 48), (33, 48), (32, 47), (31, 45)])
     @pytest.mark.parametrize("ds", [3.0, -7.0, 4.5, -2.5])
     def test_real_fft_matches_complex_formula(self, shape, ds):
         """The real-FFT correlation finds the peak of the complex formula."""
 
-        def complex_formula(a, b, upsample):
+        def complex_formula(a, b):
             corr = np.fft.ifft2(np.fft.fft2(a) * np.conj(np.fft.fft2(b))).real
             row = corr[np.unravel_index(np.argmax(corr), corr.shape)[0]]
-            return _peak_shift(_spectral_upsample(row, upsample), upsample)
+            return _refined_peak(row)
 
         rng = np.random.default_rng(int(4 * ds) % 97 + shape[0] + shape[1])
         for _ in range(3):
             b = rng.normal(size=shape)
             a = np.roll(delay(b, ds), 5, axis=0) + 0.1 * rng.normal(size=shape)
             got = xcorr_shift_s_2d(a, b)
-            assert got == complex_formula(a, b, 20)
+            assert got == complex_formula(a, b)
             assert got == pytest.approx(ds, abs=0.05)
 
     @pytest.mark.parametrize("shape", [(3, 5), (7, 4), (255, 257), (361, 200)])
@@ -261,7 +267,16 @@ class TestXcorrS2D:
         got = xcorr_shift_s_2d(a, b)
         assert np.array_equal(inverses[0], want)
         row = want[np.unravel_index(np.argmax(want), shape)[0]]
-        assert got == _peak_shift(_spectral_upsample(row, 20), 20)
+        assert got == _refined_peak(row)
+
+
+@pytest.mark.parametrize("xcorr, shape", [(xcorr_shift_1d, (16,)), (xcorr_shift_rows, (3, 16)), (xcorr_shift_s_2d, (8, 16))])
+def test_overflow_of_huge_data_is_named(xcorr, shape):
+    """Finite data so large that their correlation overflows raise a ValueError
+    that names the overflow: no warning, and no shift read off a NaN peak."""
+    a = np.random.default_rng(5).uniform(1.0, 2.0, size=shape) * 1e300
+    with pytest.raises(ValueError, match="overflow"):
+        xcorr(a, np.roll(a, 1, axis=-1))
 
 
 def assert_matches_broadcast_copies(sample, data, *coords):
