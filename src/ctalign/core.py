@@ -59,8 +59,8 @@ def positive_finite(name, value):
 
 
 def count_at_least(name, value, least=1):
-    """value, which must be an integer no less than least (else ValueError naming it)."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """value, which must be an integer, not a bool, no less than least (else ValueError naming it)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}")
     return value
 

@@ -73,7 +73,7 @@ def reflect(sino, h_px, beta=None, against=None):
     of them.  beta=None takes every view b_j and returns the (n_beta, n_s)
     array of the stored views read along the reflected detector path x,
     column i at view angle b_j + offset_i with offset_i = pi + 2*atan((s_i - h)/r).
-    Given against, an array of that shape, returns sample_periodic's block sums instead.
+    Given against, an array of the read's shape, with or without beta, returns sample_periodic's block sums instead.
     """
     geom = sino.geometry
     s = geom.s_axis()
@@ -82,7 +82,7 @@ def reflect(sino, h_px, beta=None, against=None):
     offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
     if beta is None:
         return sample_periodic(sino, x, None, math.pi + offset, against=against)
-    return sample_periodic(sino, x, beta + math.pi + offset)
+    return sample_periodic(sino, x, beta + math.pi + offset, against=against)
 
 
 def reflected_resampling(sino, h_px=0.0):
@@ -109,6 +109,7 @@ def symmetry_mse(sino, h):
     return sse / den
 
 
+@np.errstate(over="ignore")  # an overflowing profile reaches the correlation check, which names it
 def _reversal_shift(sino, cfg):
     """Yang's and LY's solve: half the shift of the angular sum profile p
     against its reversal, exact on the symmetric detector grid:

@@ -18,10 +18,11 @@ columns along the views of the (views, detector) table, with offsets (the fan sy
 the flattened data, adjacent views then blended per column.  Each block goes to the array of the
 read, or to running sums of its squared residual against given rows and of those rows, which raise
 ValueError when they overflow: the symmetry mse builds no reflected sinogram.  A query at given
-view angles reads stored view 0 with the angles as offsets.  Weights are built per axis, bitwise as
-full-grid formulas; an axis whose weight is zero at every point (a detector axis, or the view axis
-when every angle is on a stored view) is not read, nor a corner's zero fill where the corner has no
-point off the grid.
+view angles reads stored view 0 with the angles as offsets; an empty query is a read of no point.
+Weights are built per axis, bitwise as full-grid formulas, and one rule reads off the grid: neighbour
+indices may fall off it (view n, a detector index past an edge), _read takes every index modulo its
+table, and the off-grid mask zeroes every corner off the detector.  An axis whose weight is zero at
+every point (a detector axis, or the view axis when every angle is on a stored view) is not read.
 """
 
 import numpy as np
@@ -141,39 +142,30 @@ _SNAP = 1e-9  # index units; collapses float dirt on exact grid queries
 def _axis_weights(coord, origin, step, n, stride):
     """Linear interpolation on one axis with zero fill outside the grid:
     the (flat offset, off-grid mask) of the lower and upper neighbours, and
-    the upper neighbour's weight.  stride is the axis's flat-index stride."""
+    the upper neighbour's weight.  stride is the axis's flat-index stride.
+    A neighbour may be off the grid: _read wraps its offset, the mask zeroes it."""
     x = (coord - origin) / step
     np.minimum(np.maximum(x, -2.0, out=x), n + 1.0, out=x)  # off [-1, n] reads 0 anyway; the cast stays valid
     i0 = np.floor(x).astype(int)
-    w = x - i0
+    x -= i0
     # snap to the grid so stored values are reproduced bit-exactly
-    hit_lo = w < _SNAP
-    hit_hi = w > 1.0 - _SNAP
-    w = np.where(hit_lo, 0.0, w)
-    i0 = np.where(hit_hi, i0 + 1, i0)
-    w = np.where(hit_hi, 0.0, w)
+    hit_hi = x > 1.0 - _SNAP
+    np.copyto(x, 0.0, where=(x < _SNAP) | hit_hi)
+    i0 += hit_hi
     i1 = i0 + 1
-    off0 = (i0 < 0) | (i0 > n - 1)
-    off1 = (i1 < 0) | (i1 > n - 1)
-    for i in (i0, i1):  # np.clip in place, at a lower fixed cost per call
-        np.maximum(i, 0, out=i)
-        np.minimum(i, n - 1, out=i)
-    return (i0 * stride, off0), (i1 * stride, off1), w
+    return (i0 * stride, (i0 < 0) | (i0 >= n)), (i1 * stride, (i1 < 0) | (i1 >= n)), x
 
 
 def _beta_weights(beta, n, stride):
-    """Periodic linear interpolation on a view axis of n views spaced 2*pi/n
-    apart: the lower neighbouring view's flat offset, and the next view's weight."""
+    """Periodic linear interpolation on a view axis of n views spaced 2*pi/n apart: the lower
+    neighbouring view's flat offset, up to view n, which _read wraps to view 0, and the next view's weight."""
     t = wrap_angle(beta)
     t /= TWO_PI / n
-    j0 = np.floor(t)
+    j0 = np.floor(t).astype(int)
     t -= j0
     hit_hi = t > 1.0 - _SNAP
     np.copyto(t, 0.0, where=(t < _SNAP) | hit_hi)
-    j0 = j0.astype(int)
     j0 += hit_hi
-    # the wrapped angle is below 2*pi, so j0 <= n: one subtraction is the modulo
-    np.subtract(j0, n, out=j0, where=j0 >= n)
     j0 *= stride
     return j0, t
 
@@ -203,8 +195,9 @@ def _cell(axes, start):
 
 
 def _read(table, rows, cell):
-    """The cell's corner values, zero off the grid, lerped innermost axis first: at flat offsets rows + corner
-    (modulo the size) of the flat table, or, rows None, at offset corner of each row of the 2-D table."""
+    """The cell's corner values lerped innermost axis first: at flat offsets rows + corner of the flat table, or,
+    rows None, at offset corner of each row of the 2-D table, every index modulo what it indexes (the one wrap of the
+    samplers), each corner then zeroed where its mask marks it off the grid."""
     corners, weights = cell
     values = []
     for offset, off in corners:
@@ -225,10 +218,10 @@ def _sample(values, specs, message, beta, view_offset, against=None):
     beta=None reads every stored view b_j, column i at angle b_j + view_offset_i (b_j if None), which is
     one (whole views k_i, weight f_i) pair; angles beta read stored view 0 (angle 0) at offsets beta.  Each
     block of views gathers each corner once: with no offset, its columns of the block's rows of the
-    (n, stride) table; else on its views plus one, view j + k_i at flat offset (j + k_i)*stride + corner
-    (corner < stride: the index modulo is the view modulo), adjacent rows then blended with f_i unless every
-    f_i is 0.  Bit for bit the full-grid read.  Returns it, or, given against (its shape), the block sums
-    (|read - against|^2, |against|^2), whose overflow raises ValueError."""
+    (n, stride) table; else on its views plus one, view j + k_i at flat offset (j + k_i)*stride + corner,
+    adjacent rows then blended with f_i unless every f_i is 0.  _read's modulo is the view modulo, and off-grid
+    corners are masked; an empty query runs the same loop.  Bit for bit the full-grid read.  Returns it, or,
+    given against (its shape), the block sums (|read - against|^2, |against|^2), whose overflow raises ValueError."""
     n, flat = values.shape[0], values.ravel()
     views = n
     if beta is not None:
@@ -238,8 +231,6 @@ def _sample(values, specs, message, beta, view_offset, against=None):
     offset = 0.0 if view_offset is None else view_offset
     *coords, offset = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (*(s[0] for s in specs), offset)))
     shape = offset.shape if beta is not None else (n,) + offset.shape
-    if 0 in shape:
-        return np.zeros(shape) if against is None else (0.0, 0.0)  # an empty query reads, and checks, no point
     coords = [c.ravel() for c in coords]
     if not all(np.all(np.isfinite(c)) for c in coords):
         raise ValueError(message)
@@ -249,7 +240,7 @@ def _sample(values, specs, message, beta, view_offset, against=None):
         k, f = _beta_weights(offset.ravel(), n, stride)
         blend = bool(f.any())
     cell = _cell([_axis_weights(c, *spec[1:]) for c, spec in zip(coords, specs)], k)
-    rows = max(1, _BLOCK // m)
+    rows = max(1, _BLOCK // max(m, 1))
     if against is not None:
         against = np.broadcast_to(against, shape).reshape(views, m)
     out = np.empty((views if against is None else min(rows, views), m))

@@ -86,10 +86,10 @@ def _coordinates(*coords):
 
 
 def _gather(flat, row, corner):
-    """flat[row + offset] for a corner (offset, off-grid mask), zero where
-    the corner is off the grid."""
+    """flat[row + offset] for a corner (offset, off-grid mask), the index
+    taken modulo the size, zero where the corner is off the grid."""
     offset, off = corner
-    v = flat[row + offset]
+    v = flat.take(row + offset, mode="wrap")
     v[np.broadcast_to(off, v.shape)] = 0.0
     return v
 

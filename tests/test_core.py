@@ -11,9 +11,12 @@ from hypothesis import given, strategies as st
 from ctalign import (
     AlignmentResult,
     ConeGeometry,
+    FanAlignConfig,
     FanGeometry,
     ProjectionStack,
     Sinogram,
+    VPConfig,
+    make_disk_phantom,
     unit_disk_half_width,
     wrap_angle,
 )
@@ -167,6 +170,21 @@ class TestGeometry:
         message = f"{name} must be an integer of at least 2" if name in COUNTS else f"{name} must be positive and finite"
         with pytest.raises(ValueError, match=f"^{message}$"):
             cls(**VALID[cls][0] | {name: value})
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: FanAlignConfig(K=True), "K"),
+        (lambda: VPConfig(max_outer=True), "max_outer"),
+        (lambda: make_disk_phantom(1, n_disks=False), "n_disks"),
+    ],
+    ids=["K", "max_outer", "n_disks"],
+)
+def test_bool_counts_rejected(make, name):
+    """A bool is an Integral, but no count: every count check rejects it."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+        make()
 
 
 class TestConeGeometry:

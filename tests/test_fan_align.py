@@ -167,10 +167,13 @@ class TestAlignersOnCleanData:
 
     @each_method
     def test_huge_data_name_the_overflow(self, method):
-        """Finite data so large that the correlation overflows raise a ValueError that names it."""
+        """Finite data so large that the correlation, or Yang's and LY's
+        profile before it (1e307), overflows raise a ValueError that names
+        it, with no numpy warning first."""
         sino = small_fan()
-        with pytest.raises(ValueError, match="overflow"):
-            align(Sinogram(sino.geometry, sino.values * 1e300), method)
+        for scale in (1e300, 1e307):
+            with pytest.raises(ValueError, match="overflow"):
+                align(Sinogram(sino.geometry, sino.values * scale), method)
 
 
 class TestReflectedResampling:
@@ -457,6 +460,15 @@ class TestBlockSummedResidual:
     def test_matches_the_full_reflection(self, sino, h):
         want = np.sum((reflected_resampling(sino, h) - sino.values) ** 2)
         assert block_summed_residual(sino, h) == pytest.approx(want, rel=1e-12)
+
+    def test_against_at_view_angles_sums_the_read(self):
+        """reflect at given view angles honours against: one block's sums
+        of the read it returns without against."""
+        sino = small_fan()
+        h, beta = 1.3, np.array([[0.2], [4.1]])
+        r = reflect(sino, h, beta)
+        a = np.random.default_rng(3).uniform(0.5, 2.0, size=r.shape)
+        assert reflect(sino, h, beta, against=a) == (np.vdot(r - a, r - a), np.vdot(a, a))
 
     def test_off_the_detector_is_exactly_one(self, sino):
         """|g|^2 is summed on the residual's blocks: a reflection that reads

@@ -919,6 +919,18 @@ class TestCliSweep:
         assert out == ""
         assert "overflow" in err and "mse must be nonnegative" not in err
 
+    def test_overflowing_profile_named_without_a_warning(self, tmp_path):
+        """At 1e307 Yang's and LY's angular sum overflows before the correlation: the process names the
+        overflow, exits 4, and numpy prints no warning first."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["sweep", "--n", "16", "--alphas", "1e307", "--methods", "yang,ly"]
+        done = subprocess.run(
+            [sys.executable, "-m", "ctalign.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 4, done.stderr
+        assert "overflow" in done.stderr and "RuntimeWarning" not in done.stderr
+
     def test_rerun_identical_apart_from_timing(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         self.run_sweep(str(a))
