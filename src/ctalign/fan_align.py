@@ -25,8 +25,9 @@ lambda_eta returns, and VP's inner 2DR or FP_K solve runs through _ESTIMATORS.
 On every view at once the map is one read of every stored view along the
 reflected detector path, each detector column at its own view offset
 pi + 2*atan((s - h)/r), since that offset depends on the column only.
-symmetry_mse and cone_align.loss_L sum that read's residual block by block
-and build no reflected sinogram.  All h values are in effective pixels.
+symmetry_mse and cone_align.loss_L sum that read's residual block by block,
+2DR takes its row spectrum block by block, and none builds a reflected
+sinogram.  All h values are in effective pixels.
 """
 
 import math
@@ -37,10 +38,10 @@ from dataclasses import dataclass, replace
 from .core import FAN_METHODS, AlignmentResult, count_at_least
 from .registration import (
     AmbiguousShiftError,
+    _xcorr_peak_s,
     sample_periodic,
     xcorr_shift_1d,
     xcorr_shift_rows,
-    xcorr_shift_s_2d,
 )
 
 
@@ -65,7 +66,7 @@ class FanAlignConfig:
         count_at_least("max_iter", self.max_iter)
 
 
-def reflect(sino, h_px, beta=None, against=None):
+def reflect(sino, h_px, beta=None, against=None, spectrum=None):
     """The symmetry map of sino at candidate shift h (pixels).
 
     Returns g(-s + 2h, beta + pi + 2*atan((s - h)/r)) on the detector axis s,
@@ -73,7 +74,8 @@ def reflect(sino, h_px, beta=None, against=None):
     of them.  beta=None takes every view b_j and returns the (n_beta, n_s)
     array of the stored views read along the reflected detector path x,
     column i at view angle b_j + offset_i with offset_i = pi + 2*atan((s_i - h)/r).
-    Given against, an array of the read's shape, with or without beta, returns sample_periodic's block sums instead.
+    Given against, an array of the read's shape, with or without beta, returns sample_periodic's block sums instead;
+    given spectrum (beta None), (n_beta, n_s//2 + 1) complex rows, returns it holding the read's rfft along s.
     """
     geom = sino.geometry
     s = geom.s_axis()
@@ -81,7 +83,7 @@ def reflect(sino, h_px, beta=None, against=None):
     x = -s + 2.0 * h_s
     offset = 2.0 * np.arctan((s - h_s) / geom.source_radius)
     if beta is None:
-        return sample_periodic(sino, x, None, math.pi + offset, against=against)
+        return sample_periodic(sino, x, None, math.pi + offset, against=against, spectrum=spectrum)
     return sample_periodic(sino, x, beta + math.pi + offset, against=against)
 
 
@@ -168,13 +170,13 @@ def fixed_point_shift(sino, cfg=FanAlignConfig()):
     return ordered[(len(ordered) - 1) // 2], max(iters for _, _, iters, _ in runs), reason, runs
 
 
-# each method's shift solve, (sino, cfg) -> (h, iterations, reason), reason "" when trusted; 2DR's h is
-# half the s component of the 2D correlation peak of the sinogram with its reflection at h = 0 (beta is
-# discarded); FP_K's iterations is the largest per-run count, its reason fixed_point_shift's
+# each method's shift solve, (sino, cfg) -> (h, iterations, reason), reason "" when trusted; 2DR's h is half the
+# s component of the 2D correlation peak of the sinogram with its reflection at h = 0 (beta is discarded), whose row
+# spectrum the read fills block by block; FP_K's iterations is the largest per-run count, its reason the solve's
 _ESTIMATORS = {
     "Yang": _reversal_shift,
     "LY": _reversal_shift,
-    "2DR": lambda sino, cfg: (0.5 * xcorr_shift_s_2d(sino.values, reflected_resampling(sino)), 0, ""),
+    "2DR": lambda sino, cfg: (0.5 * _xcorr_peak_s(sino.values, lambda out: reflect(sino, 0.0, spectrum=out)), 0, ""),
     "FP": lambda sino, cfg: fixed_point_shift(sino, replace(cfg, K=1))[:3],
     "FP_K": lambda sino, cfg: fixed_point_shift(sino, cfg)[:3],
 }

@@ -7,9 +7,10 @@ acquisitions, so the circular/linear distinction is immaterial there.  Shifts
 larger than half the signal length wrap and are outside the validity range.
 xcorr_shift_rows registers K row pairs with one batched FFT per step and
 marks rows whose correlation is identically zero; xcorr_shift_1d is its
-one-row case.  Every peak is refined by _refined_peak, which checks the
-correlation once: non-finite inputs, or finite ones so large that the
-correlation overflows, raise a ValueError that names the overflow.
+one-row case; xcorr_shift_s_2d never holds its 2D correlation whole.  Every
+peak is refined by _refined_peak, which checks the correlation once:
+non-finite inputs, or finite ones so large that the correlation overflows,
+raise a ValueError that names the overflow.
 
 The samplers have one read, _sample: stored views at detector points, each point at its own
 view-angle offset.  Queried on every stored view (beta=None), it reads cache-sized blocks of views,
@@ -17,7 +18,8 @@ each corner gathered once per block: with no offset (cone_align's tilted read) b
 columns along the views of the (views, detector) table, with offsets (the fan symmetry map) from
 the flattened data, adjacent views then blended per column.  Each block goes to the array of the
 read, or to running sums of its squared residual against given rows and of those rows, which raise
-ValueError when they overflow: the symmetry mse builds no reflected sinogram.  A query at given
+ValueError when they overflow, or through an rfft along the detector into given rows of a spectrum:
+neither the symmetry mse nor 2DR builds a reflected sinogram.  A query at given
 view angles reads stored view 0 with the angles as offsets; an empty query is a read of no point.
 Weights are built per axis, bitwise as full-grid formulas, and one rule reads off the grid: neighbour
 indices may fall off it (view n, a detector index past an edge), _read takes every index modulo its
@@ -113,27 +115,43 @@ def xcorr_shift_rows(a, b):
     return d
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def xcorr_shift_s_2d(a, b):
     """Shift along the last (s) axis of the 2D circular correlation peak.
 
     The peak is located at integer resolution on the first (beta) axis,
     whose shift is discarded, and refined to 1/UPSAMPLE along s by spectral
     zero-padding of the peak row.  Sign convention as in xcorr_shift_1d.
-    The correlation is irfft2(rfft2(a) * conj(rfft2(b))) bit for bit, one axis at a time, in place.
+    The correlation is irfft2(rfft2(a) * conj(rfft2(b))) bit for bit, and is never held whole (_xcorr_peak_s).
     """
     a, b = _check_pair(a, b)
     if a.ndim != 2 or min(a.shape) < 2:
         raise ValueError("inputs must be 2D with at least 2 samples per axis")
-    fa, fb = np.fft.rfft(a, axis=1), np.fft.rfft(b, axis=1)
-    for f in (fa, fb):
-        np.fft.fft(f, axis=0, out=f)
-    fa *= np.conjugate(fb, out=fb)
-    corr = np.fft.irfft(np.fft.ifft(fa, axis=0, out=fa), n=a.shape[1], axis=1)
-    if not np.any(corr):
+    return _xcorr_peak_s(a, lambda spectrum: np.fft.rfft(b, axis=1, out=spectrum))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows as a non-finite correlation, raised once
+def _xcorr_peak_s(a, fill_b):
+    """xcorr_shift_s_2d of the 2D array a against b, whose row spectrum (rfft along s) fill_b writes into the array
+    it is given.  The two row spectra share one array, where the beta-axis FFTs, the product and the inverse beta FFT
+    run in place; the s axis is then inverted _BLOCK // n rows at a time into the all-zero check and a running search
+    for np.argmax's first maximum in C order (a NaN wins, a tie keeps the earlier), which keeps only the peak row."""
+    n = a.shape[1]
+    spectra = np.empty((2, a.shape[0], n // 2 + 1), dtype=complex)
+    np.fft.rfft(a, axis=1, out=spectra[0])
+    fill_b(spectra[1])
+    np.fft.fft(spectra, axis=1, out=spectra)
+    f = np.multiply(spectra[0], np.conjugate(spectra[1], out=spectra[1]), out=spectra[0])
+    np.fft.ifft(f, axis=0, out=f)
+    rows, top, peak, nonzero = max(1, _BLOCK // n), None, None, False
+    for i in range(0, len(f), rows):
+        corr = np.fft.irfft(f[i : i + rows], n=n, axis=1)
+        nonzero = nonzero or corr.any()
+        k = np.argmax(corr)
+        if top is None or np.argmax((top, corr.flat[k])):  # a later block wins only as np.argmax would pick it
+            top, peak = corr.flat[k], corr[k // n].copy()
+    if not nonzero:
         raise AmbiguousShiftError("zero cross-correlation")
-    row = corr[np.unravel_index(np.argmax(corr), corr.shape)[0]]
-    return float(_refined_peak(row))
+    return float(_refined_peak(peak))
 
 
 _SNAP = 1e-9  # index units; collapses float dirt on exact grid queries
@@ -209,10 +227,10 @@ def _read(table, rows, cell):
     return values[0]
 
 
-_BLOCK = 1 << 14  # output points per block of the all-views read: they stay in cache
+_BLOCK = 1 << 14  # output points per block of the all-views read and of the 2D correlation: they stay in cache
 
 
-def _sample(values, specs, message, beta, view_offset, against=None):
+def _sample(values, specs, message, beta, view_offset, against=None, spectrum=None):
     """The samplers' read of values (n views 2*pi/n apart on the first axis) at m detector points, specs one
     (coordinate, origin, step, count, stride) per axis, outermost first; message: the non-finite error.
     beta=None reads every stored view b_j, column i at angle b_j + view_offset_i (b_j if None), which is
@@ -220,8 +238,9 @@ def _sample(values, specs, message, beta, view_offset, against=None):
     block of views gathers each corner once: with no offset, its columns of the block's rows of the
     (n, stride) table; else on its views plus one, view j + k_i at flat offset (j + k_i)*stride + corner,
     adjacent rows then blended with f_i unless every f_i is 0.  _read's modulo is the view modulo, and off-grid
-    corners are masked; an empty query runs the same loop.  Bit for bit the full-grid read.  Returns it, or,
-    given against (its shape), the block sums (|read - against|^2, |against|^2), whose overflow raises ValueError."""
+    corners are masked; an empty query runs the same loop.  Bit for bit the full-grid read.  Returns it; or,
+    given against (its shape), the block sums (|read - against|^2, |against|^2), whose overflow raises ValueError;
+    or, given spectrum, (views, m//2 + 1) complex rows, spectrum holding each block's rfft along the detector."""
     n, flat = values.shape[0], values.ravel()
     views = n
     if beta is not None:
@@ -243,7 +262,8 @@ def _sample(values, specs, message, beta, view_offset, against=None):
     rows = max(1, _BLOCK // max(m, 1))
     if against is not None:
         against = np.broadcast_to(against, shape).reshape(views, m)
-    out = np.empty((views if against is None else min(rows, views), m))
+    whole = against is None and spectrum is None  # the read is the result, not one of its blocks
+    out = np.empty((views if whole else min(rows, views), m))
     sse = norm = 0.0
     for a in range(0, views, rows):
         b = min(a + rows, views)
@@ -252,31 +272,36 @@ def _sample(values, specs, message, beta, view_offset, against=None):
         else:
             v = _read(flat, np.arange(a * stride, (b + blend) * stride, stride)[:, None], cell)
         if blend:  # v[:-1] is read before v[1:] is scaled
-            v = _lerp(v[:-1], v[1:], f, out[a:b] if against is None else out[: b - a])
-        elif against is None:
+            v = _lerp(v[:-1], v[1:], f, out[a:b] if whole else out[: b - a])
+        elif whole:
             out[a:b] = v
-        if against is not None:
+        if spectrum is not None:
+            np.fft.rfft(v, axis=-1, out=spectrum[a:b])
+        elif against is not None:
             g = against[a:b]
             v -= g
             sse, norm = sse + np.vdot(v, v), norm + np.vdot(g, g)
-    if against is None:
+    if whole:
         return float(out[0, 0]) if shape == () else out.reshape(shape)
+    if spectrum is not None:
+        return spectrum
     if not (np.isfinite(sse) and np.isfinite(norm)):
         raise ValueError("residual sums are not finite: the data are so large that they overflow")
     return float(sse), float(norm)
 
 
-def sample_periodic(sino, s, beta, view_offset=None, against=None):
+def sample_periodic(sino, s, beta, view_offset=None, against=None, spectrum=None):
     """Bilinear sinogram lookup: linear in s (zero outside the detector),
     linear and 2*pi-periodic in beta.  Accepts scalars or broadcastable
     arrays; grid-point queries reproduce stored values bit-exactly.
     beta=None reads every stored view b_j: the (n_beta,) + shape array of
     g(s, b_j + view_offset), view_offset broadcast with s (0 if None).
-    Given against (the read's shape), returns (|read - against|^2, |against|^2), summed per block.
+    Given against (the read's shape), returns (|read - against|^2, |against|^2), summed per block;
+    given spectrum, (n_beta, n_s//2 + 1) complex rows, returns it holding the read's rfft along s, taken per block.
     """
     geom = sino.geometry
     specs = [(s, -geom.s_max, geom.pixel_size, geom.n_s, 1)]
-    return _sample(sino.values, specs, "s coordinates must be finite", beta, view_offset, against)
+    return _sample(sino.values, specs, "s coordinates must be finite", beta, view_offset, against, spectrum)
 
 
 def sample_detector(stack, u, v, beta):

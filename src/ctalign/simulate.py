@@ -16,11 +16,12 @@ same from every view, so it is traced once per stack.  The fan is the v = 0
 row of the cone: a fan phantom is a Phantom3D of spheres at y = 0, on which
 the cone formulas only add exact zeros.  The line integrals evaluate every
 feature at every point; both projectors run one recording path, _project:
-it rejects an h not finite or off the n-pixel detector, |h| >= n - 1, shifts the
-detector axis by h * pixel_size, evaluates each sphere once per chunk of at
-most _BLOCK_POINTS points of its per-view shadow windows, whole views per
-chunk, and adds the instability, so they skip only density * 0.0 terms and
-equal the line integrals bit for bit.  fan_project keeps the v = 0 row.
+it rejects an h not finite or off the n-pixel detector, |h| >= n - 1, shifts
+the detector axis by h * pixel_size, evaluates each sphere once per chunk of
+at most _BLOCK_POINTS points of its per-view shadow windows, whole views per
+chunk, a sphere at y = 0 without its y terms, and adds the instability, so
+they skip only exact-zero terms and equal the line integrals bit for bit.
+fan_project keeps the v = 0 row.
 """
 
 import math
@@ -244,6 +245,7 @@ def _project(phantom, geom, h, instability, recorded, u_max, v, eta):
     values = np.repeat(cylinder[None], len(beta), axis=0)
     flat, ray, view_size = values.reshape(-1), [d.reshape(-1) for d in ray], cylinder.size
     for k in range(len(radii)):  # sphere k over the union of its windows, in chunks of whole views
+        axes = (0, 2) if y[k] == 0.0 else (0, 1, 2)  # a sphere at y = 0: its y terms are exact zeros
         (top, bottom), (left, right) = rows[:, k].T, cols[:, k].T
         heights, sizes = bottom - top, (bottom - top) * (right - left)
         ends, j = np.cumsum(sizes), 0
@@ -253,7 +255,7 @@ def _project(phantom, geom, h, instability, recorded, u_max, v, eta):
             pixels = _spans(_spans(top[j:stop], heights[j:stop]) * len(u) + left[view], right[view] - left[view])
             points = pixels + np.repeat(np.arange(j, stop) * view_size, sizes[j:stop])
             offset = (np.repeat(a[j:stop, k], sizes[j:stop]), y[k], np.repeat(b[j:stop, k], sizes[j:stop]))
-            flat[points] += densities[k] * _chord(offset, [d[pixels] for d in ray], radii[k])
+            flat[points] += densities[k] * _chord([offset[i] for i in axes], [ray[i][pixels] for i in axes], radii[k])
             j = stop
     if instability is not None and instability.alpha > 0.0:
         values += instability.evaluate(recorded[None, :], beta[:, None], u_max)[:, None, :]

@@ -147,12 +147,12 @@ def shift_columns(values, offset):
     return _lerp(values[rows, cols], values[(rows + 1) % n, cols], f)
 
 
-def two_stage_periodic(sino, s, beta, view_offset=None, against=None):
+def two_stage_periodic(sino, s, beta, view_offset=None, against=None, spectrum=None):
     """sample_periodic with the all-views read (beta=None) in two stages:
     the two-plane read at every stored view, then each column shifted by
     its view offset.  The reference for the blocked all-views read; it
-    returns the read itself, so it takes no against."""
-    assert against is None
+    returns the read itself, so it takes no against and no spectrum."""
+    assert against is None and spectrum is None
     if beta is not None:
         return two_plane_periodic(sino, s, beta)
     grid = two_plane_periodic(sino, s, sino.geometry.beta_axis()[:, None])

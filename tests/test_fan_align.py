@@ -228,6 +228,20 @@ class TestViewShiftPath:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(sino.values))
 
 
+def traced_peak(fn, *args):
+    """(the tracemalloc peak of fn(*args) above what was allocated before, its result)."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 class TestAllViewsRead:
     """The all-views reflection, one blocked read, equals bit for bit its
     two-stage reference: the full-grid read at every stored view, then each
@@ -258,17 +272,25 @@ class TestAllViewsRead:
         """No full-size index array or temporary: the read allocates at
         most half its output on top of it."""
         sino = Sinogram(fan_geometry(512), np.random.default_rng(4).uniform(0.5, 2.0, size=(512, 512)))
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = reflected_resampling(sino, h)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        peak, out = traced_peak(reflected_resampling, sino, h)
         assert peak <= 1.5 * out.nbytes
+
+    @pytest.mark.parametrize("h", [0.0, 2.37])
+    def test_spectrum_is_the_rfft_of_the_read(self, h):
+        """The read's rfft along s, taken block by block (16 views each, odd
+        width) into given rows, is the rfft of the whole read bit for bit."""
+        geom = FanGeometry(SOURCE_RADIUS, 1001, unit_disk_half_width(SOURCE_RADIUS), 53)
+        sino = Sinogram(geom, np.random.default_rng(6).uniform(0.5, 2.0, size=(53, 1001)))
+        spectrum = np.empty((53, 501), dtype=complex)
+        assert reflect(sino, h, spectrum=spectrum) is spectrum
+        assert np.array_equal(spectrum, np.fft.rfft(reflected_resampling(sino, h), axis=1))
+
+    def test_2dr_peak_memory_is_its_two_half_spectra(self):
+        """2DR builds neither the reflected sinogram nor the whole correlation:
+        its two row spectra, about two sinograms, are its one large array."""
+        sino = Sinogram(fan_geometry(512), np.random.default_rng(4).uniform(0.5, 2.0, size=(512, 512)))
+        peak, _ = traced_peak(align_fan, sino, FanAlignConfig("2DR"))
+        assert peak <= 2.5 * sino.values.nbytes
 
     @pytest.mark.parametrize("h", [math.nan, math.inf])
     def test_non_finite_shift_rejected(self, sino, h):

@@ -251,23 +251,98 @@ class TestXcorrS2D:
 
     @pytest.mark.parametrize("shape", [(3, 5), (7, 4), (255, 257), (361, 200)])
     def test_correlation_is_the_2d_real_formula_bit_for_bit(self, monkeypatch, shape):
-        """The axis-by-axis correlation is irfft2(rfft2(a) * conj(rfft2(b)))
-        bit for bit, so neither its peak row nor the shift can drift."""
+        """The axis-by-axis correlation, its s axis inverted block by block,
+        is irfft2(rfft2(a) * conj(rfft2(b))) bit for bit once its blocks are
+        laid end to end, so neither its peak row nor the shift can drift."""
         rng = np.random.default_rng(shape[0] * shape[1])
         b = rng.normal(size=shape)
         a = np.roll(delay(b, 1.5), 1, axis=0) + 0.1 * rng.normal(size=shape)
         want = np.fft.irfft2(np.fft.rfft2(a) * np.conj(np.fft.rfft2(b)), s=shape)
         inverses, irfft = [], np.fft.irfft
 
-        def recording_irfft(*args, **kwargs):
-            inverses.append(irfft(*args, **kwargs))
-            return inverses[-1]
+        def recording_irfft(x, n=None, axis=-1):
+            inverses.append((n, irfft(x, n=n, axis=axis)))
+            return inverses[-1][1]
 
         monkeypatch.setattr(np.fft, "irfft", recording_irfft)
         got = xcorr_shift_s_2d(a, b)
-        assert np.array_equal(inverses[0], want)
+        blocks = [inverse for n, inverse in inverses if n == shape[1]]  # not the peak row's refinement
+        assert np.array_equal(np.concatenate(blocks), want)
         row = want[np.unravel_index(np.argmax(want), shape)[0]]
         assert got == _refined_peak(row)
+
+
+class TestPeakSearchAcrossBlocks:
+    """The s axis is inverted _BLOCK // n_s rows at a time into a running
+    peak search: it keeps np.argmax's first maximum over the whole
+    correlation.  Odd widths; three inverse blocks and a remainder."""
+
+    @staticmethod
+    def _shape(n_s):
+        rows = registration._BLOCK // n_s
+        return rows, (3 * rows + rows // 2 + 1, n_s)
+
+    @pytest.mark.parametrize("n_s", [333, 1001, 4099])
+    @pytest.mark.parametrize("block", [0, 2, 3])
+    def test_peak_in_any_block(self, n_s, block):
+        """The beta lag puts the peak in the given block (3 is the
+        remainder); the shift is read off np.argmax's row."""
+        rows, shape = self._shape(n_s)
+        rng = np.random.default_rng(n_s + block)
+        b = rng.normal(size=shape)
+        a = np.roll(delay(b, -2.5), block * rows + 1, axis=0) + 0.1 * rng.normal(size=shape)
+        want = np.fft.irfft2(np.fft.rfft2(a) * np.conj(np.fft.rfft2(b)), s=shape)
+        peak = np.argmax(want) // n_s
+        assert peak // rows == block
+        assert xcorr_shift_s_2d(a, b) == _refined_peak(want[peak]) == pytest.approx(-2.5, abs=0.05)
+
+    @pytest.mark.parametrize("n_s", [333, 1001, 4099])
+    def test_equal_maxima_keep_the_earlier_block(self, n_s):
+        """Two unit impulses correlated with one at the origin: equal maxima,
+        s lags 5 and 9, in blocks 1 and 3.  The earlier one is kept, as
+        np.argmax keeps it; a larger later one wins."""
+        rows, shape = self._shape(n_s)
+        a, b = np.zeros(shape), np.zeros(shape)
+        a[rows + 2, 5] = a[3 * rows + 1, 9] = b[0, 0] = 1.0
+        want = np.fft.irfft2(np.fft.rfft2(a) * np.conj(np.fft.rfft2(b)), s=shape)
+        assert want[rows + 2, 5] == want[3 * rows + 1, 9] == want.max()
+        assert np.argmax(want) == (rows + 2) * n_s + 5
+        assert xcorr_shift_s_2d(a, b) == 5.0
+        a[3 * rows + 1, 9] = 1.5
+        assert xcorr_shift_s_2d(a, b) == 9.0
+
+    def test_every_row_a_maximum(self):
+        """Data constant along beta correlate to equal rows: row 0 is kept."""
+        _, shape = self._shape(1001)
+        b = np.tile(np.random.default_rng(3).normal(size=shape[1]), (shape[0], 1))
+        want = np.fft.irfft2(np.fft.rfft2(np.roll(b, 3, axis=1)) * np.conj(np.fft.rfft2(b)), s=shape)
+        assert (want == want[0]).all()
+        assert xcorr_shift_s_2d(np.roll(b, 3, axis=1), b) == _refined_peak(want[0]) == 3.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_raises_the_named_error(self, value):
+        _, shape = self._shape(1001)
+        a = np.random.default_rng(8).normal(size=shape)
+        b = np.roll(a, 7, axis=1)
+        b[-1, -1] = value
+        with pytest.raises(ValueError, match="not finite"):
+            xcorr_shift_s_2d(a, b)
+
+    def test_all_zero_raises_ambiguous(self):
+        _, shape = self._shape(1001)
+        with pytest.raises(AmbiguousShiftError):
+            xcorr_shift_s_2d(np.zeros(shape), np.zeros(shape))
+
+    def test_zero_after_the_first_block_is_not_all_zero(self):
+        """Rows of one block each; only view 0 holds data, so with 4 views
+        (exact twiddles) every beta lag but 0 correlates to exact zeros."""
+        n_s = registration._BLOCK + 1
+        a, b = np.zeros((4, n_s)), np.zeros((4, n_s))
+        b[0] = np.random.default_rng(2).normal(size=n_s)
+        a[0] = np.roll(b[0], -6)
+        want = np.fft.irfft2(np.fft.rfft2(a) * np.conj(np.fft.rfft2(b)), s=a.shape)
+        assert want[0].any() and not want[1:].any()
+        assert xcorr_shift_s_2d(a, b) == _refined_peak(want[0]) == -6.0
 
 
 @pytest.mark.parametrize("xcorr, shape", [(xcorr_shift_1d, (16,)), (xcorr_shift_rows, (3, 16)), (xcorr_shift_s_2d, (8, 16))])

@@ -587,6 +587,13 @@ class TestConeProject:
         geom = cone_geometry(17)
         assert np.array_equal(cone_project(ph, geom, h=h, eta=eta).values, full_grid_cone(ph, geom, h, eta))
 
+    @pytest.mark.parametrize("eta", [0.0, math.radians(5.0)])
+    def test_spheres_at_y0_equal_full_grid_line_integral(self, eta):
+        """A sphere at y = 0 is traced without its y terms, bit for bit also
+        on the rays off that plane."""
+        ph, geom = make_disk_phantom(2, n_disks=12), cone_geometry(17)
+        assert np.array_equal(cone_project(ph, geom, h=3.5, eta=eta).values, full_grid_cone(ph, geom, 3.5, eta))
+
     @pytest.mark.parametrize("source_radius", SOURCE_RADII)
     def test_equals_full_grid_line_integral_any_source(self, source_radius):
         """Sources inside the cylinder and inside a sphere included."""
