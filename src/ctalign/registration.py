@@ -8,9 +8,11 @@ larger than half the signal length wrap and are outside the validity range.
 xcorr_shift_rows registers K row pairs with one batched FFT per step and
 marks rows whose correlation is identically zero; xcorr_shift_1d is its
 one-row case; xcorr_shift_s_2d never holds its 2D correlation whole.  Every
-peak is refined by _refined_peak, which checks the correlation once:
-non-finite inputs, or finite ones so large that the correlation overflows,
-raise a ValueError that names the overflow.
+peak is refined by _refined_peak to the 1/UPSAMPLE grid within 2 samples of
+its coarse maximum, with one matrix product (Guizar-Sicairos, Thurman & Fienup,
+Opt. Lett. 33:156, 2008), which checks those values once: non-finite inputs,
+or finite ones so large that the correlation overflows, raise a ValueError
+that names the overflow.
 
 The samplers have one read, _sample: stored views at detector points, each point at its own
 view-angle offset.  Queried on every stored view (beta=None), it reads cache-sized blocks of views,
@@ -27,6 +29,8 @@ table, and the off-grid mask zeroes every corner off the detector.  An axis whos
 every point (a detector axis, or the view axis when every angle is on a stored view) is not read.
 """
 
+import functools
+
 import numpy as np
 
 from .core import TWO_PI, wrap_angle
@@ -38,23 +42,34 @@ class AmbiguousShiftError(ValueError):
     """Cross-correlation is identically zero, or the data have no signal to measure; no shift can be estimated."""
 
 
+@functools.lru_cache
+def _window_basis(n):
+    """The n-th roots of unity, and the (n//2 + 1, 4*UPSAMPLE + 1) basis taking a row spectrum (Nyquist halved), turned
+    to its coarse maximum u by the roots, to its interpolant at each u + d/UPSAMPLE, |d| <= 2*UPSAMPLE.  Read-only."""
+    k = np.arange(n // 2 + 1)
+    basis = np.exp(2j * np.pi * np.outer(k, np.arange(-2 * UPSAMPLE, 2 * UPSAMPLE + 1)) / (n * UPSAMPLE))
+    basis *= np.where(k == 0, 1.0, 2.0)[:, None] / n  # the conjugate half of the spectrum, and irfft's 1/n
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.flags.writeable = basis.flags.writeable = False
+    return roots, basis
+
+
 def _refined_peak(c):
-    """Per row of c, the argmax of c band-limited onto a grid UPSAMPLE times finer (its spectrum zero-padded,
-    the samples kept), unwrapped to (-N/2, N/2], in samples.  A refined correlation that is not finite, from
-    non-finite inputs or from an overflow of huge ones, raises ValueError."""
+    """Per row of c, the maximum of c band-limited onto a grid UPSAMPLE times finer within 2 samples of its coarse
+    np.argmax, unwrapped to (-N/2, N/2], in samples.  Window values that are not finite, from non-finite inputs or
+    from an overflow of huge ones, raise ValueError."""
     n = c.shape[-1]
     m = n * UPSAMPLE
+    roots, basis = _window_basis(n)
     spec = np.fft.rfft(c)
     if n % 2 == 0:
-        # the Nyquist bin becomes an interior frequency after padding; it
-        # must be split between +/- Nyquist, and irfft supplies the conjugate
-        spec[..., n // 2] *= 0.5
-    padded = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
-    padded[..., : spec.shape[-1]] = spec
-    fine = np.fft.irfft(padded, n=m, axis=-1) * UPSAMPLE
-    if not np.isfinite(fine).all():
+        spec[..., n // 2] *= 0.5  # the Nyquist bin stands for +/- Nyquist in the interpolant, half each
+    u = np.argmax(c, axis=-1)
+    spec *= roots[np.multiply.outer(u, np.arange(n // 2 + 1)) % n]
+    window = (spec @ basis).real
+    if not np.isfinite(window).all():
         raise ValueError("correlation is not finite: the inputs are not finite, or so large that it overflows")
-    peak = np.argmax(fine, axis=-1)
+    peak = (UPSAMPLE * u + np.argmax(window, axis=-1) - 2 * UPSAMPLE) % m
     peak = np.where(2 * peak > m, peak - m, peak)
     # integer unwrap first, single division after: keeps antisymmetry exact
     return peak / UPSAMPLE
@@ -71,11 +86,12 @@ def _check_pair(a, b):
 def xcorr_shift_1d(a, b):
     """Displacement d maximizing the circular cross-correlation of a and b.
 
-    Computed in the frequency domain and refined to 1/UPSAMPLE of a sample
-    by zero-padding the correlation spectrum.  Sign: a(i) ~= b(i - d) gives
-    +d; the result lies in (-N/2, N/2].  Swapping the inputs negates the
-    result exactly (modulo N at the N/2 boundary).  The one-row case of
-    xcorr_shift_rows.
+    Computed in the frequency domain and refined to the maximum of the
+    band-limited correlation on the 1/UPSAMPLE grid within 2 samples of its
+    coarse maximum (Guizar-Sicairos et al., Opt. Lett. 33:156, 2008).  Sign:
+    a(i) ~= b(i - d) gives +d; the result lies in (-N/2, N/2].  Swapping the
+    inputs negates the result exactly (modulo N at the N/2 boundary).  The
+    one-row case of xcorr_shift_rows.
 
     Raises AmbiguousShiftError when the correlation is identically zero
     (e.g. an all-zero input).
@@ -119,8 +135,9 @@ def xcorr_shift_s_2d(a, b):
     """Shift along the last (s) axis of the 2D circular correlation peak.
 
     The peak is located at integer resolution on the first (beta) axis,
-    whose shift is discarded, and refined to 1/UPSAMPLE along s by spectral
-    zero-padding of the peak row.  Sign convention as in xcorr_shift_1d.
+    whose shift is discarded, and refined along s to the 1/UPSAMPLE grid within
+    2 samples of the peak row's coarse maximum (Guizar-Sicairos et al., Opt.
+    Lett. 33:156, 2008).  Sign convention as in xcorr_shift_1d.
     The correlation is irfft2(rfft2(a) * conj(rfft2(b))) bit for bit, and is never held whole (_xcorr_peak_s).
     """
     a, b = _check_pair(a, b)

@@ -1,5 +1,5 @@
-"""Shared simulation fixtures, reference samplers and a reference
-sequential median-of-K fixed-point solve.
+"""Shared simulation fixtures, reference samplers, the reference zero-padded
+peak refinement and a reference sequential median-of-K fixed-point solve.
 
 The reference fan protocol is 256 detector samples x 256 views, source
 radius 2, detector half-width tangent to the unit disk, a seeded 30-void
@@ -9,6 +9,7 @@ that needs realistic data reuses the same arrays.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ctalign import (
 )
 from ctalign.fan_align import fixed_point_shift, reflect
 from ctalign.registration import (
+    UPSAMPLE,
     AmbiguousShiftError,
     _axis_weights,
     _beta_weights,
@@ -165,6 +167,24 @@ def two_stage_detector(stack, u, v, beta):
     return two_plane_detector(stack, u, v, stack.geometry.beta_axis()[:, None] if beta is None else beta)
 
 
+def zero_padded_peak(c):
+    """_refined_peak by zero-padding: per row of c, the first argmax of the whole band-limited correlation on the
+    1/UPSAMPLE grid, from its spectrum zero-padded to UPSAMPLE times the length (the Nyquist bin of an even length
+    split between +/- Nyquist), unwrapped to (-N/2, N/2], in samples.  The reference for the window search, which
+    equals it wherever the fine maximum lies within 2 samples of the coarse one."""
+    n = c.shape[-1]
+    m = n * UPSAMPLE
+    spec = np.fft.rfft(c)
+    if n % 2 == 0:
+        spec[..., n // 2] *= 0.5
+    padded = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    padded[..., : spec.shape[-1]] = spec
+    fine = np.fft.irfft(padded, n=m, axis=-1) * UPSAMPLE
+    peak = np.argmax(fine, axis=-1)
+    peak = np.where(2 * peak > m, peak - m, peak)
+    return peak / UPSAMPLE
+
+
 def lockstep_median_fixed_point(sino, cfg):
     """fixed_point_shift from the cfg.K FP_K starts, returned in the (h, runs)
     shape of sequential_median_fixed_point: each run is (start number, h_j,
@@ -214,3 +234,17 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def traced_peak(fn, *args):
+    """(the tracemalloc peak of fn(*args) above what was allocated before, its result)."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        if started:
+            tracemalloc.stop()

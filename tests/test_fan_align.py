@@ -39,6 +39,7 @@ from conftest import (
     fan_geometry,
     lockstep_median_fixed_point,
     sequential_median_fixed_point,
+    traced_peak,
     two_stage_periodic,
 )
 
@@ -226,20 +227,6 @@ class TestViewShiftPath:
         got = reflected_resampling(sino, h)
         want = reflection_at_view_angles(sino, h)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(sino.values))
-
-
-def traced_peak(fn, *args):
-    """(the tracemalloc peak of fn(*args) above what was allocated before, its result)."""
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base, out
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestAllViewsRead:

@@ -1,6 +1,10 @@
 """Sub-pixel cross-correlation kernels and the interpolating samplers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +23,8 @@ from ctalign import (
     xcorr_shift_s_2d,
 )
 from ctalign import registration
-from ctalign.registration import _refined_peak
-from conftest import count_calls, two_plane_detector, two_plane_periodic, two_stage_periodic
+from ctalign.registration import UPSAMPLE, _refined_peak
+from conftest import count_calls, traced_peak, two_plane_detector, two_plane_periodic, two_stage_periodic, zero_padded_peak
 
 
 def bump(n, center, width):
@@ -343,6 +347,93 @@ class TestPeakSearchAcrossBlocks:
         want = np.fft.irfft2(np.fft.rfft2(a) * np.conj(np.fft.rfft2(b)), s=a.shape)
         assert want[0].any() and not want[1:].any()
         assert xcorr_shift_s_2d(a, b) == _refined_peak(want[0]) == -6.0
+
+
+class TestRefinedPeakWindow:
+    """_refined_peak searches the 1/UPSAMPLE grid within 2 samples of each row's coarse maximum; the
+    zero-padded refinement of the whole row (conftest.zero_padded_peak) is its reference."""
+
+    @staticmethod
+    def _rows(n, k, lag):
+        """k band-limited bumps of widths up to n/8, each peaking at lag."""
+        widths = np.linspace(max(0.3, n / 64), max(0.6, n / 8), k)
+        return np.array([delay(bump(n, 0.0, w), lag) for w in widths])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 128, 255, 256, 1024])
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("where", ["zero", "last", "first", "halfway"])
+    def test_equals_the_zero_padded_peak(self, n, k, where):
+        """Peaks at lag 0, at +-(n/2 - 1), and a tenth of a fine step either side of halfway between two fine
+        points (an exact tie there is left to rounding)."""
+        lags = {
+            "zero": [0.0],
+            "last": [n / 2 - 1],
+            "first": [1 - n / 2],
+            "halfway": [1.0 + 0.4 / UPSAMPLE, 1.0 + 0.6 / UPSAMPLE],
+        }[where]
+        for lag in lags:
+            c = self._rows(n, k, lag)
+            got = _refined_peak(c)
+            assert got.shape == (k,)
+            assert same_bits(got, zero_padded_peak(c))
+            assert same_bits(_refined_peak(c[0]), got[0])
+
+    def test_exact_tie_is_one_of_the_two_fine_points(self):
+        c = self._rows(128, 10, 3.0 + 0.5 / UPSAMPLE)
+        assert set(_refined_peak(c)) <= {3.0, 3.0 + 1 / UPSAMPLE}
+
+    @pytest.mark.parametrize("n", [16, 17, 64])
+    def test_window_follows_the_coarse_maximum(self, n):
+        """The documented divergence: two coarse maxima 10 samples apart, a lone sample of 1 and a pair of
+        samples of 0.99.  The interpolant rises well above 1 between the pair, so the zero-padded refinement
+        finds the lower coarse maximum's lobe; the window stays within 2 samples of np.argmax."""
+        c = np.zeros((1, n))
+        c[0, 12] = 1.0
+        c[0, 2] = c[0, 3] = 0.99
+        assert np.argmax(c) == 12
+        assert zero_padded_peak(c)[0] == 2.5
+        got = _refined_peak(c)[0]
+        assert abs((got - 12 + n / 2) % n - n / 2) <= 2
+
+    def test_peak_memory_is_a_few_correlations(self):
+        """A 10 x 1024 batch peaks at no more than 5 correlations' bytes, where the whole zero-padded
+        row (conftest.zero_padded_peak) needs over 40; the width's memoized basis is built before the trace."""
+        c = np.random.default_rng(6).normal(size=(10, 1024))
+        _refined_peak(c)
+        peak, _ = traced_peak(_refined_peak, c)
+        assert peak <= 5 * c.nbytes
+
+
+BLAS_WORK = """
+import numpy as np
+from ctalign import FanAlignConfig, FanGeometry, align_fan, fan_project, make_disk_phantom, unit_disk_half_width
+from ctalign import xcorr_shift_rows
+from ctalign.core import FAN_METHODS
+
+out = []
+for n in (256, 1024):
+    sino = fan_project(make_disk_phantom(1), FanGeometry(2.0, n, unit_disk_half_width(2.0), n), h=10 * n / 128)
+    for method in FAN_METHODS:
+        r = align_fan(sino, FanAlignConfig(method))
+        out.append((r.h, r.iterations, r.reason))
+rng = np.random.default_rng(9)
+b = rng.normal(size=(10, 1024))
+out.append(tuple(xcorr_shift_rows(np.roll(b, 7, axis=1) + 0.1 * rng.normal(size=b.shape), b)))
+print(repr(out))
+"""
+
+
+def test_blas_threads_do_not_move_an_estimate():
+    """The window product runs through BLAS: the five fan methods and a batch of row shifts read the same
+    with one BLAS thread and with two.  (The mse is left out: its vdot sums split over the threads.)"""
+    src = str(Path(registration.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", BLAS_WORK], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("xcorr, shape", [(xcorr_shift_1d, (16,)), (xcorr_shift_rows, (3, 16)), (xcorr_shift_s_2d, (8, 16))])
